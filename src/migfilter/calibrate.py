@@ -1,9 +1,19 @@
 """EM calibration of the hidden factor and migration laws.
 
-The E-step runs scaled forward/backward recursions over the panel's
-aggregated per-step likelihood weights (per-step normalization with a
-log-scale accumulator, so samples thousands of steps long cannot
-underflow).  The discrete M-step is closed form.
+The E-step evaluates the forward/backward recursions over the panel's
+aggregated per-step likelihood weights without a loop over time.  Each
+recursion is a product of per-step matrices (``diag(g_t) K^T`` forward,
+``K diag(g_t)`` backward), so all its steps at once are the inclusive
+prefix products of that sequence.  They come from a work-efficient
+parallel-prefix scan (Sarkka & Garcia-Fernandez, 2021): pair neighbours,
+scan the pairs, fill in the rest, one batched matrix product per level.
+Every column of every product carries its own log-scale, so columns
+hundreds of orders of magnitude apart never underflow against each other.
+One exact recursion step in log space from every scanned row then gives
+the normalized rows and their per-step log-scales (so samples thousands
+of steps long cannot underflow), decides impossible observations, and
+checks the scan.  The smoothing posteriors follow in one broadcast.  The
+discrete M-step is closed form.
 
 The continuous adaptation calibrates on a fine grid with at most one jump
 per interval: interval likelihoods come from a uniform picker model (one
@@ -22,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import DataError, ImpossibleObservationError, ModelError
+from .errors import DataError, ImpossibleObservationError, ModelError, NumericalError
 from .filtering import _safe_log_law
 from .model import (
     EventStream,
@@ -136,10 +146,12 @@ def _panel_log_weights(panel: MigrationPanel, law: MigrationLaw) -> np.ndarray:
     (multinomial coefficients dropped).  Shape (steps, m); impossible
     combinations get -inf."""
     log_law, zero_mask = _safe_log_law(law.per_state)
-    counts = panel.counts.astype(float)
-    logg = np.einsum("tjk,ijk->ti", counts, log_law)
-    impossible = np.einsum("tjk,ijk->ti", (counts > 0).astype(float), zero_mask) > 0
-    logg[impossible] = -np.inf
+    m, p = law.n_states, law.p
+    counts = panel.counts.reshape(panel.steps, p * p).astype(float)
+    logg = counts @ log_law.reshape(m, p * p).T
+    if zero_mask.any():
+        hits = (counts > 0).astype(float) @ zero_mask.reshape(m, p * p).T
+        logg[hits > 0] = -np.inf
     return logg
 
 
@@ -158,51 +170,150 @@ def _unknown_initial_log_weights(panel: MigrationPanel, law: MigrationLaw) -> np
     return w.sum(axis=1)
 
 
+def _max_axis1(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=1)`` for a short axis 1: one elementwise maximum per
+    entry along it, several times faster than numpy's reduction."""
+    top = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(top, x[:, j], out=top)
+    return top
+
+
+def _column_normalized(
+    mats: np.ndarray, log_scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Divide every column by its largest entry and add that entry's log to
+    the column's log-scale; all-zero columns stay zero (log-scale -inf)."""
+    top = _max_axis1(mats)
+    return mats / np.where(top > 0.0, top, 1.0)[:, None, :], log_scale + np.log(top)
+
+
+def _exp_normalized(log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(log_x)`` divided by its maximum along axis 1, and the maximum
+    of ``log_x`` along axis 1 (slices that are all -inf give zeros)."""
+    top = _max_axis1(log_x)
+    return np.exp(log_x - np.where(np.isfinite(top), top, 0.0)[:, None]), top
+
+
+def _scaled_matmul(
+    a: np.ndarray, a_scale: np.ndarray, b: np.ndarray, b_scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``a @ b`` for stacks of matrices whose true column j is ``a[..., j] *
+    exp(a_scale[..., j])``.  Row j of ``b`` is weighted by column j's scale
+    in log space first, so columns whose scales lie hundreds of orders of
+    magnitude apart never underflow against each other."""
+    w, top = _exp_normalized(a_scale[:, :, None] + np.log(b))
+    return _column_normalized(a @ w, top + b_scale)
+
+
+def _prefix_products(
+    mats: np.ndarray, log_scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive prefix products ``mats[k] @ ... @ mats[0]`` of column-scaled
+    nonnegative matrices (see ``_scaled_matmul``).
+
+    Work-efficient scan: multiply neighbouring pairs, scan the half-length
+    sequence of pairs, then extend each odd prefix by the next even matrix.
+    O(n) matrix products in O(log n) batched calls.
+    """
+    n = mats.shape[0]
+    if n == 1:
+        return mats, log_scale
+    lo, hi = slice(0, n - 1, 2), slice(1, n, 2)
+    odd, odd_scale = _prefix_products(
+        *_scaled_matmul(mats[hi], log_scale[hi], mats[lo], log_scale[lo])
+    )
+    out = np.empty_like(mats)
+    out_scale = np.empty_like(log_scale)
+    out[0], out_scale[0] = mats[0], log_scale[0]
+    out[1::2], out_scale[1::2] = odd, odd_scale
+    fill = (n - 1) // 2
+    out[2::2], out_scale[2::2] = _scaled_matmul(
+        mats[2::2], log_scale[2::2], odd[:fill], odd_scale[:fill]
+    )
+    return out, out_scale
+
+
+def _scan_directions(log_mats: np.ndarray) -> np.ndarray:
+    """Every step of the recursion ``x_k = M[k] @ x_(k-1)``, its start
+    folded into ``M[0]``, where ``M = exp(log_mats)``, as rows normalized to
+    sum 1 (zero rows once the recursion dies)."""
+    with np.errstate(divide="ignore"):
+        prods, scale = _prefix_products(*_exp_normalized(log_mats))
+    col_weight, _ = _exp_normalized(scale)
+    rows = np.einsum("tij,tj->ti", prods, col_weight)
+    total = rows.sum(axis=1, keepdims=True)
+    return rows / np.where(total > 0.0, total, 1.0)
+
+
+def _raise_impossible(t: int, every_state: bool):
+    if every_state:
+        raise ImpossibleObservationError(
+            "observations at one step are impossible under every hidden state",
+            time_index=t,
+        )
+    raise ImpossibleObservationError(
+        "observations are impossible under every reachable hidden state",
+        time_index=t,
+    )
+
+
+def _check_scan(scanned: np.ndarray, exact: np.ndarray, steps: np.ndarray, last: bool):
+    """Every scanned row must agree with one exact recursion step taken from
+    the scanned row before it; a disagreement means the scan lost precision
+    and its rows cannot be trusted."""
+    bad = steps[np.abs(scanned - exact).max(axis=1, initial=0.0) > 1e-9]
+    if bad.size:
+        t = int(bad[-1] if last else bad[0])
+        raise NumericalError(
+            f"the prefix scan lost precision at step {t}: the per-step "
+            "likelihoods span more orders of magnitude than double precision holds"
+        )
+
+
 def _forward(logg: np.ndarray, pi: np.ndarray, trans: np.ndarray) -> ForwardResult:
     steps, m = logg.shape
-    alpha = np.empty((steps, m))
-    log_scale = np.empty(steps)
-    carry = pi
-    total = 0.0
-    for t in range(steps):
-        top = logg[t].max()
-        if not np.isfinite(top):
-            raise ImpossibleObservationError(
-                "observations at one step are impossible under every hidden state",
-                time_index=t,
-            )
-        if t > 0:
-            carry = trans.T @ alpha[t - 1]
-        row = carry * np.exp(logg[t] - top)
-        norm = row.sum()
-        if norm <= 0.0:
-            raise ImpossibleObservationError(
-                "observations are impossible under every reachable hidden state",
-                time_index=t,
-            )
-        alpha[t] = row / norm
-        total += math.log(norm) + top
-        log_scale[t] = total
-    return ForwardResult(alpha=alpha, log_scale=log_scale, loglik=total)
+    impossible = ~np.isfinite(logg.max(axis=1))
+    with np.errstate(divide="ignore"):
+        log_mats = np.full((steps, m, m), -np.inf)
+        log_mats[0, range(m), range(m)] = np.log(pi) + logg[0]
+        log_mats[1:] = logg[1:, :, None] + np.log(trans).T
+        scanned = _scan_directions(log_mats)
+        # one exact recursion step, in log space, from each scanned row
+        carry = np.vstack([pi, scanned[:-1] @ trans])
+        row, top = _exp_normalized(np.log(carry) + logg)
+    norm = row.sum(axis=1)
+    bad = np.flatnonzero(~(norm > 0.0))
+    good = bad[0] if bad.size else steps
+    alpha = row[:good] / norm[:good, None]
+    _check_scan(scanned[:good], alpha, np.arange(good), last=False)
+    if bad.size:
+        _raise_impossible(int(good), bool(impossible[good]))
+    log_scale = np.cumsum(np.log(norm) + top)
+    return ForwardResult(alpha=alpha, log_scale=log_scale, loglik=float(log_scale[-1]))
 
 
 def _backward(logg: np.ndarray, trans: np.ndarray) -> BackwardResult:
     steps, m = logg.shape
-    beta = np.empty((steps, m))
-    log_scale = np.empty(steps)
-    beta[steps - 1] = 1.0 / m
-    log_scale[steps - 1] = math.log(m)
-    for t in range(steps - 2, -1, -1):
-        top = logg[t + 1].max()
-        row = trans @ (np.exp(logg[t + 1] - top) * beta[t + 1])
-        norm = row.sum()
-        if norm <= 0.0:
-            raise ImpossibleObservationError(
-                "observations are impossible under every reachable hidden state",
-                time_index=t + 1,
-            )
-        beta[t] = row / norm
-        log_scale[t] = log_scale[t + 1] + math.log(norm) + top
+    impossible = ~np.isfinite(logg.max(axis=1))
+    # reversed: element k drives beta[steps - 1 - k]; the flat terminal
+    # column is folded into element 0
+    with np.errstate(divide="ignore"):
+        log_mats = np.zeros((steps, m, m))
+        log_mats[1:] = np.log(trans) + logg[:0:-1, None, :]
+        scanned = _scan_directions(log_mats)[::-1]
+        # one exact recursion step, in log space, from each scanned row;
+        # beta[t] reads step t + 1
+        w, top = _exp_normalized(logg[1:] + np.log(scanned[1:]))
+    row = np.vstack([w @ trans.T, np.ones(m)])
+    norm = row.sum(axis=1)
+    bad = np.flatnonzero(~(norm > 0.0))
+    first = bad[-1] + 1 if bad.size else 0
+    beta = row[first:] / norm[first:, None]
+    _check_scan(scanned[first:], beta, np.arange(first, steps), last=True)
+    if bad.size:
+        _raise_impossible(int(first), bool(impossible[first]))
+    log_scale = np.cumsum((np.log(norm) + np.append(top, 0.0))[::-1])[::-1]
     return BackwardResult(beta=beta, log_scale=log_scale)
 
 
@@ -269,14 +380,12 @@ def posteriors(
 def _posteriors_from(
     logg: np.ndarray, fwd: ForwardResult, bwd: BackwardResult, trans: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    steps, m = logg.shape
     u = fwd.alpha * bwd.beta
     u /= u.sum(axis=1, keepdims=True)
-    v = np.empty((steps - 1, m, m))
-    for t in range(steps - 1):
-        g = np.exp(logg[t + 1] - logg[t + 1].max())
-        joint = fwd.alpha[t][:, None] * trans * (g * bwd.beta[t + 1])[None, :]
-        v[t] = joint / joint.sum()
+    with np.errstate(divide="ignore"):
+        w, _ = _exp_normalized(logg[1:] + np.log(bwd.beta[1:]))
+    v = fwd.alpha[:-1, :, None] * trans * w[:, None, :]
+    v /= np.einsum("tij->t", v)[:, None, None]
     return u, v
 
 
@@ -294,33 +403,31 @@ def m_step(
     ``floor`` keeps its previous value (no information to update it with);
     migration rows are floored at ``floor`` and renormalized.
     """
-    steps, m = u.shape
-    p = panel.p
-    pi = renormalize(u[0].copy(), trigger=0.0)
-
-    if steps > 1:
-        k_num = v.sum(axis=0)
-        k_den = u[:-1].sum(axis=0)
-        trans = np.where(k_den[:, None] > 0, k_num / np.where(k_den[:, None] > 0, k_den[:, None], 1.0), 1.0 / m)
-    else:
-        trans = np.full((m, m), 1.0 / m)
-    trans = trans / trans.sum(axis=1, keepdims=True)
-
+    pi, trans = _chain_m_step(u, v)
     num = np.einsum("ti,tkr->ikr", u, panel.counts.astype(float))
     den = np.einsum("ti,tk->ik", u, panel.exposures.astype(float))
-    per_state = np.empty((m, p, p))
-    for i in range(m):
-        for k in range(p):
-            if den[i, k] < max(floor, 1e-300):
-                if prev_law is not None:
-                    per_state[i, k] = prev_law.per_state[i, k]
-                else:
-                    per_state[i, k] = 1.0 / p
-            else:
-                per_state[i, k] = num[i, k] / den[i, k]
+    blind = den < max(floor, 1e-300)
+    prev = prev_law.per_state if prev_law is not None else 1.0 / panel.p
+    per_state = np.where(
+        blind[:, :, None], prev, num / np.where(blind, 1.0, den)[:, :, None]
+    )
     per_state = np.maximum(per_state, floor)
     per_state /= per_state.sum(axis=2, keepdims=True)
     return pi, trans, per_state
+
+
+def _chain_m_step(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form update of the hidden chain's initial law and transition
+    matrix; a state never visited before the last step gets a flat row."""
+    steps, m = u.shape
+    pi = renormalize(u[0].copy(), trigger=0.0)
+    if steps > 1:
+        k_num = v.sum(axis=0)
+        k_den = u[:-1].sum(axis=0)[:, None]
+        trans = np.where(k_den > 0, k_num / np.where(k_den > 0, k_den, 1.0), 1.0 / m)
+    else:
+        trans = np.full((m, m), 1.0 / m)
+    return pi, trans / trans.sum(axis=1, keepdims=True)
 
 
 def _random_init(rng, m: int, p: int, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -523,22 +630,20 @@ def _picker_log_weights(
     with np.errstate(divide="ignore"):
         log_diag = np.log(diag)
     nojump = src < 0
+    rows = np.flatnonzero(~nojump)
+    with np.errstate(divide="ignore"):
+        jump_logw = np.log(per_state[:, src[rows], dst[rows]].T) - math.log(n_bar)
     logw = np.empty((s_count, m))
     if all_stayers_diagonal:
-        stay_cnt = exposures.astype(float).copy()
-        jump_rows = np.nonzero(~nojump)[0]
-        stay_cnt[jump_rows, src[jump_rows]] -= 1.0
+        stay_cnt = exposures.astype(float)
+        stay_cnt[rows, src[rows]] -= 1.0
         logw[:] = stay_cnt @ log_diag.T
-        for t in jump_rows:
-            with np.errstate(divide="ignore"):
-                logw[t] += np.log(per_state[:, src[t], dst[t]]) - math.log(n_bar)
+        logw[rows] += jump_logw
     else:
         base = (1.0 - n_t / n_bar)[:, None] + (exposures.astype(float) @ diag.T) / n_bar
         with np.errstate(divide="ignore"):
             logw[nojump] = np.log(base[nojump])
-        for t in np.nonzero(~nojump)[0]:
-            with np.errstate(divide="ignore"):
-                logw[t] = np.log(per_state[:, src[t], dst[t]]) - math.log(n_bar)
+        logw[rows] = jump_logw
     return logw
 
 
@@ -567,9 +672,8 @@ def _jump_posterior_mass(
 ) -> np.ndarray:
     """Expected number of picked jumps per (state, source, target)."""
     mass = np.zeros((m, p, p))
-    jump_rows = np.nonzero(src >= 0)[0]
-    for t in jump_rows:
-        mass[:, src[t], dst[t]] += u[t]
+    rows = np.flatnonzero(src >= 0)
+    np.add.at(mass, (slice(None), src[rows], dst[rows]), u[rows].T)
     return mass
 
 
@@ -587,14 +691,14 @@ def _optimize_picker_rows(
     start: np.ndarray,
     floor: float,
     gtol: float = 1e-8,
-) -> tuple[np.ndarray, float, float, bool]:
+) -> np.ndarray:
     """Maximize one state's picker-likelihood contribution over its
     row-stochastic migration matrix.
 
     Rows are reparameterized by softmax logits and ascended jointly (the
     no-jump terms couple the diagonal entries across rows), with analytic
-    gradients.  Returns the new matrix, the objective before and after, and
-    whether the optimizer improved it.
+    gradients.  Returns the new matrix, or ``start`` itself when the
+    optimizer's result scores lower.
     """
     p = start.shape[0]
     c_nj = 1.0 - y_nj.sum(axis=1) / n_bar
@@ -636,10 +740,9 @@ def _optimize_picker_rows(
     mat = _row_softmax(res.x.reshape(p, p))
     mat = np.maximum(mat, floor)
     mat /= mat.sum(axis=1, keepdims=True)
-    q_end = q_of(mat)
-    if q_end + 1e-12 * (1.0 + abs(q_start)) < q_start:
-        return start, q_start, q_start, False
-    return mat, q_start, q_end, True
+    if q_of(mat) + 1e-12 * (1.0 + abs(q_start)) < q_start:
+        return start
+    return mat
 
 
 def em_fit_continuous(
@@ -694,7 +797,6 @@ def em_fit_continuous(
     traces: list[np.ndarray] = []
     fits: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = []
     converged_flags: list[bool] = []
-    notes: list[str] = []
     failures: list[str] = []
 
     def e_and_m(_panel, pi, trans, per_state, cfg):
@@ -704,40 +806,25 @@ def em_fit_continuous(
         fwd = _forward(logw, pi, trans)
         bwd = _backward(logw, trans)
         u, v = _posteriors_from(logw, fwd, bwd, trans)
-        new_pi = renormalize(u[0].copy(), trigger=0.0)
-        if u.shape[0] > 1:
-            k_num = v.sum(axis=0)
-            k_den = u[:-1].sum(axis=0)
-            new_trans = np.where(
-                k_den[:, None] > 0,
-                k_num / np.where(k_den[:, None] > 0, k_den[:, None], 1.0),
-                1.0 / m,
-            )
-        else:
-            new_trans = np.full((m, m), 1.0 / m)
-        new_trans = new_trans / new_trans.sum(axis=1, keepdims=True)
-
+        new_pi, new_trans = _chain_m_step(u, v)
         if fixed_law is not None:
             return fwd.loglik, (new_pi, new_trans, per_state)
         jump_mass = _jump_posterior_mass(u, src, dst, m, p)
         u_nj = u[nojump]
         y_nj = exposures[nojump].astype(float)
-        new_per_state = np.empty_like(per_state)
-        for i in range(m):
-            if all_stayers_diagonal:
-                stay = u_nj[:, i] @ y_nj
-                stay = stay + _jump_stay_mass(u[:, i], src, exposures)
-                target = jump_mass[i] + np.diag(stay)
-                row = np.maximum(target, 0.0)
-                row = np.maximum(row, cfg.floor)
-                new_per_state[i] = row / row.sum(axis=1, keepdims=True)
-                continue
-            mat, q0, q1, improved = _optimize_picker_rows(
+        if all_stayers_diagonal:
+            stay = u_nj.T @ y_nj + _jump_stay_mass(u, src, exposures)
+            target = jump_mass.copy()
+            target[:, np.arange(p), np.arange(p)] += stay
+            new_per_state = np.maximum(target, cfg.floor)
+            new_per_state /= new_per_state.sum(axis=2, keepdims=True)
+            return fwd.loglik, (new_pi, new_trans, new_per_state)
+        new_per_state = np.stack([
+            _optimize_picker_rows(
                 jump_mass[i], u_nj[:, i], y_nj, n_bar, per_state[i], cfg.floor
             )
-            if not improved and q1 < q0:
-                notes.append(f"state {i}: optimizer non-improvement, row kept")
-            new_per_state[i] = mat
+            for i in range(m)
+        ])
         return fwd.loglik, (new_pi, new_trans, new_per_state)
 
     for seed in seeds:
@@ -790,13 +877,10 @@ def em_fit_continuous(
     )
 
 
-def _jump_stay_mass(u_i: np.ndarray, src: np.ndarray, exposures: np.ndarray) -> np.ndarray:
-    """Stayer exponents contributed by jump intervals under the
-    all-stayers-diagonal convention."""
-    jump_rows = np.nonzero(src >= 0)[0]
-    out = np.zeros(exposures.shape[1])
-    for t in jump_rows:
-        cnt = exposures[t].astype(float).copy()
-        cnt[src[t]] -= 1.0
-        out += u_i[t] * cnt
-    return out
+def _jump_stay_mass(u: np.ndarray, src: np.ndarray, exposures: np.ndarray) -> np.ndarray:
+    """Per-state stayer exponents contributed by jump intervals under the
+    all-stayers-diagonal convention, shape (m, p)."""
+    rows = np.flatnonzero(src >= 0)
+    cnt = exposures[rows].astype(float)
+    cnt[np.arange(rows.size), src[rows]] -= 1.0
+    return u[rows].T @ cnt

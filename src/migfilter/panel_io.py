@@ -237,10 +237,13 @@ def r_squared(predicted: np.ndarray, realized: np.ndarray) -> float:
         raise DataError("predicted and realized must be 1-d series of equal length")
     if predicted.shape[0] < 2:
         raise DataError("need at least two points to score a forecast")
-    sst = float(np.sum((realized - realized.mean()) ** 2))
-    if sst == 0.0:
+    if np.ptp(realized) == 0.0:
         raise DataError("realized series is constant; its variance ratio is undefined")
-    sse = float(np.sum((predicted - realized) ** 2))
+    # rescaled so tiny deviations cannot square to zero
+    dev = realized - realized.mean()
+    scale = np.abs(dev).max()
+    sst = float(np.sum((dev / scale) ** 2))
+    sse = float(np.sum(((predicted - realized) / scale) ** 2))
     return 1.0 - sse / sst
 
 

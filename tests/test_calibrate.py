@@ -9,7 +9,7 @@ from migfilter.calibrate import (
     _random_init,
     m_step,
 )
-from migfilter.errors import DataError, ModelError
+from migfilter.errors import DataError, ImpossibleObservationError, ModelError
 
 from conftest import enumerate_reference, random_instance, random_model
 
@@ -73,6 +73,16 @@ class TestForwardPass:
             fwd = mf.forward_pass(panel, factor, law)
             assert abs(fwd.loglik - ref["loglik"]) < 1e-10
 
+    def test_step_likelihood_below_double_range_is_not_impossible(self):
+        # the only state with prior mass explains the step with probability
+        # 1e-3000: tiny, not zero
+        per_state = np.array([[[0.999, 0.001], [0.001, 0.999]], [[0.5, 0.5], [0.5, 0.5]]])
+        factor = mf.HiddenFactorSpec(np.array([1.0, 0.0]), np.eye(2))
+        panel = mf.MigrationPanel(np.array([[1000, 0]]), np.array([[[0, 1000], [0, 0]]]))
+        fwd = mf.forward_pass(panel, factor, mf.MigrationLaw(per_state))
+        assert fwd.loglik == pytest.approx(1000 * np.log(0.001), rel=1e-12)
+        np.testing.assert_array_equal(fwd.alpha, [[1.0, 0.0]])
+
     def test_long_panel_does_not_underflow(self):
         factor, law = mf.demo_model(2, 3)
         cfg = mf.SimulationConfig(np.array([500, 500, 500]), 2000, seed=1)
@@ -133,6 +143,20 @@ class TestBackwardPassAndPosteriors:
             assert np.abs(u - ref["u"]).max() < 1e-10
             if panel.steps > 1:
                 assert np.abs(v - ref["v"]).max() < 1e-10
+
+    def test_step_impossible_under_every_state_raises(self):
+        # rating 1 never moves to 0 in any state, and step 1 has such a move
+        per_state = np.array([[[0.9, 0.1], [0.0, 1.0]], [[0.5, 0.5], [0.0, 1.0]]])
+        law = mf.MigrationLaw(per_state)
+        factor = mf.HiddenFactorSpec(np.array([0.5, 0.5]), np.full((2, 2), 0.5))
+        panel = mf.MigrationPanel(
+            np.array([[2, 1], [1, 2], [1, 2]]),
+            np.array([[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [0, 2]]]),
+        )
+        for run in (mf.forward_pass, mf.backward_pass):
+            with pytest.raises(ImpossibleObservationError) as info:
+                run(panel, factor, law)
+            assert info.value.time_index == 1
 
     def test_pairwise_marginalization(self, rng):
         for _ in range(6):

@@ -202,6 +202,11 @@ class TestRSquared:
         predicted = np.zeros(4)
         assert pio.r_squared(predicted, realized) == pytest.approx(1 - 14 / 5)
 
+    def test_tiny_deviations_are_not_constant(self):
+        realized = np.array([1e-170, 0.0])
+        assert pio.r_squared(realized, realized) == 1.0
+        assert pio.r_squared(np.array([0.0, 1e-170]), realized) == pytest.approx(-3.0)
+
     def test_constant_realized_rejected(self):
         with pytest.raises(DataError):
             pio.r_squared(np.array([0.1, 0.2]), np.array([0.5, 0.5]))

@@ -26,14 +26,13 @@ matrices by the small-step linearization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DataError, ImpossibleObservationError, ModelError, NumericalError
-from .filtering import _safe_log_law
 from .model import (
     EventStream,
     HiddenFactorSpec,
@@ -75,7 +74,6 @@ class EmConfig:
     tol: float = 1e-8
     seed: int = 0
     floor: float = 1e-12
-    mode: Mode = Mode.DISCRETE
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -139,6 +137,17 @@ class BackwardResult(NamedTuple):
 
     beta: np.ndarray
     log_scale: np.ndarray
+
+
+def _safe_log_law(per_state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log of the migration matrices with a mask of their zero cells.
+
+    Zero cells get log 0 -> 0 here; whether they make a state impossible is
+    decided against the observed counts (zero counts never do).
+    """
+    positive = per_state > 0.0
+    log_law = np.log(np.where(positive, per_state, 1.0))
+    return log_law, (~positive).astype(float)
 
 
 def _panel_log_weights(panel: MigrationPanel, law: MigrationLaw) -> np.ndarray:
@@ -461,6 +470,14 @@ def em_fit(panel: MigrationPanel, m: int, cfg: EmConfig) -> CalibrationResult:
         raise DataError(
             f"floor {cfg.floor} too large for {m} states / {panel.p} ratings"
         )
+    return _multi_start(panel, m, panel.p, cfg, _discrete_e_and_m)
+
+
+def _multi_start(panel, m, p, cfg, e_and_m, fixed_per_state=None) -> CalibrationResult:
+    """Run ``cfg.restarts`` EM restarts from seeded random starts (migration
+    laws pinned to ``fixed_per_state`` when given) and return the best one,
+    states relabeled from least to most risky.  Restarts that hit an
+    impossible observation count as failed; all failing is a ModelError."""
     master = np.random.default_rng(cfg.seed)
     seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=cfg.restarts)]
     traces: list[np.ndarray] = []
@@ -468,12 +485,11 @@ def em_fit(panel: MigrationPanel, m: int, cfg: EmConfig) -> CalibrationResult:
     converged_flags: list[bool] = []
     failures: list[str] = []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        pi, trans, per_state = _random_init(rng, m, panel.p, cfg.floor)
+        pi, trans, per_state = _random_init(np.random.default_rng(seed), m, p, cfg.floor)
+        if fixed_per_state is not None:
+            per_state = fixed_per_state.copy()
         try:
-            trace, params, conv = _em_single(
-                panel, pi, trans, per_state, cfg, _discrete_e_and_m
-            )
+            trace, params, conv = _em_single(panel, pi, trans, per_state, cfg, e_and_m)
         except ImpossibleObservationError as exc:
             failures.append(str(exc))
             traces.append(np.empty(0))
@@ -611,15 +627,12 @@ def _picker_log_weights(
     dst: np.ndarray,
     per_state: np.ndarray,
     n_bar: float,
-    all_stayers_diagonal: bool = False,
 ) -> np.ndarray:
     """Per-interval, per-state log-likelihood under the uniform picker model.
 
     One entity slot out of ``n_bar`` is picked uniformly; a slot outside the
     current sample forbids jumps, a picked entity moves by its migration
-    row.  Under the default reading only the picked entity contributes a
-    probability factor; ``all_stayers_diagonal`` makes every unpicked entity
-    contribute its staying probability as well.
+    row.  Only the picked entity contributes a probability factor.
     """
     n_t = exposures.sum(axis=1).astype(float)
     if np.any(n_t > n_bar):
@@ -627,23 +640,15 @@ def _picker_log_weights(
     m = per_state.shape[0]
     s_count = exposures.shape[0]
     diag = np.einsum("ijj->ij", per_state)
-    with np.errstate(divide="ignore"):
-        log_diag = np.log(diag)
     nojump = src < 0
     rows = np.flatnonzero(~nojump)
     with np.errstate(divide="ignore"):
         jump_logw = np.log(per_state[:, src[rows], dst[rows]].T) - math.log(n_bar)
     logw = np.empty((s_count, m))
-    if all_stayers_diagonal:
-        stay_cnt = exposures.astype(float)
-        stay_cnt[rows, src[rows]] -= 1.0
-        logw[:] = stay_cnt @ log_diag.T
-        logw[rows] += jump_logw
-    else:
-        base = (1.0 - n_t / n_bar)[:, None] + (exposures.astype(float) @ diag.T) / n_bar
-        with np.errstate(divide="ignore"):
-            logw[nojump] = np.log(base[nojump])
-        logw[rows] = jump_logw
+    base = (1.0 - n_t / n_bar)[:, None] + (exposures.astype(float) @ diag.T) / n_bar
+    with np.errstate(divide="ignore"):
+        logw[nojump] = np.log(base[nojump])
+    logw[rows] = jump_logw
     return logw
 
 
@@ -651,7 +656,6 @@ def picker_weights(
     panel_fine: MigrationPanel,
     law: MigrationLaw,
     n_bar: float | None = None,
-    all_stayers_diagonal: bool = False,
 ) -> np.ndarray:
     """Interval likelihood matrix of a fine-grid panel, shape (steps, m).
 
@@ -662,9 +666,7 @@ def picker_weights(
     exposures, src, dst = _fine_grid_from_panel(panel_fine)
     if n_bar is None:
         n_bar = float(exposures.sum(axis=1).max(initial=0))
-    return np.exp(
-        _picker_log_weights(exposures, src, dst, law.per_state, n_bar, all_stayers_diagonal)
-    )
+    return np.exp(_picker_log_weights(exposures, src, dst, law.per_state, n_bar))
 
 
 def _jump_posterior_mass(
@@ -751,7 +753,6 @@ def em_fit_continuous(
     cfg: EmConfig,
     fine_dt: float | None = None,
     to_generator: bool = True,
-    all_stayers_diagonal: bool = False,
     fixed_law: MigrationLaw | None = None,
 ) -> CalibrationResult:
     """Multi-start EM fit adapted to event data with no simultaneous jumps.
@@ -790,19 +791,12 @@ def em_fit_continuous(
     n_bar = float(exposures.sum(axis=1).max(initial=0))
     if n_bar <= 0:
         raise DataError("sample holds no entities")
+    if fixed_law is not None and (fixed_law.n_states != m or fixed_law.p != p):
+        raise ModelError("fixed_law dimensions do not match the data/model")
     nojump = src < 0
 
-    master = np.random.default_rng(cfg.seed)
-    seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=cfg.restarts)]
-    traces: list[np.ndarray] = []
-    fits: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = []
-    converged_flags: list[bool] = []
-    failures: list[str] = []
-
     def e_and_m(_panel, pi, trans, per_state, cfg):
-        logw = _picker_log_weights(
-            exposures, src, dst, per_state, n_bar, all_stayers_diagonal
-        )
+        logw = _picker_log_weights(exposures, src, dst, per_state, n_bar)
         fwd = _forward(logw, pi, trans)
         bwd = _backward(logw, trans)
         u, v = _posteriors_from(logw, fwd, bwd, trans)
@@ -812,13 +806,6 @@ def em_fit_continuous(
         jump_mass = _jump_posterior_mass(u, src, dst, m, p)
         u_nj = u[nojump]
         y_nj = exposures[nojump].astype(float)
-        if all_stayers_diagonal:
-            stay = u_nj.T @ y_nj + _jump_stay_mass(u, src, exposures)
-            target = jump_mass.copy()
-            target[:, np.arange(p), np.arange(p)] += stay
-            new_per_state = np.maximum(target, cfg.floor)
-            new_per_state /= new_per_state.sum(axis=2, keepdims=True)
-            return fwd.loglik, (new_pi, new_trans, new_per_state)
         new_per_state = np.stack([
             _optimize_picker_rows(
                 jump_mass[i], u_nj[:, i], y_nj, n_bar, per_state[i], cfg.floor
@@ -827,60 +814,21 @@ def em_fit_continuous(
         ])
         return fwd.loglik, (new_pi, new_trans, new_per_state)
 
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        pi0, trans0, per0 = _random_init(rng, m, p, cfg.floor)
-        if fixed_law is not None:
-            if fixed_law.n_states != m or fixed_law.p != p:
-                raise ModelError("fixed_law dimensions do not match the data/model")
-            per0 = fixed_law.per_state.copy()
-        try:
-            trace, params, conv = _em_single(None, pi0, trans0, per0, cfg, e_and_m)
-        except ImpossibleObservationError as exc:
-            failures.append(str(exc))
-            traces.append(np.empty(0))
-            fits.append(None)
-            converged_flags.append(False)
-            continue
-        traces.append(trace)
-        fits.append(params)
-        converged_flags.append(conv)
-    if all(f is None for f in fits):
-        raise ModelError(
-            "every EM restart failed on impossible observations: " + failures[0]
-        )
-    finals = [t[-1] if t.size else -np.inf for t in traces]
-    best = int(np.argmax(finals))
-    pi, trans, per_state = fits[best]
-    factor = HiddenFactorSpec(pi=pi, trans=trans, mode=Mode.DISCRETE)
-    law = MigrationLaw(per_state=per_state, mode=Mode.DISCRETE)
-    factor, law, _ = sort_states_by_risk(factor, law)
-    if to_generator:
-        factor = HiddenFactorSpec(
-            pi=factor.pi,
-            trans=transition_to_generator(factor.trans, fine_dt),
-            mode=Mode.CONTINUOUS,
-        )
-        law = MigrationLaw(
-            per_state=transition_to_generator(law.per_state, n_bar * fine_dt),
-            mode=Mode.CONTINUOUS,
-        )
-    return CalibrationResult(
-        factor=factor,
-        law=law,
-        loglik_trace=traces[best],
-        best_restart=best,
-        converged=converged_flags[best],
-        restart_traces=tuple(traces),
-        restart_seeds=tuple(seeds),
-        fine_dt=fine_dt,
+    result = _multi_start(
+        None, m, p, cfg, e_and_m,
+        fixed_per_state=None if fixed_law is None else fixed_law.per_state,
     )
-
-
-def _jump_stay_mass(u: np.ndarray, src: np.ndarray, exposures: np.ndarray) -> np.ndarray:
-    """Per-state stayer exponents contributed by jump intervals under the
-    all-stayers-diagonal convention, shape (m, p)."""
-    rows = np.flatnonzero(src >= 0)
-    cnt = exposures[rows].astype(float)
-    cnt[np.arange(rows.size), src[rows]] -= 1.0
-    return u[rows].T @ cnt
+    if to_generator:
+        result = replace(
+            result,
+            factor=HiddenFactorSpec(
+                pi=result.factor.pi,
+                trans=transition_to_generator(result.factor.trans, fine_dt),
+                mode=Mode.CONTINUOUS,
+            ),
+            law=MigrationLaw(
+                per_state=transition_to_generator(result.law.per_state, n_bar * fine_dt),
+                mode=Mode.CONTINUOUS,
+            ),
+        )
+    return replace(result, fine_dt=fine_dt)

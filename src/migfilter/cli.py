@@ -124,10 +124,7 @@ def _write_hidden_continuous(path, target):
 def calibrate(panel_path, events_path, states, mode, step_days, subintervals,
               restarts, max_iters, seed, tol, floor, out_path):
     """Fit the hidden factor and migration law by multi-start EM."""
-    cfg = cal.EmConfig(
-        restarts=restarts, max_iters=max_iters, tol=tol, seed=seed, floor=floor,
-        mode=Mode(mode),
-    )
+    cfg = cal.EmConfig(restarts=restarts, max_iters=max_iters, tol=tol, seed=seed, floor=floor)
     if mode == "discrete":
         if panel_path is None:
             raise DataError("discrete calibration needs --panel")

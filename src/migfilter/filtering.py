@@ -1,12 +1,16 @@
 """Causal discrete-time filtering of the hidden factor from panel counts.
 
-Each step performs a Bayes update of the hidden-state law against the
-observed migration counts, then pushes the posterior through the hidden
-chain's transition matrix.  The per-state observation weights are binomial
-(single tracked transition) or multinomial (full migration matrix) with the
-combinatorial coefficients dropped — they cancel in the normalization, and
-dropping them keeps the accumulated log-likelihood identical to the one the
-calibration recursions compute.
+The filter is the forward pass of the calibration E-step
+(:func:`migfilter.calibrate.forward_pass`): its normalized rows are the
+Bayes-updated laws of the hidden state driving each step, and pushing them
+through the hidden chain's transition matrix gives the filtered laws.  The
+pass runs as a column-scaled prefix scan with no loop over time, checked
+by one exact log-space recursion step per row, so weights hundreds of nats
+apart neither underflow nor read as impossible.  The per-state observation
+weights are binomial (single tracked transition) or multinomial (full
+migration matrix) with the combinatorial coefficients dropped — they
+cancel in the normalization, and dropping them keeps the log-likelihood
+identical to the one the calibration recursions compute.
 
 Smoothing (conditioning on the full sample) lives in
 :mod:`migfilter.calibrate`; everything here only looks backwards.
@@ -18,16 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibrate import _forward, _panel_log_weights
 from .errors import DataError, ImpossibleObservationError, ModelError
-from .model import (
-    FilterState,
-    HiddenFactorSpec,
-    MigrationLaw,
-    MigrationPanel,
-    Mode,
-    predict_transition_probs,
-    renormalize,
-)
+from .model import FilterState, HiddenFactorSpec, MigrationLaw, MigrationPanel, Mode
+# not called here: bench/run.py counts forecast calls through this attribute
+from .model import predict_transition_probs  # noqa: F401
 
 __all__ = [
     "FilterTrajectory",
@@ -74,30 +73,6 @@ class FilterTrajectory:
         return np.array([s.time_index for s in self.states])
 
 
-def _finish_step(
-    weighted_prior: np.ndarray, trans: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Normalize a weighted posterior and push it through the hidden chain.
-
-    Returns the new filtered law and the log of the normalizing constant
-    (the step's predictive log-likelihood contribution).
-    """
-    norm = weighted_prior.sum()
-    posterior = weighted_prior / norm
-    return renormalize(trans.T @ posterior), float(np.log(norm))
-
-
-def _safe_log_law(per_state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log of the migration matrices with a mask of their zero cells.
-
-    Zero cells get log 0 -> 0 here; whether they make a state impossible is
-    decided against the observed counts (zero counts never do).
-    """
-    positive = per_state > 0.0
-    log_law = np.log(np.where(positive, per_state, 1.0))
-    return log_law, (~positive).astype(float)
-
-
 def _univariate_log_weights(d_n: int, y: int, jump_probs: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_l = np.log(jump_probs)
@@ -108,6 +83,17 @@ def _univariate_log_weights(d_n: int, y: int, jump_probs: np.ndarray) -> np.ndar
     if y - d_n > 0:
         w = w + (y - d_n) * log_1ml
     return w
+
+
+def _one_step(state: FilterState, log_w: np.ndarray, trans: np.ndarray) -> FilterState:
+    """One forward step from ``state``: Bayes update by ``log_w``, then the
+    hidden chain; errors carry the state's time index."""
+    try:
+        fwd = _forward(log_w[None, :], state.probs, trans)
+    except ImpossibleObservationError as exc:
+        exc.time_index = state.time_index
+        raise
+    return FilterState(fwd.alpha[0] @ trans, time_index=state.time_index + 1)
 
 
 def filter_step_univariate(
@@ -130,41 +116,7 @@ def filter_step_univariate(
     if factor.mode is not Mode.DISCRETE:
         raise ModelError("filter_step_univariate requires a discrete-mode factor")
     w = _univariate_log_weights(int(d_n), int(y), jump_probs)
-    weighted = _apply_log_weights(state.probs, w, state.time_index)
-    probs, _ = _finish_step(weighted, factor.trans)
-    return FilterState(probs, time_index=state.time_index + 1)
-
-
-def _apply_log_weights(prior: np.ndarray, log_w: np.ndarray, time_index) -> np.ndarray:
-    top = np.max(log_w)
-    if not np.isfinite(top):
-        raise ImpossibleObservationError(
-            "observation has zero probability under every hidden state",
-            time_index=time_index,
-        )
-    weighted = np.exp(log_w - top) * prior
-    if weighted.sum() <= 0.0:
-        raise ImpossibleObservationError(
-            "observation has zero probability under every hidden state "
-            "carrying prior mass",
-            time_index=time_index,
-        )
-    return weighted
-
-
-def _multivariate_log_weights(
-    d_n: np.ndarray, log_law: np.ndarray, zero_mask: np.ndarray
-) -> np.ndarray:
-    """Per-state log-likelihood of one step's count matrix.
-
-    ``log_law`` is log of the per-state matrices with zeros replaced by 0
-    (those cells are masked separately via ``zero_mask``); cells with zero
-    counts are skipped even when the law gives them zero probability.
-    """
-    w = np.einsum("jk,ijk->i", d_n, log_law)
-    impossible = np.einsum("jk,ijk->i", (d_n > 0).astype(float), zero_mask) > 0
-    w[impossible] = -np.inf
-    return w
+    return _one_step(state, w, factor.trans)
 
 
 def filter_step_multivariate(
@@ -180,17 +132,10 @@ def filter_step_multivariate(
     exposures ``y`` (coefficients dropped, computed in log space); the prior
     is reweighted and pushed through the hidden chain.
     """
-    d_n = np.asarray(d_n, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
     if factor.mode is not Mode.DISCRETE or law.mode is not Mode.DISCRETE:
         raise ModelError("filter_step_multivariate requires discrete mode")
-    if np.any(d_n.sum(axis=1) != y):
-        raise DataError("conservation violated: counts rows must sum to exposures")
-    log_law, zero_mask = _safe_log_law(law.per_state)
-    w = _multivariate_log_weights(d_n, log_law, zero_mask)
-    weighted = _apply_log_weights(state.probs, w, state.time_index)
-    probs, _ = _finish_step(weighted, factor.trans)
-    return FilterState(probs, time_index=state.time_index + 1)
+    step = MigrationPanel(np.asarray(y)[None], np.asarray(d_n)[None])
+    return _one_step(state, _panel_log_weights(step, law)[0], factor.trans)
 
 
 def run_filter(
@@ -206,6 +151,12 @@ def run_filter(
     Because step ``t``'s moves are driven by the hidden state at the step's
     start, the forecast for step ``t`` mixes the migration matrices with
     ``states[t-1]`` directly — no extra chain propagation.
+
+    Raises :class:`~migfilter.errors.ImpossibleObservationError` at the
+    first step no reachable hidden state can explain, and, like
+    :func:`~migfilter.calibrate.forward_pass`,
+    :class:`~migfilter.errors.NumericalError` when the scan loses precision
+    (the command-line tools exit with code 3).
     """
     if factor.mode is not Mode.DISCRETE or law.mode is not Mode.DISCRETE:
         raise ModelError("run_filter requires discrete mode")
@@ -213,30 +164,16 @@ def run_filter(
         raise ModelError("law/factor state counts disagree")
     if panel.p != law.p:
         raise ModelError(f"panel has {panel.p} rating classes, law has {law.p}")
-    if init is None:
-        state = FilterState(factor.pi, time_index=0)
-    elif isinstance(init, FilterState):
-        state = FilterState(init.probs, time_index=0)
-    else:
-        state = FilterState(np.asarray(init, dtype=float), time_index=0)
-
-    log_law, zero_mask = _safe_log_law(law.per_state)
-
-    states = [state]
-    predicted = np.empty((panel.steps, law.p, law.p))
+    if isinstance(init, FilterState):
+        init = init.probs
+    probs = FilterState(factor.pi if init is None else init).probs[None, :]
     loglik = 0.0
-    for t in range(panel.steps):
-        predicted[t] = predict_transition_probs(law, state)
-        w = _multivariate_log_weights(panel.counts[t], log_law, zero_mask)
-        try:
-            weighted = _apply_log_weights(state.probs, w, t)
-        except ImpossibleObservationError as exc:
-            exc.time_index = t
-            raise
-        probs, log_norm = _finish_step(weighted, factor.trans)
-        loglik += log_norm + float(np.max(w))
-        state = FilterState(probs, time_index=t + 1)
-        states.append(state)
+    if panel.steps:
+        fwd = _forward(_panel_log_weights(panel, law), probs[0], factor.trans)
+        probs = np.vstack([probs, fwd.alpha @ factor.trans])
+        loglik = fwd.loglik
     return FilterTrajectory(
-        states=tuple(states), predicted_ratios=predicted, loglik=loglik
+        states=tuple(FilterState(row, time_index=t) for t, row in enumerate(probs)),
+        predicted_ratios=np.einsum("th,hjk->tjk", probs[:-1], law.per_state),
+        loglik=loglik,
     )

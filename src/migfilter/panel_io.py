@@ -10,17 +10,22 @@ until a real rating reappears.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import io
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataError
 from .filtering import FilterTrajectory
 from .model import FilterState, MigrationPanel
+
+if TYPE_CHECKING:
+    from .calibrate import EmConfig
 
 __all__ = [
     "RatingEvent",
@@ -40,6 +45,17 @@ __all__ = [
     "events_to_csv",
     "events_from_csv",
 ]
+
+
+@contextlib.contextmanager
+def _opened(source: str | io.TextIOBase, mode: str):
+    """``source`` itself when it is an open text stream, else the file it
+    names opened in ``mode`` and closed on exit."""
+    if isinstance(source, (str, bytes)):
+        with open(source, mode, newline="") as handle:
+            yield handle
+    else:
+        yield source
 
 
 @dataclass(frozen=True)
@@ -110,16 +126,10 @@ def ingest_ratings(
         raise DataError(f"censor label {censor_label!r} must not be in the alphabet")
     if len(set(alphabet)) != len(alphabet):
         raise DataError("alphabet labels must be distinct")
-    close = False
-    if isinstance(source, (str, bytes)):
-        handle = open(source, "r", newline="")
-        close = True
-    else:
-        handle = source
     problems: list[str] = []
     rows: dict[str, dict[dt.date, str]] = {}
     duplicates = 0
-    try:
+    with _opened(source, "r") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
@@ -147,9 +157,6 @@ def ingest_ratings(
             if date in per_entity:
                 duplicates += 1
             per_entity[date] = label
-    finally:
-        if close:
-            handle.close()
     if problems:
         raise DataError(
             f"{len(problems)} malformed row(s): " + "; ".join(problems[:10])
@@ -170,21 +177,12 @@ def ingest_ratings(
 
 def export_ratings(paths: RatingPaths, target: str | io.TextIOBase) -> None:
     """Write paths back to the ingestion CSV format (round-trip inverse)."""
-    close = False
-    if isinstance(target, (str, bytes)):
-        handle = open(target, "w", newline="")
-        close = True
-    else:
-        handle = target
-    try:
+    with _opened(target, "w") as handle:
         writer = csv.writer(handle)
         writer.writerow(["entity_id", "date", "rating"])
         for entity, path in paths.events.items():
             for date, label in path:
                 writer.writerow([entity, date.isoformat(), label])
-    finally:
-        if close:
-            handle.close()
 
 
 def build_panel(
@@ -339,7 +337,7 @@ def evaluate_predictions(
 def rolling_backtest(
     panel: MigrationPanel,
     m: int,
-    cfg,
+    cfg: EmConfig,
     initial_steps: int,
     refit_every: int,
 ) -> EvaluationReport:
@@ -393,13 +391,7 @@ def rolling_backtest(
 
 def panel_to_csv(panel: MigrationPanel, target: str | io.TextIOBase) -> None:
     """Header ``t,Y_1..Y_p,N_1_1..N_p_p``; counts row-major per step."""
-    close = False
-    if isinstance(target, (str, bytes)):
-        handle = open(target, "w", newline="")
-        close = True
-    else:
-        handle = target
-    try:
+    with _opened(target, "w") as handle:
         writer = csv.writer(handle)
         p = panel.p
         header = (
@@ -414,19 +406,10 @@ def panel_to_csv(panel: MigrationPanel, target: str | io.TextIOBase) -> None:
                 + panel.exposures[t].tolist()
                 + panel.counts[t].ravel().tolist()
             )
-    finally:
-        if close:
-            handle.close()
 
 
 def panel_from_csv(source: str | io.TextIOBase, step_length_days: int = 1) -> MigrationPanel:
-    close = False
-    if isinstance(source, (str, bytes)):
-        handle = open(source, "r", newline="")
-        close = True
-    else:
-        handle = source
-    try:
+    with _opened(source, "r") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if not header or header[0] != "t":
@@ -450,21 +433,12 @@ def panel_from_csv(source: str | io.TextIOBase, step_length_days: int = 1) -> Mi
         return MigrationPanel(
             np.array(exposures), np.array(counts), step_length_days=step_length_days
         )
-    finally:
-        if close:
-            handle.close()
 
 
 def trajectory_to_csv(trajectory: FilterTrajectory, target: str | io.TextIOBase) -> None:
     """Header ``t,I_1..I_m,nu_1_1..nu_p_p``; forecast row ``t`` was issued
     before step/interval ``t`` (the final state row carries no forecast)."""
-    close = False
-    if isinstance(target, (str, bytes)):
-        handle = open(target, "w", newline="")
-        close = True
-    else:
-        handle = target
-    try:
+    with _opened(target, "w") as handle:
         writer = csv.writer(handle)
         m = trajectory.states[0].m
         p = trajectory.predicted_ratios.shape[1] if trajectory.predicted_ratios.size else 0
@@ -482,19 +456,10 @@ def trajectory_to_csv(trajectory: FilterTrajectory, target: str | io.TextIOBase)
             else:
                 row += [""] * (p * p)
             writer.writerow(row)
-    finally:
-        if close:
-            handle.close()
 
 
 def trajectory_from_csv(source: str | io.TextIOBase) -> FilterTrajectory:
-    close = False
-    if isinstance(source, (str, bytes)):
-        handle = open(source, "r", newline="")
-        close = True
-    else:
-        handle = source
-    try:
+    with _opened(source, "r") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if not header or header[0] != "t":
@@ -517,9 +482,6 @@ def trajectory_from_csv(source: str | io.TextIOBase) -> FilterTrajectory:
             raise DataError("trajectory CSV holds no states")
         predicted = np.array(forecasts) if forecasts else np.empty((0, p, p))
         return FilterTrajectory(states=tuple(states), predicted_ratios=predicted, loglik=np.nan)
-    finally:
-        if close:
-            handle.close()
 
 
 def events_to_csv(stream, target: str | io.TextIOBase) -> None:
@@ -530,13 +492,7 @@ def events_to_csv(stream, target: str | io.TextIOBase) -> None:
     panels with entry or censoring should be kept in memory (or re-spread
     from the panel) rather than round-tripped through this file.
     """
-    close = False
-    if isinstance(target, (str, bytes)):
-        handle = open(target, "w", newline="")
-        close = True
-    else:
-        handle = target
-    try:
+    with _opened(target, "w") as handle:
         y0 = ",".join(str(int(x)) for x in stream.initial_exposures)
         handle.write(f"# exposures0={y0} horizon={stream.horizon!r}\n")
         writer = csv.writer(handle)
@@ -549,21 +505,12 @@ def events_to_csv(stream, target: str | io.TextIOBase) -> None:
                     int(stream.targets[i]) + 1,
                 ]
             )
-    finally:
-        if close:
-            handle.close()
 
 
 def events_from_csv(source: str | io.TextIOBase):
     from .model import EventStream
 
-    close = False
-    if isinstance(source, (str, bytes)):
-        handle = open(source, "r", newline="")
-        close = True
-    else:
-        handle = source
-    try:
+    with _opened(source, "r") as handle:
         meta = handle.readline().strip()
         if not meta.startswith("# exposures0="):
             raise DataError("event CSV must start with the exposures comment line")
@@ -594,6 +541,3 @@ def events_from_csv(source: str | io.TextIOBase):
             initial_exposures=initial,
             horizon=horizon,
         )
-    finally:
-        if close:
-            handle.close()

@@ -158,6 +158,19 @@ class TestRunFilter:
             fwd = mf.forward_pass(panel, factor, law)
             assert abs(traj.loglik - fwd.loglik) < 1e-8 * max(1, abs(fwd.loglik))
 
+    def test_step_likelihood_below_double_range_is_not_impossible(self):
+        # the only state with prior mass trails the best one by ~6,200 nats:
+        # exp of that gap underflows, yet the step is possible
+        factor = mf.HiddenFactorSpec(np.array([1.0, 0.0]), np.eye(2))
+        law = mf.MigrationLaw(
+            np.array([[[1 - 1e-3, 1e-3], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]])
+        )
+        panel = mf.MigrationPanel(np.array([[1000, 0]]), np.array([[[0, 1000], [0, 0]]]))
+        traj = mf.run_filter(panel, factor, law)
+        assert traj.loglik == mf.forward_pass(panel, factor, law).loglik
+        assert traj.loglik == pytest.approx(1000 * np.log(1e-3), rel=1e-12)
+        np.testing.assert_array_equal(traj.states[1].probs, [1.0, 0.0])
+
     def test_uninformative_law_reduces_to_chain_marginals(self):
         mat = np.array([[0.9, 0.1], [0.3, 0.7]])
         law = mf.MigrationLaw(np.array([mat, mat, mat]))

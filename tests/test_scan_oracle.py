@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from migfilter import calibrate
+from migfilter import calibrate, filtering
 from migfilter.calibrate import _backward, _forward, _posteriors_from
 from migfilter.errors import ImpossibleObservationError, NumericalError
+from migfilter.model import HiddenFactorSpec, MigrationLaw, MigrationPanel
 
 EVERY = "observations at one step are impossible under every hidden state"
 REACHABLE = "observations are impossible under every reachable hidden state"
@@ -157,12 +158,13 @@ def log_space_backward(logg, trans):
     return np.exp(log_beta - logsumexp(log_beta, axis=1)[:, None])
 
 
-def test_near_reducible_chains_match_log_space_recursion():
+def test_near_reducible_chains_match_log_space_recursion(monkeypatch):
     # switches as rare as 1e-300 and steps favouring one state by hundreds
     # of nats: the per-step scaled loop underflows on many of these (it
     # disagrees with the log-space recursion on about one in six), the
-    # column-scaled scan must not
+    # column-scaled scan and the filter built on it must not
     rng = np.random.default_rng(5)
+    panel = MigrationPanel(np.zeros((60, 1)), np.zeros((60, 1, 1)))
     for _ in range(60):
         m = int(rng.integers(2, 5))
         logg = rng.normal(scale=300.0, size=(60, m))
@@ -176,6 +178,13 @@ def test_near_reducible_chains_match_log_space_recursion():
         assert fwd.loglik == pytest.approx(loglik, rel=1e-12)
         beta = log_space_backward(logg, trans)
         np.testing.assert_allclose(_backward(logg, trans).beta, beta, rtol=0, atol=1e-10)
+        # the filter reads the same weights through a one-rating panel
+        monkeypatch.setattr(filtering, "_panel_log_weights", lambda panel, law: logg)
+        traj = filtering.run_filter(
+            panel, HiddenFactorSpec(pi, trans), MigrationLaw(np.ones((m, 1, 1)))
+        )
+        assert traj.loglik == pytest.approx(loglik, rel=1e-12)
+        np.testing.assert_allclose(traj.probs_matrix()[1:], alpha @ trans, rtol=0, atol=1e-10)
 
 
 def test_scan_disagreeing_with_exact_step_raises(monkeypatch):

@@ -162,8 +162,7 @@ def stream_to_panel(stream: EventStream, step_days: float) -> MigrationPanel:
                 raise DataError(
                     f"step {t}: more departures from rating {j} than exposure"
                 )
-    step_days_int = int(round(step_days))
-    return MigrationPanel(exposures, counts, step_length_days=max(step_days_int, 1))
+    return MigrationPanel(exposures, counts, step_length_days=step_days)
 
 
 def _drift_derivative(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,11 +204,13 @@ class MigrationPanel:
     interval ``t`` opens; ``counts[t, j, k]`` counts those among them holding
     ``k`` when it closes (the diagonal holds the stayers).  Every exposed
     entity either stays or moves, so ``counts[t, j].sum() == exposures[t, j]``.
+    ``step_length_days`` is the interval length, positive and finite; it may
+    be fractional, and a whole number of days is kept as an ``int``.
     """
 
     exposures: np.ndarray
     counts: np.ndarray
-    step_length_days: int = 1
+    step_length_days: float = 1
 
     def __post_init__(self):
         object.__setattr__(self, "exposures", _freeze_int(np.atleast_2d(self.exposures)))
@@ -219,8 +222,13 @@ class MigrationPanel:
             )
         if self.counts.shape[1] != self.counts.shape[2]:
             raise DataError(f"counts must be square per step, got {self.counts.shape}")
-        if self.step_length_days <= 0:
-            raise DataError("step_length_days must be positive")
+        step = float(self.step_length_days)
+        if not (math.isfinite(step) and step > 0):
+            raise DataError(
+                f"step_length_days must be positive and finite, got {self.step_length_days!r}"
+            )
+        # a whole number of days stays an int, as files and reports print it
+        object.__setattr__(self, "step_length_days", int(step) if step.is_integer() else step)
         if np.any(self.exposures < 0) or np.any(self.counts < 0):
             raise DataError("exposures and counts must be nonnegative")
         bad = np.nonzero(self.counts.sum(axis=2) != self.exposures)

@@ -10,6 +10,7 @@ until a real rating reappears.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import csv
 import datetime as dt
@@ -92,20 +93,17 @@ class RatingPaths:
         path = self.events.get(entity)
         if not path:
             return None
-        label = None
-        for event_date, event_label in path:
-            if event_date > date:
-                break
-            label = event_label
-        if label is None or label == self.censor_label:
+        pos = bisect.bisect_right(path, date, key=lambda event: event[0])
+        if pos == 0 or path[pos - 1][1] == self.censor_label:
             return None
-        return self.alphabet.index(label)
+        return self.alphabet.index(path[pos - 1][1])
 
     def date_range(self) -> tuple[dt.date, dt.date]:
-        dates = [d for path in self.events.values() for d, _ in path]
-        if not dates:
+        # paths are date-sorted, so their ends bound every posting
+        rated = [path for path in self.events.values() if path]
+        if not rated:
             raise DataError("no events ingested")
-        return min(dates), max(dates)
+        return min(path[0][0] for path in rated), max(path[-1][0] for path in rated)
 
 
 def ingest_ratings(
@@ -193,34 +191,85 @@ def build_panel(
 ) -> MigrationPanel:
     """Aggregate entity paths onto left-closed intervals of ``step_days``.
 
-    An entity counts toward interval ``t`` only when it carries a real
-    rating at both the interval's start and end snapshots; it then
-    contributes one start-rating exposure and one endpoint-to-endpoint count
-    (intra-interval moves collapse).  Entities censored at either snapshot
-    drop out of that interval, which keeps conservation exact by
-    construction.
+    Snapshot ``t`` falls on ``origin_date + t * step_days``; an entity holds
+    there the label of its last posting dated on or before it.  An entity
+    counts toward interval ``t`` only when it carries a real rating at both
+    snapshots ``t`` and ``t + 1``; it then contributes one start-rating
+    exposure and one endpoint-to-endpoint count (intra-interval moves
+    collapse).  Entities censored at either snapshot drop out of that
+    interval, which keeps conservation exact by construction.
+
+    Each posting is read once: it holds the snapshots from its first one on
+    or after its date up to the next posting's, so stays are run lengths
+    and moves sit where one run hands over to the next.  The cost is
+    O(postings + steps * p**2).
     """
     if step_days < 1:
         raise DataError("step_days must be at least 1")
+    if not float(step_days).is_integer():
+        raise DataError(f"step_days must be a whole number of days, got {step_days!r}")
+    step_days = int(step_days)
     first, last = paths.date_range()
     if origin_date is None:
         origin_date = first
     if num_steps is None:
         span = (last - origin_date).days
         num_steps = max(1, -(-span // step_days))
-    p = paths.p
-    exposures = np.zeros((num_steps, p), dtype=np.int64)
-    counts = np.zeros((num_steps, p, p), dtype=np.int64)
-    snap_dates = [origin_date + dt.timedelta(days=t * step_days) for t in range(num_steps + 1)]
-    for entity in paths.events:
-        start_idx = paths.rating_index_at(entity, snap_dates[0])
-        for t in range(num_steps):
-            end_idx = paths.rating_index_at(entity, snap_dates[t + 1])
-            if start_idx is not None and end_idx is not None:
-                exposures[t, start_idx] += 1
-                counts[t, start_idx, end_idx] += 1
-            start_idx = end_idx
-    return MigrationPanel(exposures, counts, step_length_days=step_days)
+    counts = _interval_counts(paths, step_days, origin_date, num_steps)
+    return MigrationPanel(counts.sum(axis=2), counts, step_length_days=step_days)
+
+
+def _interval_counts(
+    paths: RatingPaths, step_days: int, origin_date: dt.date, num_steps: int
+) -> np.ndarray:
+    """``counts[t, a, b]`` of :func:`build_panel`, reading each posting once."""
+    p, horizon = paths.p, num_steps + 1
+    events = paths.events.values()
+    n = sum(len(path) for path in events)
+    code_of = {label: code for code, label in enumerate(paths.alphabet)}
+    code_of[paths.censor_label] = -1
+    try:
+        codes = np.fromiter(
+            (code_of[label] for path in events for _, label in path),
+            dtype=np.int16,
+            count=n,
+        )
+    except KeyError as exc:
+        raise DataError(
+            f"rating {exc.args[0]!r} is neither in the alphabet nor the censor label"
+        ) from None
+    # first snapshot on or after each posting: ceil(day offset / step_days)
+    start = np.fromiter(
+        (date.toordinal() for path in events for date, _ in path), dtype=np.int32, count=n
+    )
+    start += step_days - 1 - origin_date.toordinal()
+    start //= step_days
+    np.clip(start, 0, horizon, out=start)
+    entity = np.repeat(np.arange(len(events), dtype=np.int32), [len(path) for path in events])
+    # a posting holds snapshots [start, end), up to its entity's next posting
+    # or past the last snapshot; one that holds none was overwritten in time
+    end = np.full_like(start, horizon)
+    same = entity[1:] == entity[:-1]
+    end[:-1][same] = start[1:][same]
+    held = start < end
+    entity, codes, start, end = entity[held], codes[held], start[held], end[held]
+
+    # stays: a run of real label a over [start, end) adds one to
+    # counts[t, a, a] for t in [start, end - 1), summed from a difference array
+    real = codes >= 0
+    diff = np.bincount(start[real] * p + codes[real], minlength=horizon * p)
+    diff -= np.bincount((end[real] - 1) * p + codes[real], minlength=horizon * p)
+    stays = diff.reshape(horizon, p).cumsum(axis=0)[:num_steps]
+    # moves: the entity's run of real a handing over to its next run, of real
+    # b, at snapshot s adds one to counts[s - 1, a, b]; "same entity" comes
+    # from the index, since a dropped posting marks no boundary
+    src, dst = codes[:-1], codes[1:]
+    hand = (entity[1:] == entity[:-1]) & (src >= 0) & (dst >= 0)
+    flat = ((start[1:][hand] - 1).astype(np.intp) * p + src[hand]) * p + dst[hand]
+    counts = np.bincount(flat, minlength=num_steps * p * p).reshape(num_steps, p, p)
+    diagonal = np.arange(p)
+    counts[:, diagonal, diagonal] += stays
+    return counts
 
 
 def r_squared(predicted: np.ndarray, realized: np.ndarray) -> float:
@@ -257,7 +306,7 @@ class EvaluationReport:
 
     r2: dict[tuple[int, int], float]
     series: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
-    step_length_days: int
+    step_length_days: float
     skipped: tuple[tuple[int, int], ...] = ()
 
     def to_json(self) -> str:
@@ -408,7 +457,7 @@ def panel_to_csv(panel: MigrationPanel, target: str | io.TextIOBase) -> None:
             )
 
 
-def panel_from_csv(source: str | io.TextIOBase, step_length_days: int = 1) -> MigrationPanel:
+def panel_from_csv(source: str | io.TextIOBase, step_length_days: float = 1) -> MigrationPanel:
     with _opened(source, "r") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)

@@ -54,6 +54,23 @@ class TestSpreadJumps:
         with pytest.raises(DataError, match="slots"):
             mf.spread_jumps(panel, mf.SpreadConfig(3, seed=0))
 
+    def test_fractional_step_round_trips(self):
+        stream = mf.EventStream(
+            times=np.array([0.3, 0.7, 1.2, 1.9]),
+            sources=np.array([0, 1, 0, 0]),
+            targets=np.array([1, 0, 1, 1]),
+            initial_exposures=np.array([3, 1]),
+            horizon=2.0,
+        )
+        panel = mf.stream_to_panel(stream, 0.5)
+        assert panel.steps == 4
+        assert panel.step_length_days == 0.5
+        spread = mf.spread_jumps(panel, mf.SpreadConfig(4, seed=0))
+        assert spread.horizon == 2.0
+        back = mf.stream_to_panel(spread, 0.5)
+        np.testing.assert_array_equal(back.counts, panel.counts)
+        np.testing.assert_array_equal(back.exposures, panel.exposures)
+
     def test_deterministic_given_seed(self):
         factor, law = mf.demo_model(2, 2)
         cfg = mf.SimulationConfig(np.array([150, 150]), 10, seed=1)

@@ -11,16 +11,29 @@ import pytest
 import migfilter
 
 SRC = str(Path(migfilter.__file__).resolve().parents[1])
+MODULES = sorted(info.name for info in pkgutil.iter_modules(migfilter.__path__))
 
 
-@pytest.mark.parametrize(
-    "module", sorted(info.name for info in pkgutil.iter_modules(migfilter.__path__))
-)
-def test_submodule_imports_alone(module):
-    done = subprocess.run(
-        [sys.executable, "-c", f"import migfilter.{module}"],
-        capture_output=True,
-        text=True,
-        cwd=SRC,
-    )
-    assert done.returncode == 0, done.stderr
+@pytest.fixture(scope="module")
+def imports():
+    """One interpreter per submodule, all started at once."""
+    procs = {
+        module: subprocess.Popen(
+            [sys.executable, "-c", f"import migfilter.{module}"],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=SRC,
+        )
+        for module in MODULES
+    }
+    yield procs
+    for proc in procs.values():
+        proc.kill()
+        proc.communicate()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_submodule_imports_alone(imports, module):
+    _, stderr = imports[module].communicate(timeout=120)
+    assert imports[module].returncode == 0, stderr

@@ -214,6 +214,17 @@ class TestPanelAndStream:
                 counts=np.array([[[1, 0], [0, 0]]]),
             )
 
+    @pytest.mark.parametrize("step", [0, -1, float("nan"), float("inf")])
+    def test_panel_step_length_must_be_positive_and_finite(self, step):
+        with pytest.raises(DataError, match="step_length_days"):
+            mf.MigrationPanel(np.array([[1]]), np.array([[[1]]]), step_length_days=step)
+
+    def test_panel_step_length_keeps_whole_days_integral(self):
+        whole = mf.MigrationPanel(np.array([[1]]), np.array([[[1]]]), step_length_days=30.0)
+        half = mf.MigrationPanel(np.array([[1]]), np.array([[[1]]]), step_length_days=0.5)
+        assert type(whole.step_length_days) is int and whole.step_length_days == 30
+        assert half.step_length_days == 0.5
+
     def test_stream_needs_increasing_times(self):
         with pytest.raises(DataError):
             mf.EventStream(

@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import migfilter as mf
@@ -11,6 +11,51 @@ from migfilter import panel_io as pio
 from migfilter.errors import DataError
 
 ALPHABET = ("A", "Baa", "Ba", "B", "C")
+BASE = dt.date(2001, 1, 1)
+
+
+def snapshot_panel(paths, step_days, origin_date=None, num_steps=None):
+    """Reference for ``build_panel``: look every entity up at every snapshot."""
+    first, last = paths.date_range()
+    if origin_date is None:
+        origin_date = first
+    if num_steps is None:
+        num_steps = max(1, -(-(last - origin_date).days // step_days))
+    exposures = np.zeros((num_steps, paths.p), dtype=np.int64)
+    counts = np.zeros((num_steps, paths.p, paths.p), dtype=np.int64)
+    snaps = [origin_date + dt.timedelta(days=t * step_days) for t in range(num_steps + 1)]
+    for entity in paths.events:
+        start = paths.rating_index_at(entity, snaps[0])
+        for t in range(num_steps):
+            end = paths.rating_index_at(entity, snaps[t + 1])
+            if start is not None and end is not None:
+                exposures[t, start] += 1
+                counts[t, start, end] += 1
+            start = end
+    return exposures, counts
+
+
+@st.composite
+def hand_built_paths(draw):
+    """Up to six entities with up to eight postings each, dated from before
+    to well past the default origin, censor spells and empty paths included."""
+    raw = draw(
+        st.lists(
+            st.dictionaries(
+                st.integers(-40, 400), st.sampled_from(ALPHABET[:3] + ("W",)), max_size=8
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    events = {
+        f"e{i}": tuple(
+            (BASE + dt.timedelta(days=day), label) for day, label in sorted(path.items())
+        )
+        for i, path in enumerate(raw)
+    }
+    assume(any(events.values()))
+    return pio.RatingPaths(events, ALPHABET[:3], "W")
 
 
 def ratings_csv(rows):
@@ -136,6 +181,55 @@ class TestBuildPanel:
         )
         np.testing.assert_array_equal(p1.counts, p2.counts)
         np.testing.assert_array_equal(p1.exposures, p2.exposures)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hand_built_paths(),
+        st.sampled_from([1, 7, 30]),
+        st.one_of(st.none(), st.integers(-60, 120)),
+        st.one_of(st.none(), st.integers(1, 40)),
+    )
+    def test_matches_snapshot_reference(self, paths, step_days, origin_offset, num_steps):
+        origin = None if origin_offset is None else BASE + dt.timedelta(days=origin_offset)
+        panel = pio.build_panel(paths, step_days, origin, num_steps)
+        exposures, counts = snapshot_panel(paths, step_days, origin, num_steps)
+        np.testing.assert_array_equal(panel.exposures, exposures)
+        np.testing.assert_array_equal(panel.counts, counts)
+        assert panel.step_length_days == step_days
+
+    def test_posting_past_horizon_does_not_join_next_entity(self):
+        paths = pio.RatingPaths(
+            {
+                "a": ((BASE, "A"), (BASE + dt.timedelta(days=500), "Baa")),
+                "b": ((BASE + dt.timedelta(days=45), "Ba"),),
+                "c": (),
+            },
+            ALPHABET,
+            "W",
+        )
+        panel = pio.build_panel(paths, step_days=30, num_steps=3)
+        expected = np.zeros((3, 5, 5), dtype=np.int64)
+        expected[:, 0, 0] = 1
+        expected[2, 2, 2] = 1
+        np.testing.assert_array_equal(panel.counts, expected)
+        assert paths.rating_index_at("c", BASE) is None
+
+    def test_label_outside_alphabet_and_censor_rejected(self):
+        paths = pio.RatingPaths(
+            {"x": ((BASE, "A"), (BASE + dt.timedelta(days=9), "Z"))}, ALPHABET, "W"
+        )
+        with pytest.raises(DataError, match="'Z'"):
+            pio.build_panel(paths, step_days=7)
+
+    def test_step_must_be_whole_days(self):
+        paths = pio.ingest_ratings(
+            ratings_csv([("x", "2005-01-01", "A"), ("x", "2005-01-20", "Baa")]), ALPHABET
+        )
+        with pytest.raises(DataError, match="whole number"):
+            pio.build_panel(paths, step_days=7.5)
+        whole = pio.build_panel(paths, step_days=7.0)
+        np.testing.assert_array_equal(whole.counts, pio.build_panel(paths, 7).counts)
+        assert type(whole.step_length_days) is int
 
     def test_conservation_holds_for_ingested_data(self):
         rng = np.random.default_rng(1)

@@ -564,61 +564,11 @@ def _fine_grid_from_panel(panel: MigrationPanel) -> tuple[np.ndarray, np.ndarray
             f"fine-grid step {int(bad[0])} holds {int(totals[bad[0]])} jumps; "
             "the picker likelihood needs at most one per interval"
         )
-    src = np.full(panel.steps, -1, dtype=np.int64)
-    dst = np.full(panel.steps, -1, dtype=np.int64)
-    where = np.nonzero(totals == 1)[0]
-    for t in where:
-        j, k = [int(x[0]) for x in np.nonzero(panel.counts[t] * off)]
-        src[t] = j
-        dst[t] = k
+    # the one jump of a step is its largest off-diagonal cell
+    cell = (panel.counts * off).reshape(panel.steps, p * p).argmax(axis=1)
+    src = np.where(totals == 1, cell // p, -1)
+    dst = np.where(totals == 1, cell % p, -1)
     return panel.exposures.copy(), src, dst
-
-
-def _fine_grid_from_stream(
-    stream: EventStream, fine_dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bin an event stream onto intervals of length ``fine_dt``.
-
-    Exposures are sampled at interval starts (boundary overrides applied
-    first); an interval holding two events is an error — choose a finer
-    grid or spread the data first.
-    """
-    n_f = stream.horizon / fine_dt
-    if abs(n_f - round(n_f)) > 1e-6:
-        raise DataError(
-            f"horizon {stream.horizon} is not a whole number of fine intervals "
-            f"of {fine_dt}"
-        )
-    n_f = int(round(n_f))
-    p = stream.p
-    exposures = np.zeros((n_f, p), dtype=np.int64)
-    src = np.full(n_f, -1, dtype=np.int64)
-    dst = np.full(n_f, -1, dtype=np.int64)
-    y = stream.initial_exposures.astype(np.int64).copy()
-    b = 0
-    e = 0
-    for t in range(n_f):
-        start = t * fine_dt
-        while (
-            stream.boundary_times is not None
-            and b < stream.boundary_times.shape[0]
-            and stream.boundary_times[b] <= start + 1e-9
-        ):
-            y = stream.boundary_exposures[b].astype(np.int64).copy()
-            b += 1
-        exposures[t] = y
-        end = (t + 1) * fine_dt
-        while e < stream.n_events and stream.times[e] <= end + 1e-9:
-            if src[t] >= 0:
-                raise DataError(
-                    f"two events fall into fine interval {t}; use a finer grid"
-                )
-            src[t] = int(stream.sources[e])
-            dst[t] = int(stream.targets[e])
-            y[src[t]] -= 1
-            y[dst[t]] += 1
-            e += 1
-    return exposures, src, dst
 
 
 def _picker_log_weights(
@@ -776,7 +726,9 @@ def em_fit_continuous(
     if isinstance(data, EventStream):
         if fine_dt is None:
             raise DataError("fine_dt is required when calibrating on an event stream")
-        exposures, src, dst = _fine_grid_from_stream(data, fine_dt)
+        from .continuous import stream_to_panel
+
+        exposures, src, dst = _fine_grid_from_panel(stream_to_panel(data, fine_dt))
     else:
         exposures, src, dst = _fine_grid_from_panel(data)
         if fine_dt is None:

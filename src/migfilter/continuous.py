@@ -10,6 +10,13 @@ Daily panels violate the no-simultaneous-jumps assumption this filter needs,
 so :func:`spread_jumps` redistributes each step's jumps onto distinct random
 subintervals first; re-aggregating the result reproduces the original
 off-diagonal counts exactly.
+
+Every reader of a stream takes its exposures from one walker with one tie
+rule: at a given time (or grid index) every event at or before it applies
+first, then the last boundary override at or before it.  On a grid of step
+``d``, event and boundary times within ``1e-9 * d`` of a grid point count
+as on it: an event belongs to the step ``(start, end]`` holding it, and an
+override to the first step start at or after it.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .model import (
     MigrationLaw,
     MigrationPanel,
     Mode,
+    _exposures_at,
     generator_to_transition,
     renormalize,
 )
@@ -44,6 +52,10 @@ __all__ = [
 # Largest (rate * dt) an explicit Euler substep is allowed to take; keeps the
 # update on the simplex with a wide margin.
 _MAX_EULER_MASS = 0.2
+
+# Times within this fraction of a step of a grid point snap to it; absorbs
+# the rounding of times written as ``k * step``.
+_GRID_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,64 +137,40 @@ def stream_to_panel(stream: EventStream, step_days: float) -> MigrationPanel:
     diagonal absorbs the stayers, so conservation holds by construction.
     """
     n_steps = stream.horizon / step_days
-    if abs(n_steps - round(n_steps)) > 1e-9:
+    if abs(n_steps - round(n_steps)) > _GRID_TOL:
         raise DataError(
             f"horizon {stream.horizon} is not a whole number of {step_days}-day steps"
         )
     n_steps = int(round(n_steps))
     p = stream.p
-    exposures = np.zeros((n_steps, p), dtype=np.int64)
-    counts = np.zeros((n_steps, p, p), dtype=np.int64)
-
-    y = stream.initial_exposures.astype(np.int64).copy()
-    b = 0
-    e = 0
-    for t in range(n_steps):
-        start = t * step_days
-        while (
-            stream.boundary_times is not None
-            and b < stream.boundary_times.shape[0]
-            and stream.boundary_times[b] <= start + 1e-12
-        ):
-            y = stream.boundary_exposures[b].astype(np.int64).copy()
-            b += 1
-        exposures[t] = y
-        end = (t + 1) * step_days
-        while e < stream.n_events and stream.times[e] <= end + 1e-12:
-            if stream.times[e] <= start + 1e-12:
-                raise DataError("event time fell on or before its step start")
-            j, k = int(stream.sources[e]), int(stream.targets[e])
-            counts[t, j, k] += 1
-            y[j] -= 1
-            y[k] += 1
-            e += 1
-        for j in range(p):
-            counts[t, j, j] = exposures[t, j] - counts[t, j].sum()
-            if counts[t, j, j] < 0:
-                raise DataError(
-                    f"step {t}: more departures from rating {j} than exposure"
-                )
+    # event i lies in step bins[i], whose (start, end] holds it; its grid
+    # position is that step's end, bins[i] + 1
+    bins = np.ceil(stream.times / step_days - _GRID_TOL).astype(np.int64) - 1
+    bins = np.clip(bins, 0, n_steps - 1)
+    boundary_pos = None
+    if stream.boundary_times is not None:
+        boundary_pos = np.ceil(stream.boundary_times / step_days - _GRID_TOL)
+    exposures = _exposures_at(stream, np.arange(n_steps), bins + 1, boundary_pos)
+    flat = (bins * p + stream.sources) * p + stream.targets
+    counts = np.bincount(flat, minlength=n_steps * p * p).reshape(n_steps, p, p)
+    stayers = exposures - counts.sum(axis=2)
+    short = np.argwhere(stayers < 0)
+    if short.size:
+        t, j = (int(x) for x in short[0])
+        raise DataError(f"step {t}: more departures from rating {j} than exposure")
+    diagonal = np.arange(p)
+    counts[:, diagonal, diagonal] = stayers
     return MigrationPanel(exposures, counts, step_length_days=step_days)
 
 
-def _drift_derivative(
-    probs: np.ndarray, trans: np.ndarray, intensity_load: np.ndarray
-) -> np.ndarray:
-    """Right-hand side of the between-events filtering ODE.
-
-    ``intensity_load[h]`` is the aggregate predicted jump intensity if the
-    hidden state were ``h`` (exposure-weighted sum of off-diagonal
-    intensities).  States loading more intensity than the filtered average
-    lose mass while nothing jumps.
-    """
-    mean_load = probs @ intensity_load
-    return trans.T @ probs + probs * (mean_load - intensity_load)
-
-
 def _intensity_load(law: MigrationLaw, exposures: np.ndarray) -> np.ndarray:
+    """Aggregate jump intensity (exposure-weighted sum of off-diagonal
+    intensities) if the hidden state were ``h``, for each ``h`` and each row
+    of ``exposures``; states loading more than the filtered average lose mass
+    while nothing jumps."""
     off = ~np.eye(law.p, dtype=bool)
-    rates = law.per_state * exposures[None, :, None]
-    return np.where(off[None, :, :], rates, 0.0).sum(axis=(1, 2))
+    rates = law.per_state * exposures[..., None, :, None]
+    return np.where(off, rates, 0.0).sum(axis=(-2, -1))
 
 
 def continuous_drift_step(
@@ -252,18 +240,26 @@ def continuous_jump_update(
     j, k = transition
     if j == k:
         raise DataError(f"not a migration: {transition}")
-    column = law.per_state[:, j, k]
-    denom = float(state.probs @ column)
-    if denom <= 0.0:
+    posterior, _ = _bayes_jump(state.probs, law.per_state[:, j, k])
+    if posterior is None:
         raise ImpossibleObservationError(
             f"transition {j}->{k} has zero intensity under every hidden state "
             "carrying filter mass",
             time_index=state.time_index,
             transitions=[(j, k)],
         )
-    return FilterState(
-        renormalize(state.probs * column / denom), time_index=state.time_index
-    )
+    return FilterState(posterior, time_index=state.time_index)
+
+
+def _bayes_jump(probs: np.ndarray, column: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """Reweight ``probs`` by the per-state intensity ``column`` of an observed
+    transition.  Returns the posterior and the mixture intensity
+    ``probs @ column``; the posterior is ``None`` when that intensity is not
+    positive."""
+    intensity = float(probs @ column)
+    if intensity <= 0.0:
+        return None, intensity
+    return renormalize(probs * column / intensity), intensity
 
 
 def run_continuous_filter(
@@ -315,8 +311,13 @@ def run_continuous_filter(
         [generator_to_transition(g, forecast_dt, exact=exact_conversion) for g in law.per_state]
     )
 
-    y = events.initial_exposures.astype(float).copy()
-    load = _intensity_load(law, y)
+    # exposures change only at event and boundary times (the knots):
+    # loads[i] is in force from knots[i - 1] to knots[i]
+    knots = events.times
+    if events.boundary_times is not None:
+        knots = np.union1d(knots, events.boundary_times)
+    loads = _intensity_load(law, _exposures_at(events, np.concatenate(([-np.inf], knots))))
+    pre_jump = _exposures_at(events, np.nextafter(events.times, -np.inf))
     states = [FilterState(probs, time_index=0.0)]
     predicted = np.empty((n_intervals, law.p, law.p))
     pred_parts = np.zeros((n_intervals, factor.m))
@@ -328,49 +329,36 @@ def run_continuous_filter(
     interval_start_probs = probs.copy()
 
     e = 0
-    b = 0
     t = 0.0
     eps = 1e-12
     while t < horizon - eps:
+        passed = int(np.searchsorted(knots, t + eps, side="right"))
         stops = [report_times[interval], horizon]
         if e < events.n_events:
             stops.append(float(events.times[e]))
-        if events.boundary_times is not None and b < events.boundary_times.shape[0]:
-            stops.append(float(events.boundary_times[b]))
+        if passed < knots.shape[0]:
+            stops.append(float(knots[passed]))
         stop = min(stops)
         if stop > t + eps:
             probs, chain_part, intensity_int = _integrate_drift(
-                probs, stop - t, factor.trans, load, max_h=grid_dt
+                probs, stop - t, factor.trans, loads[passed], max_h=grid_dt
             )
             pred_parts[interval] += chain_part
             loglik -= intensity_int
-            t = stop
-        else:
-            t = stop
+        t = stop
 
-        if (
-            events.boundary_times is not None
-            and b < events.boundary_times.shape[0]
-            and events.boundary_times[b] <= t + eps
-        ):
-            y = events.boundary_exposures[b].astype(float).copy()
-            load = _intensity_load(law, y)
-            b += 1
         if e < events.n_events and events.times[e] <= t + eps:
             j, k = int(events.sources[e]), int(events.targets[e])
-            column = law.per_state[:, j, k]
-            event_intensity = y[j] * float(probs @ column)
-            if event_intensity <= 0.0:
+            posterior, intensity = _bayes_jump(probs, law.per_state[:, j, k])
+            event_intensity = pre_jump[e, j] * intensity
+            if posterior is None or event_intensity <= 0.0:
                 raise ImpossibleObservationError(
                     f"event {e} ({j}->{k} at t={t}) has zero predicted intensity",
                     time_index=t,
                     transitions=[(j, k)],
                 )
             loglik += float(np.log(event_intensity))
-            probs = renormalize(probs * column / float(probs @ column))
-            y[j] -= 1.0
-            y[k] += 1.0
-            load = _intensity_load(law, y)
+            probs = posterior
             e += 1
         if report_times[interval] <= t + eps:
             states.append(FilterState(probs, time_index=float(report_times[interval])))

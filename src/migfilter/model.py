@@ -277,8 +277,16 @@ class EventStream:
     Event ``i`` moves one entity from ``sources[i]`` to ``targets[i]`` at
     ``times[i]`` (strictly increasing: no simultaneous jumps).  Exposures
     start at ``initial_exposures`` and follow the events; an optional
-    boundary track overrides them at given times, which is how entry and
-    censoring at aggregation-step boundaries are represented.
+    boundary track (nondecreasing ``boundary_times``) overrides them at given
+    times, which is how entry and censoring at aggregation-step boundaries
+    are represented.
+
+    Tie rule: the exposures in force at time ``q`` are those after every
+    event at a time ``<= q`` and then the last boundary override at a time
+    ``<= q``, so an override replaces the events it coincides with.  Grid
+    readers (:func:`~migfilter.continuous.stream_to_panel`) apply the same
+    rule to grid indices, snapping times within ``1e-9`` of a step to the
+    grid point.
     """
 
     times: np.ndarray
@@ -301,6 +309,13 @@ class EventStream:
             object.__setattr__(
                 self, "boundary_exposures", _freeze_int(np.atleast_2d(self.boundary_exposures))
             )
+            if self.boundary_exposures.shape != (self.boundary_times.shape[0], self.p):
+                raise DataError(
+                    f"boundary_exposures must have shape {(self.boundary_times.shape[0], self.p)}, "
+                    f"got {self.boundary_exposures.shape}"
+                )
+            if np.any(np.diff(self.boundary_times) < 0):
+                raise DataError("boundary times must be nondecreasing")
         n = self.times.shape[0]
         if self.sources.shape[0] != n or self.targets.shape[0] != n:
             raise DataError("times, sources and targets must have equal length")
@@ -325,24 +340,49 @@ class EventStream:
         Raises :class:`DataError` if an event departs from an empty rating
         class, which would make the stream inconsistent.
         """
-        y = self.initial_exposures.astype(np.int64).copy()
-        out = np.empty((self.n_events, self.p), dtype=np.int64)
-        b = 0
-        bt = self.boundary_times
-        for i in range(self.n_events):
-            t = self.times[i]
-            while bt is not None and b < bt.shape[0] and bt[b] <= t:
-                y = self.boundary_exposures[b].astype(np.int64).copy()
-                b += 1
-            out[i] = y
-            j, k = int(self.sources[i]), int(self.targets[i])
-            if y[j] <= 0:
-                raise DataError(
-                    f"event {i} at t={t}: departure from rating {j} with no exposure"
-                )
-            y[j] -= 1
-            y[k] += 1
+        out = _exposures_at(self, np.nextafter(self.times, -np.inf))
+        empty = np.flatnonzero(out[np.arange(self.n_events), self.sources] <= 0)
+        if empty.size:
+            i = int(empty[0])
+            raise DataError(
+                f"event {i} at t={self.times[i]}: departure from rating "
+                f"{int(self.sources[i])} with no exposure"
+            )
         return out
+
+
+def _exposures_at(
+    stream: EventStream,
+    query: np.ndarray,
+    event_pos: np.ndarray | None = None,
+    boundary_pos: np.ndarray | None = None,
+) -> np.ndarray:
+    """Exposure vector in force at each query position, shape (len(query), p).
+
+    Every event at a position ``<= q`` applies first, then the last boundary
+    override at a position ``<= q``.  Positions default to the stream's own
+    times; grid readers pass grid indices instead (both nondecreasing).
+    """
+    if event_pos is None:
+        event_pos = stream.times
+    n, p = stream.n_events, stream.p
+    rows = np.arange(n)
+    step = np.zeros((n, p), dtype=np.int64)
+    step[rows, stream.sources] = -1
+    step[rows, stream.targets] = 1
+    # moved[i]: net effect of the first i events
+    moved = np.zeros((n + 1, p), dtype=np.int64)
+    np.cumsum(step, axis=0, out=moved[1:])
+    base = np.broadcast_to(stream.initial_exposures, (len(query), p))
+    since = np.zeros(len(query), dtype=np.intp)
+    if stream.boundary_times is not None and stream.boundary_times.size:
+        if boundary_pos is None:
+            boundary_pos = stream.boundary_times
+        last = np.searchsorted(boundary_pos, query, side="right") - 1
+        hit = last >= 0
+        base = np.where(hit[:, None], stream.boundary_exposures[last], base)
+        since = np.where(hit, np.searchsorted(event_pos, boundary_pos[last], side="right"), 0)
+    return base + moved[np.searchsorted(event_pos, query, side="right")] - moved[since]
 
 
 def validate_model(factor: HiddenFactorSpec, law: MigrationLaw) -> list[str]:

@@ -16,14 +16,14 @@ import csv
 import datetime as dt
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataError
 from .filtering import FilterTrajectory
-from .model import FilterState, MigrationPanel
+from .model import FilterState, MigrationPanel, _exposures_at
 
 if TYPE_CHECKING:
     from .calibrate import EmConfig
@@ -286,12 +286,17 @@ def r_squared(predicted: np.ndarray, realized: np.ndarray) -> float:
         raise DataError("need at least two points to score a forecast")
     if np.ptp(realized) == 0.0:
         raise DataError("realized series is constant; its variance ratio is undefined")
-    # rescaled so tiny deviations cannot square to zero
+    # both sums are taken on values of magnitude at most 1, so neither
+    # squares to zero nor overflows; the ratio of the scales multiplies back
+    # last, and is 1 unless an error outgrows the realized spread
     dev = realized - realized.mean()
-    scale = np.abs(dev).max()
+    err = predicted - realized
+    scale = float(np.abs(dev).max())
+    err_scale = max(float(np.abs(err).max()), scale)
     sst = float(np.sum((dev / scale) ** 2))
-    sse = float(np.sum(((predicted - realized) / scale) ** 2))
-    return 1.0 - sse / sst
+    sse = float(np.sum((err / err_scale) ** 2))
+    ratio = err_scale / scale
+    return 1.0 - ratio * (ratio * (sse / sst))
 
 
 @dataclass(frozen=True)
@@ -537,10 +542,19 @@ def events_to_csv(stream, target: str | io.TextIOBase) -> None:
     """Event CSV: a comment line with the time-zero exposures and horizon,
     then ``time,from_rating,to_rating`` rows (1-based rating labels).
 
-    The format carries no boundary exposure track; streams spread from
-    panels with entry or censoring should be kept in memory (or re-spread
-    from the panel) rather than round-tripped through this file.
+    The format carries no boundary exposure track, so a stream whose
+    boundary exposures differ from what its events imply (a panel with
+    entry or censoring, spread) raises :class:`DataError`; keep such a
+    stream in memory, or re-spread it from its panel.
     """
+    if stream.boundary_times is not None:
+        bare = replace(stream, boundary_times=None, boundary_exposures=None)
+        implied = _exposures_at(bare, stream.boundary_times)
+        if not np.array_equal(implied, stream.boundary_exposures):
+            raise DataError(
+                "the event CSV holds no boundary exposures, and this stream's "
+                "differ from what its events imply (entry or censoring)"
+            )
     with _opened(target, "w") as handle:
         y0 = ",".join(str(int(x)) for x in stream.initial_exposures)
         handle.write(f"# exposures0={y0} horizon={stream.horizon!r}\n")

@@ -419,15 +419,14 @@ class TestEmFitContinuous:
         res = mf.em_fit_continuous(stream, 1, cfg, fine_dt=fine_dt, to_generator=False)
         fitted = res.law.per_state[0]
 
-        from migfilter.calibrate import _fine_grid_from_stream
-
-        exposures, src, dst = _fine_grid_from_stream(stream, fine_dt)
+        fine = mf.stream_to_panel(stream, fine_dt)
+        exposures = fine.exposures
         n_bar = exposures.sum(axis=1).max()
-        nojump = src < 0
+        nojump = fine.counts[:, 0, 1] + fine.counts[:, 1, 0] == 0
         y_nj = exposures[nojump].astype(float)
         c_nj = 1.0 - y_nj.sum(axis=1) / n_bar
-        jumps01 = int(((src == 0) & (dst == 1)).sum())
-        jumps10 = int(((src == 1) & (dst == 0)).sum())
+        jumps01 = int(fine.counts[:, 0, 1].sum())
+        jumps10 = int(fine.counts[:, 1, 0].sum())
 
         def q_total(x, y):
             diag = np.array([1 - x, 1 - y])
@@ -504,3 +503,14 @@ class TestEmFitContinuous:
         stream, *_ = self.make_fine_stream(seed=7, steps=10, entities=10)
         with pytest.raises(DataError):
             mf.em_fit_continuous(stream, 1, mf.EmConfig(restarts=1))
+
+    def test_departure_from_empty_rating_rejected(self):
+        stream = mf.EventStream(
+            times=np.array([0.5]),
+            sources=np.array([1]),
+            targets=np.array([0]),
+            initial_exposures=np.array([2, 0]),
+            horizon=1.0,
+        )
+        with pytest.raises(DataError, match="more departures from rating 1"):
+            mf.em_fit_continuous(stream, 1, mf.EmConfig(restarts=1), fine_dt=0.25)

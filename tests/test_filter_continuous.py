@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import migfilter as mf
 from migfilter.errors import DataError, ImpossibleObservationError, ModelError
@@ -80,6 +82,138 @@ class TestSpreadJumps:
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.sources, b.sources)
         np.testing.assert_array_equal(a.targets, b.targets)
+
+
+def loop_stream_to_panel(stream, step_days):
+    """Reference for ``stream_to_panel``: the step-by-step walk it replaced
+    (absolute tolerance 1e-12; events strictly after time 1e-12)."""
+    n_steps = int(round(stream.horizon / step_days))
+    p = stream.p
+    exposures = np.zeros((n_steps, p), dtype=np.int64)
+    counts = np.zeros((n_steps, p, p), dtype=np.int64)
+    y = stream.initial_exposures.astype(np.int64).copy()
+    b = 0
+    e = 0
+    for t in range(n_steps):
+        start = t * step_days
+        while (
+            stream.boundary_times is not None
+            and b < stream.boundary_times.shape[0]
+            and stream.boundary_times[b] <= start + 1e-12
+        ):
+            y = stream.boundary_exposures[b].astype(np.int64).copy()
+            b += 1
+        exposures[t] = y
+        end = (t + 1) * step_days
+        while e < stream.n_events and stream.times[e] <= end + 1e-12:
+            j, k = int(stream.sources[e]), int(stream.targets[e])
+            counts[t, j, k] += 1
+            y[j] -= 1
+            y[k] += 1
+            e += 1
+        for j in range(p):
+            counts[t, j, j] = exposures[t, j] - counts[t, j].sum()
+            if counts[t, j, j] < 0:
+                raise DataError(f"step {t}: more departures from rating {j} than exposure")
+    return mf.MigrationPanel(exposures, counts, step_length_days=step_days)
+
+
+def loop_snapshots(stream):
+    """Reference for ``EventStream.exposure_snapshots``: the event-by-event
+    walk it replaced, with the tie rule (an override at an event's own time
+    applies after the event)."""
+    y = stream.initial_exposures.astype(np.int64).copy()
+    out = np.empty((stream.n_events, stream.p), dtype=np.int64)
+    b = 0
+    bt = stream.boundary_times
+    for i in range(stream.n_events):
+        while bt is not None and b < bt.shape[0] and bt[b] < stream.times[i]:
+            y = stream.boundary_exposures[b].astype(np.int64).copy()
+            b += 1
+        out[i] = y
+        y[stream.sources[i]] -= 1
+        y[stream.targets[i]] += 1
+    return out
+
+
+@st.composite
+def open_cohort_streams(draw):
+    """Streams with entry and censoring: events at multiples of 1/96 of a
+    step, so some sit exactly on grid points and on boundary times, and
+    overrides at step ends or inside steps.  Sources always hold exposure."""
+    p = draw(st.integers(2, 3))
+    step = draw(st.sampled_from([1.0, 0.5, 0.1, 1 / 3, 0.7, 30.0]))
+    n_steps = draw(st.integers(1, 6))
+    counts_of = st.lists(st.integers(0, 3), min_size=p, max_size=p)
+    y = draw(counts_of)
+    initial = list(y)
+    times, sources, targets, boundary_times, boundary_exposures = [], [], [], [], []
+    # slots 32, 48, 64 and 96 are grid points of the step or its halves and thirds
+    slot_of = st.sampled_from([32, 48, 64, 96]) | st.integers(1, 96)
+    for t in range(n_steps):
+        slots = sorted(draw(st.sets(slot_of, max_size=4)))
+        override = draw(st.none() | slot_of) if t < n_steps - 1 else None
+        for slot in slots:
+            if override is not None and override < slot:
+                y = draw(counts_of)
+                boundary_times.append((t + override / 96) * step)
+                boundary_exposures.append(list(y))
+                override = None
+            movable = [j for j in range(p) if y[j] > 0]
+            if not movable:
+                continue
+            j = draw(st.sampled_from(movable))
+            k = draw(st.sampled_from([x for x in range(p) if x != j]))
+            times.append((t + slot / 96) * step)
+            sources.append(j)
+            targets.append(k)
+            y[j] -= 1
+            y[k] += 1
+        if override is not None:
+            y = draw(counts_of)
+            boundary_times.append((t + override / 96) * step)
+            boundary_exposures.append(list(y))
+    return mf.EventStream(
+        times=np.array(times, dtype=float),
+        sources=np.array(sources, dtype=np.int64),
+        targets=np.array(targets, dtype=np.int64),
+        initial_exposures=np.array(initial),
+        horizon=n_steps * step,
+        boundary_times=np.array(boundary_times) if boundary_times else None,
+        boundary_exposures=np.array(boundary_exposures) if boundary_exposures else None,
+    ), step
+
+
+def panel_or_error(stream, step_days, aggregate):
+    try:
+        panel = aggregate(stream, step_days)
+    except DataError as exc:
+        return str(exc)
+    return panel.exposures.tolist(), panel.counts.tolist(), panel.step_length_days
+
+
+class TestStreamWalker:
+    @settings(max_examples=300, deadline=None)
+    @given(open_cohort_streams(), st.sampled_from([1, 2, 3]))
+    def test_matches_loop_references(self, drawn, refine):
+        stream, step = drawn
+        for width in (step, step / refine):
+            assert panel_or_error(stream, width, mf.stream_to_panel) == panel_or_error(
+                stream, width, loop_stream_to_panel
+            )
+        np.testing.assert_array_equal(stream.exposure_snapshots(), loop_snapshots(stream))
+
+    def test_event_within_tolerance_of_zero_stays_in_step_zero(self):
+        stream = mf.EventStream(
+            times=np.array([1e-13]),
+            sources=np.array([0]),
+            targets=np.array([1]),
+            initial_exposures=np.array([1, 0]),
+            horizon=2.0,
+        )
+        panel = mf.stream_to_panel(stream, 1.0)
+        np.testing.assert_array_equal(panel.counts[0], [[0, 1], [0, 0]])
+        np.testing.assert_array_equal(panel.exposures, [[1, 0], [0, 1]])
 
 
 class TestDriftStep:
@@ -331,3 +465,28 @@ class TestRunContinuousFilter:
         )
         traj_small = mf.run_continuous_filter(small, factor, law, grid_dt=0.01, report_dt=1.0)
         assert traj.states[-1].probs[1] != pytest.approx(traj_small.states[-1].probs[1])
+
+    def test_override_at_an_event_time_applies_after_the_event(self):
+        # the override at t=1.0 restates what the event at t=1.0 implies,
+        # so it must change nothing
+        factor, law = two_state_continuous_model()
+        plain = mf.EventStream(
+            times=np.array([1.0]),
+            sources=np.array([0]),
+            targets=np.array([1]),
+            initial_exposures=np.array([2, 0]),
+            horizon=2.0,
+        )
+        redundant = mf.EventStream(
+            times=plain.times,
+            sources=plain.sources,
+            targets=plain.targets,
+            initial_exposures=plain.initial_exposures,
+            horizon=2.0,
+            boundary_times=np.array([1.0]),
+            boundary_exposures=np.array([[1, 1]]),
+        )
+        a = mf.run_continuous_filter(plain, factor, law, grid_dt=0.01, report_dt=0.5)
+        b = mf.run_continuous_filter(redundant, factor, law, grid_dt=0.01, report_dt=0.5)
+        assert b.loglik == a.loglik
+        np.testing.assert_array_equal(b.probs_matrix(), a.probs_matrix())

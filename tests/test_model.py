@@ -248,6 +248,18 @@ class TestPanelAndStream:
         snaps = stream.exposure_snapshots()
         np.testing.assert_array_equal(snaps, [[2, 0], [5, 5]])
 
+    def test_snapshot_precedes_override_at_the_event_time(self):
+        stream = mf.EventStream(
+            times=np.array([1.0]),
+            sources=np.array([0]),
+            targets=np.array([1]),
+            initial_exposures=np.array([2, 0]),
+            horizon=2.0,
+            boundary_times=np.array([1.0]),
+            boundary_exposures=np.array([[1, 1]]),
+        )
+        np.testing.assert_array_equal(stream.exposure_snapshots(), [[2, 0]])
+
     def test_departure_from_empty_class_rejected(self):
         stream = mf.EventStream(
             times=np.array([0.5]),

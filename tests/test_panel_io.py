@@ -301,6 +301,14 @@ class TestRSquared:
         assert pio.r_squared(realized, realized) == 1.0
         assert pio.r_squared(np.array([0.0, 1e-170]), realized) == pytest.approx(-3.0)
 
+    def test_error_far_beyond_the_spread_keeps_a_finite_score(self):
+        realized = np.tile([0.0, 1.0], 50)
+        predicted = realized.copy()
+        predicted[0] = 7.5e153
+        # SSE / SST = (7.5e153)^2 / 25; the error over the spread (0.5)
+        # squares past the double range
+        assert pio.r_squared(predicted, realized) == pytest.approx(-2.25e306)
+
     def test_constant_realized_rejected(self):
         with pytest.raises(DataError):
             pio.r_squared(np.array([0.1, 0.2]), np.array([0.5, 0.5]))
@@ -399,6 +407,16 @@ class TestCsvFormats:
         np.testing.assert_array_equal(back.targets, stream.targets)
         np.testing.assert_array_equal(back.initial_exposures, stream.initial_exposures)
         assert back.horizon == stream.horizon
+
+    def test_events_of_an_open_cohort_refuse_the_lossy_format(self):
+        # three entities enter at the step boundary; the file could not say so
+        panel = mf.MigrationPanel(
+            np.array([[3, 1], [5, 0]]),
+            np.array([[[2, 1], [1, 0]], [[5, 0], [0, 0]]]),
+        )
+        stream = mf.spread_jumps(panel, mf.SpreadConfig(4, seed=0))
+        with pytest.raises(DataError, match="boundary"):
+            pio.events_to_csv(stream, io.StringIO())
 
     def test_bad_headers_rejected(self):
         with pytest.raises(DataError):

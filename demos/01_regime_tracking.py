@@ -24,7 +24,7 @@ panel, path = mf.simulate_panel_discrete(factor, law, config)
 print(f"\nsimulated panel: {panel.steps} steps, {panel.exposures[0].sum()} entities")
 
 trajectory = mf.run_filter(panel, factor, law)
-guesses = np.array([np.argmax(s.probs) for s in trajectory.states])
+guesses = trajectory.probs_matrix().argmax(axis=1)
 accuracy = np.mean(guesses[1:] == path[1 : panel.steps + 1])
 print(f"filter argmax matches the true regime on {accuracy:.1%} of steps")
 
@@ -44,4 +44,4 @@ print("\nforecast quality (variance explained) per transition:")
 for (j, k), r2 in sorted(report.r2.items()):
     print(f"  {j + 1} -> {k + 1}: R2 = {r2:6.3f}")
 
-print("\nfinal filtered law:", trajectory.states[-1].probs, "| true final regime:", path[-1])
+print("\nfinal filtered law:", trajectory.probs_matrix()[-1], "| true final regime:", path[-1])

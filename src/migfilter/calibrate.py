@@ -521,13 +521,12 @@ def _multi_start(panel, m, p, cfg, e_and_m, fixed_per_state=None) -> Calibration
 
 
 def _discrete_e_and_m(panel, pi, trans, per_state, cfg):
-    factor = HiddenFactorSpec(pi=pi, trans=trans, mode=Mode.DISCRETE)
     law = MigrationLaw(per_state=per_state, mode=Mode.DISCRETE)
-    fwd = forward_pass(panel, factor, law)
-    bwd = backward_pass(panel, factor, law)
-    u, v = posteriors(fwd, bwd, panel, factor, law)
-    new_pi, new_trans, new_per_state = m_step(u, v, panel, prev_law=law, floor=cfg.floor)
-    return fwd.loglik, (new_pi, new_trans, new_per_state)
+    logg = _panel_log_weights(panel, law)
+    fwd = _forward(logg, pi, trans)
+    bwd = _backward(logg, trans)
+    u, v = _posteriors_from(logg, fwd, bwd, trans)
+    return fwd.loglik, m_step(u, v, panel, prev_law=law, floor=cfg.floor)
 
 
 def _em_single(panel, pi, trans, per_state, cfg, e_and_m):
@@ -642,7 +641,6 @@ def _optimize_picker_rows(
     n_bar: float,
     start: np.ndarray,
     floor: float,
-    gtol: float = 1e-8,
 ) -> np.ndarray:
     """Maximize one state's picker-likelihood contribution over its
     row-stochastic migration matrix.
@@ -687,7 +685,7 @@ def _optimize_picker_rows(
         x0,
         jac=True,
         method="L-BFGS-B",
-        options={"gtol": gtol, "ftol": 1e-13, "maxiter": 300},
+        options={"gtol": 1e-8, "ftol": 1e-13, "maxiter": 300},
     )
     mat = _row_softmax(res.x.reshape(p, p))
     mat = np.maximum(mat, floor)

@@ -19,7 +19,6 @@ from . import panel_io as pio
 from .errors import DataError, MigfilterError
 from .filtering import run_filter
 from .model import (
-    FilterState,
     Mode,
     model_from_json,
     predict_transition_probs,
@@ -213,15 +212,14 @@ def forecast(model_path, traj_path, step_days, out_path):
         prob_law = MigrationLaw(per_state=mats, mode=Mode.DISCRETE)
     else:
         prob_law = law
+    nu = predict_transition_probs(prob_law, traj.probs_matrix())
+    rows = np.column_stack([traj.times(), nu.reshape(len(nu), -1)]).tolist()
     with open(out_path, "w", newline="") as handle:
         p = prob_law.p
         header = ["t"] + [f"nu_{j + 1}_{k + 1}" for j in range(p) for k in range(p)]
         handle.write(",".join(header) + "\n")
-        for state in traj.states:
-            nu = predict_transition_probs(prob_law, FilterState(state.probs, state.time_index))
-            cells = [repr(float(x)) for x in nu.ravel()]
-            handle.write(",".join([repr(float(state.time_index))] + cells) + "\n")
-    click.echo(f"wrote {len(traj.states)} forecast rows to {out_path}")
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    click.echo(f"wrote {len(rows)} forecast rows to {out_path}")
 
 
 @main.command()

@@ -266,22 +266,19 @@ def run_continuous_filter(
     events: EventStream,
     factor: HiddenFactorSpec,
     law: MigrationLaw,
-    init: FilterState | np.ndarray | None = None,
     grid_dt: float = 0.1,
     report_dt: float | None = None,
-    forecast_dt: float | None = None,
-    exact_conversion: bool = False,
 ) -> FilterTrajectory:
     """Filter the hidden factor through a dated event stream.
 
     Integration alternates drift segments (never longer than ``grid_dt`` or
-    the time to the next event) with jump updates at event times.  The state
+    the time to the next event) with jump updates at event times.  The law
     is emitted on the reporting grid (every ``report_dt``, default
     ``grid_dt``) together with a transition-probability forecast obtained by
-    converting each state's intensity matrix over ``forecast_dt`` (default:
-    the reporting interval) and mixing with the current filtered law.  Per
-    reporting interval, the chain-drift and observation-driven parts of the
-    law's movement are recorded separately.
+    linearizing each state's intensity matrix over the reporting interval
+    and mixing with the current filtered law.  Per reporting interval, the
+    chain-drift and observation-driven parts of the law's movement are
+    recorded separately.
     """
     if grid_dt <= 0:
         raise ModelError(f"grid_dt must be positive, got {grid_dt}")
@@ -293,23 +290,13 @@ def run_continuous_filter(
         raise ModelError(f"stream has {events.p} rating classes, law has {law.p}")
     if report_dt is None:
         report_dt = grid_dt
-    if forecast_dt is None:
-        forecast_dt = report_dt
-
-    if init is None:
-        probs = factor.pi.copy()
-    elif isinstance(init, FilterState):
-        probs = init.probs.copy()
-    else:
-        probs = renormalize(np.asarray(init, dtype=float))
+    probs = factor.pi.copy()
 
     horizon = float(events.horizon)
     n_intervals = max(1, math.ceil(round(horizon / report_dt, 9)))
     report_times = np.minimum(np.arange(1, n_intervals + 1) * report_dt, horizon)
 
-    step_matrices = np.array(
-        [generator_to_transition(g, forecast_dt, exact=exact_conversion) for g in law.per_state]
-    )
+    step_matrices = np.array([generator_to_transition(g, report_dt) for g in law.per_state])
 
     # exposures change only at event and boundary times (the knots):
     # loads[i] is in force from knots[i - 1] to knots[i]
@@ -318,16 +305,13 @@ def run_continuous_filter(
         knots = np.union1d(knots, events.boundary_times)
     loads = _intensity_load(law, _exposures_at(events, np.concatenate(([-np.inf], knots))))
     pre_jump = _exposures_at(events, np.nextafter(events.times, -np.inf))
-    states = [FilterState(probs, time_index=0.0)]
-    predicted = np.empty((n_intervals, law.p, law.p))
+    # row i + 1 holds the law at the end of reporting interval i
+    laws = np.empty((n_intervals + 1, factor.m))
+    laws[0] = probs
+    times = np.concatenate(([0.0], report_times))
     pred_parts = np.zeros((n_intervals, factor.m))
-    corr_parts = np.zeros((n_intervals, factor.m))
     loglik = 0.0
-
-    predicted[0] = np.tensordot(probs, step_matrices, axes=1)
     interval = 0
-    interval_start_probs = probs.copy()
-
     e = 0
     t = 0.0
     eps = 1e-12
@@ -361,22 +345,19 @@ def run_continuous_filter(
             probs = posterior
             e += 1
         if report_times[interval] <= t + eps:
-            states.append(FilterState(probs, time_index=float(report_times[interval])))
-            corr_parts[interval] = (probs - interval_start_probs) - pred_parts[interval]
-            interval_start_probs = probs.copy()
             interval += 1
-            if interval < n_intervals:
-                predicted[interval] = np.tensordot(probs, step_matrices, axes=1)
-            else:
+            laws[interval] = probs
+            if interval == n_intervals:
                 break
-    if len(states) < n_intervals + 1:
+    if interval < n_intervals:
         # horizon reached mid-interval (only possible with degenerate grids)
-        states.append(FilterState(probs, time_index=horizon))
-        corr_parts[interval] = (probs - interval_start_probs) - pred_parts[interval]
+        laws[interval + 1 :] = probs
+        times[-1] = horizon
     return FilterTrajectory(
-        states=tuple(states),
-        predicted_ratios=predicted,
+        probs=laws,
+        time_index=times,
+        predicted_ratios=np.array([np.tensordot(row, step_matrices, axes=1) for row in laws[:-1]]),
         loglik=loglik,
         prediction_parts=pred_parts,
-        correction_parts=corr_parts,
+        correction_parts=np.diff(laws, axis=0) - pred_parts,
     )

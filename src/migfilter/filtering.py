@@ -25,6 +25,7 @@ import numpy as np
 from .calibrate import _forward, _panel_log_weights
 from .errors import DataError, ImpossibleObservationError, ModelError
 from .model import FilterState, HiddenFactorSpec, MigrationLaw, MigrationPanel, Mode
+from .model import _checked_laws, _freeze
 # not called here: bench/run.py counts forecast calls through this attribute
 from .model import predict_transition_probs  # noqa: F401
 
@@ -40,11 +41,12 @@ __all__ = [
 class FilterTrajectory:
     """Output of a filtering run.
 
-    ``states`` has one entry per grid time including the initial law;
-    ``predicted_ratios[t]`` is the transition-probability forecast issued
-    *before* observing step ``t`` (shape (p, p), or a scalar series for
-    univariate runs); ``loglik`` accumulates the log-probability of each
-    observed step under the one-step-ahead predictive law.
+    ``probs[t]`` is the filtered law at grid time ``time_index[t]`` (row 0
+    the initial law); both arrays are read-only, and every row is checked
+    and projected onto the simplex by the rule of :class:`FilterState`.
+    ``predicted_ratios[t]`` is the (p, p) forecast issued *before* observing
+    step ``t``; ``loglik`` sums each observed step's log-probability under
+    the one-step-ahead predictive law.
 
     Continuous runs additionally report, per reporting interval, how much of
     the filtered law's movement came from the hidden chain's own drift
@@ -52,25 +54,32 @@ class FilterTrajectory:
     (``correction_parts``).
     """
 
-    states: tuple[FilterState, ...]
+    probs: np.ndarray
+    time_index: np.ndarray
     predicted_ratios: np.ndarray
     loglik: float
     prediction_parts: np.ndarray | None = None
     correction_parts: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "probs", _checked_laws(np.atleast_2d(self.probs)))
+        object.__setattr__(self, "time_index", _freeze(self.time_index))
 
     @property
     def n_steps(self) -> int:
-        return len(self.states) - 1
+        return self.probs.shape[0] - 1
+
+    @property
+    def states(self) -> tuple[FilterState, ...]:
+        """The rows as :class:`FilterState` objects, built on each access."""
+        return tuple(map(FilterState, self.probs, self.time_index.tolist()))
 
     def probs_matrix(self) -> np.ndarray:
         """Filtered probabilities as an array of shape (n_steps + 1, m)."""
-        return np.array([s.probs for s in self.states])
+        return self.probs
 
     def times(self) -> np.ndarray:
-        return np.array([s.time_index for s in self.states])
+        return self.time_index
 
 
 def _univariate_log_weights(d_n: int, y: int, jump_probs: np.ndarray) -> np.ndarray:
@@ -142,15 +151,14 @@ def run_filter(
     panel: MigrationPanel,
     factor: HiddenFactorSpec,
     law: MigrationLaw,
-    init: FilterState | np.ndarray | None = None,
 ) -> FilterTrajectory:
     """Filter the hidden factor through a whole panel.
 
-    ``states[t]`` is the filtered law after assimilating steps ``1..t``
-    (``states[0]`` is the initial law, by default the factor's ``pi``).
-    Because step ``t``'s moves are driven by the hidden state at the step's
-    start, the forecast for step ``t`` mixes the migration matrices with
-    ``states[t-1]`` directly — no extra chain propagation.
+    Row ``t`` of the trajectory is the filtered law after assimilating
+    steps ``1..t`` (row 0 is the factor's ``pi``).  Because step ``t``'s
+    moves are driven by the hidden state at the step's start, the forecast
+    for step ``t`` mixes the migration matrices with row ``t-1`` directly —
+    no extra chain propagation.
 
     Raises :class:`~migfilter.errors.ImpossibleObservationError` at the
     first step no reachable hidden state can explain, and, like
@@ -164,16 +172,15 @@ def run_filter(
         raise ModelError("law/factor state counts disagree")
     if panel.p != law.p:
         raise ModelError(f"panel has {panel.p} rating classes, law has {law.p}")
-    if isinstance(init, FilterState):
-        init = init.probs
-    probs = FilterState(factor.pi if init is None else init).probs[None, :]
+    probs = _checked_laws(factor.pi)[None, :]
     loglik = 0.0
     if panel.steps:
         fwd = _forward(_panel_log_weights(panel, law), probs[0], factor.trans)
         probs = np.vstack([probs, fwd.alpha @ factor.trans])
         loglik = fwd.loglik
     return FilterTrajectory(
-        states=tuple(FilterState(row, time_index=t) for t, row in enumerate(probs)),
+        probs=probs,
+        time_index=np.arange(panel.steps + 1),
         predicted_ratios=np.einsum("th,hjk->tjk", probs[:-1], law.per_state),
         loglik=loglik,
     )

@@ -69,19 +69,34 @@ def _freeze_int(a: np.ndarray) -> np.ndarray:
 
 
 def renormalize(probs: np.ndarray, trigger: float = _RENORM_TRIGGER) -> np.ndarray:
-    """Project a near-probability vector back onto the simplex.
+    """Project near-probability vectors on the last axis onto the simplex.
 
     Tiny negative entries from floating-point arithmetic are clipped to 0;
-    the vector is rescaled only when its sum drifts further than ``trigger``
+    a vector is rescaled only when its sum drifts further than ``trigger``
     from 1, so exact results pass through bit-identically.
     """
     probs = np.where(probs < 0.0, 0.0, probs)
-    total = probs.sum()
-    if total <= 0.0:
-        raise ModelError("probability vector has collapsed to zero mass")
-    if abs(total - 1.0) > trigger:
-        probs = probs / total
+    # scalars for one vector, cheap to test in the Euler substeps
+    total = probs.sum(axis=-1)
+    drift = abs(total - 1.0) > trigger
+    if drift.any() if drift.ndim else drift:
+        if np.any(total <= 0.0):
+            raise ModelError("probability vector has collapsed to zero mass")
+        probs = np.where(drift[..., None], probs / total[..., None], probs)
     return probs
+
+
+def _checked_laws(probs) -> np.ndarray:
+    """Filtered laws on the last axis, checked (no entry below -1e-10, sums
+    within 1e-10 of 1), passed through :func:`renormalize` and frozen."""
+    probs = np.asarray(probs, dtype=float)
+    if np.any(probs < -1e-10):
+        raise ModelError("filter state has negative probabilities")
+    sums = probs.sum(axis=-1)
+    off = np.abs(sums - 1.0) > 1e-10
+    if np.any(off):
+        raise ModelError(f"filter state probabilities sum to {sums[off][0]!r}, expected 1")
+    return _freeze(renormalize(probs))
 
 
 @dataclass(frozen=True)
@@ -257,13 +272,7 @@ class FilterState:
     time_index: float = 0.0
 
     def __post_init__(self):
-        probs = np.atleast_1d(np.asarray(self.probs, dtype=float))
-        if np.any(probs < -1e-10):
-            raise ModelError("filter state has negative probabilities")
-        s = probs.sum()
-        if abs(s - 1.0) > 1e-10:
-            raise ModelError(f"filter state probabilities sum to {s!r}, expected 1")
-        object.__setattr__(self, "probs", _freeze(renormalize(probs)))
+        object.__setattr__(self, "probs", _checked_laws(np.atleast_1d(self.probs)))
 
     @property
     def m(self) -> int:
@@ -425,20 +434,22 @@ def evolve_prior(state: FilterState, factor: HiddenFactorSpec, dt: float = 1.0) 
     return FilterState(renormalize(probs), time_index=new_time)
 
 
-def predict_transition_probs(law: MigrationLaw, state: FilterState) -> np.ndarray:
+def predict_transition_probs(law: MigrationLaw, state: FilterState | np.ndarray) -> np.ndarray:
     """Forecast transition probabilities: the filtered mixture of the
     per-state migration matrices, ``sum_h probs[h] * per_state[h]``.
 
-    Requires a discrete-mode law; convert intensities first with
-    :func:`generator_to_transition`.
+    ``state`` is a :class:`FilterState` or laws of shape (..., m), giving
+    shape (..., p, p).  Requires a discrete-mode law; convert intensities
+    first with :func:`generator_to_transition`.
     """
     if law.mode is not Mode.DISCRETE:
         raise ModelError("predict_transition_probs needs a discrete (probability) law")
-    if law.n_states != state.m:
+    probs = state.probs if isinstance(state, FilterState) else np.asarray(state, dtype=float)
+    if law.n_states != probs.shape[-1]:
         raise ModelError(
-            f"law has {law.n_states} states but filter state has {state.m}"
+            f"law has {law.n_states} states but filter state has {probs.shape[-1]}"
         )
-    return np.tensordot(state.probs, law.per_state, axes=1)
+    return np.tensordot(probs, law.per_state, axes=1)
 
 
 def generator_to_transition(gen: np.ndarray, dt: float, exact: bool = False) -> np.ndarray:

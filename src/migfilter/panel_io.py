@@ -16,6 +16,7 @@ import csv
 import datetime as dt
 import io
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DataError
 from .filtering import FilterTrajectory
-from .model import FilterState, MigrationPanel, _exposures_at
+from .model import MigrationPanel, _exposures_at
 
 if TYPE_CHECKING:
     from .calibrate import EmConfig
@@ -347,17 +348,21 @@ def realized_ratios(panel: MigrationPanel) -> np.ndarray:
 def evaluate_predictions(
     panel: MigrationPanel,
     trajectory: FilterTrajectory,
-    min_steps: int = 2,
 ) -> EvaluationReport:
     """Score a trajectory's forecasts against a panel's realized ratios.
 
     Forecast ``t`` must refer to panel step ``t`` (both filters emit them
     that way).  Every off-diagonal transition with observed counts and a
-    non-constant realized series gets a score.
+    non-constant realized series of at least two points gets a score.
     """
-    if trajectory.predicted_ratios.shape[0] != panel.steps:
+    return _score_forecasts(panel, trajectory.predicted_ratios)
+
+
+def _score_forecasts(panel: MigrationPanel, predicted_ratios: np.ndarray) -> EvaluationReport:
+    """:func:`evaluate_predictions` on a forecast array of shape (steps, p, p)."""
+    if predicted_ratios.shape[0] != panel.steps:
         raise DataError(
-            f"trajectory carries {trajectory.predicted_ratios.shape[0]} forecasts "
+            f"trajectory carries {predicted_ratios.shape[0]} forecasts "
             f"but the panel has {panel.steps} steps"
         )
     ratios = realized_ratios(panel)
@@ -374,8 +379,8 @@ def evaluate_predictions(
                 continue
             mask = ~np.isnan(ratios[:, j, k])
             realized = ratios[mask, j, k]
-            predicted = trajectory.predicted_ratios[mask, j, k]
-            if realized.shape[0] < min_steps or np.all(realized == realized[0]):
+            predicted = predicted_ratios[mask, j, k]
+            if realized.shape[0] < 2 or np.all(realized == realized[0]):
                 skipped.append((j, k))
                 continue
             r2[(j, k)] = r_squared(predicted, realized)
@@ -410,32 +415,20 @@ def rolling_backtest(
         raise DataError("initial_steps must split the panel")
     if refit_every < 1:
         raise DataError("refit_every must be positive")
+
+    def part(s: slice) -> MigrationPanel:
+        return MigrationPanel(panel.exposures[s], panel.counts[s], panel.step_length_days)
+
     predicted = np.full((panel.steps, panel.p, panel.p), np.nan)
     cut = initial_steps
     while cut < panel.steps:
         window_end = min(cut + refit_every, panel.steps)
-        history = MigrationPanel(
-            panel.exposures[:cut], panel.counts[:cut], panel.step_length_days
-        )
-        result = em_fit(history, m, cfg)
-        full = MigrationPanel(
-            panel.exposures[:window_end],
-            panel.counts[:window_end],
-            panel.step_length_days,
-        )
-        traj = run_filter(full, result.factor, result.law)
+        result = em_fit(part(slice(cut)), m, cfg)
+        traj = run_filter(part(slice(window_end)), result.factor, result.law)
         predicted[cut:window_end] = traj.predicted_ratios[cut:window_end]
         cut = window_end
     oos = slice(initial_steps, panel.steps)
-    oos_panel = MigrationPanel(
-        panel.exposures[oos], panel.counts[oos], panel.step_length_days
-    )
-    fake_traj = FilterTrajectory(
-        states=(FilterState(np.ones(m) / m, time_index=0),),
-        predicted_ratios=predicted[oos],
-        loglik=0.0,
-    )
-    return evaluate_predictions(oos_panel, fake_traj)
+    return _score_forecasts(part(oos), predicted[oos])
 
 
 # ---------------------------------------------------------------------------
@@ -471,48 +464,48 @@ def panel_from_csv(source: str | io.TextIOBase, step_length_days: float = 1) -> 
         n_y = sum(1 for h in header if h.startswith("Y_"))
         if n_y == 0 or len(header) != 1 + n_y + n_y * n_y:
             raise DataError(f"panel CSV header has unexpected width {len(header)}")
-        exposures = []
-        counts = []
+        rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise DataError(f"panel CSV line {line_no}: {len(row)} fields, not {len(header)}")
             try:
-                vals = [int(x) for x in row]
+                rows.append([int(x) for x in row])
             except ValueError as exc:
                 raise DataError(f"panel CSV line {line_no}: {exc}") from exc
-            exposures.append(vals[1 : 1 + n_y])
-            counts.append(np.array(vals[1 + n_y :]).reshape(n_y, n_y))
-        if not exposures:
+        if not rows:
             raise DataError("panel CSV holds no steps")
-        return MigrationPanel(
-            np.array(exposures), np.array(counts), step_length_days=step_length_days
-        )
+        table = np.array(rows)
+        counts = table[:, 1 + n_y :].reshape(-1, n_y, n_y)
+        return MigrationPanel(table[:, 1 : 1 + n_y], counts, step_length_days=step_length_days)
 
 
 def trajectory_to_csv(trajectory: FilterTrajectory, target: str | io.TextIOBase) -> None:
     """Header ``t,I_1..I_m,nu_1_1..nu_p_p``; forecast row ``t`` was issued
     before step/interval ``t`` (the final state row carries no forecast)."""
+    probs, predicted = trajectory.probs_matrix(), trajectory.predicted_ratios
+    p = predicted.shape[1] if predicted.size else 0
+    # the csv module writes a float as its repr, which round-trips exactly
+    rows = np.column_stack([trajectory.times(), probs]).tolist()
+    forecasts = predicted.reshape(predicted.shape[0], p * p).tolist()
+    forecasts += [[""] * (p * p)] * (len(rows) - len(forecasts))
+    for row, nu in zip(rows, forecasts):
+        row += nu
     with _opened(target, "w") as handle:
         writer = csv.writer(handle)
-        m = trajectory.states[0].m
-        p = trajectory.predicted_ratios.shape[1] if trajectory.predicted_ratios.size else 0
         header = (
             ["t"]
-            + [f"I_{h + 1}" for h in range(m)]
+            + [f"I_{h + 1}" for h in range(probs.shape[1])]
             + [f"nu_{j + 1}_{k + 1}" for j in range(p) for k in range(p)]
         )
         writer.writerow(header)
-        n_forecasts = trajectory.predicted_ratios.shape[0]
-        for idx, state in enumerate(trajectory.states):
-            row = [repr(float(state.time_index))] + [repr(float(x)) for x in state.probs]
-            if idx < n_forecasts:
-                row += [repr(float(x)) for x in trajectory.predicted_ratios[idx].ravel()]
-            else:
-                row += [""] * (p * p)
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def trajectory_from_csv(source: str | io.TextIOBase) -> FilterTrajectory:
+    """Inverse of :func:`trajectory_to_csv`; malformed input raises
+    :class:`DataError` naming its line."""
     with _opened(source, "r") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -520,22 +513,31 @@ def trajectory_from_csv(source: str | io.TextIOBase) -> FilterTrajectory:
             raise DataError("trajectory CSV must start with header t,I_1..")
         m = sum(1 for h in header if h.startswith("I_"))
         n_nu = len(header) - 1 - m
-        p = int(round(n_nu**0.5)) if n_nu else 0
-        states = []
+        p = math.isqrt(n_nu)
+        if p * p != n_nu:
+            raise DataError(f"trajectory CSV line 1: {n_nu} nu_ columns do not form a p x p block")
+        rows = []
         forecasts = []
-        for row in reader:
+        for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            time_index = float(row[0])
-            probs = np.array([float(x) for x in row[1 : 1 + m]])
-            states.append(FilterState(probs, time_index=time_index))
-            tail = row[1 + m :]
-            if tail and tail[0] != "":
-                forecasts.append(np.array([float(x) for x in tail]).reshape(p, p))
-        if not states:
-            raise DataError("trajectory CSV holds no states")
-        predicted = np.array(forecasts) if forecasts else np.empty((0, p, p))
-        return FilterTrajectory(states=tuple(states), predicted_ratios=predicted, loglik=np.nan)
+            if len(row) != len(header):
+                raise DataError(f"trajectory CSV line {line_no}: {len(row)} fields, not {len(header)}")
+            try:
+                rows.append([float(x) for x in row[: 1 + m]])
+                if n_nu and row[1 + m] != "":
+                    forecasts.append([float(x) for x in row[1 + m :]])
+            except ValueError as exc:
+                raise DataError(f"trajectory CSV line {line_no}: {exc}") from exc
+    if not rows:
+        raise DataError("trajectory CSV holds no states")
+    table = np.array(rows)
+    return FilterTrajectory(
+        probs=table[:, 1:],
+        time_index=table[:, 0],
+        predicted_ratios=np.array(forecasts, dtype=float).reshape(len(forecasts), p, p),
+        loglik=np.nan,
+    )
 
 
 def events_to_csv(stream, target: str | io.TextIOBase) -> None:

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import migfilter as mf
+from migfilter import panel_io as pio
 from migfilter.cli import main
 
 
@@ -237,3 +238,37 @@ def test_exit_codes(runner, tmp_path, model_file):
          "--out-panel", str(tmp_path / "p.csv")],
     )
     assert out.exit_code == 1
+
+
+def test_forecast_with_a_model_of_other_state_count_exits_2(runner, model_file, tmp_path):
+    factor, law = mf.demo_model(3, 3)
+    panel, _ = mf.simulate_panel_discrete(
+        factor, law, mf.SimulationConfig(np.array([20, 20, 20]), 5, seed=1)
+    )
+    traj = tmp_path / "traj3.csv"
+    pio.trajectory_to_csv(mf.run_filter(panel, factor, law), str(traj))
+    out = runner.invoke(
+        main,
+        ["forecast", "--model", str(model_file), "--trajectory", str(traj),
+         "--out", str(tmp_path / "nu.csv")],
+    )
+    assert out.exit_code == 2
+    assert "law has 2 states but filter state has 3" in out.output
+
+
+def test_evaluate_on_a_malformed_trajectory_exits_1(runner, tmp_path):
+    panel = tmp_path / "panel.csv"
+    panel.write_text("t,Y_1,Y_2,N_1_1,N_1_2,N_2_1,N_2_2\n1,2,2,1,1,0,2\n")
+    traj = tmp_path / "traj.csv"
+    traj.write_text(
+        "t,I_1,I_2,nu_1_1,nu_1_2,nu_2_1,nu_2_2\n"
+        "0.0,0.5,0.5,0.9,0.1,0.2,0.8\n"
+        "1.0,x,0.5,,,,\n"
+    )
+    out = runner.invoke(
+        main,
+        ["evaluate", "--trajectory", str(traj), "--panel", str(panel),
+         "--out", str(tmp_path / "report.json")],
+    )
+    assert out.exit_code == 1
+    assert "error: trajectory CSV line 3" in out.output

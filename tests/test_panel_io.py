@@ -418,6 +418,27 @@ class TestCsvFormats:
         with pytest.raises(DataError, match="boundary"):
             pio.events_to_csv(stream, io.StringIO())
 
+    @pytest.mark.parametrize("row", ["1,2,2,1,1,0\n", "1,2,2,1,1,0,2,5\n"])
+    def test_panel_row_of_wrong_width_names_its_line(self, row):
+        text = "t,Y_1,Y_2,N_1_1,N_1_2,N_2_1,N_2_2\n1,2,2,1,1,0,2\n" + row
+        with pytest.raises(DataError, match="panel CSV line 3: [68] fields, not 7"):
+            pio.panel_from_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,I_1,I_2,nu_1_1,nu_1_2,nu_2_1,nu_2_2\n0.0,0.5,x,0.9,0.1,0.2,0.8\n",
+             "line 2: could not convert"),
+            ("t,I_1,I_2,nu_1_1,nu_1_2,nu_2_1,nu_2_2\n0.0,0.5,0.5,0.9,0.1,0.2,0.8\n"
+             "1.0,0.5,0.5,0.9,0.1\n", "line 3: 5 fields, not 7"),
+            ("t,I_1,I_2,nu_1_1,nu_1_2,nu_2_1\n0.0,0.5,0.5,0.9,0.1,0.2\n",
+             "line 1: 3 nu_ columns do not form a p x p block"),
+        ],
+    )
+    def test_malformed_trajectory_csv_names_its_line(self, text, message):
+        with pytest.raises(DataError, match=message):
+            pio.trajectory_from_csv(io.StringIO(text))
+
     def test_bad_headers_rejected(self):
         with pytest.raises(DataError):
             pio.panel_from_csv(io.StringIO("a,b,c\n1,2,3\n"))

@@ -63,7 +63,6 @@ from .model import (
 )
 from .panel_io import (
     EvaluationReport,
-    RatingEvent,
     RatingPaths,
     build_panel,
     evaluate_predictions,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import click
 import numpy as np
@@ -18,34 +20,42 @@ from . import continuous as cont
 from . import panel_io as pio
 from .errors import DataError, MigfilterError
 from .filtering import run_filter
-from .model import (
-    Mode,
-    model_from_json,
-    predict_transition_probs,
-    generator_to_transition,
-    MigrationLaw,
-)
+from .model import MigrationLaw, Mode, generator_to_transition, model_from_json, predict_transition_probs
 from .simulate import SimulationConfig, simulate_events_continuous, simulate_panel_discrete
 
 
-def _exit_on_error(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Main(click.Group):
+    """A package error in a command prints ``error: ...`` and exits with its code."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except MigfilterError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(exc.exit_code)
 
+
+def _em_options(command):
+    """One option per :class:`EmConfig` field, handed to ``command`` as ``cfg``."""
+
+    @functools.wraps(command)
+    def wrapper(**kwargs):
+        cfg = cal.EmConfig(**{f.name: kwargs.pop(f.name) for f in fields(cal.EmConfig)})
+        return command(cfg=cfg, **kwargs)
+
+    for f in reversed(fields(cal.EmConfig)):
+        option = click.option(f"--{f.name.replace('_', '-')}", default=f.default, show_default=True)
+        wrapper = option(wrapper)
     return wrapper
 
 
-def _load_model(path):
-    with open(path) as handle:
-        return model_from_json(handle.read())
+def _write_report(report, out_path, title):
+    Path(out_path).write_text(report.to_json())
+    summary = ", ".join(f"{j + 1}->{k + 1}: {v:.3f}" for (j, k), v in sorted(report.r2.items()))
+    click.echo(f"{title}: {summary or 'none scorable'}; wrote {out_path}")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Hidden-factor filtering and calibration for rating migration data."""
 
@@ -60,10 +70,9 @@ def main():
 @click.option("--out-panel", type=click.Path(), default=None)
 @click.option("--out-events", type=click.Path(), default=None)
 @click.option("--out-hidden", type=click.Path(), default=None)
-@_exit_on_error
 def simulate(model_path, entities, steps, horizon, seed, step_days, out_panel, out_events, out_hidden):
     """Simulate a migration panel or event stream from a model JSON."""
-    factor, law = _load_model(model_path)
+    factor, law = model_from_json(Path(model_path).read_text())
     try:
         per_rating = np.array([int(x) for x in entities.split(",")])
     except ValueError as exc:
@@ -78,7 +87,7 @@ def simulate(model_path, entities, steps, horizon, seed, step_days, out_panel, o
         pio.panel_to_csv(panel, out_panel)
         click.echo(f"wrote {panel.steps}-step panel to {out_panel}")
         if out_hidden:
-            _write_hidden_discrete(path, out_hidden)
+            pio._write_table(out_hidden, ["t", "state"], enumerate((path + 1).tolist()))
     else:
         if horizon is None:
             raise DataError("--horizon is required for a continuous model")
@@ -89,21 +98,8 @@ def simulate(model_path, entities, steps, horizon, seed, step_days, out_panel, o
         pio.events_to_csv(stream, out_events)
         click.echo(f"wrote {stream.n_events} events to {out_events}")
         if out_hidden:
-            _write_hidden_continuous(path, out_hidden)
-
-
-def _write_hidden_discrete(path, target):
-    with open(target, "w") as handle:
-        handle.write("t,state\n")
-        for t, s in enumerate(path):
-            handle.write(f"{t},{int(s) + 1}\n")
-
-
-def _write_hidden_continuous(path, target):
-    with open(target, "w") as handle:
-        handle.write("time,state\n")
-        for t, s in zip(path.times, path.states):
-            handle.write(f"{t!r},{int(s) + 1}\n")
+            rows = zip(path.times.tolist(), (path.states + 1).tolist())
+            pio._write_table(out_hidden, ["time", "state"], rows)
 
 
 @main.command()
@@ -112,45 +108,28 @@ def _write_hidden_continuous(path, target):
 @click.option("--states", required=True, type=int, help="Hidden state count m.")
 @click.option("--mode", type=click.Choice(["discrete", "continuous"]), default="discrete", show_default=True)
 @click.option("--step-days", type=int, default=1, show_default=True)
-@click.option("--subintervals", type=int, default=None, help="Spreading slots per step (continuous on panel data).")
-@click.option("--restarts", type=int, default=10, show_default=True)
-@click.option("--max-iters", type=int, default=500, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.option("--floor", type=float, default=1e-12, show_default=True)
+@click.option("--subintervals", type=int, default=None, help="Spreading slots per step (continuous mode).")
+@_em_options
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_exit_on_error
-def calibrate(panel_path, events_path, states, mode, step_days, subintervals,
-              restarts, max_iters, seed, tol, floor, out_path):
+def calibrate(panel_path, events_path, states, mode, step_days, subintervals, cfg, out_path):
     """Fit the hidden factor and migration law by multi-start EM."""
-    cfg = cal.EmConfig(restarts=restarts, max_iters=max_iters, tol=tol, seed=seed, floor=floor)
-    if mode == "discrete":
-        if panel_path is None:
-            raise DataError("discrete calibration needs --panel")
+    if mode == "continuous" and events_path is not None:
+        # aggregate to the reference step, then spread: raw timestamps
+        # rarely respect a regular fine grid
+        panel = cont.stream_to_panel(pio.events_from_csv(events_path), float(step_days))
+    elif panel_path is not None:
         panel = pio.panel_from_csv(panel_path, step_length_days=step_days)
-        result = cal.em_fit(panel, states, cfg)
     else:
-        if events_path is not None:
-            if subintervals is None:
-                raise DataError("continuous calibration needs --subintervals")
-            raw = pio.events_from_csv(events_path)
-            # aggregate to the reference step, then spread: raw timestamps
-            # rarely respect a regular fine grid
-            panel = cont.stream_to_panel(raw, float(step_days))
-            stream = cont.spread_jumps(panel, cont.SpreadConfig(subintervals, seed=seed))
-            fine_dt = step_days / subintervals
-            result = cal.em_fit_continuous(stream, states, cfg, fine_dt=fine_dt)
-        elif panel_path is not None:
-            if subintervals is None:
-                raise DataError("continuous calibration on a panel needs --subintervals")
-            panel = pio.panel_from_csv(panel_path, step_length_days=step_days)
-            stream = cont.spread_jumps(panel, cont.SpreadConfig(subintervals, seed=seed))
-            fine_dt = step_days / subintervals
-            result = cal.em_fit_continuous(stream, states, cfg, fine_dt=fine_dt)
-        else:
-            raise DataError("continuous calibration needs --events or --panel")
-    with open(out_path, "w") as handle:
-        handle.write(result.to_json())
+        sources = "--panel" if mode == "discrete" else "--events or --panel"
+        raise DataError(f"{mode} calibration needs {sources}")
+    if mode == "discrete":
+        result = cal.em_fit(panel, states, cfg)
+    elif subintervals is None:
+        raise DataError("continuous calibration needs --subintervals")
+    else:
+        stream = cont.spread_jumps(panel, cont.SpreadConfig(subintervals, seed=cfg.seed))
+        result = cal.em_fit_continuous(stream, states, cfg, fine_dt=step_days / subintervals)
+    Path(out_path).write_text(result.to_json())
     click.echo(
         f"restart {result.best_restart} won with loglik {result.loglik:.6f} "
         f"({'converged' if result.converged else 'iteration cap hit'}); wrote {out_path}"
@@ -167,11 +146,10 @@ def calibrate(panel_path, events_path, states, mode, step_days, subintervals,
 @click.option("--grid-dt", type=float, default=None, help="Integration cap (days) for the continuous filter.")
 @click.option("--report-dt", type=float, default=None, help="Reporting interval (days); defaults to --step-days.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_exit_on_error
 def filter_cmd(panel_path, events_path, model_path, step_days, subintervals, seed,
                grid_dt, report_dt, out_path):
     """Run the causal filter over a panel (discrete) or events (continuous)."""
-    factor, law = _load_model(model_path)
+    factor, law = model_from_json(Path(model_path).read_text())
     if factor.mode is Mode.DISCRETE:
         if panel_path is None:
             raise DataError("a discrete model filters a --panel")
@@ -202,23 +180,16 @@ def filter_cmd(panel_path, events_path, model_path, step_days, subintervals, see
 @click.option("--step-days", type=int, default=1, show_default=True,
               help="Forecast horizon for intensity models.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_exit_on_error
 def forecast(model_path, traj_path, step_days, out_path):
     """Recompute transition-probability forecasts from filtered states."""
-    factor, law = _load_model(model_path)
+    factor, law = model_from_json(Path(model_path).read_text())
     traj = pio.trajectory_from_csv(traj_path)
     if factor.mode is Mode.CONTINUOUS:
         mats = np.array([generator_to_transition(g, step_days) for g in law.per_state])
-        prob_law = MigrationLaw(per_state=mats, mode=Mode.DISCRETE)
-    else:
-        prob_law = law
-    nu = predict_transition_probs(prob_law, traj.probs_matrix())
+        law = MigrationLaw(per_state=mats, mode=Mode.DISCRETE)
+    nu = predict_transition_probs(law, traj.probs_matrix())
     rows = np.column_stack([traj.times(), nu.reshape(len(nu), -1)]).tolist()
-    with open(out_path, "w", newline="") as handle:
-        p = prob_law.p
-        header = ["t"] + [f"nu_{j + 1}_{k + 1}" for j in range(p) for k in range(p)]
-        handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    pio._write_table(out_path, ["t", *pio._columns("nu", law.p, law.p)], rows)
     click.echo(f"wrote {len(rows)} forecast rows to {out_path}")
 
 
@@ -227,16 +198,11 @@ def forecast(model_path, traj_path, step_days, out_path):
 @click.option("--panel", "panel_path", required=True, type=click.Path(exists=True))
 @click.option("--step-days", type=int, default=1, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_exit_on_error
 def evaluate(traj_path, panel_path, step_days, out_path):
     """Score forecasts against realized transition ratios (variance explained)."""
     traj = pio.trajectory_from_csv(traj_path)
     panel = pio.panel_from_csv(panel_path, step_length_days=step_days)
-    report = pio.evaluate_predictions(panel, traj)
-    with open(out_path, "w") as handle:
-        handle.write(report.to_json())
-    summary = ", ".join(f"{j + 1}->{k + 1}: {v:.3f}" for (j, k), v in sorted(report.r2.items()))
-    click.echo(f"R2 per transition: {summary or 'none scorable'}; wrote {out_path}")
+    _write_report(pio.evaluate_predictions(panel, traj), out_path, "R2 per transition")
 
 
 @main.command()
@@ -248,27 +214,18 @@ def evaluate(traj_path, panel_path, step_days, out_path):
 @click.option("--initial-days", type=int, default=365 * 8, show_default=True,
               help="History used for the first calibration.")
 @click.option("--refit-days", type=int, default=365, show_default=True)
-@click.option("--restarts", type=int, default=10, show_default=True)
-@click.option("--max-iters", type=int, default=500, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.option("--floor", type=float, default=1e-12, show_default=True)
+@_em_options
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_exit_on_error
 def backtest(ratings_path, alphabet, censor, states, step_days, initial_days,
-             refit_days, restarts, max_iters, seed, tol, floor, out_path):
+             refit_days, cfg, out_path):
     """Roll a periodically recalibrated model over a rating history."""
     labels = [x.strip() for x in alphabet.split(",") if x.strip()]
     paths = pio.ingest_ratings(ratings_path, labels, censor)
     panel = pio.build_panel(paths, step_days)
-    cfg = cal.EmConfig(restarts=restarts, max_iters=max_iters, tol=tol, seed=seed, floor=floor)
     initial_steps = max(1, initial_days // step_days)
     refit_every = max(1, refit_days // step_days)
     report = pio.rolling_backtest(panel, states, cfg, initial_steps, refit_every)
-    with open(out_path, "w") as handle:
-        handle.write(report.to_json())
-    summary = ", ".join(f"{j + 1}->{k + 1}: {v:.3f}" for (j, k), v in sorted(report.r2.items()))
-    click.echo(f"out-of-sample R2: {summary or 'none scorable'}; wrote {out_path}")
+    _write_report(report, out_path, "out-of-sample R2")
 
 
 if __name__ == "__main__":

@@ -157,7 +157,16 @@ def stream_to_panel(stream: EventStream, step_days: float) -> MigrationPanel:
     short = np.argwhere(stayers < 0)
     if short.size:
         t, j = (int(x) for x in short[0])
-        raise DataError(f"step {t}: more departures from rating {j} than exposure")
+        cause = f"step {t}: more departures from rating {j} than exposure"
+        try:
+            stream.exposure_snapshots()
+        except DataError as exc:
+            raise DataError(f"{cause}: {exc}") from exc
+        # a stream names no entities, so a count here is a move, not an entity
+        raise DataError(
+            f"{cause} at its start: an entity moved more than once within step {t}; "
+            "aggregate with a finer step_days"
+        )
     diagonal = np.arange(p)
     counts[:, diagonal, diagonal] = stayers
     return MigrationPanel(exposures, counts, step_length_days=step_days)

@@ -30,7 +30,6 @@ if TYPE_CHECKING:
     from .calibrate import EmConfig
 
 __all__ = [
-    "RatingEvent",
     "RatingPaths",
     "EvaluationReport",
     "ingest_ratings",
@@ -58,15 +57,6 @@ def _opened(source: str | io.TextIOBase, mode: str):
             yield handle
     else:
         yield source
-
-
-@dataclass(frozen=True)
-class RatingEvent:
-    """One posting in an entity's rating history."""
-
-    entity_id: str
-    date: dt.date
-    rating: str
 
 
 @dataclass(frozen=True)
@@ -432,53 +422,76 @@ def rolling_backtest(
 
 
 # ---------------------------------------------------------------------------
-# CSV formats
+# CSV formats.  Every numeric file is an optional ``# ...`` comment line, a
+# header, then rows exactly as wide as the header, floats written as their
+# ``repr`` (which reads back exactly) and ``\r\n`` line ends.
 # ---------------------------------------------------------------------------
+
+
+def _write_table(target, header, rows, comment: str | None = None) -> None:
+    """Write rows of ints, floats and blank ``""`` cells; the comment line
+    ends in ``\n``, as event files always have."""
+    with _opened(target, "w") as handle:
+        if comment is not None:
+            handle.write(f"# {comment}\n")
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+
+
+def _columns(prefix: str, *shape: int) -> list[str]:
+    """Header cells ``prefix_1..`` over ``shape`` in row-major order."""
+    return [prefix + "".join(f"_{i + 1}" for i in index) for index in np.ndindex(*shape)]
+
+
+def _read_table(source, what: str, layout):
+    """The comment line (None if absent), header, parsed rows and their line
+    numbers.  ``layout(comment, header)`` returns the row parser, and raises
+    :class:`DataError` to refuse the file or ``ValueError`` to refuse its
+    header line; blank rows are skipped, and a row not as wide as the header
+    or refused by the parser raises :class:`DataError` naming its line."""
+    with _opened(source, "r") as handle:
+        lines = handle.read().splitlines()
+    comment = lines[0] if lines and lines[0].startswith("#") else None
+    first = int(comment is not None)
+    header = lines[first].split(",") if first < len(lines) else []
+    rows, line_nos, line_no = [], [], first + 1
+    try:
+        parse = layout(comment, header)
+        for line_no, line in enumerate(lines[first + 1 :], start=first + 2):
+            if line.strip():
+                cells = line.split(",")
+                if len(cells) != len(header):
+                    raise ValueError(f"{len(cells)} fields, not {len(header)}")
+                rows.append(parse(cells))
+                line_nos.append(line_no)
+    except ValueError as exc:
+        raise DataError(f"{what} line {line_no}: {exc}") from exc
+    return comment, header, rows, line_nos
 
 
 def panel_to_csv(panel: MigrationPanel, target: str | io.TextIOBase) -> None:
     """Header ``t,Y_1..Y_p,N_1_1..N_p_p``; counts row-major per step."""
-    with _opened(target, "w") as handle:
-        writer = csv.writer(handle)
-        p = panel.p
-        header = (
-            ["t"]
-            + [f"Y_{j + 1}" for j in range(p)]
-            + [f"N_{j + 1}_{k + 1}" for j in range(p) for k in range(p)]
-        )
-        writer.writerow(header)
-        for t in range(panel.steps):
-            writer.writerow(
-                [t + 1]
-                + panel.exposures[t].tolist()
-                + panel.counts[t].ravel().tolist()
-            )
+    p, steps = panel.p, panel.steps
+    table = np.column_stack(
+        [np.arange(1, steps + 1), panel.exposures, panel.counts.reshape(steps, p * p)]
+    )
+    _write_table(target, ["t", *_columns("Y", p), *_columns("N", p, p)], table.tolist())
 
 
 def panel_from_csv(source: str | io.TextIOBase, step_length_days: float = 1) -> MigrationPanel:
-    with _opened(source, "r") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0] != "t":
-            raise DataError("panel CSV must start with header t,Y_1..,N_1_1..")
-        n_y = sum(1 for h in header if h.startswith("Y_"))
-        if n_y == 0 or len(header) != 1 + n_y + n_y * n_y:
-            raise DataError(f"panel CSV header has unexpected width {len(header)}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"panel CSV line {line_no}: {len(row)} fields, not {len(header)}")
-            try:
-                rows.append([int(x) for x in row])
-            except ValueError as exc:
-                raise DataError(f"panel CSV line {line_no}: {exc}") from exc
-        if not rows:
-            raise DataError("panel CSV holds no steps")
-        table = np.array(rows)
-        counts = table[:, 1 + n_y :].reshape(-1, n_y, n_y)
-        return MigrationPanel(table[:, 1 : 1 + n_y], counts, step_length_days=step_length_days)
+    def layout(_comment, header):
+        p = sum(1 for h in header if h.startswith("Y_"))
+        if p == 0 or header != ["t", *_columns("Y", p), *_columns("N", p, p)]:
+            raise DataError("panel CSV needs the header t,Y_1..Y_p,N_1_1..N_p_p")
+        return lambda cells: [int(x) for x in cells]
+
+    _, header, rows, _ = _read_table(source, "panel CSV", layout)
+    if not rows:
+        raise DataError("panel CSV holds no steps")
+    p = sum(1 for h in header if h.startswith("Y_"))
+    table = np.array(rows)
+    counts = table[:, 1 + p :].reshape(-1, p, p)
+    return MigrationPanel(table[:, 1 : 1 + p], counts, step_length_days=step_length_days)
 
 
 def trajectory_to_csv(trajectory: FilterTrajectory, target: str | io.TextIOBase) -> None:
@@ -486,56 +499,46 @@ def trajectory_to_csv(trajectory: FilterTrajectory, target: str | io.TextIOBase)
     before step/interval ``t`` (the final state row carries no forecast)."""
     probs, predicted = trajectory.probs_matrix(), trajectory.predicted_ratios
     p = predicted.shape[1] if predicted.size else 0
-    # the csv module writes a float as its repr, which round-trips exactly
+    header = ["t", *_columns("I", probs.shape[1]), *_columns("nu", p, p)]
     rows = np.column_stack([trajectory.times(), probs]).tolist()
     forecasts = predicted.reshape(predicted.shape[0], p * p).tolist()
     forecasts += [[""] * (p * p)] * (len(rows) - len(forecasts))
-    for row, nu in zip(rows, forecasts):
-        row += nu
-    with _opened(target, "w") as handle:
-        writer = csv.writer(handle)
-        header = (
-            ["t"]
-            + [f"I_{h + 1}" for h in range(probs.shape[1])]
-            + [f"nu_{j + 1}_{k + 1}" for j in range(p) for k in range(p)]
-        )
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_table(target, header, (row + nu for row, nu in zip(rows, forecasts)))
 
 
 def trajectory_from_csv(source: str | io.TextIOBase) -> FilterTrajectory:
-    """Inverse of :func:`trajectory_to_csv`; malformed input raises
-    :class:`DataError` naming its line."""
-    with _opened(source, "r") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0] != "t":
+    """Inverse of :func:`trajectory_to_csv`: every row but the last carries
+    a forecast, the last none; malformed input raises :class:`DataError`
+    naming its line."""
+
+    def layout(_comment, header):
+        if header[:1] != ["t"]:
             raise DataError("trajectory CSV must start with header t,I_1..")
         m = sum(1 for h in header if h.startswith("I_"))
         n_nu = len(header) - 1 - m
-        p = math.isqrt(n_nu)
-        if p * p != n_nu:
-            raise DataError(f"trajectory CSV line 1: {n_nu} nu_ columns do not form a p x p block")
-        rows = []
-        forecasts = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"trajectory CSV line {line_no}: {len(row)} fields, not {len(header)}")
-            try:
-                rows.append([float(x) for x in row[: 1 + m]])
-                if n_nu and row[1 + m] != "":
-                    forecasts.append([float(x) for x in row[1 + m :]])
-            except ValueError as exc:
-                raise DataError(f"trajectory CSV line {line_no}: {exc}") from exc
+        if math.isqrt(n_nu) ** 2 != n_nu:
+            raise ValueError(f"{n_nu} nu_ columns do not form a p x p block")
+        # a forecast is all blank, or every cell of it parses
+        return lambda cells: (
+            [float(x) for x in cells[: 1 + m]],
+            any(cells[1 + m :]) and [float(x) for x in cells[1 + m :]],
+        )
+
+    _, header, rows, line_nos = _read_table(source, "trajectory CSV", layout)
     if not rows:
         raise DataError("trajectory CSV holds no states")
-    table = np.array(rows)
+    for (_, nu), line_no in zip(rows[:-1], line_nos):
+        if not nu:
+            raise DataError(f"trajectory CSV line {line_no}: no forecast before the last row")
+    if rows[-1][1]:
+        raise DataError(f"trajectory CSV line {line_nos[-1]}: the last row carries a forecast")
+    states = np.array([state for state, _ in rows])
+    forecasts = np.array([nu for _, nu in rows[:-1]], dtype=float)
+    p = math.isqrt(len(header) - states.shape[1])
     return FilterTrajectory(
-        probs=table[:, 1:],
-        time_index=table[:, 0],
-        predicted_ratios=np.array(forecasts, dtype=float).reshape(len(forecasts), p, p),
+        probs=states[:, 1:],
+        time_index=states[:, 0],
+        predicted_ratios=forecasts.reshape(len(rows) - 1, p, p),
         loglik=np.nan,
     )
 
@@ -557,52 +560,34 @@ def events_to_csv(stream, target: str | io.TextIOBase) -> None:
                 "the event CSV holds no boundary exposures, and this stream's "
                 "differ from what its events imply (entry or censoring)"
             )
-    with _opened(target, "w") as handle:
-        y0 = ",".join(str(int(x)) for x in stream.initial_exposures)
-        handle.write(f"# exposures0={y0} horizon={stream.horizon!r}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["time", "from_rating", "to_rating"])
-        for i in range(stream.n_events):
-            writer.writerow(
-                [
-                    repr(float(stream.times[i])),
-                    int(stream.sources[i]) + 1,
-                    int(stream.targets[i]) + 1,
-                ]
-            )
+    y0 = ",".join(str(int(x)) for x in stream.initial_exposures)
+    rows = zip(stream.times.tolist(), (stream.sources + 1).tolist(), (stream.targets + 1).tolist())
+    comment = f"exposures0={y0} horizon={stream.horizon!r}"
+    _write_table(target, ["time", "from_rating", "to_rating"], rows, comment)
 
 
 def events_from_csv(source: str | io.TextIOBase):
     from .model import EventStream
 
-    with _opened(source, "r") as handle:
-        meta = handle.readline().strip()
-        if not meta.startswith("# exposures0="):
+    def layout(comment, header):
+        if comment is None or not comment.startswith("# exposures0="):
             raise DataError("event CSV must start with the exposures comment line")
-        try:
-            expo_part, horizon_part = meta[len("# exposures0=") :].split(" horizon=")
-            initial = np.array([int(x) for x in expo_part.split(",")])
-            horizon = float(horizon_part)
-        except ValueError as exc:
-            raise DataError(f"bad event CSV metadata line: {meta!r}") from exc
-        reader = csv.reader(handle)
-        header = next(reader, None)
         if header != ["time", "from_rating", "to_rating"]:
             raise DataError("event CSV needs header time,from_rating,to_rating")
-        times, sources, targets = [], [], []
-        for line_no, row in enumerate(reader, start=3):
-            if not row:
-                continue
-            try:
-                times.append(float(row[0]))
-                sources.append(int(row[1]) - 1)
-                targets.append(int(row[2]) - 1)
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"event CSV line {line_no}: {exc}") from exc
-        return EventStream(
-            times=np.array(times),
-            sources=np.array(sources, dtype=np.int64),
-            targets=np.array(targets, dtype=np.int64),
-            initial_exposures=initial,
-            horizon=horizon,
-        )
+        return lambda cells: (float(cells[0]), int(cells[1]) - 1, int(cells[2]) - 1)
+
+    meta, _, rows, _ = _read_table(source, "event CSV", layout)
+    try:
+        expo_part, horizon_part = meta[len("# exposures0=") :].split(" horizon=")
+        initial = np.array([int(x) for x in expo_part.split(",")])
+        horizon = float(horizon_part)
+    except ValueError as exc:
+        raise DataError(f"bad event CSV metadata line: {meta!r}") from exc
+    times, sources, targets = zip(*rows) if rows else ((), (), ())
+    return EventStream(
+        times=np.array(times, dtype=float),
+        sources=np.array(sources, dtype=np.int64),
+        targets=np.array(targets, dtype=np.int64),
+        initial_exposures=initial,
+        horizon=horizon,
+    )

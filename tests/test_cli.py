@@ -115,15 +115,21 @@ def test_pipeline_outputs_are_byte_deterministic(runner, model_file, tmp_path):
 
 def test_continuous_pipeline(runner, continuous_model_file, tmp_path):
     events = tmp_path / "events.csv"
+    hidden = tmp_path / "hidden.csv"
     out = runner.invoke(
         main,
         [
             "simulate", "--model", str(continuous_model_file), "--entities",
             "150,150,150", "--horizon", "60", "--seed", "2",
-            "--out-events", str(events),
+            "--out-events", str(events), "--out-hidden", str(hidden),
         ],
     )
     assert out.exit_code == 0, out.output
+    lines = hidden.read_text().splitlines()
+    assert lines[0] == "time,state"
+    path = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert path[0, 0] == 0.0 and np.all(np.diff(path[:, 0]) > 0)
+    assert set(path[:, 1]) <= {1.0, 2.0}
 
     traj = tmp_path / "ctraj.csv"
     out = runner.invoke(

@@ -1,0 +1,41 @@
+"""The narrative demos run to completion against the package in ``src``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("0[1-3]_*.py"))
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """One interpreter per demo, all started at once."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    procs = {
+        demo: subprocess.Popen(
+            [sys.executable, str(ROOT / "demos" / demo)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        for demo in DEMOS
+    }
+    yield procs
+    for proc in procs.values():
+        proc.kill()
+        proc.communicate()
+
+
+def test_three_demos_found():
+    assert len(DEMOS) == 3
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(runs, demo):
+    _, stderr = runs[demo].communicate(timeout=300)
+    assert runs[demo].returncode == 0, stderr

@@ -114,7 +114,11 @@ def loop_stream_to_panel(stream, step_days):
         for j in range(p):
             counts[t, j, j] = exposures[t, j] - counts[t, j].sum()
             if counts[t, j, j] < 0:
-                raise DataError(f"step {t}: more departures from rating {j} than exposure")
+                raise DataError(
+                    f"step {t}: more departures from rating {j} than exposure at its start: "
+                    f"an entity moved more than once within step {t}; "
+                    "aggregate with a finer step_days"
+                )
     return mf.MigrationPanel(exposures, counts, step_length_days=step_days)
 
 
@@ -202,6 +206,32 @@ class TestStreamWalker:
                 stream, width, loop_stream_to_panel
             )
         np.testing.assert_array_equal(stream.exposure_snapshots(), loop_snapshots(stream))
+
+    @pytest.mark.parametrize(
+        "sources, targets, initial, message",
+        [
+            # valid: the entity moves 0 -> 1 -> 2 within one step
+            ([0, 1], [1, 2], [1, 0, 0],
+             "step 0: more departures from rating 1 than exposure at its start: an entity "
+             "moved more than once within step 0; aggregate with a finer step_days"),
+            # invalid: the second event leaves rating 2, which holds nobody
+            ([0, 2], [1, 1], [1, 0, 0],
+             "step 0: more departures from rating 2 than exposure: "
+             "event 1 at t=0.6: departure from rating 2 with no exposure"),
+        ],
+        ids=["moved-twice", "departure-from-empty"],
+    )
+    def test_short_step_names_its_cause(self, sources, targets, initial, message):
+        stream = mf.EventStream(
+            times=np.array([0.3, 0.6]),
+            sources=np.array(sources),
+            targets=np.array(targets),
+            initial_exposures=np.array(initial),
+            horizon=1.0,
+        )
+        with pytest.raises(DataError) as err:
+            mf.stream_to_panel(stream, 1.0)
+        assert str(err.value) == message
 
     def test_event_within_tolerance_of_zero_stays_in_step_zero(self):
         stream = mf.EventStream(

@@ -11,6 +11,9 @@ from migfilter import panel_io as pio
 from migfilter.errors import DataError
 
 ALPHABET = ("A", "Baa", "Ba", "B", "C")
+PANEL_CSV = "t,Y_1,Y_2,N_1_1,N_1_2,N_2_1,N_2_2\n1,2,2,1,1,0,2\n"
+TRAJECTORY_CSV = "t,I_1,I_2,nu_1_1,nu_1_2,nu_2_1,nu_2_2\n"
+EVENT_CSV = "# exposures0=2,2 horizon=5.0\ntime,from_rating,to_rating\n"
 BASE = dt.date(2001, 1, 1)
 
 
@@ -418,11 +421,25 @@ class TestCsvFormats:
         with pytest.raises(DataError, match="boundary"):
             pio.events_to_csv(stream, io.StringIO())
 
-    @pytest.mark.parametrize("row", ["1,2,2,1,1,0\n", "1,2,2,1,1,0,2,5\n"])
-    def test_panel_row_of_wrong_width_names_its_line(self, row):
-        text = "t,Y_1,Y_2,N_1_1,N_1_2,N_2_1,N_2_2\n1,2,2,1,1,0,2\n" + row
-        with pytest.raises(DataError, match="panel CSV line 3: [68] fields, not 7"):
-            pio.panel_from_csv(io.StringIO(text))
+    @pytest.mark.parametrize(
+        "reader, text, message",
+        [
+            pytest.param(pio.panel_from_csv, PANEL_CSV + "1,2,2,1,1,0\n",
+                         "panel CSV line 3: 6 fields, not 7", id="panel-short"),
+            pytest.param(pio.panel_from_csv, PANEL_CSV + "1,2,2,1,1,0,2,5\n",
+                         "panel CSV line 3: 8 fields, not 7", id="panel-long"),
+            pytest.param(pio.events_from_csv, EVENT_CSV + "1.0,1,2,junk\n2.5,2,1,7\n",
+                         "event CSV line 3: 4 fields, not 3", id="events-long"),
+        ],
+    )
+    def test_row_of_wrong_width_names_its_line(self, reader, text, message):
+        with pytest.raises(DataError, match=message):
+            reader(io.StringIO(text))
+
+    def test_event_file_with_no_events_is_valid(self):
+        stream = pio.events_from_csv(io.StringIO(EVENT_CSV))
+        assert stream.n_events == 0
+        np.testing.assert_array_equal(stream.initial_exposures, [2, 2])
 
     @pytest.mark.parametrize(
         "text, message",
@@ -433,6 +450,14 @@ class TestCsvFormats:
              "1.0,0.5,0.5,0.9,0.1\n", "line 3: 5 fields, not 7"),
             ("t,I_1,I_2,nu_1_1,nu_1_2,nu_2_1\n0.0,0.5,0.5,0.9,0.1,0.2\n",
              "line 1: 3 nu_ columns do not form a p x p block"),
+            # read row by row, step 1 would take row 2's forecast
+            (TRAJECTORY_CSV + "0.0,0.5,0.5,0.9,0.1,0.2,0.8\n1.0,0.5,0.5,,,,\n"
+             "2.0,0.5,0.5,0.8,0.2,0.3,0.7\n3.0,0.5,0.5,0.7,0.3,0.4,0.6\n",
+             "line 3: no forecast before the last row"),
+            (TRAJECTORY_CSV + "0.0,0.5,0.5,0.9,0.1,0.2,0.8\n1.0,0.5,0.5,0.7,0.3,0.4,0.6\n",
+             "line 3: the last row carries a forecast"),
+            (TRAJECTORY_CSV + "0.0,0.5,0.5,,0.1,0.2,0.8\n1.0,0.5,0.5,,,,\n",
+             "line 2: could not convert string to float: ''"),
         ],
     )
     def test_malformed_trajectory_csv_names_its_line(self, text, message):

@@ -88,19 +88,23 @@ class EmConfig:
 class CalibrationResult:
     """Fitted parameters plus convergence diagnostics.
 
-    ``loglik_trace`` is the best restart's per-iteration log-likelihood
-    (evaluated at the parameters entering each iteration); traces are
-    non-decreasing up to the configured tolerances.
+    ``restart_traces[r]`` is restart ``r``'s per-iteration log-likelihood
+    (evaluated at the parameters entering each iteration; empty for a
+    failed restart); traces are non-decreasing up to the configured
+    tolerances.  ``loglik_trace`` is the best restart's.
     """
 
     factor: HiddenFactorSpec
     law: MigrationLaw
-    loglik_trace: np.ndarray
     best_restart: int
     converged: bool
-    restart_traces: tuple[np.ndarray, ...] = ()
-    restart_seeds: tuple[int, ...] = ()
+    restart_traces: tuple[np.ndarray, ...]
+    restart_seeds: tuple[int, ...]
     fine_dt: float | None = None
+
+    @property
+    def loglik_trace(self) -> np.ndarray:
+        return self.restart_traces[self.best_restart]
 
     @property
     def loglik(self) -> float:
@@ -162,21 +166,6 @@ def _panel_log_weights(panel: MigrationPanel, law: MigrationLaw) -> np.ndarray:
         hits = (counts > 0).astype(float) @ zero_mask.reshape(m, p * p).T
         logg[hits > 0] = -np.inf
     return logg
-
-
-def _unknown_initial_log_weights(panel: MigrationPanel, law: MigrationLaw) -> np.ndarray:
-    """First-step weights when initial ratings are treated as unobserved:
-    each entity's start is drawn from the initial empirical rating mix."""
-    n = panel.exposures[0].sum()
-    if n == 0:
-        return np.zeros(law.n_states)
-    mix = panel.exposures[0] / n
-    landed = panel.counts[0].sum(axis=0).astype(float)
-    arrival = np.einsum("j,ijk->ik", mix, law.per_state)
-    with np.errstate(divide="ignore"):
-        log_arrival = np.log(arrival)
-    w = np.where(landed[None, :] > 0, landed[None, :] * log_arrival, 0.0)
-    return w.sum(axis=1)
 
 
 def _max_axis1(x: np.ndarray) -> np.ndarray:
@@ -327,27 +316,19 @@ def _backward(logg: np.ndarray, trans: np.ndarray) -> BackwardResult:
 
 
 def forward_pass(
-    panel: MigrationPanel,
-    factor: HiddenFactorSpec,
-    law: MigrationLaw,
-    observed_initial_ratings: bool = True,
+    panel: MigrationPanel, factor: HiddenFactorSpec, law: MigrationLaw
 ) -> ForwardResult:
-    """Scaled forward recursion over the panel.
+    """Scaled forward recursion over the panel, conditioned on the observed
+    time-zero ratings.
 
     Row ``t`` of ``alpha`` refers to the hidden state driving step ``t``
-    (the state in force at the step's start).  ``observed_initial_ratings``
-    conditions on the known time-zero ratings; the alternative replaces them
-    by the empirical initial mix.
+    (the state in force at the step's start).
     """
-    logg = _panel_log_weights(panel, law)
-    if not observed_initial_ratings and panel.steps > 0:
-        logg = logg.copy()
-        logg[0] = _unknown_initial_log_weights(panel, law)
     if panel.steps == 0:
         return ForwardResult(
             alpha=np.empty((0, factor.m)), log_scale=np.empty(0), loglik=0.0
         )
-    return _forward(logg, factor.pi, factor.trans)
+    return _forward(_panel_log_weights(panel, law), factor.pi, factor.trans)
 
 
 def backward_pass(
@@ -367,7 +348,6 @@ def posteriors(
     panel: MigrationPanel,
     factor: HiddenFactorSpec,
     law: MigrationLaw,
-    observed_initial_ratings: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smoothing posteriors of the hidden chain given the whole sample.
 
@@ -379,11 +359,7 @@ def posteriors(
     if panel.steps == 0:
         m = factor.m
         return np.empty((0, m)), np.empty((0, m, m))
-    logg = _panel_log_weights(panel, law)
-    if not observed_initial_ratings:
-        logg = logg.copy()
-        logg[0] = _unknown_initial_log_weights(panel, law)
-    return _posteriors_from(logg, fwd, bwd, factor.trans)
+    return _posteriors_from(_panel_log_weights(panel, law), fwd, bwd, factor.trans)
 
 
 def _posteriors_from(
@@ -473,11 +449,11 @@ def em_fit(panel: MigrationPanel, m: int, cfg: EmConfig) -> CalibrationResult:
     return _multi_start(panel, m, panel.p, cfg, _discrete_e_and_m)
 
 
-def _multi_start(panel, m, p, cfg, e_and_m, fixed_per_state=None) -> CalibrationResult:
-    """Run ``cfg.restarts`` EM restarts from seeded random starts (migration
-    laws pinned to ``fixed_per_state`` when given) and return the best one,
-    states relabeled from least to most risky.  Restarts that hit an
-    impossible observation count as failed; all failing is a ModelError."""
+def _multi_start(panel, m, p, cfg, e_and_m) -> CalibrationResult:
+    """Run ``cfg.restarts`` EM restarts from seeded random starts and return
+    the best one, states relabeled from least to most risky.  Restarts that
+    hit an impossible observation count as failed; all failing is a
+    ModelError."""
     master = np.random.default_rng(cfg.seed)
     seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=cfg.restarts)]
     traces: list[np.ndarray] = []
@@ -486,8 +462,6 @@ def _multi_start(panel, m, p, cfg, e_and_m, fixed_per_state=None) -> Calibration
     failures: list[str] = []
     for seed in seeds:
         pi, trans, per_state = _random_init(np.random.default_rng(seed), m, p, cfg.floor)
-        if fixed_per_state is not None:
-            per_state = fixed_per_state.copy()
         try:
             trace, params, conv = _em_single(panel, pi, trans, per_state, cfg, e_and_m)
         except ImpossibleObservationError as exc:
@@ -512,7 +486,6 @@ def _multi_start(panel, m, p, cfg, e_and_m, fixed_per_state=None) -> Calibration
     return CalibrationResult(
         factor=factor,
         law=law,
-        loglik_trace=traces[best],
         best_restart=best,
         converged=converged_flags[best],
         restart_traces=tuple(traces),
@@ -601,20 +574,15 @@ def _picker_log_weights(
     return logw
 
 
-def picker_weights(
-    panel_fine: MigrationPanel,
-    law: MigrationLaw,
-    n_bar: float | None = None,
-) -> np.ndarray:
+def picker_weights(panel_fine: MigrationPanel, law: MigrationLaw) -> np.ndarray:
     """Interval likelihood matrix of a fine-grid panel, shape (steps, m).
 
-    ``n_bar`` defaults to the largest per-interval entity total; it must
-    dominate every interval.  Weights are strictly positive whenever the law
-    has no exact zeros (flooring guarantees that during calibration).
+    The picker draws from ``n_bar`` slots, the largest per-interval entity
+    total.  Weights are strictly positive whenever the law has no exact
+    zeros (flooring guarantees that during calibration).
     """
     exposures, src, dst = _fine_grid_from_panel(panel_fine)
-    if n_bar is None:
-        n_bar = float(exposures.sum(axis=1).max(initial=0))
+    n_bar = float(exposures.sum(axis=1).max(initial=0))
     return np.exp(_picker_log_weights(exposures, src, dst, law.per_state, n_bar))
 
 
@@ -652,33 +620,29 @@ def _optimize_picker_rows(
     """
     p = start.shape[0]
     c_nj = 1.0 - y_nj.sum(axis=1) / n_bar
+    jump_row_mass = jump_mass.sum(axis=1)
 
-    def q_of(mat: np.ndarray) -> float:
+    def q_of(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """The objective, with the diagonal and no-jump weights its
+        gradient reuses."""
         with np.errstate(divide="ignore"):
             log_mat = np.log(mat)
         jump_term = float(np.sum(np.where(jump_mass > 0, jump_mass * log_mat, 0.0)))
-        w = c_nj + (y_nj @ np.diag(mat).copy()) / n_bar
-        nojump_term = float(u_nj @ np.log(w))
-        return jump_term + nojump_term
-
-    jump_row_mass = jump_mass.sum(axis=1)
+        diag = np.diag(mat).copy()
+        w = c_nj + (y_nj @ diag) / n_bar
+        return jump_term + float(u_nj @ np.log(w)), diag, w
 
     def neg_q_and_grad(x: np.ndarray):
         mat = _row_softmax(x.reshape(p, p))
-        with np.errstate(divide="ignore"):
-            log_mat = np.log(mat)
-        jump_term = np.sum(np.where(jump_mass > 0, jump_mass * log_mat, 0.0))
-        diag = np.diag(mat).copy()
-        w = c_nj + (y_nj @ diag) / n_bar
-        nojump_term = u_nj @ np.log(w)
+        q, diag, w = q_of(mat)
         # gradient in logits, division-free through the softmax chain rule
         grad_x = jump_mass - mat * jump_row_mass[:, None]
         d_diag = ((u_nj / w) @ y_nj / n_bar) * diag
         grad_x -= mat * d_diag[:, None]
         grad_x[np.diag_indices(p)] += d_diag
-        return -(jump_term + nojump_term), -grad_x.ravel()
+        return -q, -grad_x.ravel()
 
-    q_start = q_of(start)
+    q_start, _, _ = q_of(start)
     x0 = np.log(np.maximum(start, floor)).ravel()
     res = minimize(
         neg_q_and_grad,
@@ -690,47 +654,38 @@ def _optimize_picker_rows(
     mat = _row_softmax(res.x.reshape(p, p))
     mat = np.maximum(mat, floor)
     mat /= mat.sum(axis=1, keepdims=True)
-    if q_of(mat) + 1e-12 * (1.0 + abs(q_start)) < q_start:
+    if q_of(mat)[0] + 1e-12 * (1.0 + abs(q_start)) < q_start:
         return start
     return mat
 
 
 def em_fit_continuous(
-    data: EventStream | MigrationPanel,
+    events: EventStream,
     m: int,
     cfg: EmConfig,
     fine_dt: float | None = None,
     to_generator: bool = True,
-    fixed_law: MigrationLaw | None = None,
 ) -> CalibrationResult:
     """Multi-start EM fit adapted to event data with no simultaneous jumps.
 
-    ``data`` is either an event stream (binned onto intervals of
-    ``fine_dt``, which must isolate every jump) or an already-fine panel.
-    Interval likelihoods come from the uniform picker model; the hidden
-    chain's updates are closed form while the migration rows are maximized
-    numerically (an iteration only ever accepts a non-decreasing objective).
-    The fitted fine-grid probabilities are returned as intensity matrices
-    when ``to_generator`` is set.
-
-    Passing ``fixed_law`` (a discrete picker-convention law) pins the
-    migration matrices and calibrates the hidden chain alone.
+    The stream is binned onto intervals of ``fine_dt`` (required), which
+    must isolate every jump.  Interval likelihoods come from the uniform
+    picker model; the hidden chain's updates are closed form while the
+    migration rows are maximized numerically (an iteration only ever
+    accepts a non-decreasing objective).  The fitted fine-grid
+    probabilities are returned as intensity matrices when ``to_generator``
+    is set.
 
     Conversion note: the fitted migration matrix is the law of a *picked*
     entity, and an entity is picked once per ``n_bar`` intervals on average,
     so its intensities are ``(L - I) / (n_bar * fine_dt)``; the hidden chain
     moves every interval, so its generator is ``(K - I) / fine_dt``.
     """
-    if isinstance(data, EventStream):
-        if fine_dt is None:
-            raise DataError("fine_dt is required when calibrating on an event stream")
-        from .continuous import stream_to_panel
+    if fine_dt is None:
+        raise DataError("fine_dt is required when calibrating on an event stream")
+    from .continuous import stream_to_panel
 
-        exposures, src, dst = _fine_grid_from_panel(stream_to_panel(data, fine_dt))
-    else:
-        exposures, src, dst = _fine_grid_from_panel(data)
-        if fine_dt is None:
-            fine_dt = float(data.step_length_days)
+    exposures, src, dst = _fine_grid_from_panel(stream_to_panel(events, fine_dt))
     if exposures.shape[0] == 0:
         raise DataError("cannot calibrate on an empty sample")
     if m < 1:
@@ -741,8 +696,6 @@ def em_fit_continuous(
     n_bar = float(exposures.sum(axis=1).max(initial=0))
     if n_bar <= 0:
         raise DataError("sample holds no entities")
-    if fixed_law is not None and (fixed_law.n_states != m or fixed_law.p != p):
-        raise ModelError("fixed_law dimensions do not match the data/model")
     nojump = src < 0
 
     def e_and_m(_panel, pi, trans, per_state, cfg):
@@ -751,8 +704,6 @@ def em_fit_continuous(
         bwd = _backward(logw, trans)
         u, v = _posteriors_from(logw, fwd, bwd, trans)
         new_pi, new_trans = _chain_m_step(u, v)
-        if fixed_law is not None:
-            return fwd.loglik, (new_pi, new_trans, per_state)
         jump_mass = _jump_posterior_mass(u, src, dst, m, p)
         u_nj = u[nojump]
         y_nj = exposures[nojump].astype(float)
@@ -764,10 +715,7 @@ def em_fit_continuous(
         ])
         return fwd.loglik, (new_pi, new_trans, new_per_state)
 
-    result = _multi_start(
-        None, m, p, cfg, e_and_m,
-        fixed_per_state=None if fixed_law is None else fixed_law.per_state,
-    )
+    result = _multi_start(None, m, p, cfg, e_and_m)
     if to_generator:
         result = replace(
             result,

@@ -95,33 +95,24 @@ def spread_jumps(panel: MigrationPanel, cfg: SpreadConfig) -> EventStream:
     rng = np.random.default_rng(cfg.seed)
     d = float(panel.step_length_days)
     slot_width = d / cfg.subintervals_per_step
-
-    times: list[float] = []
-    sources: list[int] = []
-    targets: list[int] = []
-    for t in range(panel.steps):
-        n_jumps = int(per_step_jumps[t])
-        if n_jumps == 0:
-            continue
-        labels = np.repeat(
-            np.arange(p * p), panel.counts[t].ravel() * off.ravel().astype(np.int64)
-        )
-        slots = np.sort(rng.choice(cfg.subintervals_per_step, size=n_jumps, replace=False))
-        labels = rng.permutation(labels)
-        for slot, label in zip(slots, labels):
-            times.append(t * d + (slot + 0.5) * slot_width)
-            j, k = divmod(int(label), p)
-            sources.append(j)
-            targets.append(k)
+    # per step: the jumps' slot midpoints, then their (source, target)
+    # labels ``source * p + target`` in shuffled order
+    jump_cells = panel.counts.reshape(panel.steps, p * p) * off.ravel()
+    times, labels = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    for t in np.flatnonzero(per_step_jumps):
+        slots = rng.choice(cfg.subintervals_per_step, size=per_step_jumps[t], replace=False)
+        times.append(t * d + (np.sort(slots) + 0.5) * slot_width)
+        labels.append(rng.permutation(np.repeat(np.arange(p * p), jump_cells[t])))
+    sources, targets = np.divmod(np.concatenate(labels), p)
     boundary_times = None
     boundary_exposures = None
     if panel.steps > 1:
         boundary_times = np.arange(1, panel.steps) * d
         boundary_exposures = panel.exposures[1:]
     return EventStream(
-        times=np.array(times, dtype=float),
-        sources=np.array(sources, dtype=np.int64),
-        targets=np.array(targets, dtype=np.int64),
+        times=np.concatenate(times),
+        sources=sources,
+        targets=targets,
         initial_exposures=panel.exposures[0],
         horizon=panel.steps * d,
         boundary_times=boundary_times,
@@ -255,7 +246,6 @@ def continuous_jump_update(
             f"transition {j}->{k} has zero intensity under every hidden state "
             "carrying filter mass",
             time_index=state.time_index,
-            transitions=[(j, k)],
         )
     return FilterState(posterior, time_index=state.time_index)
 
@@ -348,7 +338,6 @@ def run_continuous_filter(
                 raise ImpossibleObservationError(
                     f"event {e} ({j}->{k} at t={t}) has zero predicted intensity",
                     time_index=t,
-                    transitions=[(j, k)],
                 )
             loglik += float(np.log(event_intensity))
             probs = posterior
@@ -368,5 +357,4 @@ def run_continuous_filter(
         predicted_ratios=np.array([np.tensordot(row, step_matrices, axes=1) for row in laws[:-1]]),
         loglik=loglik,
         prediction_parts=pred_parts,
-        correction_parts=np.diff(laws, axis=0) - pred_parts,
     )

@@ -26,10 +26,9 @@ class ModelError(MigfilterError):
 class ImpossibleObservationError(ModelError):
     """An observed outcome has zero probability under every hidden state."""
 
-    def __init__(self, message, time_index=None, transitions=None):
+    def __init__(self, message, time_index=None):
         super().__init__(message)
         self.time_index = time_index
-        self.transitions = transitions
 
 
 class NumericalError(MigfilterError):

@@ -46,12 +46,14 @@ class FilterTrajectory:
     and projected onto the simplex by the rule of :class:`FilterState`.
     ``predicted_ratios[t]`` is the (p, p) forecast issued *before* observing
     step ``t``; ``loglik`` sums each observed step's log-probability under
-    the one-step-ahead predictive law.
+    the one-step-ahead predictive law.  ``n_steps + 1`` rows of ``probs``
+    need ``n_steps + 1`` time indices and ``n_steps`` forecasts, or
+    :class:`ModelError` is raised.
 
     Continuous runs additionally report, per reporting interval, how much of
     the filtered law's movement came from the hidden chain's own drift
-    (``prediction_parts``) versus the observation updates
-    (``correction_parts``).
+    (``prediction_parts``, ``n_steps`` rows); the rest of the movement came
+    from the observation updates (``correction_parts``, derived).
     """
 
     probs: np.ndarray
@@ -59,15 +61,32 @@ class FilterTrajectory:
     predicted_ratios: np.ndarray
     loglik: float
     prediction_parts: np.ndarray | None = None
-    correction_parts: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _checked_laws(np.atleast_2d(self.probs)))
         object.__setattr__(self, "time_index", _freeze(self.time_index))
+        n = self.n_steps
+        if self.time_index.shape != (n + 1,):
+            raise ModelError(
+                f"{n + 1} filtered laws need {n + 1} time indices, "
+                f"got shape {self.time_index.shape}"
+            )
+        for name in ("predicted_ratios", "prediction_parts"):
+            rows = getattr(self, name)
+            if rows is not None and len(rows) != n:
+                raise ModelError(f"{n + 1} filtered laws need {n} rows of {name}, got {len(rows)}")
 
     @property
     def n_steps(self) -> int:
         return self.probs.shape[0] - 1
+
+    @property
+    def correction_parts(self) -> np.ndarray | None:
+        """Per reporting interval, the law's movement minus the chain's
+        drift; ``None`` without ``prediction_parts``."""
+        if self.prediction_parts is None:
+            return None
+        return np.diff(self.probs, axis=0) - self.prediction_parts
 
     @property
     def states(self) -> tuple[FilterState, ...]:

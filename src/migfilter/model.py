@@ -452,18 +452,13 @@ def predict_transition_probs(law: MigrationLaw, state: FilterState | np.ndarray)
     return np.tensordot(probs, law.per_state, axes=1)
 
 
-def generator_to_transition(gen: np.ndarray, dt: float, exact: bool = False) -> np.ndarray:
-    """Convert an intensity matrix to a ``dt``-step probability matrix.
-
-    Default is the small-step linearization ``I + gen*dt`` (entries clipped
-    to [0, 1] and rows renormalized if the step is not small); ``exact=True``
-    uses the matrix exponential instead.
+def generator_to_transition(gen: np.ndarray, dt: float) -> np.ndarray:
+    """Convert an intensity matrix to a ``dt``-step probability matrix by
+    the small-step linearization ``I + gen*dt`` (entries clipped to [0, 1]
+    and rows renormalized if the step is not small), the inverse of
+    :func:`transition_to_generator`.
     """
     gen = np.asarray(gen, dtype=float)
-    if exact:
-        from scipy.linalg import expm
-
-        return expm(gen * dt)
     out = np.eye(gen.shape[-1]) + gen * dt
     if np.any(out < 0):
         out = np.clip(out, 0.0, None)

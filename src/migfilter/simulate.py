@@ -76,10 +76,6 @@ class PiecewisePath:
         object.__setattr__(self, "times", _freeze(np.atleast_1d(self.times)))
         object.__setattr__(self, "states", _freeze_int(np.atleast_1d(self.states)))
 
-    def state_at(self, t: float) -> int:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return int(self.states[max(idx, 0)])
-
 
 def _check_mode(factor: HiddenFactorSpec, config: SimulationConfig) -> None:
     if factor.mode is not config.mode:

@@ -46,26 +46,6 @@ class TestForwardPass:
         assert fwd.loglik == pytest.approx(np.log(base.sum()), abs=1e-12)
         np.testing.assert_allclose(fwd.alpha[0], base / base.sum(), atol=1e-12)
 
-    def test_unknown_initial_ratings_variant(self):
-        pi = np.array([0.5, 0.5])
-        trans = np.eye(2)
-        per_state = np.array(
-            [[[0.9, 0.1], [0.2, 0.8]], [[0.6, 0.4], [0.5, 0.5]]]
-        )
-        panel = mf.MigrationPanel(np.array([[1, 1]]), np.array([[[1, 0], [0, 1]]]))
-        fwd = mf.forward_pass(
-            panel,
-            mf.HiddenFactorSpec(pi, trans),
-            mf.MigrationLaw(per_state),
-            observed_initial_ratings=False,
-        )
-        # start ratings drawn from the split (1/2, 1/2); one entity landed in
-        # each rating class
-        mix = np.array([0.5, 0.5])
-        arrive = np.einsum("j,ijk->ik", mix, per_state)
-        base = pi * arrive[:, 0] * arrive[:, 1]
-        assert fwd.loglik == pytest.approx(np.log(base.sum()), abs=1e-12)
-
     def test_matches_enumeration(self, rng):
         for _ in range(6):
             panel, factor, law = random_instance(rng)
@@ -334,7 +314,7 @@ class TestPickerWeights:
         panel = mf.MigrationPanel(np.array([[2, 2]]), counts)
         per_state = np.array([[[0.95, 0.05], [0.1, 0.9]], [[0.8, 0.2], [0.3, 0.7]]])
         law = mf.MigrationLaw(per_state)
-        w = mf.picker_weights(panel, law, n_bar=4)
+        w = mf.picker_weights(panel, law)  # n_bar = 4
         assert w[0, 0] / w[0, 1] == pytest.approx(0.05 / 0.2)
 
     def test_two_jump_interval_rejected(self):
@@ -451,26 +431,6 @@ class TestEmFitContinuous:
             trace = res.loglik_trace
             diffs = np.diff(trace)
             assert np.all(diffs >= -1e-7 * np.maximum(np.abs(trace[:-1]), 1.0))
-
-    def test_fixed_law_recovers_hidden_chain(self):
-        stream, fine_dt, factor, law, _ = self.make_fine_stream(
-            seed=11, steps=400, entities=60, m=2, spread=8.0
-        )
-        # express the true daily rates in the picker convention: a picked
-        # entity is reviewed once per n_bar intervals
-        gen = mf.transition_to_generator(law.per_state, 1.0)
-        n_bar = 2 * 60  # closed cohort: every interval holds all entities
-        picker_mats = np.array(
-            [mf.generator_to_transition(g, n_bar * fine_dt) for g in gen]
-        )
-        cfg = mf.EmConfig(restarts=2, max_iters=60, seed=2, tol=1e-10)
-        res = mf.em_fit_continuous(
-            stream, 2, cfg, fine_dt=fine_dt, to_generator=True,
-            fixed_law=mf.MigrationLaw(picker_mats),
-        )
-        # compare the fitted hidden generator against the daily chain's one
-        true_gen = mf.transition_to_generator(factor.trans, 1.0)
-        assert np.abs(res.factor.trans - true_gen).max() < 0.05
 
     def test_recovers_true_intensities_through_spreading(self):
         # a genuinely continuous sample, aggregated to days and re-spread,

@@ -1,4 +1,5 @@
-"""The narrative demos run to completion against the package in ``src``."""
+"""The narrative demos and the CLI pipeline demo run to completion against
+the package in ``src``."""
 
 import os
 import subprocess
@@ -39,3 +40,26 @@ def test_three_demos_found():
 def test_demo_runs(runs, demo):
     _, stderr = runs[demo].communicate(timeout=300)
     assert runs[demo].returncode == 0, stderr
+
+
+def test_cli_pipeline_demo_runs(tmp_path):
+    """``demos/04`` calls ``migfilter`` and ``python3``; shims first on PATH
+    run both with this interpreter against the package in ``src``."""
+    for name, command in (("migfilter", "-m migfilter.cli"), ("python3", "")):
+        shim = tmp_path / name
+        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" {command} "$@"\n')
+        shim.chmod(0o755)
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(ROOT / "src"),
+        "PATH": f"{tmp_path}{os.pathsep}{os.environ['PATH']}",
+    }
+    done = subprocess.run(
+        ["bash", str(ROOT / "demos" / "04_cli_pipeline.sh")],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

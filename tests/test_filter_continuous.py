@@ -83,6 +83,42 @@ class TestSpreadJumps:
         np.testing.assert_array_equal(a.sources, b.sources)
         np.testing.assert_array_equal(a.targets, b.targets)
 
+    @pytest.mark.parametrize("step_days, seed", [(1, 0), (30, 4), (0.5, 7)])
+    def test_matches_per_event_loop(self, step_days, seed):
+        factor, law = mf.demo_model(3, 3, spread=6.0)
+        cfg = mf.SimulationConfig(np.array([60, 40, 20]), 30, seed=seed)
+        panel, _ = mf.simulate_panel_discrete(factor, law, cfg)
+        panel = mf.MigrationPanel(panel.exposures, panel.counts, step_length_days=step_days)
+        spread_cfg = mf.SpreadConfig(40, seed=seed + 1)
+        stream = mf.spread_jumps(panel, spread_cfg)
+        times, sources, targets = loop_spread_events(panel, spread_cfg)
+        assert stream.times.tobytes() == times.tobytes()
+        np.testing.assert_array_equal(stream.sources, sources)
+        np.testing.assert_array_equal(stream.targets, targets)
+
+
+def loop_spread_events(panel, cfg):
+    """Reference for ``spread_jumps``' events: the per-event loop it
+    replaced, with the same random draws in the same order."""
+    p = panel.p
+    off = ~np.eye(p, dtype=bool)
+    rng = np.random.default_rng(cfg.seed)
+    d = float(panel.step_length_days)
+    slot_width = d / cfg.subintervals_per_step
+    times, sources, targets = [], [], []
+    for t in range(panel.steps):
+        n_jumps = int(panel.counts[t][off].sum())
+        if n_jumps == 0:
+            continue
+        labels = np.repeat(np.arange(p * p), panel.counts[t].ravel() * off.ravel())
+        slots = np.sort(rng.choice(cfg.subintervals_per_step, size=n_jumps, replace=False))
+        for slot, label in zip(slots, rng.permutation(labels)):
+            times.append(t * d + (slot + 0.5) * slot_width)
+            j, k = divmod(int(label), p)
+            sources.append(j)
+            targets.append(k)
+    return np.array(times, dtype=float), np.array(sources), np.array(targets)
+
 
 def loop_stream_to_panel(stream, step_days):
     """Reference for ``stream_to_panel``: the step-by-step walk it replaced

@@ -102,6 +102,26 @@ class TestFilterTrajectory:
                 loglik=0.0,
             )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("predicted_ratios", np.full((1, 2, 2), 0.5), r"need 2 rows of predicted_ratios, got 1"),
+            ("time_index", np.arange(5.0), r"need 3 time indices, got shape \(5,\)"),
+            ("time_index", np.zeros((3, 1)), r"need 3 time indices, got shape \(3, 1\)"),
+            ("prediction_parts", np.zeros((3, 2)), r"need 2 rows of prediction_parts, got 3"),
+        ],
+    )
+    def test_row_counts_must_agree(self, field, value, message):
+        fields = {
+            "probs": np.full((3, 2), 0.5),
+            "time_index": np.arange(3.0),
+            "predicted_ratios": np.full((2, 2, 2), 0.5),
+            "loglik": 0.0,
+            field: value,
+        }
+        with pytest.raises(ModelError, match=message):
+            mf.FilterTrajectory(**fields)
+
     def test_rows_are_projected_like_filter_states(self, rng):
         probs = rng.dirichlet(np.ones(3), size=50)
         probs[::3] *= 1.0 + 5e-11

@@ -583,6 +583,8 @@ def picker_weights(panel_fine: MigrationPanel, law: MigrationLaw) -> np.ndarray:
     """
     exposures, src, dst = _fine_grid_from_panel(panel_fine)
     n_bar = float(exposures.sum(axis=1).max(initial=0))
+    if n_bar <= 0:
+        raise DataError("sample holds no entities")
     return np.exp(_picker_log_weights(exposures, src, dst, law.per_state, n_bar))
 
 

@@ -42,8 +42,9 @@ class FilterTrajectory:
     """Output of a filtering run.
 
     ``probs[t]`` is the filtered law at grid time ``time_index[t]`` (row 0
-    the initial law); both arrays are read-only, and every row is checked
-    and projected onto the simplex by the rule of :class:`FilterState`.
+    the initial law); every array is read-only, and every row of ``probs``
+    is checked and projected onto the simplex by the rule of
+    :class:`FilterState`.
     ``predicted_ratios[t]`` is the (p, p) forecast issued *before* observing
     step ``t``; ``loglik`` sums each observed step's log-probability under
     the one-step-ahead predictive law.  ``n_steps + 1`` rows of ``probs``
@@ -65,6 +66,9 @@ class FilterTrajectory:
     def __post_init__(self):
         object.__setattr__(self, "probs", _checked_laws(np.atleast_2d(self.probs)))
         object.__setattr__(self, "time_index", _freeze(self.time_index))
+        object.__setattr__(self, "predicted_ratios", _freeze(self.predicted_ratios))
+        if self.prediction_parts is not None:
+            object.__setattr__(self, "prediction_parts", _freeze(self.prediction_parts))
         n = self.n_steps
         if self.time_index.shape != (n + 1,):
             raise ModelError(

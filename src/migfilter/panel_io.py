@@ -306,19 +306,34 @@ class EvaluationReport:
     skipped: tuple[tuple[int, int], ...] = ()
 
     def to_json(self) -> str:
+        """The report as ``json.dumps(doc, indent=2)`` renders it, byte for
+        byte.  That indenting encoder is pure Python, so each series list,
+        most of the text, is rendered by the C encoder and spliced in."""
         doc = {
             "step_length_days": self.step_length_days,
             "r2": {f"{j}->{k}": val for (j, k), val in self.r2.items()},
             "skipped": [f"{j}->{k}" for j, k in self.skipped],
             "series": {
-                f"{j}->{k}": {
-                    "predicted": pred.tolist(),
-                    "realized": real.tolist(),
-                }
-                for (j, k), (pred, real) in self.series.items()
+                f"{j}->{k}": {"predicted": _SLOT, "realized": _SLOT} for j, k in self.series
             },
         }
-        return json.dumps(doc, indent=2)
+        parts = json.dumps(doc, indent=2).split(json.dumps(_SLOT))
+        lists = (_series_json(values.tolist()) for pair in self.series.values() for values in pair)
+        return parts[0] + "".join(text + part for text, part in zip(lists, parts[1:]))
+
+
+# stands in for each series list in the report skeleton; no key or label
+# of the report renders as this string's JSON
+_SLOT = "\0"
+
+
+def _series_json(values: list) -> str:
+    """A series list as ``json.dumps(..., indent=2)`` renders it at the
+    depth of the report's series (items 8 spaces in, the bracket 6)."""
+    if not values:
+        return "[]"
+    items = json.dumps(values, separators=(",\n" + 8 * " ", ": "))[1:-1]
+    return "[\n" + 8 * " " + items + "\n" + 6 * " " + "]"
 
 
 def realized_ratios(panel: MigrationPanel) -> np.ndarray:
@@ -443,30 +458,74 @@ def _columns(prefix: str, *shape: int) -> list[str]:
     return [prefix + "".join(f"_{i + 1}" for i in index) for index in np.ndindex(*shape)]
 
 
+@dataclass(frozen=True)
+class _Table:
+    """A numeric CSV's comment line (None if absent), header and non-blank
+    body rows, kept as text with their line numbers until a reader parses
+    them."""
+
+    what: str
+    comment: str | None
+    header: list[str]
+    lines: list[str]
+    line_nos: list[int]
+
+    def parse(self, dtype, rule, rows: slice = slice(None)) -> np.ndarray:
+        """The rows ``rows`` as an array of ``dtype``, one table row per
+        line (a record dtype gives one column of records).
+
+        The block is read in one ``np.loadtxt`` call.  :meth:`by_rule` reads
+        it instead when that call refuses it or is not shown it: an empty
+        block (on which it warns), a line not as wide as the header, or a
+        line it might read where the row rule refuses it, which holds
+        non-ASCII text (its integer parser takes some letters for digits)
+        or ``\\x1f`` (which it takes for a blank).
+        """
+        lines = self.lines[rows]
+        commas = len(self.header) - 1
+        if lines and all(
+            line.count(",") == commas and line.isascii() and "\x1f" not in line for line in lines
+        ):
+            try:
+                return np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, ndmin=2)
+            except ValueError:
+                pass
+        return self.by_rule(dtype, rule, rows)
+
+    def by_rule(self, dtype, rule, rows: slice = slice(None)) -> np.ndarray:
+        """The reference reader of :meth:`parse`: ``rule(cells)`` reads one
+        row, and a row not as wide as the header or refused by the rule
+        raises :class:`DataError` naming its line."""
+        width = len(self.header)
+        values = []
+        for line, line_no in zip(self.lines[rows], self.line_nos[rows]):
+            cells = line.split(",")
+            try:
+                if len(cells) != width:
+                    raise ValueError(f"{len(cells)} fields, not {width}")
+                values.append(rule(cells))
+            except ValueError as exc:
+                raise DataError(f"{self.what} line {line_no}: {exc}") from exc
+        dtype = np.dtype(dtype)
+        return np.array(values, dtype).reshape(len(values), 1 if dtype.names else width)
+
+
 def _read_table(source, what: str, layout):
-    """The comment line (None if absent), header, parsed rows and their line
-    numbers.  ``layout(comment, header)`` returns the row parser, and raises
+    """The file as a :class:`_Table`, blank rows dropped, and what
+    ``layout(comment, header)`` returns; ``layout`` raises
     :class:`DataError` to refuse the file or ``ValueError`` to refuse its
-    header line; blank rows are skipped, and a row not as wide as the header
-    or refused by the parser raises :class:`DataError` naming its line."""
+    header line."""
     with _opened(source, "r") as handle:
         lines = handle.read().splitlines()
     comment = lines[0] if lines and lines[0].startswith("#") else None
     first = int(comment is not None)
     header = lines[first].split(",") if first < len(lines) else []
-    rows, line_nos, line_no = [], [], first + 1
     try:
-        parse = layout(comment, header)
-        for line_no, line in enumerate(lines[first + 1 :], start=first + 2):
-            if line.strip():
-                cells = line.split(",")
-                if len(cells) != len(header):
-                    raise ValueError(f"{len(cells)} fields, not {len(header)}")
-                rows.append(parse(cells))
-                line_nos.append(line_no)
+        dims = layout(comment, header)
     except ValueError as exc:
-        raise DataError(f"{what} line {line_no}: {exc}") from exc
-    return comment, header, rows, line_nos
+        raise DataError(f"{what} line {first + 1}: {exc}") from exc
+    body = [(no, line) for no, line in enumerate(lines[first + 1 :], start=first + 2) if line.strip()]
+    return _Table(what, comment, header, [line for _, line in body], [no for no, _ in body]), dims
 
 
 def panel_to_csv(panel: MigrationPanel, target: str | io.TextIOBase) -> None:
@@ -483,15 +542,14 @@ def panel_from_csv(source: str | io.TextIOBase, step_length_days: float = 1) -> 
         p = sum(1 for h in header if h.startswith("Y_"))
         if p == 0 or header != ["t", *_columns("Y", p), *_columns("N", p, p)]:
             raise DataError("panel CSV needs the header t,Y_1..Y_p,N_1_1..N_p_p")
-        return lambda cells: [int(x) for x in cells]
+        return p
 
-    _, header, rows, _ = _read_table(source, "panel CSV", layout)
-    if not rows:
+    table, p = _read_table(source, "panel CSV", layout)
+    values = table.parse(np.int64, lambda cells: [int(x) for x in cells])
+    if not len(values):
         raise DataError("panel CSV holds no steps")
-    p = sum(1 for h in header if h.startswith("Y_"))
-    table = np.array(rows)
-    counts = table[:, 1 + p :].reshape(-1, p, p)
-    return MigrationPanel(table[:, 1 : 1 + p], counts, step_length_days=step_length_days)
+    counts = values[:, 1 + p :].reshape(-1, p, p)
+    return MigrationPanel(values[:, 1 : 1 + p], counts, step_length_days=step_length_days)
 
 
 def trajectory_to_csv(trajectory: FilterTrajectory, target: str | io.TextIOBase) -> None:
@@ -518,29 +576,41 @@ def trajectory_from_csv(source: str | io.TextIOBase) -> FilterTrajectory:
         n_nu = len(header) - 1 - m
         if math.isqrt(n_nu) ** 2 != n_nu:
             raise ValueError(f"{n_nu} nu_ columns do not form a p x p block")
-        # a forecast is all blank, or every cell of it parses
-        return lambda cells: (
-            [float(x) for x in cells[: 1 + m]],
-            any(cells[1 + m :]) and [float(x) for x in cells[1 + m :]],
+        return m, n_nu
+
+    def rule(cells):
+        # a forecast is all blank, read as NaN, or every cell of it parses
+        nu = cells[1 + m :]
+        return [float(x) for x in cells[: 1 + m]] + (
+            [float(x) for x in nu] if any(nu) else [math.nan] * n_nu
         )
 
-    _, header, rows, line_nos = _read_table(source, "trajectory CSV", layout)
-    if not rows:
+    table, (m, n_nu) = _read_table(source, "trajectory CSV", layout)
+    n = len(table.lines) - 1
+    if n < 0:
         raise DataError("trajectory CSV holds no states")
-    for (_, nu), line_no in zip(rows[:-1], line_nos):
-        if not nu:
-            raise DataError(f"trajectory CSV line {line_no}: no forecast before the last row")
-    if rows[-1][1]:
-        raise DataError(f"trajectory CSV line {line_nos[-1]}: the last row carries a forecast")
-    states = np.array([state for state, _ in rows])
-    forecasts = np.array([nu for _, nu in rows[:-1]], dtype=float)
-    p = math.isqrt(len(header) - states.shape[1])
+    values = np.concatenate(
+        [table.parse(float, rule, slice(n)), table.by_rule(float, rule, slice(n, None))]
+    )
+    # only a row whose forecast reads all NaN can have left it blank
+    blank = "," * n_nu
+    for row in np.flatnonzero(np.isnan(values[:n, 1 + m :]).all(axis=1)):
+        if table.lines[row].endswith(blank):
+            raise DataError(
+                f"trajectory CSV line {table.line_nos[row]}: no forecast before the last row"
+            )
+    if not table.lines[n].endswith(blank):
+        raise DataError(f"trajectory CSV line {table.line_nos[n]}: the last row carries a forecast")
+    p = math.isqrt(n_nu)
     return FilterTrajectory(
-        probs=states[:, 1:],
-        time_index=states[:, 0],
-        predicted_ratios=forecasts.reshape(len(rows) - 1, p, p),
+        probs=values[:, 1 : 1 + m],
+        time_index=values[:, 0],
+        predicted_ratios=values[:n, 1 + m :].reshape(n, p, p),
         loglik=np.nan,
     )
+
+
+_EVENT_ROW = np.dtype([("time", float), ("from", np.int64), ("to", np.int64)])
 
 
 def events_to_csv(stream, target: str | io.TextIOBase) -> None:
@@ -574,20 +644,23 @@ def events_from_csv(source: str | io.TextIOBase):
             raise DataError("event CSV must start with the exposures comment line")
         if header != ["time", "from_rating", "to_rating"]:
             raise DataError("event CSV needs header time,from_rating,to_rating")
-        return lambda cells: (float(cells[0]), int(cells[1]) - 1, int(cells[2]) - 1)
 
-    meta, _, rows, _ = _read_table(source, "event CSV", layout)
+    table, _ = _read_table(source, "event CSV", layout)
+    # ratings are read as integers: a cell like 1.0 is refused, never cast
+    rows = table.parse(
+        _EVENT_ROW, lambda cells: (float(cells[0]), int(cells[1]), int(cells[2]))
+    )[:, 0]
+    meta = table.comment
     try:
         expo_part, horizon_part = meta[len("# exposures0=") :].split(" horizon=")
         initial = np.array([int(x) for x in expo_part.split(",")])
         horizon = float(horizon_part)
     except ValueError as exc:
         raise DataError(f"bad event CSV metadata line: {meta!r}") from exc
-    times, sources, targets = zip(*rows) if rows else ((), (), ())
     return EventStream(
-        times=np.array(times, dtype=float),
-        sources=np.array(sources, dtype=np.int64),
-        targets=np.array(targets, dtype=np.int64),
+        times=rows["time"],
+        sources=rows["from"] - 1,
+        targets=rows["to"] - 1,
         initial_exposures=initial,
         horizon=horizon,
     )

@@ -317,6 +317,12 @@ class TestPickerWeights:
         w = mf.picker_weights(panel, law)  # n_bar = 4
         assert w[0, 0] / w[0, 1] == pytest.approx(0.05 / 0.2)
 
+    def test_sample_without_entities_rejected(self):
+        panel = mf.MigrationPanel(np.zeros((2, 2), int), np.zeros((2, 2, 2), int))
+        law = mf.MigrationLaw(np.array([np.eye(2)]))
+        with pytest.raises(DataError, match="sample holds no entities"):
+            mf.picker_weights(panel, law)
+
     def test_two_jump_interval_rejected(self):
         counts = np.array([[[0, 2], [0, 0]]])
         panel = mf.MigrationPanel(np.array([[2, 0]]), counts)

@@ -122,6 +122,19 @@ class TestFilterTrajectory:
         with pytest.raises(ModelError, match=message):
             mf.FilterTrajectory(**fields)
 
+    @pytest.mark.parametrize("field", ["predicted_ratios", "prediction_parts"])
+    def test_forecasts_and_drift_parts_are_read_only(self, field):
+        traj = mf.FilterTrajectory(
+            probs=np.full((3, 2), 0.5),
+            time_index=np.arange(3.0),
+            predicted_ratios=np.full((2, 2, 2), 0.5),
+            loglik=0.0,
+            prediction_parts=np.zeros((2, 2)),
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(traj, field)[0, 0] += 1
+        np.testing.assert_array_equal(traj.correction_parts, 0.0)
+
     def test_rows_are_projected_like_filter_states(self, rng):
         probs = rng.dirichlet(np.ones(3), size=50)
         probs[::3] *= 1.0 + 5e-11

@@ -40,7 +40,6 @@ from .model import (
     MigrationPanel,
     Mode,
     model_to_json,
-    renormalize,
     sort_states_by_risk,
     transition_to_generator,
 )
@@ -374,6 +373,22 @@ def _posteriors_from(
     return u, v
 
 
+def _e_step(
+    logg: np.ndarray, pi: np.ndarray, trans: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The E-step on per-step log-weights ``logg``: the log-likelihood and
+    the smoothing posteriors ``u`` and ``v`` (see :func:`posteriors`)."""
+    fwd = _forward(logg, pi, trans)
+    u, v = _posteriors_from(logg, fwd, _backward(logg, trans), trans)
+    return fwd.loglik, u, v
+
+
+def _floored(x: np.ndarray, floor: float) -> np.ndarray:
+    """Laws on the last axis floored at ``floor`` and renormalized."""
+    x = np.maximum(x, floor)
+    return x / x.sum(axis=-1, keepdims=True)
+
+
 def m_step(
     u: np.ndarray,
     v: np.ndarray,
@@ -396,16 +411,14 @@ def m_step(
     per_state = np.where(
         blind[:, :, None], prev, num / np.where(blind, 1.0, den)[:, :, None]
     )
-    per_state = np.maximum(per_state, floor)
-    per_state /= per_state.sum(axis=2, keepdims=True)
-    return pi, trans, per_state
+    return pi, trans, _floored(per_state, floor)
 
 
 def _chain_m_step(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form update of the hidden chain's initial law and transition
     matrix; a state never visited before the last step gets a flat row."""
     steps, m = u.shape
-    pi = renormalize(u[0].copy(), trigger=0.0)
+    pi = u[0] / u[0].sum()
     if steps > 1:
         k_num = v.sum(axis=0)
         k_den = u[:-1].sum(axis=0)[:, None]
@@ -417,16 +430,9 @@ def _chain_m_step(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _random_init(rng, m: int, p: int, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uniform draws on the relevant simplices, floored away from the edge."""
-    pi = rng.dirichlet(np.ones(m))
-    trans = rng.dirichlet(np.ones(m), size=m)
-    per_state = rng.dirichlet(np.ones(p), size=(m, p))
-    pi = np.maximum(pi, floor)
-    pi /= pi.sum()
-    trans = np.maximum(trans, floor)
-    trans /= trans.sum(axis=1, keepdims=True)
-    per_state = np.maximum(per_state, floor)
-    per_state /= per_state.sum(axis=2, keepdims=True)
-    return pi, trans, per_state
+    pi = _floored(rng.dirichlet(np.ones(m)), floor)
+    trans = _floored(rng.dirichlet(np.ones(m), size=m), floor)
+    return pi, trans, _floored(rng.dirichlet(np.ones(p), size=(m, p)), floor)
 
 
 def em_fit(panel: MigrationPanel, m: int, cfg: EmConfig) -> CalibrationResult:
@@ -438,22 +444,22 @@ def em_fit(panel: MigrationPanel, m: int, cfg: EmConfig) -> CalibrationResult:
     The best restart by final log-likelihood wins; its states are relabeled
     from least to most risky before being returned.
     """
+    return _multi_start(panel, m, cfg, _discrete_e_and_m)
+
+
+def _multi_start(panel, m, cfg, e_and_m) -> CalibrationResult:
+    """Run ``cfg.restarts`` EM restarts on ``panel`` from seeded random
+    starts and return the best one, states relabeled from least to most
+    risky.  An empty panel, ``m < 1`` or a floor of ``1 / max(m, p)`` or
+    more is a DataError.  Restarts that hit an impossible observation count
+    as failed; all failing is a ModelError."""
+    p = panel.p
     if panel.steps == 0:
         raise DataError("cannot calibrate on an empty panel")
     if m < 1:
         raise DataError("need at least one hidden state")
-    if cfg.floor >= 1.0 / max(m, panel.p):
-        raise DataError(
-            f"floor {cfg.floor} too large for {m} states / {panel.p} ratings"
-        )
-    return _multi_start(panel, m, panel.p, cfg, _discrete_e_and_m)
-
-
-def _multi_start(panel, m, p, cfg, e_and_m) -> CalibrationResult:
-    """Run ``cfg.restarts`` EM restarts from seeded random starts and return
-    the best one, states relabeled from least to most risky.  Restarts that
-    hit an impossible observation count as failed; all failing is a
-    ModelError."""
+    if cfg.floor >= 1.0 / max(m, p):
+        raise DataError(f"floor {cfg.floor} too large for {m} states / {p} ratings")
     master = np.random.default_rng(cfg.seed)
     seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=cfg.restarts)]
     traces: list[np.ndarray] = []
@@ -495,11 +501,8 @@ def _multi_start(panel, m, p, cfg, e_and_m) -> CalibrationResult:
 
 def _discrete_e_and_m(panel, pi, trans, per_state, cfg):
     law = MigrationLaw(per_state=per_state, mode=Mode.DISCRETE)
-    logg = _panel_log_weights(panel, law)
-    fwd = _forward(logg, pi, trans)
-    bwd = _backward(logg, trans)
-    u, v = _posteriors_from(logg, fwd, bwd, trans)
-    return fwd.loglik, m_step(u, v, panel, prev_law=law, floor=cfg.floor)
+    loglik, u, v = _e_step(_panel_log_weights(panel, law), pi, trans)
+    return loglik, m_step(u, v, panel, prev_law=law, floor=cfg.floor)
 
 
 def _em_single(panel, pi, trans, per_state, cfg, e_and_m):
@@ -525,8 +528,10 @@ def _em_single(panel, pi, trans, per_state, cfg, e_and_m):
 # --------------------------------------------------------------------------
 
 
-def _fine_grid_from_panel(panel: MigrationPanel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a panel whose steps are fine intervals (at most one jump each)."""
+def _fine_grid_from_panel(panel: MigrationPanel):
+    """Read a panel whose steps are fine intervals (at most one jump each):
+    the exposures, each interval's jump source and target (-1 without a
+    jump) and ``n_bar``, the largest per-interval entity total."""
     p = panel.p
     off = ~np.eye(p, dtype=bool)
     totals = panel.counts[:, off].sum(axis=1)
@@ -540,7 +545,10 @@ def _fine_grid_from_panel(panel: MigrationPanel) -> tuple[np.ndarray, np.ndarray
     cell = (panel.counts * off).reshape(panel.steps, p * p).argmax(axis=1)
     src = np.where(totals == 1, cell // p, -1)
     dst = np.where(totals == 1, cell % p, -1)
-    return panel.exposures.copy(), src, dst
+    n_bar = float(panel.exposures.sum(axis=1).max(initial=0))
+    if n_bar <= 0:
+        raise DataError("sample holds no entities")
+    return panel.exposures, src, dst, n_bar
 
 
 def _picker_log_weights(
@@ -557,8 +565,6 @@ def _picker_log_weights(
     row.  Only the picked entity contributes a probability factor.
     """
     n_t = exposures.sum(axis=1).astype(float)
-    if np.any(n_t > n_bar):
-        raise DataError("n_bar must dominate the per-interval entity totals")
     m = per_state.shape[0]
     s_count = exposures.shape[0]
     diag = np.einsum("ijj->ij", per_state)
@@ -581,10 +587,7 @@ def picker_weights(panel_fine: MigrationPanel, law: MigrationLaw) -> np.ndarray:
     total.  Weights are strictly positive whenever the law has no exact
     zeros (flooring guarantees that during calibration).
     """
-    exposures, src, dst = _fine_grid_from_panel(panel_fine)
-    n_bar = float(exposures.sum(axis=1).max(initial=0))
-    if n_bar <= 0:
-        raise DataError("sample holds no entities")
+    exposures, src, dst, n_bar = _fine_grid_from_panel(panel_fine)
     return np.exp(_picker_log_weights(exposures, src, dst, law.per_state, n_bar))
 
 
@@ -653,9 +656,7 @@ def _optimize_picker_rows(
         method="L-BFGS-B",
         options={"gtol": 1e-8, "ftol": 1e-13, "maxiter": 300},
     )
-    mat = _row_softmax(res.x.reshape(p, p))
-    mat = np.maximum(mat, floor)
-    mat /= mat.sum(axis=1, keepdims=True)
+    mat = _floored(_row_softmax(res.x.reshape(p, p)), floor)
     if q_of(mat)[0] + 1e-12 * (1.0 + abs(q_start)) < q_start:
         return start
     return mat
@@ -687,37 +688,25 @@ def em_fit_continuous(
         raise DataError("fine_dt is required when calibrating on an event stream")
     from .continuous import stream_to_panel
 
-    exposures, src, dst = _fine_grid_from_panel(stream_to_panel(events, fine_dt))
-    if exposures.shape[0] == 0:
-        raise DataError("cannot calibrate on an empty sample")
-    if m < 1:
-        raise DataError("need at least one hidden state")
-    p = exposures.shape[1]
-    if cfg.floor >= 1.0 / max(m, p):
-        raise DataError(f"floor {cfg.floor} too large for {m} states / {p} ratings")
-    n_bar = float(exposures.sum(axis=1).max(initial=0))
-    if n_bar <= 0:
-        raise DataError("sample holds no entities")
+    fine = stream_to_panel(events, fine_dt)
+    exposures, src, dst, n_bar = _fine_grid_from_panel(fine)
     nojump = src < 0
+    y_nj = exposures[nojump].astype(float)
 
     def e_and_m(_panel, pi, trans, per_state, cfg):
         logw = _picker_log_weights(exposures, src, dst, per_state, n_bar)
-        fwd = _forward(logw, pi, trans)
-        bwd = _backward(logw, trans)
-        u, v = _posteriors_from(logw, fwd, bwd, trans)
-        new_pi, new_trans = _chain_m_step(u, v)
-        jump_mass = _jump_posterior_mass(u, src, dst, m, p)
+        loglik, u, v = _e_step(logw, pi, trans)
+        jump_mass = _jump_posterior_mass(u, src, dst, m, fine.p)
         u_nj = u[nojump]
-        y_nj = exposures[nojump].astype(float)
         new_per_state = np.stack([
             _optimize_picker_rows(
                 jump_mass[i], u_nj[:, i], y_nj, n_bar, per_state[i], cfg.floor
             )
             for i in range(m)
         ])
-        return fwd.loglik, (new_pi, new_trans, new_per_state)
+        return loglik, (*_chain_m_step(u, v), new_per_state)
 
-    result = _multi_start(None, m, p, cfg, e_and_m)
+    result = _multi_start(fine, m, cfg, e_and_m)
     if to_generator:
         result = replace(
             result,

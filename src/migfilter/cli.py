@@ -185,8 +185,7 @@ def forecast(model_path, traj_path, step_days, out_path):
     factor, law = model_from_json(Path(model_path).read_text())
     traj = pio.trajectory_from_csv(traj_path)
     if factor.mode is Mode.CONTINUOUS:
-        mats = np.array([generator_to_transition(g, step_days) for g in law.per_state])
-        law = MigrationLaw(per_state=mats, mode=Mode.DISCRETE)
+        law = MigrationLaw(generator_to_transition(law.per_state, step_days))
     nu = predict_transition_probs(law, traj.probs_matrix())
     rows = np.column_stack([traj.times(), nu.reshape(len(nu), -1)]).tolist()
     pio._write_table(out_path, ["t", *pio._columns("nu", law.p, law.p)], rows)

@@ -37,6 +37,7 @@ from .model import (
     Mode,
     _exposures_at,
     generator_to_transition,
+    predict_transition_probs,
     renormalize,
 )
 
@@ -192,7 +193,7 @@ def continuous_drift_step(
         raise ModelError("continuous_drift_step requires continuous mode")
     exposures = np.asarray(exposures, dtype=float)
     load = _intensity_load(law, exposures)
-    probs, _, _ = _integrate_drift(state.probs, dt, factor.trans, load)
+    probs, _, _ = _integrate_drift(state.probs, dt, factor.trans, load, dt)
     return FilterState(probs, time_index=state.time_index + dt)
 
 
@@ -201,7 +202,7 @@ def _integrate_drift(
     dt: float,
     trans: np.ndarray,
     load: np.ndarray,
-    max_h: float | None = None,
+    max_h: float,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Euler-integrate the drift ODE; also accumulate the chain-drift part
     and the predicted aggregate intensity integral (for the log-likelihood).
@@ -211,7 +212,7 @@ def _integrate_drift(
     """
     rate_scale = float(np.max(-np.diag(trans), initial=0.0) + np.max(load, initial=0.0))
     n_sub = max(1, math.ceil(dt * rate_scale / _MAX_EULER_MASS))
-    if max_h is not None and max_h < dt:
+    if max_h < dt:
         n_sub = max(n_sub, math.ceil(round(dt / max_h, 9)))
     h = dt / n_sub
     chain_part = np.zeros_like(probs)
@@ -265,37 +266,32 @@ def run_continuous_filter(
     events: EventStream,
     factor: HiddenFactorSpec,
     law: MigrationLaw,
-    grid_dt: float = 0.1,
-    report_dt: float | None = None,
+    grid_dt: float,
+    report_dt: float,
 ) -> FilterTrajectory:
     """Filter the hidden factor through a dated event stream.
 
     Integration alternates drift segments (never longer than ``grid_dt`` or
     the time to the next event) with jump updates at event times.  The law
-    is emitted on the reporting grid (every ``report_dt``, default
-    ``grid_dt``) together with a transition-probability forecast obtained by
-    linearizing each state's intensity matrix over the reporting interval
-    and mixing with the current filtered law.  Per reporting interval, the
-    chain-drift and observation-driven parts of the law's movement are
-    recorded separately.
+    is emitted on the reporting grid (every ``report_dt``) together with a
+    transition-probability forecast: :func:`predict_transition_probs` of
+    the law and each state's intensity matrix linearized over the reporting
+    interval.  Per reporting interval, the chain-drift and
+    observation-driven parts of the law's movement are recorded separately.
     """
-    if grid_dt <= 0:
-        raise ModelError(f"grid_dt must be positive, got {grid_dt}")
+    if min(grid_dt, report_dt) <= 0:
+        raise ModelError(f"grid_dt and report_dt must be positive, got {grid_dt}, {report_dt}")
     if factor.mode is not Mode.CONTINUOUS or law.mode is not Mode.CONTINUOUS:
         raise ModelError("run_continuous_filter requires continuous mode")
     if law.n_states != factor.m:
         raise ModelError("law/factor state counts disagree")
     if events.p != law.p:
         raise ModelError(f"stream has {events.p} rating classes, law has {law.p}")
-    if report_dt is None:
-        report_dt = grid_dt
     probs = factor.pi.copy()
 
     horizon = float(events.horizon)
     n_intervals = max(1, math.ceil(round(horizon / report_dt, 9)))
     report_times = np.minimum(np.arange(1, n_intervals + 1) * report_dt, horizon)
-
-    step_matrices = np.array([generator_to_transition(g, report_dt) for g in law.per_state])
 
     # exposures change only at event and boundary times (the knots):
     # loads[i] is in force from knots[i - 1] to knots[i]
@@ -354,7 +350,9 @@ def run_continuous_filter(
     return FilterTrajectory(
         probs=laws,
         time_index=times,
-        predicted_ratios=np.array([np.tensordot(row, step_matrices, axes=1) for row in laws[:-1]]),
+        predicted_ratios=predict_transition_probs(
+            MigrationLaw(generator_to_transition(law.per_state, report_dt)), laws[:-1]
+        ),
         loglik=loglik,
         prediction_parts=pred_parts,
     )

@@ -25,9 +25,7 @@ import numpy as np
 from .calibrate import _forward, _panel_log_weights
 from .errors import DataError, ImpossibleObservationError, ModelError
 from .model import FilterState, HiddenFactorSpec, MigrationLaw, MigrationPanel, Mode
-from .model import _checked_laws, _freeze
-# not called here: bench/run.py counts forecast calls through this attribute
-from .model import predict_transition_probs  # noqa: F401
+from .model import _checked_laws, _freeze, predict_transition_probs
 
 __all__ = [
     "FilterTrajectory",
@@ -204,6 +202,6 @@ def run_filter(
     return FilterTrajectory(
         probs=probs,
         time_index=np.arange(panel.steps + 1),
-        predicted_ratios=np.einsum("th,hjk->tjk", probs[:-1], law.per_state),
+        predicted_ratios=predict_transition_probs(law, probs[:-1]),
         loglik=loglik,
     )

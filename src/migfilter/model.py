@@ -62,23 +62,30 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _freeze_int(a: np.ndarray) -> np.ndarray:
+def _freeze_int(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` as frozen int64; whole-valued floats pass, any other value is
+    a :class:`DataError` naming ``name``."""
+    a = np.asarray(a)
+    if a.dtype.kind == "f":
+        bad = ~np.isfinite(a) | (a != np.round(a))
+        if np.any(bad):
+            raise DataError(f"{name} must hold whole numbers, got {float(a[bad][0])!r}")
     out = np.array(a, dtype=np.int64, copy=True)
     out.setflags(write=False)
     return out
 
 
-def renormalize(probs: np.ndarray, trigger: float = _RENORM_TRIGGER) -> np.ndarray:
+def renormalize(probs: np.ndarray) -> np.ndarray:
     """Project near-probability vectors on the last axis onto the simplex.
 
     Tiny negative entries from floating-point arithmetic are clipped to 0;
-    a vector is rescaled only when its sum drifts further than ``trigger``
-    from 1, so exact results pass through bit-identically.
+    a vector is rescaled only when its sum drifts further than 1e-13 from 1,
+    so exact results pass through bit-identically.
     """
     probs = np.where(probs < 0.0, 0.0, probs)
     # scalars for one vector, cheap to test in the Euler substeps
     total = probs.sum(axis=-1)
-    drift = abs(total - 1.0) > trigger
+    drift = abs(total - 1.0) > _RENORM_TRIGGER
     if drift.any() if drift.ndim else drift:
         if np.any(total <= 0.0):
             raise ModelError("probability vector has collapsed to zero mass")
@@ -97,6 +104,22 @@ def _checked_laws(probs) -> np.ndarray:
     if np.any(off):
         raise ModelError(f"filter state probabilities sum to {sums[off][0]!r}, expected 1")
     return _freeze(renormalize(probs))
+
+
+def _kernel_violations(name: str, mat: np.ndarray, mode: Mode) -> list[str]:
+    """Violations of one one-step matrix (no negative entry, rows sum to 1)
+    or, in continuous mode, intensity matrix (no negative off-diagonal
+    entry, rows sum to 0); ``name`` opens every message."""
+    if mode is Mode.DISCRETE:
+        checked, what, target = mat, "entries", 1.0
+    else:
+        checked, what, target = mat[~np.eye(len(mat), dtype=bool)], "off-diagonal entries", 0.0
+    out = [f"{name} has negative {what}"] if np.any(checked < 0) else []
+    return out + [
+        f"{name} row {i} sums to {row_sum!r}, expected {target:g}"
+        for i, row_sum in enumerate(mat.sum(axis=1))
+        if abs(row_sum - target) > _SUM_TOL
+    ]
 
 
 @dataclass(frozen=True)
@@ -128,32 +151,14 @@ class HiddenFactorSpec:
 
     def violations(self) -> list[str]:
         """All invariant violations of this factor (empty list = valid)."""
-        out = []
         m = self.m
         if self.trans.shape != (m, m):
-            out.append(
-                f"factor: trans has shape {self.trans.shape}, expected {(m, m)}"
-            )
-            return out
-        if np.any(self.pi < 0):
-            out.append("factor: pi has negative entries")
+            return [f"factor: trans has shape {self.trans.shape}, expected {(m, m)}"]
+        out = ["factor: pi has negative entries"] if np.any(self.pi < 0) else []
         s = self.pi.sum()
         if abs(s - 1.0) > _SUM_TOL:
             out.append(f"factor: pi sums to {s!r}, expected 1")
-        if self.mode is Mode.DISCRETE:
-            if np.any(self.trans < 0):
-                out.append("factor: trans has negative entries")
-            for i, row_sum in enumerate(self.trans.sum(axis=1)):
-                if abs(row_sum - 1.0) > _SUM_TOL:
-                    out.append(f"factor: trans row {i} sums to {row_sum!r}, expected 1")
-        else:
-            off = self.trans[~np.eye(m, dtype=bool)]
-            if np.any(off < 0):
-                out.append("factor: generator has negative off-diagonal entries")
-            for i, row_sum in enumerate(self.trans.sum(axis=1)):
-                if abs(row_sum) > _SUM_TOL:
-                    out.append(f"factor: generator row {i} sums to {row_sum!r}, expected 0")
-        return out
+        return out + _kernel_violations("factor: trans", self.trans, self.mode)
 
 
 @dataclass(frozen=True)
@@ -186,29 +191,11 @@ class MigrationLaw:
         return self.per_state.shape[1]
 
     def violations(self) -> list[str]:
-        out = []
-        p = self.p
-        eye = np.eye(p, dtype=bool)
-        for h, mat in enumerate(self.per_state):
-            if self.mode is Mode.DISCRETE:
-                if np.any(mat < 0):
-                    out.append(f"law: state {h} matrix has negative entries")
-                for j, row_sum in enumerate(mat.sum(axis=1)):
-                    if abs(row_sum - 1.0) > _SUM_TOL:
-                        out.append(
-                            f"law: state {h} row {j} sums to {row_sum!r}, expected 1"
-                        )
-            else:
-                if np.any(mat[~eye] < 0):
-                    out.append(
-                        f"law: state {h} intensity matrix has negative off-diagonals"
-                    )
-                for j, row_sum in enumerate(mat.sum(axis=1)):
-                    if abs(row_sum) > _SUM_TOL:
-                        out.append(
-                            f"law: state {h} intensity row {j} sums to {row_sum!r}, expected 0"
-                        )
-        return out
+        return [
+            problem
+            for h, mat in enumerate(self.per_state)
+            for problem in _kernel_violations(f"law: state {h} matrix", mat, self.mode)
+        ]
 
 
 @dataclass(frozen=True)
@@ -228,8 +215,9 @@ class MigrationPanel:
     step_length_days: float = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "exposures", _freeze_int(np.atleast_2d(self.exposures)))
-        object.__setattr__(self, "counts", _freeze_int(self.counts))
+        exposures = _freeze_int(np.atleast_2d(self.exposures), "exposures")
+        object.__setattr__(self, "exposures", exposures)
+        object.__setattr__(self, "counts", _freeze_int(self.counts, "counts"))
         if self.counts.ndim != 3 or self.counts.shape[:2] != self.exposures.shape:
             raise DataError(
                 "counts must have shape (steps, p, p) matching exposures "
@@ -308,16 +296,12 @@ class EventStream:
 
     def __post_init__(self):
         object.__setattr__(self, "times", _freeze(np.atleast_1d(self.times)))
-        object.__setattr__(self, "sources", _freeze_int(np.atleast_1d(self.sources)))
-        object.__setattr__(self, "targets", _freeze_int(np.atleast_1d(self.targets)))
-        object.__setattr__(
-            self, "initial_exposures", _freeze_int(np.atleast_1d(self.initial_exposures))
-        )
+        for name in ("sources", "targets", "initial_exposures"):
+            object.__setattr__(self, name, _freeze_int(np.atleast_1d(getattr(self, name)), name))
         if self.boundary_times is not None:
             object.__setattr__(self, "boundary_times", _freeze(np.atleast_1d(self.boundary_times)))
-            object.__setattr__(
-                self, "boundary_exposures", _freeze_int(np.atleast_2d(self.boundary_exposures))
-            )
+            exposures = _freeze_int(np.atleast_2d(self.boundary_exposures), "boundary_exposures")
+            object.__setattr__(self, "boundary_exposures", exposures)
             if self.boundary_exposures.shape != (self.boundary_times.shape[0], self.p):
                 raise DataError(
                     f"boundary_exposures must have shape {(self.boundary_times.shape[0], self.p)}, "
@@ -334,6 +318,9 @@ class EventStream:
             raise DataError("event times must be strictly increasing")
         if np.any(self.sources == self.targets):
             raise DataError("events must change the rating (source != target)")
+        outside = np.setdiff1d(np.concatenate([self.sources, self.targets]), np.arange(self.p))
+        if outside.size:
+            raise DataError(f"event ratings must lie in [0, {self.p}), got {int(outside[0])}")
 
     @property
     def n_events(self) -> int:
@@ -449,20 +436,22 @@ def predict_transition_probs(law: MigrationLaw, state: FilterState | np.ndarray)
         raise ModelError(
             f"law has {law.n_states} states but filter state has {probs.shape[-1]}"
         )
-    return np.tensordot(probs, law.per_state, axes=1)
+    return np.einsum("...h,hjk->...jk", probs, law.per_state)
 
 
 def generator_to_transition(gen: np.ndarray, dt: float) -> np.ndarray:
-    """Convert an intensity matrix to a ``dt``-step probability matrix by
-    the small-step linearization ``I + gen*dt`` (entries clipped to [0, 1]
-    and rows renormalized if the step is not small), the inverse of
-    :func:`transition_to_generator`.
+    """Convert intensity matrices, shape (..., p, p), to ``dt``-step
+    probability matrices by the small-step linearization ``I + gen*dt``,
+    the inverse of :func:`transition_to_generator`.  A matrix the step is
+    not small for has its entries clipped to [0, 1] and its rows
+    renormalized; the others are left as they are.
     """
     gen = np.asarray(gen, dtype=float)
     out = np.eye(gen.shape[-1]) + gen * dt
-    if np.any(out < 0):
-        out = np.clip(out, 0.0, None)
-        out = out / out.sum(axis=-1, keepdims=True)
+    clip = np.any(out < 0, axis=(-2, -1))
+    if np.any(clip):
+        kept = np.clip(out[clip], 0.0, None)
+        out[clip] = kept / kept.sum(axis=-1, keepdims=True)
     return out
 
 

@@ -365,10 +365,11 @@ def evaluate_predictions(
 
 def _score_forecasts(panel: MigrationPanel, predicted_ratios: np.ndarray) -> EvaluationReport:
     """:func:`evaluate_predictions` on a forecast array of shape (steps, p, p)."""
-    if predicted_ratios.shape[0] != panel.steps:
+    needed = (panel.steps, panel.p, panel.p)
+    if predicted_ratios.shape != needed:
         raise DataError(
-            f"trajectory carries {predicted_ratios.shape[0]} forecasts "
-            f"but the panel has {panel.steps} steps"
+            f"forecasts have shape {predicted_ratios.shape}, but a panel of "
+            f"{panel.steps} steps and {panel.p} ratings needs {needed}"
         )
     ratios = realized_ratios(panel)
     r2: dict[tuple[int, int], float] = {}
@@ -413,6 +414,7 @@ def rolling_backtest(
     forward by ``refit_every`` until the panel is exhausted, and the stitched
     window forecasts are scored against the realized ratios.
     """
+    # looked up per call, so a wrapper installed on either module attribute is seen
     from .calibrate import em_fit
     from .filtering import run_filter
 

@@ -49,9 +49,8 @@ class SimulationConfig:
     step_length_days: int = 1
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "entities_per_rating", _freeze_int(np.atleast_1d(self.entities_per_rating))
-        )
+        entities = _freeze_int(np.atleast_1d(self.entities_per_rating), "entities_per_rating")
+        object.__setattr__(self, "entities_per_rating", entities)
         object.__setattr__(self, "mode", Mode(self.mode))
         if np.any(self.entities_per_rating < 0) or not np.any(self.entities_per_rating > 0):
             raise DataError("entities_per_rating must be nonnegative with at least one positive")
@@ -74,7 +73,7 @@ class PiecewisePath:
 
     def __post_init__(self):
         object.__setattr__(self, "times", _freeze(np.atleast_1d(self.times)))
-        object.__setattr__(self, "states", _freeze_int(np.atleast_1d(self.states)))
+        object.__setattr__(self, "states", _freeze_int(np.atleast_1d(self.states), "states"))
 
 
 def _check_mode(factor: HiddenFactorSpec, config: SimulationConfig) -> None:

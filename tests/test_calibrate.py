@@ -465,6 +465,24 @@ class TestEmFitContinuous:
         assert res.factor.mode is mf.Mode.CONTINUOUS
         assert mf.validate_model(res.factor, res.law) == []
 
+    @pytest.mark.parametrize(
+        "m, floor, message",
+        [(0, 1e-12, "need at least one hidden state"), (2, 0.5, "floor 0.5 too large")],
+    )
+    def test_sample_checks_match_em_fit(self, m, floor, message):
+        stream, fine_dt, *_ = self.make_fine_stream(seed=2, steps=10, entities=10)
+        cfg = mf.EmConfig(restarts=1, max_iters=2, floor=floor)
+        panel = mf.stream_to_panel(stream, fine_dt)
+        errors = []
+        for fit in (
+            lambda: mf.em_fit(panel, m, cfg),
+            lambda: mf.em_fit_continuous(stream, m, cfg, fine_dt=fine_dt),
+        ):
+            with pytest.raises(DataError, match=message) as caught:
+                fit()
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
     def test_stream_needs_fine_dt(self):
         stream, *_ = self.make_fine_stream(seed=7, steps=10, entities=10)
         with pytest.raises(DataError):

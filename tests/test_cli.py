@@ -278,3 +278,63 @@ def test_evaluate_on_a_malformed_trajectory_exits_1(runner, tmp_path):
     )
     assert out.exit_code == 1
     assert "error: trajectory CSV line 3" in out.output
+
+
+def test_evaluate_with_forecasts_of_another_rating_count_exits_1(runner, tmp_path):
+    factor, law = mf.demo_model(2, 3)
+    panel3, _ = mf.simulate_panel_discrete(
+        factor, law, mf.SimulationConfig(np.array([20, 20, 20]), 1, seed=1)
+    )
+    traj = tmp_path / "traj3.csv"
+    pio.trajectory_to_csv(mf.run_filter(panel3, factor, law), str(traj))
+    panel2 = tmp_path / "panel2.csv"
+    panel2.write_text("t,Y_1,Y_2,N_1_1,N_1_2,N_2_1,N_2_2\n1,2,2,1,1,0,2\n")
+    out = runner.invoke(
+        main,
+        ["evaluate", "--trajectory", str(traj), "--panel", str(panel2),
+         "--out", str(tmp_path / "report.json")],
+    )
+    assert out.exit_code == 1, out.output
+    assert "error: forecasts have shape (1, 3, 3), but a panel of 1 steps" in out.output
+
+
+def test_filter_on_events_with_a_rating_out_of_range_exits_1(
+    runner, continuous_model_file, tmp_path
+):
+    for row in ("1.0,0,2", "1.0,4,2", "1.0,2,4"):
+        events = tmp_path / "events.csv"
+        events.write_text(
+            f"# exposures0=2,2,2 horizon=5.0\ntime,from_rating,to_rating\n{row}\n"
+        )
+        out = runner.invoke(
+            main,
+            ["filter", "--events", str(events), "--model", str(continuous_model_file),
+             "--grid-dt", "0.5", "--report-dt", "1", "--out", str(tmp_path / "t.csv")],
+        )
+        assert out.exit_code == 1, (row, out.output)
+        assert "event ratings must lie in [0, 3)" in out.output
+
+
+@pytest.mark.parametrize("mode", [mf.Mode.DISCRETE, mf.Mode.CONTINUOUS])
+def test_forecast_file_is_predict_transition_probs_of_the_rows(runner, tmp_path, mode):
+    factor, law = mf.demo_model(2, 3, mode=mode, spread=6.0)
+    model = tmp_path / "model.json"
+    model.write_text(mf.model_to_json(factor, law))
+    rng = np.random.default_rng(5)
+    probs = rng.dirichlet(np.ones(2), size=6)
+    traj = mf.FilterTrajectory(probs, np.arange(6.0), np.zeros((5, 3, 3)), 0.0)
+    traj_path = tmp_path / "traj.csv"
+    pio.trajectory_to_csv(traj, str(traj_path))
+    nu = tmp_path / "nu.csv"
+    out = runner.invoke(
+        main,
+        ["forecast", "--model", str(model), "--trajectory", str(traj_path),
+         "--step-days", "2", "--out", str(nu)],
+    )
+    assert out.exit_code == 0, out.output
+    if mode is mf.Mode.CONTINUOUS:
+        law = mf.MigrationLaw(mf.generator_to_transition(law.per_state, 2))
+    rows = np.loadtxt(nu, delimiter=",", skiprows=1)
+    want = mf.predict_transition_probs(law, pio.trajectory_from_csv(str(traj_path)).probs)
+    assert rows[:, 1:].tobytes() == want.reshape(6, 9).tobytes()
+    np.testing.assert_array_equal(rows[:, 0], np.arange(6.0))

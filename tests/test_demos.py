@@ -1,7 +1,8 @@
-"""The narrative demos and the CLI pipeline demo run to completion against
-the package in ``src``."""
+"""The narrative demos, the CLI pipeline demo and the README's Python
+snippets run to completion against the package in ``src``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted(path.name for path in (ROOT / "demos").glob("0[1-3]_*.py"))
+README_SNIPPETS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +62,22 @@ def test_cli_pipeline_demo_runs(tmp_path):
         stderr=subprocess.PIPE,
         text=True,
         env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("index", range(len(README_SNIPPETS)))
+def test_readme_python_snippet_runs(tmp_path, index):
+    """Each snippet runs on its own, in a fresh interpreter."""
+    assert README_SNIPPETS
+    done = subprocess.run(
+        [sys.executable, "-c", README_SNIPPETS[index]],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        cwd=tmp_path,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr

@@ -460,6 +460,17 @@ class TestRunContinuousFilter:
         )
         np.testing.assert_allclose(traj.predicted_ratios.sum(axis=2), 1.0, atol=1e-9)
 
+    def test_forecasts_are_predict_transition_probs_of_the_rows(self):
+        factor, law = mf.demo_model(3, 3, mode=mf.Mode.CONTINUOUS)
+        cfg = mf.SimulationConfig(
+            np.array([100, 100, 100]), 20.0, seed=2, mode=mf.Mode.CONTINUOUS
+        )
+        stream, _ = mf.simulate_events_continuous(factor, law, cfg)
+        traj = mf.run_continuous_filter(stream, factor, law, grid_dt=0.05, report_dt=2.5)
+        step_law = mf.MigrationLaw(mf.generator_to_transition(law.per_state, 2.5))
+        want = mf.predict_transition_probs(step_law, traj.probs[:-1])
+        assert traj.predicted_ratios.tobytes() == want.tobytes()
+
     def test_grid_refinement_converges_linearly(self):
         factor = mf.HiddenFactorSpec(
             np.array([0.5, 0.5]), np.array([[-1.0, 1.0], [1.5, -1.5]]), mode=mf.Mode.CONTINUOUS

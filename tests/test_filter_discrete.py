@@ -214,6 +214,12 @@ class TestRunFilter:
             atol=1e-14,
         )
 
+    def test_forecasts_are_predict_transition_probs_of_the_rows(self, rng):
+        panel, factor, law = random_instance(rng, steps=6)
+        traj = mf.run_filter(panel, factor, law)
+        want = mf.predict_transition_probs(law, traj.probs[:-1])
+        assert traj.predicted_ratios.tobytes() == want.tobytes()
+
     def test_tracking_majority_on_separated_regimes(self):
         factor, law = mf.demo_model(3, 3, spread=8.0)
         cfg = mf.SimulationConfig(np.array([300, 300, 300]), 300, seed=15)

@@ -147,6 +147,24 @@ class TestConversions:
         exact = expm(gen * 1e-3)
         assert np.abs(lin - exact).max() < 1e-6
 
+    def test_stack_equals_per_matrix_calls_bit_for_bit(self, rng):
+        slow = np.array([[-0.2, 0.2], [0.1, -0.1]])
+        fast = np.array([[-3.0, 3.0], [0.5, -0.5]])  # I + 0.5 * fast has a negative entry
+        stacks = [np.array([slow, fast, slow]), rng.uniform(0, 1, (4, 3, 3))]
+        stacks[1] -= np.einsum("hjk->hj", stacks[1])[..., None] * np.eye(3)
+        for stack in stacks:
+            for dt in (0.5, 2.0):
+                both = mf.generator_to_transition(stack, dt)
+                one_by_one = np.array([mf.generator_to_transition(g, dt) for g in stack])
+                assert both.tobytes() == one_by_one.tobytes()
+        clipped = mf.generator_to_transition(fast, 0.5)
+        rows = np.clip(np.eye(2) + fast * 0.5, 0.0, None)
+        assert clipped.tobytes() == (rows / rows.sum(axis=1, keepdims=True)).tobytes()
+        # only the matrix that needs it is clipped and renormalized
+        mixed = mf.generator_to_transition(np.array([slow, fast, slow]), 0.5)
+        assert mixed[0].tobytes() == (np.eye(2) + slow * 0.5).tobytes()
+        assert mixed[1].tobytes() == clipped.tobytes()
+
 
 class TestRiskSorting:
     def test_sorting_orders_by_downgrade_mass(self):
@@ -266,6 +284,36 @@ class TestPanelAndStream:
         )
         with pytest.raises(DataError):
             stream.exposure_snapshots()
+
+    @pytest.mark.parametrize(
+        "sources, targets, rating",
+        [([-1], [1], -1), ([0], [3], 3), ([2, 5], [0, 1], 5)],
+    )
+    def test_stream_ratings_must_lie_in_range(self, sources, targets, rating):
+        times = np.arange(1.0, len(sources) + 1)
+        with pytest.raises(DataError, match=rf"in \[0, 3\), got {rating}$"):
+            mf.EventStream(times, sources, targets, np.array([2, 2, 2]), horizon=5.0)
+
+    def test_fractional_and_nan_counts_rejected(self):
+        with pytest.raises(DataError, match="exposures must hold whole numbers, got 2.5"):
+            mf.MigrationPanel([[2.5, 1.0]], [[[2.5, 0], [0, 1]]])
+        with pytest.raises(DataError, match="counts must hold whole numbers"):
+            mf.MigrationPanel([[2, 1]], [[[1.5, 0.5], [0, 1]]])
+        with pytest.raises(DataError, match="exposures must hold whole numbers, got nan"):
+            mf.MigrationPanel([[np.nan, 1.0]], [[[0, 0], [0, 1]]])
+        with pytest.raises(DataError, match="sources must hold whole numbers, got 0.9"):
+            mf.EventStream([0.5], [0.9], [1.2], [2, 2], horizon=1.0)
+        with pytest.raises(DataError, match="targets must hold whole numbers"):
+            mf.EventStream([0.5], [0], [1.2], [2, 2], horizon=1.0)
+        with pytest.raises(DataError, match="initial_exposures must hold whole numbers"):
+            mf.EventStream([0.5], [0], [1], [2, np.inf], horizon=1.0)
+
+    def test_whole_valued_floats_accepted(self):
+        panel = mf.MigrationPanel([[2.0, 1.0]], [[[2.0, 0.0], [0.0, 1.0]]])
+        assert panel.exposures.dtype == np.int64
+        np.testing.assert_array_equal(panel.counts, [[[2, 0], [0, 1]]])
+        stream = mf.EventStream([0.5], [0.0], [1.0], [2.0, 2.0], horizon=1.0)
+        assert (stream.sources[0], stream.targets[0]) == (0, 1)
 
     def test_filter_state_must_be_probability_vector(self):
         with pytest.raises(ModelError):

@@ -353,6 +353,18 @@ class TestEvaluation:
             const_r2 = pio.r_squared(const_pred, report.series[(j, k)][1])
             assert r2 > const_r2
 
+    def test_forecasts_of_another_rating_count_rejected(self):
+        panels, trajs = {}, {}
+        for p in (2, 3):
+            factor, law = mf.demo_model(2, p, spread=6.0)
+            cfg = mf.SimulationConfig(np.full(p, 200), 40, seed=3)
+            panels[p], _ = mf.simulate_panel_discrete(factor, law, cfg)
+            trajs[p] = mf.run_filter(panels[p], factor, law)
+        with pytest.raises(DataError, match=r"shape \(40, 3, 3\).* needs \(40, 2, 2\)"):
+            pio.evaluate_predictions(panels[2], trajs[3])
+        with pytest.raises(DataError, match=r"shape \(40, 2, 2\).* needs \(40, 3, 3\)"):
+            pio.evaluate_predictions(panels[3], trajs[2])
+
 
 class TestRollingBacktest:
     def test_out_of_sample_report_is_produced(self):

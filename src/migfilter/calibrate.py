@@ -15,6 +15,14 @@ of steps long cannot underflow), decides impossible observations, and
 checks the scan.  The smoothing posteriors follow in one broadcast.  The
 discrete M-step is closed form.
 
+The restarts of a multi-start fit run in lockstep: their parameters are
+stacked on a leading axis, and every E-step and M-step function takes
+such leading axes (through ``...`` indexing, so an unbatched call keeps
+its shapes and bits).  One iteration is then one scan per direction for
+all restarts, which on short panels saves the per-call overhead that
+would otherwise be paid once per restart.  A restart leaves the stack
+when it converges or hits an impossible observation.
+
 The continuous adaptation calibrates on a fine grid with at most one jump
 per interval: interval likelihoods come from a uniform picker model (one
 entity at a time is allowed to move), the hidden-chain updates stay closed
@@ -91,15 +99,23 @@ class CalibrationResult:
     (evaluated at the parameters entering each iteration; empty for a
     failed restart); traces are non-decreasing up to the configured
     tolerances.  ``loglik_trace`` is the best restart's.
+    ``restart_converged[r]`` says whether restart ``r`` met the tolerance
+    before the iteration cap, and ``restart_failures[r]`` holds the message
+    of the impossible observation that failed it (None if it finished).
     """
 
     factor: HiddenFactorSpec
     law: MigrationLaw
     best_restart: int
-    converged: bool
     restart_traces: tuple[np.ndarray, ...]
     restart_seeds: tuple[int, ...]
+    restart_converged: tuple[bool, ...]
+    restart_failures: tuple[str | None, ...]
     fine_dt: float | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.restart_converged[self.best_restart]
 
     @property
     def loglik_trace(self) -> np.ndarray:
@@ -128,7 +144,8 @@ class CalibrationResult:
 class ForwardResult(NamedTuple):
     """Scaled forward probabilities: row ``t`` (normalized to sum 1) times
     ``exp(log_scale[t])`` is the joint likelihood of the first ``t + 1``
-    observed steps and the hidden state driving step ``t + 1``."""
+    observed steps and the hidden state driving step ``t + 1``.  With
+    leading restart axes, ``loglik`` is an array over them."""
 
     alpha: np.ndarray
     log_scale: np.ndarray
@@ -153,43 +170,52 @@ def _safe_log_law(per_state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_law, (~positive).astype(float)
 
 
-def _panel_log_weights(panel: MigrationPanel, law: MigrationLaw) -> np.ndarray:
+def _panel_log_weights(panel: MigrationPanel, per_state: np.ndarray) -> np.ndarray:
     """Per-step, per-state log-likelihood of the observed count matrices
-    (multinomial coefficients dropped).  Shape (steps, m); impossible
-    combinations get -inf."""
-    log_law, zero_mask = _safe_log_law(law.per_state)
-    m, p = law.n_states, law.p
+    (multinomial coefficients dropped) under the migration matrices
+    ``per_state`` of shape (..., m, p, p).  Shape (..., steps, m);
+    impossible combinations get -inf."""
+    *batch, m, p, _ = per_state.shape
+    log_law, zero_mask = (
+        np.swapaxes(x.reshape(*batch, m, p * p), -1, -2) for x in _safe_log_law(per_state)
+    )
     counts = panel.counts.reshape(panel.steps, p * p).astype(float)
-    logg = counts @ log_law.reshape(m, p * p).T
+    logg = counts @ log_law
     if zero_mask.any():
-        hits = (counts > 0).astype(float) @ zero_mask.reshape(m, p * p).T
-        logg[hits > 0] = -np.inf
+        logg[(counts > 0).astype(float) @ zero_mask > 0] = -np.inf
     return logg
 
 
-def _max_axis1(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=1)`` for a short axis 1: one elementwise maximum per
-    entry along it, several times faster than numpy's reduction."""
-    top = x[:, 0].copy()
-    for j in range(1, x.shape[1]):
-        np.maximum(top, x[:, j], out=top)
+def _max_over(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x.max(axis)`` for a short ``axis`` (-1 or -2): one elementwise
+    maximum per entry along it, several times faster than numpy's
+    reduction."""
+    x = x.swapaxes(axis, -1)
+    top = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(top, x[..., j], out=top)
     return top
 
 
 def _column_normalized(
     mats: np.ndarray, log_scale: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Divide every column by its largest entry and add that entry's log to
-    the column's log-scale; all-zero columns stay zero (log-scale -inf)."""
-    top = _max_axis1(mats)
-    return mats / np.where(top > 0.0, top, 1.0)[:, None, :], log_scale + np.log(top)
+    """Divide every column by its largest entry (in place) and add that
+    entry's log to the column's log-scale; all-zero columns stay zero
+    (log-scale -inf)."""
+    top = _max_over(mats, -2)
+    mats /= np.where(top > 0.0, top, 1.0)[..., None, :]
+    return mats, log_scale + np.log(top)
 
 
-def _exp_normalized(log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``exp(log_x)`` divided by its maximum along axis 1, and the maximum
-    of ``log_x`` along axis 1 (slices that are all -inf give zeros)."""
-    top = _max_axis1(log_x)
-    return np.exp(log_x - np.where(np.isfinite(top), top, 0.0)[:, None]), top
+def _exp_normalized(log_x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(log_x)`` divided by its maximum along ``axis`` (-1 or -2),
+    computed in place of ``log_x``, and the maximum of ``log_x`` along it
+    (slices that are all -inf give zeros)."""
+    top = _max_over(log_x, axis)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    log_x -= shift[..., None, :] if axis == -2 else shift[..., None]
+    return np.exp(log_x, out=log_x), top
 
 
 def _scaled_matmul(
@@ -199,47 +225,56 @@ def _scaled_matmul(
     exp(a_scale[..., j])``.  Row j of ``b`` is weighted by column j's scale
     in log space first, so columns whose scales lie hundreds of orders of
     magnitude apart never underflow against each other."""
-    w, top = _exp_normalized(a_scale[:, :, None] + np.log(b))
+    log_w = np.log(b)
+    log_w += a_scale[..., None]
+    w, top = _exp_normalized(log_w, -2)
     return _column_normalized(a @ w, top + b_scale)
 
 
 def _prefix_products(
     mats: np.ndarray, log_scale: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusive prefix products ``mats[k] @ ... @ mats[0]`` of column-scaled
-    nonnegative matrices (see ``_scaled_matmul``).
+    """Inclusive prefix products ``mats[k] @ ... @ mats[0]`` along the
+    leading axis of column-scaled nonnegative matrices (see
+    ``_scaled_matmul``), computed in place; axes between the leading axis
+    and the matrix axes are batch axes.
 
     Work-efficient scan: multiply neighbouring pairs, scan the half-length
     sequence of pairs, then extend each odd prefix by the next even matrix.
     O(n) matrix products in O(log n) batched calls.
     """
     n = mats.shape[0]
-    if n == 1:
-        return mats, log_scale
-    lo, hi = slice(0, n - 1, 2), slice(1, n, 2)
-    odd, odd_scale = _prefix_products(
-        *_scaled_matmul(mats[hi], log_scale[hi], mats[lo], log_scale[lo])
-    )
-    out = np.empty_like(mats)
-    out_scale = np.empty_like(log_scale)
-    out[0], out_scale[0] = mats[0], log_scale[0]
-    out[1::2], out_scale[1::2] = odd, odd_scale
-    fill = (n - 1) // 2
-    out[2::2], out_scale[2::2] = _scaled_matmul(
-        mats[2::2], log_scale[2::2], odd[:fill], odd_scale[:fill]
-    )
-    return out, out_scale
+    if n > 1:
+        odd, odd_scale = _prefix_products(
+            *_scaled_matmul(mats[1::2], log_scale[1::2], mats[:-1:2], log_scale[:-1:2])
+        )
+        mats[1::2], log_scale[1::2] = odd, odd_scale
+        fill = (n - 1) // 2
+        mats[2::2], log_scale[2::2] = _scaled_matmul(
+            mats[2::2], log_scale[2::2], odd[:fill], odd_scale[:fill]
+        )
+    return mats, log_scale
+
+
+def _time_major(mats: np.ndarray) -> np.ndarray:
+    """View of matrices stored time-major, shape (steps, ..., m, m), with
+    the time axis moved to third from last, where ``_scan_directions``
+    takes it; the scan then runs on contiguous memory, as it does
+    without batch axes."""
+    return np.moveaxis(mats, 0, -3)
 
 
 def _scan_directions(log_mats: np.ndarray) -> np.ndarray:
-    """Every step of the recursion ``x_k = M[k] @ x_(k-1)``, its start
-    folded into ``M[0]``, where ``M = exp(log_mats)``, as rows normalized to
-    sum 1 (zero rows once the recursion dies)."""
+    """Every step of the recursion ``x_k = M[..., k, :, :] @ x_(k-1)``, its
+    start folded into the first matrix, where ``M = exp(log_mats)`` has
+    shape (..., steps, m, m), as rows (..., steps, m) normalized to sum 1
+    (zero rows once the recursion dies).  Overwrites ``log_mats``."""
+    # the scan runs along the leading axis (swapping is its own inverse)
     with np.errstate(divide="ignore"):
-        prods, scale = _prefix_products(*_exp_normalized(log_mats))
-    col_weight, _ = _exp_normalized(scale)
-    rows = np.einsum("tij,tj->ti", prods, col_weight)
-    total = rows.sum(axis=1, keepdims=True)
+        prods, scale = _prefix_products(*_exp_normalized(log_mats.swapaxes(0, -3), -2))
+    col_weight, _ = _exp_normalized(scale, -1)
+    rows = np.einsum("...ij,...j->...i", prods, col_weight).swapaxes(0, -2)
+    total = rows.sum(axis=-1, keepdims=True)
     return rows / np.where(total > 0.0, total, 1.0)
 
 
@@ -255,62 +290,85 @@ def _raise_impossible(t: int, every_state: bool):
     )
 
 
-def _check_scan(scanned: np.ndarray, exact: np.ndarray, steps: np.ndarray, last: bool):
-    """Every scanned row must agree with one exact recursion step taken from
-    the scanned row before it; a disagreement means the scan lost precision
-    and its rows cannot be trusted."""
-    bad = steps[np.abs(scanned - exact).max(axis=1, initial=0.0) > 1e-9]
-    if bad.size:
-        t = int(bad[-1] if last else bad[0])
+def _first_flagged(flags: np.ndarray, last: bool) -> tuple[int, int] | None:
+    """The first restart (in batch order) with a flagged step, and its first
+    flagged step (its last when ``last``); None when nothing is flagged."""
+    if not flags.any():
+        return None
+    flat = flags.reshape(-1, flags.shape[-1])
+    r = int(flat.any(axis=1).argmax())
+    steps = np.flatnonzero(flat[r])
+    return r, int(steps[-1] if last else steps[0])
+
+
+def _settled(
+    scanned: np.ndarray, row: np.ndarray, impossible: np.ndarray, last: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize the exact-step rows ``row`` and check the scanned rows
+    against them; return the normalized rows and their norms.
+
+    A forward recursion dies at its first row of zero norm, a backward one
+    (``last``) at its last; the rows it computed before dying must agree
+    with the scan, or the scan lost precision and a NumericalError names
+    the first (forward) or last (backward) disagreeing step.  A restart
+    whose recursion dies then raises ImpossibleObservationError at the step
+    that killed it; with several restarts, the first that fails decides
+    both errors.
+    """
+    norm = row.sum(axis=-1)
+    flip = (lambda x: x[..., ::-1]) if last else (lambda x: x)
+    alive = flip(np.logical_and.accumulate(flip(norm > 0.0), axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact = row / norm[..., None]
+        off = alive & (np.abs(scanned - exact).max(axis=-1, initial=0.0) > 1e-9)
+    lost = _first_flagged(off, last)
+    if lost is not None:
         raise NumericalError(
-            f"the prefix scan lost precision at step {t}: the per-step "
+            f"the prefix scan lost precision at step {lost[1]}: the per-step "
             "likelihoods span more orders of magnitude than double precision holds"
         )
+    dead = _first_flagged(~alive, last)
+    if dead is not None:
+        r, t = dead[0], dead[1] + last  # beta[t] reads step t + 1
+        _raise_impossible(t, bool(impossible.reshape(-1, impossible.shape[-1])[r, t]))
+    return exact, norm
 
 
 def _forward(logg: np.ndarray, pi: np.ndarray, trans: np.ndarray) -> ForwardResult:
-    steps, m = logg.shape
-    impossible = ~np.isfinite(logg.max(axis=1))
+    *batch, steps, m = logg.shape
+    impossible = ~np.isfinite(logg.max(axis=-1))
     with np.errstate(divide="ignore"):
-        log_mats = np.full((steps, m, m), -np.inf)
-        log_mats[0, range(m), range(m)] = np.log(pi) + logg[0]
-        log_mats[1:] = logg[1:, :, None] + np.log(trans).T
+        log_mats = _time_major(np.full((steps, *batch, m, m), -np.inf))
+        log_mats[..., 0, range(m), range(m)] = np.log(pi) + logg[..., 0, :]
+        log_mats[..., 1:, :, :] = (
+            logg[..., 1:, :, None] + np.log(np.swapaxes(trans, -1, -2))[..., None, :, :]
+        )
         scanned = _scan_directions(log_mats)
         # one exact recursion step, in log space, from each scanned row
-        carry = np.vstack([pi, scanned[:-1] @ trans])
-        row, top = _exp_normalized(np.log(carry) + logg)
-    norm = row.sum(axis=1)
-    bad = np.flatnonzero(~(norm > 0.0))
-    good = bad[0] if bad.size else steps
-    alpha = row[:good] / norm[:good, None]
-    _check_scan(scanned[:good], alpha, np.arange(good), last=False)
-    if bad.size:
-        _raise_impossible(int(good), bool(impossible[good]))
-    log_scale = np.cumsum(np.log(norm) + top)
-    return ForwardResult(alpha=alpha, log_scale=log_scale, loglik=float(log_scale[-1]))
+        carry = np.concatenate([pi[..., None, :], scanned[..., :-1, :] @ trans], axis=-2)
+        row, top = _exp_normalized(np.log(carry) + logg, -1)
+    alpha, norm = _settled(scanned, row, impossible, last=False)
+    log_scale = np.cumsum(np.log(norm) + top, axis=-1)
+    loglik = log_scale[..., -1]
+    return ForwardResult(alpha, log_scale, loglik if batch else float(loglik))
 
 
 def _backward(logg: np.ndarray, trans: np.ndarray) -> BackwardResult:
-    steps, m = logg.shape
-    impossible = ~np.isfinite(logg.max(axis=1))
+    *batch, steps, m = logg.shape
+    impossible = ~np.isfinite(logg.max(axis=-1))
     # reversed: element k drives beta[steps - 1 - k]; the flat terminal
     # column is folded into element 0
     with np.errstate(divide="ignore"):
-        log_mats = np.zeros((steps, m, m))
-        log_mats[1:] = np.log(trans) + logg[:0:-1, None, :]
-        scanned = _scan_directions(log_mats)[::-1]
+        log_mats = _time_major(np.zeros((steps, *batch, m, m)))
+        log_mats[..., 1:, :, :] = np.log(trans)[..., None, :, :] + logg[..., :0:-1, None, :]
+        scanned = _scan_directions(log_mats)[..., ::-1, :]
         # one exact recursion step, in log space, from each scanned row;
         # beta[t] reads step t + 1
-        w, top = _exp_normalized(logg[1:] + np.log(scanned[1:]))
-    row = np.vstack([w @ trans.T, np.ones(m)])
-    norm = row.sum(axis=1)
-    bad = np.flatnonzero(~(norm > 0.0))
-    first = bad[-1] + 1 if bad.size else 0
-    beta = row[first:] / norm[first:, None]
-    _check_scan(scanned[first:], beta, np.arange(first, steps), last=True)
-    if bad.size:
-        _raise_impossible(int(first), bool(impossible[first]))
-    log_scale = np.cumsum((np.log(norm) + np.append(top, 0.0))[::-1])[::-1]
+        w, top = _exp_normalized(logg[..., 1:, :] + np.log(scanned[..., 1:, :]), -1)
+    row = np.concatenate([w @ np.swapaxes(trans, -1, -2), np.ones((*batch, 1, m))], axis=-2)
+    beta, norm = _settled(scanned, row, impossible, last=True)
+    top = np.concatenate([top, np.zeros((*batch, 1))], axis=-1)
+    log_scale = np.cumsum((np.log(norm) + top)[..., ::-1], axis=-1)[..., ::-1]
     return BackwardResult(beta=beta, log_scale=log_scale)
 
 
@@ -327,7 +385,7 @@ def forward_pass(
         return ForwardResult(
             alpha=np.empty((0, factor.m)), log_scale=np.empty(0), loglik=0.0
         )
-    return _forward(_panel_log_weights(panel, law), factor.pi, factor.trans)
+    return _forward(_panel_log_weights(panel, law.per_state), factor.pi, factor.trans)
 
 
 def backward_pass(
@@ -337,7 +395,7 @@ def backward_pass(
     observed after the last step)."""
     if panel.steps == 0:
         return BackwardResult(beta=np.empty((0, factor.m)), log_scale=np.empty(0))
-    logg = _panel_log_weights(panel, law)
+    logg = _panel_log_weights(panel, law.per_state)
     return _backward(logg, factor.trans)
 
 
@@ -358,26 +416,28 @@ def posteriors(
     if panel.steps == 0:
         m = factor.m
         return np.empty((0, m)), np.empty((0, m, m))
-    return _posteriors_from(_panel_log_weights(panel, law), fwd, bwd, factor.trans)
+    return _posteriors_from(_panel_log_weights(panel, law.per_state), fwd, bwd, factor.trans)
 
 
 def _posteriors_from(
     logg: np.ndarray, fwd: ForwardResult, bwd: BackwardResult, trans: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     u = fwd.alpha * bwd.beta
-    u /= u.sum(axis=1, keepdims=True)
+    u /= u.sum(axis=-1, keepdims=True)
     with np.errstate(divide="ignore"):
-        w, _ = _exp_normalized(logg[1:] + np.log(bwd.beta[1:]))
-    v = fwd.alpha[:-1, :, None] * trans * w[:, None, :]
-    v /= np.einsum("tij->t", v)[:, None, None]
+        w, _ = _exp_normalized(logg[..., 1:, :] + np.log(bwd.beta[..., 1:, :]), -1)
+    v = fwd.alpha[..., :-1, :, None] * trans[..., None, :, :]
+    v *= w[..., None, :]
+    v /= np.einsum("...tij->...t", v)[..., None, None]
     return u, v
 
 
 def _e_step(
     logg: np.ndarray, pi: np.ndarray, trans: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """The E-step on per-step log-weights ``logg``: the log-likelihood and
-    the smoothing posteriors ``u`` and ``v`` (see :func:`posteriors`)."""
+    the smoothing posteriors ``u`` and ``v`` (see :func:`posteriors`).
+    Leading axes of ``logg``, ``pi`` and ``trans`` are restart axes."""
     fwd = _forward(logg, pi, trans)
     u, v = _posteriors_from(logg, fwd, _backward(logg, trans), trans)
     return fwd.loglik, u, v
@@ -393,7 +453,7 @@ def m_step(
     u: np.ndarray,
     v: np.ndarray,
     panel: MigrationPanel,
-    prev_law: MigrationLaw | None = None,
+    prev_law: MigrationLaw | np.ndarray | None = None,
     floor: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form maximization given the smoothing posteriors.
@@ -401,15 +461,17 @@ def m_step(
     Returns updated ``(pi, trans, per_state)`` arrays.  The migration row of
     a state whose expected exposure in some rating class falls below
     ``floor`` keeps its previous value (no information to update it with);
-    migration rows are floored at ``floor`` and renormalized.
+    migration rows are floored at ``floor`` and renormalized.  Leading axes
+    of ``u`` and ``v`` are restart axes, and ``prev_law`` may be given as
+    its per-state array stacked the same way.
     """
     pi, trans = _chain_m_step(u, v)
-    num = np.einsum("ti,tkr->ikr", u, panel.counts.astype(float))
-    den = np.einsum("ti,tk->ik", u, panel.exposures.astype(float))
+    num = np.einsum("...ti,tkr->...ikr", u, panel.counts.astype(float))
+    den = np.einsum("...ti,tk->...ik", u, panel.exposures.astype(float))
     blind = den < max(floor, 1e-300)
-    prev = prev_law.per_state if prev_law is not None else 1.0 / panel.p
+    prev = 1.0 / panel.p if prev_law is None else getattr(prev_law, "per_state", prev_law)
     per_state = np.where(
-        blind[:, :, None], prev, num / np.where(blind, 1.0, den)[:, :, None]
+        blind[..., None], prev, num / np.where(blind, 1.0, den)[..., None]
     )
     return pi, trans, _floored(per_state, floor)
 
@@ -417,15 +479,15 @@ def m_step(
 def _chain_m_step(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form update of the hidden chain's initial law and transition
     matrix; a state never visited before the last step gets a flat row."""
-    steps, m = u.shape
-    pi = u[0] / u[0].sum()
+    *batch, steps, m = u.shape
+    pi = u[..., 0, :] / u[..., 0, :].sum(axis=-1, keepdims=True)
     if steps > 1:
-        k_num = v.sum(axis=0)
-        k_den = u[:-1].sum(axis=0)[:, None]
+        k_num = v.sum(axis=-3)
+        k_den = u[..., :-1, :].sum(axis=-2)[..., None]
         trans = np.where(k_den > 0, k_num / np.where(k_den > 0, k_den, 1.0), 1.0 / m)
     else:
-        trans = np.full((m, m), 1.0 / m)
-    return pi, trans / trans.sum(axis=1, keepdims=True)
+        trans = np.full((*batch, m, m), 1.0 / m)
+    return pi, trans / trans.sum(axis=-1, keepdims=True)
 
 
 def _random_init(rng, m: int, p: int, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -441,8 +503,10 @@ def em_fit(panel: MigrationPanel, m: int, cfg: EmConfig) -> CalibrationResult:
     Each restart starts from independent uniform draws on the parameter
     simplices and iterates expectation and maximization until the relative
     log-likelihood improvement drops below ``cfg.tol`` (or ``max_iters``).
-    The best restart by final log-likelihood wins; its states are relabeled
-    from least to most risky before being returned.
+    The restarts run in lockstep, stacked on a leading axis, so one E-step
+    and one M-step serve all of them per iteration.  The best restart by
+    final log-likelihood wins; its states are relabeled from least to most
+    risky before being returned.
     """
     return _multi_start(panel, m, cfg, _discrete_e_and_m)
 
@@ -450,9 +514,10 @@ def em_fit(panel: MigrationPanel, m: int, cfg: EmConfig) -> CalibrationResult:
 def _multi_start(panel, m, cfg, e_and_m) -> CalibrationResult:
     """Run ``cfg.restarts`` EM restarts on ``panel`` from seeded random
     starts and return the best one, states relabeled from least to most
-    risky.  An empty panel, ``m < 1`` or a floor of ``1 / max(m, p)`` or
-    more is a DataError.  Restarts that hit an impossible observation count
-    as failed; all failing is a ModelError."""
+    risky.  The starts are stacked on a leading axis and iterated in
+    lockstep by ``_em_lockstep``.  An empty panel, ``m < 1`` or a floor of
+    ``1 / max(m, p)`` or more is a DataError.  Restarts that hit an
+    impossible observation count as failed; all failing is a ModelError."""
     p = panel.p
     if panel.steps == 0:
         raise DataError("cannot calibrate on an empty panel")
@@ -462,30 +527,17 @@ def _multi_start(panel, m, cfg, e_and_m) -> CalibrationResult:
         raise DataError(f"floor {cfg.floor} too large for {m} states / {p} ratings")
     master = np.random.default_rng(cfg.seed)
     seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=cfg.restarts)]
-    traces: list[np.ndarray] = []
-    fits: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = []
-    converged_flags: list[bool] = []
-    failures: list[str] = []
-    for seed in seeds:
-        pi, trans, per_state = _random_init(np.random.default_rng(seed), m, p, cfg.floor)
-        try:
-            trace, params, conv = _em_single(panel, pi, trans, per_state, cfg, e_and_m)
-        except ImpossibleObservationError as exc:
-            failures.append(str(exc))
-            traces.append(np.empty(0))
-            fits.append(None)
-            converged_flags.append(False)
-            continue
-        traces.append(trace)
-        fits.append(params)
-        converged_flags.append(conv)
-    if all(f is None for f in fits):
+    starts = [_random_init(np.random.default_rng(seed), m, p, cfg.floor) for seed in seeds]
+    traces, params, converged, errors = _em_lockstep(
+        panel, [np.stack(x) for x in zip(*starts)], cfg, e_and_m
+    )
+    failures = tuple(None if exc is None else str(exc) for exc in errors)
+    if all(failures):
         raise ModelError(
             "every EM restart failed on impossible observations: " + failures[0]
         )
-    finals = [t[-1] if t.size else -np.inf for t in traces]
-    best = int(np.argmax(finals))
-    pi, trans, per_state = fits[best]
+    best = int(np.argmax([t[-1] if t.size else -np.inf for t in traces]))
+    pi, trans, per_state = (x[best] for x in params)
     factor = HiddenFactorSpec(pi=pi, trans=trans, mode=Mode.DISCRETE)
     law = MigrationLaw(per_state=per_state, mode=Mode.DISCRETE)
     factor, law, _ = sort_states_by_risk(factor, law)
@@ -493,34 +545,86 @@ def _multi_start(panel, m, cfg, e_and_m) -> CalibrationResult:
         factor=factor,
         law=law,
         best_restart=best,
-        converged=converged_flags[best],
         restart_traces=tuple(traces),
         restart_seeds=tuple(seeds),
+        restart_converged=tuple(converged),
+        restart_failures=failures,
     )
 
 
 def _discrete_e_and_m(panel, pi, trans, per_state, cfg):
-    law = MigrationLaw(per_state=per_state, mode=Mode.DISCRETE)
-    loglik, u, v = _e_step(_panel_log_weights(panel, law), pi, trans)
-    return loglik, m_step(u, v, panel, prev_law=law, floor=cfg.floor)
+    loglik, u, v = _e_step(_panel_log_weights(panel, per_state), pi, trans)
+    return loglik, m_step(u, v, panel, prev_law=per_state, floor=cfg.floor)
+
+
+def _em_step(panel, params, cfg, e_and_m):
+    """One EM iteration of every restart stacked in ``params``: their
+    log-likelihoods, their new parameters and, per restart, the
+    ImpossibleObservationError it hit or None.  When a stack raises, each
+    restart is iterated alone, so a failure is charged to its own restart,
+    with its own message, and the others are unaffected."""
+    try:
+        loglik, new = e_and_m(panel, *params, cfg)
+    except ImpossibleObservationError as exc:
+        if len(params[0]) == 1:
+            return np.full(1, np.nan), params, [exc]
+        alone = [
+            _em_step(panel, [x[r : r + 1] for x in params], cfg, e_and_m)
+            for r in range(len(params[0]))
+        ]
+        return (
+            np.concatenate([a[0] for a in alone]),
+            [np.concatenate(x) for x in zip(*(a[1] for a in alone))],
+            [exc for a in alone for exc in a[2]],
+        )
+    return loglik, new, [None] * len(loglik)
+
+
+def _em_lockstep(panel, starts, cfg, e_and_m):
+    """Run EM restarts in lockstep from ``starts``, the stacked ``(pi,
+    trans, per_state)`` with a leading restart axis, calling
+    ``e_and_m(panel, pi, trans, per_state, cfg)`` once per iteration on the
+    restarts still running.  A restart leaves the batch when its relative
+    log-likelihood improvement drops to ``cfg.tol`` or when it hits an
+    impossible observation.  Returns each restart's trace (empty for a
+    failed one), the stacked final parameters, the converged flags and the
+    ImpossibleObservationError of each failed restart (None otherwise)."""
+    params = [np.array(x, dtype=float) for x in starts]
+    n = len(params[0])
+    traces: list[list[float]] = [[] for _ in range(n)]
+    converged = np.zeros(n, dtype=bool)
+    errors = [None] * n
+    prev = np.full(n, np.nan)
+    running = np.arange(n)
+    for _ in range(cfg.max_iters):
+        if not running.size:
+            break
+        loglik, new, hit = _em_step(panel, [x[running] for x in params], cfg, e_and_m)
+        for x, y in zip(params, new):
+            x[running] = y
+        for r, value, exc in zip(running, loglik, hit):
+            traces[r].append(value)
+            errors[r] = exc
+        last = prev[running]
+        done = loglik - last <= cfg.tol * np.maximum(np.abs(last), 1.0)
+        failed = np.array([exc is not None for exc in hit])
+        converged[running[done]] = True
+        prev[running] = loglik
+        running = running[~(done | failed)]
+    traces = [np.array(t) if exc is None else np.empty(0) for t, exc in zip(traces, errors)]
+    return traces, params, converged.tolist(), errors
 
 
 def _em_single(panel, pi, trans, per_state, cfg, e_and_m):
-    """Run one EM restart; returns (trace, final params, converged)."""
-    trace = []
-    converged = False
-    params = (pi, trans, per_state)
-    for _ in range(cfg.max_iters):
-        loglik, new_params = e_and_m(panel, *params, cfg)
-        trace.append(loglik)
-        if len(trace) > 1:
-            prev = trace[-2]
-            if loglik - prev <= cfg.tol * max(abs(prev), 1.0):
-                converged = True
-                params = new_params
-                break
-        params = new_params
-    return np.array(trace), params, converged
+    """Run one EM restart (``_em_lockstep`` on a batch of one); returns
+    (trace, final params, converged) or raises the restart's
+    ImpossibleObservationError."""
+    traces, params, converged, errors = _em_lockstep(
+        panel, [pi[None], trans[None], per_state[None]], cfg, e_and_m
+    )
+    if errors[0] is not None:
+        raise errors[0]
+    return traces[0], tuple(x[0] for x in params), converged[0]
 
 
 # --------------------------------------------------------------------------
@@ -558,25 +662,29 @@ def _picker_log_weights(
     per_state: np.ndarray,
     n_bar: float,
 ) -> np.ndarray:
-    """Per-interval, per-state log-likelihood under the uniform picker model.
+    """Per-interval, per-state log-likelihood under the uniform picker model,
+    shape (..., steps, m) for migration matrices ``per_state`` of shape
+    (..., m, p, p).
 
     One entity slot out of ``n_bar`` is picked uniformly; a slot outside the
     current sample forbids jumps, a picked entity moves by its migration
     row.  Only the picked entity contributes a probability factor.
     """
     n_t = exposures.sum(axis=1).astype(float)
-    m = per_state.shape[0]
-    s_count = exposures.shape[0]
-    diag = np.einsum("ijj->ij", per_state)
+    *batch, m, _, _ = per_state.shape
+    diag = np.einsum("...ijj->...ij", per_state)
     nojump = src < 0
     rows = np.flatnonzero(~nojump)
     with np.errstate(divide="ignore"):
-        jump_logw = np.log(per_state[:, src[rows], dst[rows]].T) - math.log(n_bar)
-    logw = np.empty((s_count, m))
-    base = (1.0 - n_t / n_bar)[:, None] + (exposures.astype(float) @ diag.T) / n_bar
+        jump_logw = np.log(np.swapaxes(per_state[..., src[rows], dst[rows]], -1, -2))
+        jump_logw -= math.log(n_bar)
+    logw = np.empty((*batch, exposures.shape[0], m))
+    base = (1.0 - n_t / n_bar)[:, None] + (
+        exposures.astype(float) @ np.swapaxes(diag, -1, -2)
+    ) / n_bar
     with np.errstate(divide="ignore"):
-        logw[nojump] = np.log(base[nojump])
-    logw[rows] = jump_logw
+        logw[..., nojump, :] = np.log(base[..., nojump, :])
+    logw[..., rows, :] = jump_logw
     return logw
 
 
@@ -694,16 +802,18 @@ def em_fit_continuous(
     y_nj = exposures[nojump].astype(float)
 
     def e_and_m(_panel, pi, trans, per_state, cfg):
+        """One iteration of the restarts stacked on the leading axis: one
+        batched E-step, then L-BFGS per restart and state."""
         logw = _picker_log_weights(exposures, src, dst, per_state, n_bar)
         loglik, u, v = _e_step(logw, pi, trans)
-        jump_mass = _jump_posterior_mass(u, src, dst, m, fine.p)
-        u_nj = u[nojump]
-        new_per_state = np.stack([
-            _optimize_picker_rows(
-                jump_mass[i], u_nj[:, i], y_nj, n_bar, per_state[i], cfg.floor
-            )
-            for i in range(m)
-        ])
+        u_nj = u[:, nojump]
+        new_per_state = np.empty_like(per_state)
+        for r in range(len(per_state)):
+            jump_mass = _jump_posterior_mass(u[r], src, dst, m, fine.p)
+            for i in range(m):
+                new_per_state[r, i] = _optimize_picker_rows(
+                    jump_mass[i], u_nj[r, :, i], y_nj, n_bar, per_state[r, i], cfg.floor
+                )
         return loglik, (*_chain_m_step(u, v), new_per_state)
 
     result = _multi_start(fine, m, cfg, e_and_m)

@@ -165,7 +165,7 @@ def filter_step_multivariate(
     if factor.mode is not Mode.DISCRETE or law.mode is not Mode.DISCRETE:
         raise ModelError("filter_step_multivariate requires discrete mode")
     step = MigrationPanel(np.asarray(y)[None], np.asarray(d_n)[None])
-    return _one_step(state, _panel_log_weights(step, law)[0], factor.trans)
+    return _one_step(state, _panel_log_weights(step, law.per_state)[0], factor.trans)
 
 
 def run_filter(
@@ -196,7 +196,7 @@ def run_filter(
     probs = _checked_laws(factor.pi)[None, :]
     loglik = 0.0
     if panel.steps:
-        fwd = _forward(_panel_log_weights(panel, law), probs[0], factor.trans)
+        fwd = _forward(_panel_log_weights(panel, law.per_state), probs[0], factor.trans)
         probs = np.vstack([probs, fwd.alpha @ factor.trans])
         loglik = fwd.loglik
     return FilterTrajectory(

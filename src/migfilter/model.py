@@ -309,6 +309,12 @@ class EventStream:
                 )
             if np.any(np.diff(self.boundary_times) < 0):
                 raise DataError("boundary times must be nondecreasing")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise DataError(f"horizon must be finite and positive, got {self.horizon!r}")
+        if not np.isfinite(self.times).all():
+            raise DataError("event times must be finite")
+        if self.boundary_times is not None and not np.isfinite(self.boundary_times).all():
+            raise DataError("boundary times must be finite")
         n = self.times.shape[0]
         if self.sources.shape[0] != n or self.targets.shape[0] != n:
             raise DataError("times, sources and targets must have equal length")

@@ -249,6 +249,24 @@ class TestPanelAndStream:
                 horizon=2.0,
             )
 
+    @pytest.mark.parametrize(
+        "times, horizon",
+        [([], -1.0), ([], 0.0), ([0.5], np.nan), ([np.inf], np.inf)],
+        ids=["negative", "zero", "nan", "infinite"],
+    )
+    def test_stream_horizon_must_be_finite_and_positive(self, times, horizon):
+        with pytest.raises(DataError, match="horizon must be finite and positive"):
+            mf.EventStream(times, [0] * len(times), [1] * len(times), [2, 2], horizon=horizon)
+
+    def test_stream_times_must_be_finite(self):
+        with pytest.raises(DataError, match="event times must be finite"):
+            mf.EventStream([np.nan], [0], [1], [2, 2], horizon=1.0)
+        with pytest.raises(DataError, match="boundary times must be finite"):
+            mf.EventStream(
+                [0.5], [0], [1], [2, 2], horizon=1.0,
+                boundary_times=[np.nan], boundary_exposures=[[1, 3]],
+            )
+
     def test_snapshots_follow_events_and_boundaries(self):
         stream = mf.EventStream(
             times=np.array([0.5, 1.5]),

@@ -28,12 +28,22 @@ per interval: interval likelihoods come from a uniform picker model (one
 entity at a time is allowed to move), the hidden-chain updates stay closed
 form, and the migration rows are maximized numerically under simplex
 constraints.  The fitted fine-grid probabilities convert to intensity
-matrices by the small-step linearization.
+matrices by the small-step linearization.  A no-jump interval's likelihood
+depends only on the exposures, which change only at events and
+boundaries, so the E-step runs on segments: every jump interval is one,
+and so is every run of equal no-jump intervals.  The segments form a
+hidden-Markov chain of their own, scanned like the discrete one with one
+transition matrix per segment, and each run's posteriors summed over its
+intervals come from a block matrix power (Van Loan, 1978; the same algebra
+as Ryden's 1996 EM for Markov-modulated Poisson processes).  The
+migration-row objective sums that mass per distinct no-jump exposure
+vector.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -83,10 +93,12 @@ class EmConfig:
     floor: float = 1e-12
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise DataError("restarts must be at least 1")
-        if self.tol <= 0:
-            raise DataError("tol must be positive")
+        for name in ("restarts", "max_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise DataError(f"{name} must be a whole number of at least 1, got {value!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise DataError(f"tol must be positive and finite, got {self.tol!r}")
         if not 0 <= self.floor < 1:
             raise DataError("floor must lie in [0, 1)")
 
@@ -334,18 +346,34 @@ def _settled(
     return exact, norm
 
 
+def _leading(trans: np.ndarray, logg: np.ndarray) -> np.ndarray:
+    """The transitions into steps 1, 2, ... of the per-step log-weights
+    ``logg``, shape (..., steps - 1 or 1, m, m): ``trans`` is either one
+    matrix shared by every step, (..., m, m), or one matrix per step,
+    (..., steps, m, m), where ``trans[..., t, :, :]`` leads into step ``t``
+    (the first is unused)."""
+    return trans[..., 1:, :, :] if trans.ndim > logg.ndim else trans[..., None, :, :]
+
+
+def _times(rows: np.ndarray, lead: np.ndarray) -> np.ndarray:
+    """Rows (..., n, m) times their transitions ``lead`` from
+    :func:`_leading`: the shared matrix, or each row its own."""
+    if lead.shape[-3] == 1:
+        return rows @ lead[..., 0, :, :]
+    return (rows[..., None, :] @ lead)[..., 0, :]
+
+
 def _forward(logg: np.ndarray, pi: np.ndarray, trans: np.ndarray) -> ForwardResult:
     *batch, steps, m = logg.shape
     impossible = ~np.isfinite(logg.max(axis=-1))
+    lead = _leading(trans, logg)
     with np.errstate(divide="ignore"):
         log_mats = _time_major(np.full((steps, *batch, m, m), -np.inf))
         log_mats[..., 0, range(m), range(m)] = np.log(pi) + logg[..., 0, :]
-        log_mats[..., 1:, :, :] = (
-            logg[..., 1:, :, None] + np.log(np.swapaxes(trans, -1, -2))[..., None, :, :]
-        )
+        log_mats[..., 1:, :, :] = logg[..., 1:, :, None] + np.log(np.swapaxes(lead, -1, -2))
         scanned = _scan_directions(log_mats)
         # one exact recursion step, in log space, from each scanned row
-        carry = np.concatenate([pi[..., None, :], scanned[..., :-1, :] @ trans], axis=-2)
+        carry = np.concatenate([pi[..., None, :], _times(scanned[..., :-1, :], lead)], axis=-2)
         row, top = _exp_normalized(np.log(carry) + logg, -1)
     alpha, norm = _settled(scanned, row, impossible, last=False)
     log_scale = np.cumsum(np.log(norm) + top, axis=-1)
@@ -356,16 +384,17 @@ def _forward(logg: np.ndarray, pi: np.ndarray, trans: np.ndarray) -> ForwardResu
 def _backward(logg: np.ndarray, trans: np.ndarray) -> BackwardResult:
     *batch, steps, m = logg.shape
     impossible = ~np.isfinite(logg.max(axis=-1))
+    lead = _leading(trans, logg)
     # reversed: element k drives beta[steps - 1 - k]; the flat terminal
     # column is folded into element 0
     with np.errstate(divide="ignore"):
         log_mats = _time_major(np.zeros((steps, *batch, m, m)))
-        log_mats[..., 1:, :, :] = np.log(trans)[..., None, :, :] + logg[..., :0:-1, None, :]
+        log_mats[..., 1:, :, :] = np.log(lead)[..., ::-1, :, :] + logg[..., :0:-1, None, :]
         scanned = _scan_directions(log_mats)[..., ::-1, :]
         # one exact recursion step, in log space, from each scanned row;
         # beta[t] reads step t + 1
         w, top = _exp_normalized(logg[..., 1:, :] + np.log(scanned[..., 1:, :]), -1)
-    row = np.concatenate([w @ np.swapaxes(trans, -1, -2), np.ones((*batch, 1, m))], axis=-2)
+    row = np.concatenate([_times(w, np.swapaxes(lead, -1, -2)), np.ones((*batch, 1, m))], axis=-2)
     beta, norm = _settled(scanned, row, impossible, last=True)
     top = np.concatenate([top, np.zeros((*batch, 1))], axis=-1)
     log_scale = np.cumsum((np.log(norm) + top)[..., ::-1], axis=-1)[..., ::-1]
@@ -426,7 +455,7 @@ def _posteriors_from(
     u /= u.sum(axis=-1, keepdims=True)
     with np.errstate(divide="ignore"):
         w, _ = _exp_normalized(logg[..., 1:, :] + np.log(bwd.beta[..., 1:, :]), -1)
-    v = fwd.alpha[..., :-1, :, None] * trans[..., None, :, :]
+    v = fwd.alpha[..., :-1, :, None] * _leading(trans, logg)
     v *= w[..., None, :]
     v /= np.einsum("...tij->...t", v)[..., None, None]
     return u, v
@@ -699,6 +728,121 @@ def picker_weights(panel_fine: MigrationPanel, law: MigrationLaw) -> np.ndarray:
     return np.exp(_picker_log_weights(exposures, src, dst, law.per_state, n_bar))
 
 
+class _Segments(NamedTuple):
+    """A fine grid collapsed into segments of equal interval likelihoods.
+
+    Interval 0, the last interval and every jump interval are segments of
+    their own; every maximal run of no-jump intervals with equal exposures
+    is one segment.  Segment ``s`` covers the ``lengths[s]`` intervals from
+    ``starts[s]``, which all share its ``exposures``, ``src`` and ``dst``.
+    """
+
+    starts: np.ndarray
+    lengths: np.ndarray
+    exposures: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+
+
+def _segments(exposures: np.ndarray, src: np.ndarray, dst: np.ndarray) -> _Segments:
+    """Collapse the fine-grid arrays of :func:`_fine_grid_from_panel`."""
+    steps = src.shape[0]
+    new = np.ones(steps, dtype=bool)
+    new[2:-1] = (
+        (src[2:-1] >= 0)
+        | (src[1:-2] >= 0)
+        | (exposures[2:-1] != exposures[1:-2]).any(axis=1)
+    )
+    starts = np.flatnonzero(new)
+    lengths = np.diff(starts, append=steps)
+    return _Segments(starts, lengths, exposures[starts], src[starts], dst[starts])
+
+
+def _matrix_powers(base: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``base[k]`` to the power ``exps[k]`` along the leading axis, for
+    exponents of at least 1 in descending order, by repeated squaring
+    batched over ``k``, as column-scaled matrices (see ``_scaled_matmul``),
+    so long runs cannot underflow."""
+    out, out_scale = base.copy(), np.zeros(base.shape[:-1])
+    square, square_scale = base.copy(), np.zeros(base.shape[:-1])
+    rest = exps - 1
+    live = np.count_nonzero(rest)  # the powers still to square: a prefix
+    with np.errstate(divide="ignore"):
+        while live:
+            odd = np.flatnonzero(rest[:live] % 2)
+            out[odd], out_scale[odd] = _scaled_matmul(
+                out[odd], out_scale[odd], square[odd], square_scale[odd]
+            )
+            rest //= 2
+            live = np.count_nonzero(rest)
+            square[:live], square_scale[:live] = _scaled_matmul(
+                square[:live], square_scale[:live], square[:live], square_scale[:live]
+            )
+    return out, out_scale
+
+
+def _segment_e_step(
+    logg: np.ndarray, pi: np.ndarray, trans: np.ndarray, seg: _Segments
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    """The picker E-step on segments, from the segments' log-weights
+    ``logg`` (..., segments, m): the log-likelihood, ``u`` summed over each
+    segment's intervals, and ``v`` summed over the transitions into each
+    segment after the first.  Leading axes are restart axes.
+
+    The segments form a hidden-Markov chain over the state in force at
+    their last interval: a run of ``r`` intervals with weights ``g`` and
+    ``A = K diag(g)`` steps by ``A^(r-1) K`` and weighs by ``g``.  Its
+    column scales move into its log-weights, and the chain is scanned with
+    per-step transitions.  With ``a`` the forward row of the previous
+    segment and ``b`` the backward row of the run, the run's summed
+    posteriors come from ``C``, the top-right block of ``[[A, b a], [0,
+    A]]^r`` (Van Loan, 1978): ``u`` is ``diag(C A)`` and ``v`` is ``K *
+    C^T diag(g)``, both over ``sum(diag(C A)) / r``.  An impossible
+    observation is reported at the first interval of its segment.
+    """
+    runs = np.flatnonzero(seg.lengths > 1)
+    runs = runs[np.argsort(-seg.lengths[runs], kind="stable")]
+    r = seg.lengths[runs].reshape(-1, *[1] * (logg.ndim - 1))
+    m = logg.shape[-1]
+    log_g = np.moveaxis(logg[..., runs, :], -2, 0)
+    step = trans * np.exp(log_g)[..., None, :]
+    zeros = np.zeros(step.shape[:-1])
+    with np.errstate(divide="ignore"):
+        into, into_scale = _scaled_matmul(
+            *_matrix_powers(step, seg.lengths[runs] - 1), np.broadcast_to(trans, step.shape), zeros
+        )
+    per_step = np.broadcast_to(trans[..., None, :, :], (*logg.shape, m)).copy()
+    per_step[..., runs, :, :] = np.moveaxis(into, 0, -3)
+    logg = logg.copy()
+    logg[..., runs, :] += np.moveaxis(np.where(np.isfinite(into_scale), into_scale, 0.0), 0, -2)
+    try:
+        fwd = _forward(logg, pi, per_step)
+        bwd = _backward(logg, per_step)
+    except ImpossibleObservationError as exc:
+        raise ImpossibleObservationError(
+            str(exc), time_index=int(seg.starts[exc.time_index])
+        ) from None
+    u, v = _posteriors_from(logg, fwd, bwd, per_step)
+    # the runs' summed posteriors replace their end-of-run ones
+    a = np.moveaxis(fwd.alpha[..., runs - 1, :], -2, 0)
+    b = np.moveaxis(bwd.beta[..., runs, :], -2, 0)
+    block = np.zeros((*step.shape[:-2], 2 * m, 2 * m))
+    block[..., :m, :m] = block[..., m:, m:] = step
+    block[..., :m, m:] = b[..., :, None] * a[..., None, :]
+    power, scale = _matrix_powers(block, seg.lengths[runs])
+    c, c_scale = power[..., :m, m:], scale[..., m:]
+    with np.errstate(divide="ignore"):
+        ca, ca_scale = _scaled_matmul(c, c_scale, step, zeros)
+        w, top = _exp_normalized(np.log(np.diagonal(ca, axis1=-2, axis2=-1)) + ca_scale, -1)
+        total = w.sum(axis=-1, keepdims=True)
+        log_z = top[..., None] + np.log(total / r)
+        log_v = np.log(np.swapaxes(c, -1, -2)) + (c_scale - log_z)[..., :, None]
+        log_v += np.log(trans) + log_g[..., None, :]
+    u[..., runs, :] = np.moveaxis(r * w / total, 0, -2)
+    v[..., runs - 1, :, :] = np.moveaxis(np.exp(log_v), 0, -3)
+    return fwd.loglik, u, v
+
+
 def _jump_posterior_mass(
     u: np.ndarray, src: np.ndarray, dst: np.ndarray, m: int, p: int
 ) -> np.ndarray:
@@ -779,13 +923,21 @@ def em_fit_continuous(
 ) -> CalibrationResult:
     """Multi-start EM fit adapted to event data with no simultaneous jumps.
 
-    The stream is binned onto intervals of ``fine_dt`` (required), which
-    must isolate every jump.  Interval likelihoods come from the uniform
-    picker model; the hidden chain's updates are closed form while the
-    migration rows are maximized numerically (an iteration only ever
-    accepts a non-decreasing objective).  The fitted fine-grid
+    The stream is binned onto intervals of ``fine_dt`` (required, positive
+    and finite), which must isolate every jump.  Interval likelihoods come
+    from the uniform picker model; the hidden chain's updates are closed
+    form while the migration rows are maximized numerically (an iteration
+    only ever accepts a non-decreasing objective).  The fitted fine-grid
     probabilities are returned as intensity matrices when ``to_generator``
     is set.
+
+    The intervals are collapsed into segments (see :class:`_Segments`), and
+    the E-step takes one scan step per segment, with each run's posteriors
+    summed in closed form (see :func:`_segment_e_step`).  The migration-row
+    objective has one term per distinct no-jump exposure vector, weighted
+    by the posterior mass of every interval that holds it.  The result is
+    the per-interval EM's up to rounding, at a cost that follows the number
+    of segments rather than of intervals.
 
     Conversion note: the fitted migration matrix is the law of a *picked*
     entity, and an entity is picked once per ``n_bar`` intervals on average,
@@ -798,18 +950,22 @@ def em_fit_continuous(
 
     fine = stream_to_panel(events, fine_dt)
     exposures, src, dst, n_bar = _fine_grid_from_panel(fine)
-    nojump = src < 0
-    y_nj = exposures[nojump].astype(float)
+    seg = _segments(exposures, src, dst)
+    nojump = seg.src < 0
+    y_nj, row_of = np.unique(seg.exposures[nojump], axis=0, return_inverse=True)
+    y_nj = y_nj.astype(float)
 
     def e_and_m(_panel, pi, trans, per_state, cfg):
         """One iteration of the restarts stacked on the leading axis: one
-        batched E-step, then L-BFGS per restart and state."""
-        logw = _picker_log_weights(exposures, src, dst, per_state, n_bar)
-        loglik, u, v = _e_step(logw, pi, trans)
-        u_nj = u[:, nojump]
+        batched E-step on segments, then L-BFGS per restart and state over
+        the distinct no-jump exposure rows."""
+        logw = _picker_log_weights(seg.exposures, seg.src, seg.dst, per_state, n_bar)
+        loglik, u, v = _segment_e_step(logw, pi, trans, seg)
+        u_nj = np.zeros((len(per_state), len(y_nj), m))
+        np.add.at(u_nj, (slice(None), row_of.ravel()), u[:, nojump])
         new_per_state = np.empty_like(per_state)
         for r in range(len(per_state)):
-            jump_mass = _jump_posterior_mass(u[r], src, dst, m, fine.p)
+            jump_mass = _jump_posterior_mass(u[r], seg.src, seg.dst, m, fine.p)
             for i in range(m):
                 new_per_state[r, i] = _optimize_picker_rows(
                     jump_mass[i], u_nj[r, :, i], y_nj, n_bar, per_state[r, i], cfg.floor

@@ -124,10 +124,13 @@ def spread_jumps(panel: MigrationPanel, cfg: SpreadConfig) -> EventStream:
 def stream_to_panel(stream: EventStream, step_days: float) -> MigrationPanel:
     """Aggregate an event stream onto a regular grid (inverse of spreading).
 
-    The horizon must be a whole number of steps.  Exposures are taken at
-    step starts; each event adds one off-diagonal count to its step and the
-    diagonal absorbs the stayers, so conservation holds by construction.
+    The step must be positive and finite, and the horizon a whole number
+    of steps.  Exposures are taken at step starts; each event adds one
+    off-diagonal count to its step and the diagonal absorbs the stayers, so
+    conservation holds by construction.
     """
+    if not (math.isfinite(step_days) and step_days > 0):
+        raise DataError(f"grid step must be positive and finite, got {step_days!r}")
     n_steps = stream.horizon / step_days
     if abs(n_steps - round(n_steps)) > _GRID_TOL:
         raise DataError(
@@ -279,8 +282,10 @@ def run_continuous_filter(
     interval.  Per reporting interval, the chain-drift and
     observation-driven parts of the law's movement are recorded separately.
     """
-    if min(grid_dt, report_dt) <= 0:
-        raise ModelError(f"grid_dt and report_dt must be positive, got {grid_dt}, {report_dt}")
+    if not all(math.isfinite(dt) and dt > 0 for dt in (grid_dt, report_dt)):
+        raise ModelError(
+            f"grid_dt and report_dt must be positive and finite, got {grid_dt}, {report_dt}"
+        )
     if factor.mode is not Mode.CONTINUOUS or law.mode is not Mode.CONTINUOUS:
         raise ModelError("run_continuous_filter requires continuous mode")
     if law.n_states != factor.m:

@@ -25,6 +25,8 @@ from migfilter.calibrate import (
     _panel_log_weights,
     _picker_log_weights,
     _random_init,
+    _segment_e_step,
+    _segments,
     m_step,
 )
 from migfilter.continuous import stream_to_panel
@@ -97,19 +99,24 @@ def reference_discrete_e_and_m(panel, pi, trans, per_state, cfg):
 
 
 def reference_em_fit_continuous(stream, m, cfg, fine_dt):
-    """``em_fit_continuous(..., to_generator=False)`` one restart at a time."""
+    """``em_fit_continuous(..., to_generator=False)`` one restart at a time,
+    each iteration an unstacked segment E-step and grouped picker M-step."""
     fine = stream_to_panel(stream, fine_dt)
     exposures, src, dst, n_bar = _fine_grid_from_panel(fine)
-    nojump = src < 0
-    y_nj = exposures[nojump].astype(float)
+    seg = _segments(exposures, src, dst)
+    nojump = seg.src < 0
+    y_nj, row_of = np.unique(seg.exposures[nojump], axis=0, return_inverse=True)
 
     def e_and_m(_panel, pi, trans, per_state, cfg):
-        logw = _picker_log_weights(exposures, src, dst, per_state, n_bar)
-        loglik, u, v = _e_step(logw, pi, trans)
-        jump_mass = _jump_posterior_mass(u, src, dst, m, fine.p)
-        u_nj = u[nojump]
+        logw = _picker_log_weights(seg.exposures, seg.src, seg.dst, per_state, n_bar)
+        loglik, u, v = _segment_e_step(logw, pi, trans, seg)
+        jump_mass = _jump_posterior_mass(u, seg.src, seg.dst, m, fine.p)
+        u_nj = np.zeros((len(y_nj), m))
+        np.add.at(u_nj, row_of.ravel(), u[nojump])
         new_per_state = np.stack([
-            _optimize_picker_rows(jump_mass[i], u_nj[:, i], y_nj, n_bar, per_state[i], cfg.floor)
+            _optimize_picker_rows(
+                jump_mass[i], u_nj[:, i], y_nj.astype(float), n_bar, per_state[i], cfg.floor
+            )
             for i in range(m)
         ])
         return loglik, (*_chain_m_step(u, v), new_per_state)

@@ -200,6 +200,36 @@ class TestMStep:
             assert after.loglik >= fwd.loglik - 1e-9
 
 
+class TestEmConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(max_iters=0), "max_iters must be a whole number of at least 1, got 0"),
+            (dict(max_iters=-3), "max_iters must be a whole number of at least 1, got -3"),
+            (dict(max_iters=2.5), "max_iters must be a whole number of at least 1, got 2.5"),
+            (dict(restarts=0), "restarts must be a whole number of at least 1, got 0"),
+            (dict(restarts=2.5), "restarts must be a whole number of at least 1, got 2.5"),
+            (dict(tol=float("nan")), "tol must be positive and finite, got nan"),
+            (dict(tol=float("inf")), "tol must be positive and finite, got inf"),
+            (dict(tol=0.0), "tol must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_invalid_settings_rejected(self, kwargs, message):
+        with pytest.raises(DataError) as info:
+            mf.EmConfig(**kwargs)
+        assert str(info.value) == message
+
+    def test_numpy_integers_accepted(self):
+        cfg = mf.EmConfig(restarts=np.int64(3), max_iters=np.int32(1))
+        assert (cfg.restarts, cfg.max_iters) == (3, 1)
+
+    def test_one_iteration_gives_a_readable_fit(self, rng):
+        panel, _, _ = random_instance(rng, m=2, p=2, entities=5, steps=6)
+        res = mf.em_fit(panel, 2, mf.EmConfig(restarts=2, max_iters=1))
+        assert [t.size for t in res.restart_traces] == [1, 1]
+        assert res.loglik == res.loglik_trace[0]
+
+
 class TestEmFit:
     def test_single_state_converges_to_empirical(self, rng):
         panel, _, _ = random_instance(rng, m=1, p=2, entities=10, steps=8)
@@ -482,6 +512,12 @@ class TestEmFitContinuous:
                 fit()
             errors.append(str(caught.value))
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("fine_dt", [0.0, -0.25, float("nan"), float("inf")])
+    def test_fine_dt_must_be_positive_and_finite(self, fine_dt):
+        stream, *_ = self.make_fine_stream(seed=7, steps=10, entities=10)
+        with pytest.raises(DataError, match="grid step must be positive and finite"):
+            mf.em_fit_continuous(stream, 1, mf.EmConfig(restarts=1), fine_dt=fine_dt)
 
     def test_stream_needs_fine_dt(self):
         stream, *_ = self.make_fine_stream(seed=7, steps=10, entities=10)

@@ -338,3 +338,24 @@ def test_forecast_file_is_predict_transition_probs_of_the_rows(runner, tmp_path,
     want = mf.predict_transition_probs(law, pio.trajectory_from_csv(str(traj_path)).probs)
     assert rows[:, 1:].tobytes() == want.reshape(6, 9).tobytes()
     np.testing.assert_array_equal(rows[:, 0], np.arange(6.0))
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--max-iters", "0", "max_iters must be a whole number of at least 1, got 0"),
+        ("--max-iters", "-3", "max_iters must be a whole number of at least 1, got -3"),
+        ("--tol", "nan", "tol must be positive and finite, got nan"),
+    ],
+)
+def test_calibrate_with_an_invalid_em_setting_exits_1(runner, tmp_path, option, value, message):
+    panel = tmp_path / "panel.csv"
+    panel.write_text("t,Y_1,Y_2,N_1_1,N_1_2,N_2_1,N_2_2\n1,2,2,1,1,0,2\n2,1,3,1,0,1,2\n")
+    out = runner.invoke(
+        main,
+        ["calibrate", "--panel", str(panel), "--states", "2", option, value,
+         "--out", str(tmp_path / "fit.json")],
+    )
+    assert out.exit_code == 1, out.output
+    assert f"error: {message}" in out.output
+    assert not (tmp_path / "fit.json").exists()

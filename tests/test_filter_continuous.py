@@ -403,6 +403,34 @@ class TestJumpUpdate:
             mf.continuous_jump_update(mf.FilterState(np.array([1.0])), (0, 1), law)
 
 
+class TestStepSizes:
+    """Grid steps and report intervals that are not finite and positive are
+    refused, never silently dropped or turned into a bare exception."""
+
+    def stream(self):
+        return mf.EventStream(
+            times=np.array([0.5, 1.25]), sources=np.array([0, 1]), targets=np.array([1, 0]),
+            initial_exposures=np.array([4, 4]), horizon=2.0,
+        )
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, float("nan"), float("inf")])
+    def test_stream_to_panel_refuses_the_step(self, step):
+        with pytest.raises(DataError, match="grid step must be positive and finite"):
+            mf.stream_to_panel(self.stream(), step)
+
+    @pytest.mark.parametrize(
+        "grid_dt, report_dt",
+        [(float("nan"), 1.0), (float("inf"), 1.0), (0.0, 1.0), (0.01, float("nan")),
+         (0.01, float("inf")), (0.01, -1.0)],
+    )
+    def test_run_continuous_filter_refuses_the_step(self, grid_dt, report_dt):
+        factor, law = two_state_continuous_model()
+        with pytest.raises(ModelError, match="must be positive and finite"):
+            mf.run_continuous_filter(
+                self.stream(), factor, law, grid_dt=grid_dt, report_dt=report_dt
+            )
+
+
 class TestRunContinuousFilter:
     def test_empty_stream_frozen_chain_is_constant(self):
         factor = mf.HiddenFactorSpec(

@@ -190,8 +190,8 @@ def continuous_drift_step(
     substep moves more than a fixed fraction of the fastest rate, then each
     substep is renormalized.
     """
-    if dt <= 0:
-        raise ModelError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ModelError(f"dt must be positive and finite, got {dt}")
     if factor.mode is not Mode.CONTINUOUS or law.mode is not Mode.CONTINUOUS:
         raise ModelError("continuous_drift_step requires continuous mode")
     exposures = np.asarray(exposures, dtype=float)

@@ -418,6 +418,12 @@ class TestStepSizes:
         with pytest.raises(DataError, match="grid step must be positive and finite"):
             mf.stream_to_panel(self.stream(), step)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.5, float("nan"), float("inf")])
+    def test_continuous_drift_step_refuses_the_step(self, dt):
+        factor, law = two_state_continuous_model()
+        with pytest.raises(ModelError, match="dt must be positive and finite"):
+            mf.continuous_drift_step(mf.FilterState(factor.pi), dt, factor, law, np.array([4, 4]))
+
     @pytest.mark.parametrize(
         "grid_dt, report_dt",
         [(float("nan"), 1.0), (float("inf"), 1.0), (0.0, 1.0), (0.01, float("nan")),

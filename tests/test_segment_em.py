@@ -19,6 +19,7 @@ import pytest
 import migfilter as mf
 from migfilter import calibrate
 from migfilter.calibrate import (
+    _chain_m_step,
     _e_step,
     _fine_grid_from_panel,
     _jump_posterior_mass,
@@ -28,7 +29,6 @@ from migfilter.calibrate import (
     _random_init,
     _segment_e_step,
     _segments,
-    _chain_m_step,
 )
 from migfilter.continuous import stream_to_panel
 from migfilter.errors import ImpossibleObservationError

@@ -918,14 +918,14 @@ def em_fit_continuous(
     events: EventStream,
     m: int,
     cfg: EmConfig,
-    fine_dt: float | None = None,
+    fine_dt: float,
     to_generator: bool = True,
 ) -> CalibrationResult:
     """Multi-start EM fit adapted to event data with no simultaneous jumps.
 
-    The stream is binned onto intervals of ``fine_dt`` (required, positive
-    and finite), which must isolate every jump.  Interval likelihoods come
-    from the uniform picker model; the hidden chain's updates are closed
+    The stream is binned onto intervals of ``fine_dt`` (positive and
+    finite), which must isolate every jump.  Interval likelihoods come from
+    the uniform picker model; the hidden chain's updates are closed
     form while the migration rows are maximized numerically (an iteration
     only ever accepts a non-decreasing objective).  The fitted fine-grid
     probabilities are returned as intensity matrices when ``to_generator``
@@ -944,8 +944,6 @@ def em_fit_continuous(
     so its intensities are ``(L - I) / (n_bar * fine_dt)``; the hidden chain
     moves every interval, so its generator is ``(K - I) / fine_dt``.
     """
-    if fine_dt is None:
-        raise DataError("fine_dt is required when calibrating on an event stream")
     from .continuous import stream_to_panel
 
     fine = stream_to_panel(events, fine_dt)

@@ -13,10 +13,12 @@ off-diagonal counts exactly.
 
 Every reader of a stream takes its exposures from one walker with one tie
 rule: at a given time (or grid index) every event at or before it applies
-first, then the last boundary override at or before it.  On a grid of step
-``d``, event and boundary times within ``1e-9 * d`` of a grid point count
-as on it: an event belongs to the step ``(start, end]`` holding it, and an
-override to the first step start at or after it.
+first, then the last boundary override at or before it.  The filter
+compares times exactly, orders equal times as event, override, report and
+reports up to the horizon.  Only the grid reader (:func:`stream_to_panel`)
+snaps: on a grid of step ``d``, times within ``1e-9 * d`` of a grid point
+count as on it, so an event falls in the step ``(start, end]`` holding it
+and an override at the first step start at or after it.
 """
 
 from __future__ import annotations
@@ -105,19 +107,14 @@ def spread_jumps(panel: MigrationPanel, cfg: SpreadConfig) -> EventStream:
         times.append(t * d + (np.sort(slots) + 0.5) * slot_width)
         labels.append(rng.permutation(np.repeat(np.arange(p * p), jump_cells[t])))
     sources, targets = np.divmod(np.concatenate(labels), p)
-    boundary_times = None
-    boundary_exposures = None
-    if panel.steps > 1:
-        boundary_times = np.arange(1, panel.steps) * d
-        boundary_exposures = panel.exposures[1:]
     return EventStream(
         times=np.concatenate(times),
         sources=sources,
         targets=targets,
         initial_exposures=panel.exposures[0],
         horizon=panel.steps * d,
-        boundary_times=boundary_times,
-        boundary_exposures=boundary_exposures,
+        boundary_times=np.arange(1, panel.steps) * d if panel.steps > 1 else None,
+        boundary_exposures=panel.exposures[1:] if panel.steps > 1 else None,
     )
 
 
@@ -274,12 +271,13 @@ def run_continuous_filter(
 ) -> FilterTrajectory:
     """Filter the hidden factor through a dated event stream.
 
-    Integration alternates drift segments (never longer than ``grid_dt`` or
-    the time to the next event) with jump updates at event times.  The law
-    is emitted on the reporting grid (every ``report_dt``) together with a
-    transition-probability forecast: :func:`predict_transition_probs` of
-    the law and each state's intensity matrix linearized over the reporting
-    interval.  Per reporting interval, the chain-drift and
+    The law drifts between stops (Euler substeps no longer than
+    ``grid_dt``): event, boundary and report times, compared exactly with
+    no snapping; at equal times an event applies, then an override, then
+    the report.  Reports fall every ``report_dt`` and at the horizon, each
+    with a transition-probability forecast: :func:`predict_transition_probs`
+    of the law and each state's intensity matrix linearized over
+    ``report_dt``.  Per reporting interval, the chain-drift and
     observation-driven parts of the law's movement are recorded separately.
     """
     if not all(math.isfinite(dt) and dt > 0 for dt in (grid_dt, report_dt)):
@@ -292,49 +290,44 @@ def run_continuous_filter(
         raise ModelError("law/factor state counts disagree")
     if events.p != law.p:
         raise ModelError(f"stream has {events.p} rating classes, law has {law.p}")
-    probs = factor.pi.copy()
-
     horizon = float(events.horizon)
     n_intervals = max(1, math.ceil(round(horizon / report_dt, 9)))
-    report_times = np.minimum(np.arange(1, n_intervals + 1) * report_dt, horizon)
+    report_times = np.append(np.arange(1, n_intervals) * report_dt, horizon)
 
-    # exposures change only at event and boundary times (the knots):
-    # loads[i] is in force from knots[i - 1] to knots[i]
+    # exposures change only at event and boundary times (the knots); row i
+    # of ``exposures`` is in force from knots[i - 1] to knots[i]
     knots = events.times
     if events.boundary_times is not None:
         knots = np.union1d(knots, events.boundary_times)
-    loads = _intensity_load(law, _exposures_at(events, np.concatenate(([-np.inf], knots))))
-    pre_jump = _exposures_at(events, np.nextafter(events.times, -np.inf))
+    exposures = _exposures_at(events, np.concatenate(([-np.inf], knots)))
+    loads = _intensity_load(law, exposures)
+    stops = np.union1d(knots, report_times)
+    stops = stops[(stops > 0.0) & (stops <= horizon)]
+    # per stop: the exposure row in force since the previous stop (so just
+    # before an event at it), its event if any, and its reporting interval
+    rows = np.searchsorted(knots, stops)
+    event_at = np.searchsorted(events.times, stops)
+    interval_of = np.searchsorted(report_times, stops)
+
     # row i + 1 holds the law at the end of reporting interval i
     laws = np.empty((n_intervals + 1, factor.m))
-    laws[0] = probs
-    times = np.concatenate(([0.0], report_times))
+    laws[0] = probs = factor.pi
     pred_parts = np.zeros((n_intervals, factor.m))
     loglik = 0.0
-    interval = 0
-    e = 0
     t = 0.0
-    eps = 1e-12
-    while t < horizon - eps:
-        passed = int(np.searchsorted(knots, t + eps, side="right"))
-        stops = [report_times[interval], horizon]
-        if e < events.n_events:
-            stops.append(float(events.times[e]))
-        if passed < knots.shape[0]:
-            stops.append(float(knots[passed]))
-        stop = min(stops)
-        if stop > t + eps:
-            probs, chain_part, intensity_int = _integrate_drift(
-                probs, stop - t, factor.trans, loads[passed], max_h=grid_dt
-            )
-            pred_parts[interval] += chain_part
-            loglik -= intensity_int
+    for stop, row, e, interval in zip(
+        stops.tolist(), rows.tolist(), event_at.tolist(), interval_of.tolist()
+    ):
+        probs, chain_part, intensity_int = _integrate_drift(
+            probs, stop - t, factor.trans, loads[row], max_h=grid_dt
+        )
+        pred_parts[interval] += chain_part
+        loglik -= intensity_int
         t = stop
-
-        if e < events.n_events and events.times[e] <= t + eps:
+        if e < events.n_events and events.times[e] == stop:
             j, k = int(events.sources[e]), int(events.targets[e])
             posterior, intensity = _bayes_jump(probs, law.per_state[:, j, k])
-            event_intensity = pre_jump[e, j] * intensity
+            event_intensity = exposures[row, j] * intensity
             if posterior is None or event_intensity <= 0.0:
                 raise ImpossibleObservationError(
                     f"event {e} ({j}->{k} at t={t}) has zero predicted intensity",
@@ -342,19 +335,11 @@ def run_continuous_filter(
                 )
             loglik += float(np.log(event_intensity))
             probs = posterior
-            e += 1
-        if report_times[interval] <= t + eps:
-            interval += 1
-            laws[interval] = probs
-            if interval == n_intervals:
-                break
-    if interval < n_intervals:
-        # horizon reached mid-interval (only possible with degenerate grids)
-        laws[interval + 1 :] = probs
-        times[-1] = horizon
+        if report_times[interval] == stop:
+            laws[interval + 1] = probs
     return FilterTrajectory(
         probs=laws,
-        time_index=times,
+        time_index=np.concatenate(([0.0], report_times)),
         predicted_ratios=predict_transition_probs(
             MigrationLaw(generator_to_transition(law.per_state, report_dt)), laws[:-1]
         ),

@@ -94,9 +94,12 @@ def renormalize(probs: np.ndarray) -> np.ndarray:
 
 
 def _checked_laws(probs) -> np.ndarray:
-    """Filtered laws on the last axis, checked (no entry below -1e-10, sums
-    within 1e-10 of 1), passed through :func:`renormalize` and frozen."""
+    """Filtered laws on the last axis, checked (finite, no entry below
+    -1e-10, sums within 1e-10 of 1), passed through :func:`renormalize` and
+    frozen."""
     probs = np.asarray(probs, dtype=float)
+    if not np.isfinite(probs).all():
+        raise ModelError("filter state has non-finite probabilities")
     if np.any(probs < -1e-10):
         raise ModelError("filter state has negative probabilities")
     sums = probs.sum(axis=-1)
@@ -309,6 +312,10 @@ class EventStream:
                 )
             if np.any(np.diff(self.boundary_times) < 0):
                 raise DataError("boundary times must be nondecreasing")
+            if np.any(self.boundary_exposures < 0):
+                raise DataError("boundary_exposures must be nonnegative")
+        if np.any(self.initial_exposures < 0):
+            raise DataError("initial_exposures must be nonnegative")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise DataError(f"horizon must be finite and positive, got {self.horizon!r}")
         if not np.isfinite(self.times).all():
@@ -414,8 +421,8 @@ def evolve_prior(state: FilterState, factor: HiddenFactorSpec, dt: float = 1.0) 
         probs = factor.trans.T @ state.probs
         new_time = state.time_index + 1
     else:
-        if dt <= 0:
-            raise ModelError(f"dt must be positive in continuous mode, got {dt}")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ModelError(f"dt must be positive and finite in continuous mode, got {dt}")
         rate = float(np.max(-np.diag(factor.trans), initial=0.0))
         if dt * rate >= 1.0:
             raise ModelError(

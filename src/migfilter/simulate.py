@@ -9,6 +9,7 @@ config, so identical configs give bit-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,12 @@ class SimulationConfig:
         object.__setattr__(self, "mode", Mode(self.mode))
         if np.any(self.entities_per_rating < 0) or not np.any(self.entities_per_rating > 0):
             raise DataError("entities_per_rating must be nonnegative with at least one positive")
-        if self.horizon <= 0:
-            raise DataError("horizon must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise DataError(f"horizon must be positive and finite, got {self.horizon!r}")
+        if self.mode is Mode.DISCRETE and not float(self.horizon).is_integer():
+            raise DataError(
+                f"a discrete horizon must be a whole number of steps, got {self.horizon!r}"
+            )
 
     @property
     def p(self) -> int:

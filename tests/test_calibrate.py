@@ -521,7 +521,7 @@ class TestEmFitContinuous:
 
     def test_stream_needs_fine_dt(self):
         stream, *_ = self.make_fine_stream(seed=7, steps=10, entities=10)
-        with pytest.raises(DataError):
+        with pytest.raises(TypeError, match="fine_dt"):
             mf.em_fit_continuous(stream, 1, mf.EmConfig(restarts=1))
 
     def test_departure_from_empty_rating_rejected(self):

@@ -315,6 +315,22 @@ def test_filter_on_events_with_a_rating_out_of_range_exits_1(
         assert "event ratings must lie in [0, 3)" in out.output
 
 
+def test_filter_on_events_with_negative_exposures_exits_1(runner, tmp_path):
+    factor, law = mf.demo_model(2, 2, mode=mf.Mode.CONTINUOUS)
+    model = tmp_path / "cmodel.json"
+    model.write_text(mf.model_to_json(factor, law))
+    events = tmp_path / "events.csv"
+    events.write_text("# exposures0=5,-40 horizon=2.0\ntime,from_rating,to_rating\n0.5,1,2\n")
+    out = runner.invoke(
+        main,
+        ["filter", "--events", str(events), "--model", str(model),
+         "--grid-dt", "0.5", "--report-dt", "1", "--out", str(tmp_path / "t.csv")],
+    )
+    assert out.exit_code == 1, out.output
+    assert "error: initial_exposures must be nonnegative" in out.output
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("mode", [mf.Mode.DISCRETE, mf.Mode.CONTINUOUS])
 def test_forecast_file_is_predict_transition_probs_of_the_rows(runner, tmp_path, mode):
     factor, law = mf.demo_model(2, 3, mode=mode, spread=6.0)

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import migfilter as mf
+from migfilter.continuous import _bayes_jump, _integrate_drift, _intensity_load
 from migfilter.errors import DataError, ImpossibleObservationError, ModelError
+from migfilter.model import _exposures_at
 
 
 def two_state_continuous_model():
@@ -230,6 +234,83 @@ def panel_or_error(stream, step_days, aggregate):
     except DataError as exc:
         return str(exc)
     return panel.exposures.tolist(), panel.counts.tolist(), panel.step_length_days
+
+
+def loop_continuous_filter(events, factor, law, grid_dt, report_dt):
+    """Reference for ``run_continuous_filter``: the time-stepping walk it
+    replaced, which merged stops within an absolute 1e-12 of each other and
+    ended its reports at the last multiple of ``report_dt`` (within 1e-9)."""
+    probs = factor.pi.copy()
+    horizon = float(events.horizon)
+    n_intervals = max(1, math.ceil(round(horizon / report_dt, 9)))
+    report_times = np.minimum(np.arange(1, n_intervals + 1) * report_dt, horizon)
+    knots = events.times
+    if events.boundary_times is not None:
+        knots = np.union1d(knots, events.boundary_times)
+    loads = _intensity_load(law, _exposures_at(events, np.concatenate(([-np.inf], knots))))
+    pre_jump = _exposures_at(events, np.nextafter(events.times, -np.inf))
+    laws = np.empty((n_intervals + 1, factor.m))
+    laws[0] = probs
+    times = np.concatenate(([0.0], report_times))
+    pred_parts = np.zeros((n_intervals, factor.m))
+    loglik = 0.0
+    interval = 0
+    e = 0
+    t = 0.0
+    eps = 1e-12
+    while t < horizon - eps:
+        passed = int(np.searchsorted(knots, t + eps, side="right"))
+        stops = [report_times[interval], horizon]
+        if e < events.n_events:
+            stops.append(float(events.times[e]))
+        if passed < knots.shape[0]:
+            stops.append(float(knots[passed]))
+        stop = min(stops)
+        if stop > t + eps:
+            probs, chain_part, intensity_int = _integrate_drift(
+                probs, stop - t, factor.trans, loads[passed], max_h=grid_dt
+            )
+            pred_parts[interval] += chain_part
+            loglik -= intensity_int
+        t = stop
+        if e < events.n_events and events.times[e] <= t + eps:
+            j, k = int(events.sources[e]), int(events.targets[e])
+            posterior, intensity = _bayes_jump(probs, law.per_state[:, j, k])
+            event_intensity = pre_jump[e, j] * intensity
+            if posterior is None or event_intensity <= 0.0:
+                raise ImpossibleObservationError(
+                    f"event {e} ({j}->{k} at t={t}) has zero predicted intensity",
+                    time_index=t,
+                )
+            loglik += float(np.log(event_intensity))
+            probs = posterior
+            e += 1
+        if report_times[interval] <= t + eps:
+            interval += 1
+            laws[interval] = probs
+            if interval == n_intervals:
+                break
+    if interval < n_intervals:
+        laws[interval + 1 :] = probs
+        times[-1] = horizon
+    return mf.FilterTrajectory(
+        probs=laws,
+        time_index=times,
+        predicted_ratios=mf.predict_transition_probs(
+            mf.MigrationLaw(mf.generator_to_transition(law.per_state, report_dt)), laws[:-1]
+        ),
+        loglik=loglik,
+        prediction_parts=pred_parts,
+    )
+
+
+def filter_or_error(run, stream, factor, law, report_dt):
+    try:
+        traj = run(stream, factor, law, grid_dt=report_dt / 8, report_dt=report_dt)
+    except ImpossibleObservationError as exc:
+        return str(exc)
+    fields = (traj.probs, traj.time_index, traj.predicted_ratios, traj.prediction_parts)
+    return [a.tobytes() for a in fields] + [np.float64(traj.loglik).tobytes()]
 
 
 class TestStreamWalker:
@@ -601,3 +682,61 @@ class TestRunContinuousFilter:
         b = mf.run_continuous_filter(redundant, factor, law, grid_dt=0.01, report_dt=0.5)
         assert b.loglik == a.loglik
         np.testing.assert_array_equal(b.probs_matrix(), a.probs_matrix())
+
+
+class TestStopArray:
+    """The filter walks one sorted array of event, boundary and report times,
+    compares them exactly and reports up to the horizon."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(open_cohort_streams(), st.sampled_from([1.0, 0.5, 0.7]), st.booleans())
+    def test_matches_loop_reference(self, drawn, report_fraction, impossible):
+        stream, step = drawn
+        report_dt = report_fraction * step
+        factor, law = mf.demo_model(2, stream.p, mode=mf.Mode.CONTINUOUS, spread=8.0)
+        if impossible:
+            # no state can move an entity 0 -> 1: such an event is refused
+            per_state = law.per_state.copy()
+            per_state[:, 0, 0] += per_state[:, 0, 1]
+            per_state[:, 0, 1] = 0.0
+            law = mf.MigrationLaw(per_state, mode=mf.Mode.CONTINUOUS)
+        # the reference merges stops closer than 1e-12 and may end its
+        # reports short of the horizon; keep streams where neither shows
+        n_intervals = max(1, math.ceil(round(stream.horizon / report_dt, 9)))
+        loop_reports = np.minimum(np.arange(1, n_intervals + 1) * report_dt, stream.horizon)
+        knots = [stream.times, loop_reports, [0.0, stream.horizon]]
+        if stream.boundary_times is not None:
+            knots.append(stream.boundary_times)
+        assume(np.all(np.diff(np.unique(np.concatenate(knots))) > 1e-12))
+        assert filter_or_error(
+            mf.run_continuous_filter, stream, factor, law, report_dt
+        ) == filter_or_error(loop_continuous_filter, stream, factor, law, report_dt)
+
+    @staticmethod
+    def one_event_stream(time, horizon=2.0):
+        return mf.EventStream([time], [0], [1], [10, 10], horizon)
+
+    def test_event_just_after_a_report_time_is_not_in_that_report(self):
+        factor, law = mf.demo_model(2, 2, mode=mf.Mode.CONTINUOUS)
+        near, far = (
+            mf.run_continuous_filter(
+                self.one_event_stream(1.0 + gap), factor, law, grid_dt=0.01, report_dt=1.0
+            )
+            for gap in (4e-13, 2e-12)
+        )
+        assert near.probs[1].tobytes() == far.probs[1].tobytes()
+        assert abs(near.probs[2] - far.probs[2]).max() < 1e-9
+
+    def test_event_past_the_last_whole_report_interval_counts(self):
+        factor, law = mf.demo_model(2, 2, mode=mf.Mode.CONTINUOUS)
+        horizon = 1.0000000001
+        stream = self.one_event_stream(1.00000000005, horizon)
+        assert mf.stream_to_panel(stream, 1.0).counts[0, 0, 1] == 1
+        empty = mf.EventStream([], [], [], [10, 10], horizon)
+        with_event, without = (
+            mf.run_continuous_filter(s, factor, law, grid_dt=0.01, report_dt=1.0)
+            for s in (stream, empty)
+        )
+        np.testing.assert_array_equal(with_event.time_index, [0.0, horizon])
+        # the event adds the log of its predicted intensity, about 10 * 0.0037
+        assert with_event.loglik - without.loglik < -3.0

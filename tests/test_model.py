@@ -101,6 +101,14 @@ class TestEvolvePrior:
         with pytest.raises(ModelError):
             mf.evolve_prior(state, factor, dt=2.0)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        factor = mf.HiddenFactorSpec(
+            np.array([0.5, 0.5]), np.zeros((2, 2)), mode=mf.Mode.CONTINUOUS
+        )
+        with pytest.raises(ModelError, match="dt must be positive and finite"):
+            mf.evolve_prior(mf.FilterState(np.array([0.5, 0.5])), factor, dt=dt)
+
 
 class TestPredictTransitionProbs:
     def test_degenerate_mixture_returns_first_matrix(self):
@@ -267,6 +275,15 @@ class TestPanelAndStream:
                 boundary_times=[np.nan], boundary_exposures=[[1, 3]],
             )
 
+    def test_stream_exposures_must_be_nonnegative(self):
+        with pytest.raises(DataError, match="initial_exposures must be nonnegative"):
+            mf.EventStream([0.5], [0], [1], [5, -40], horizon=2.0)
+        with pytest.raises(DataError, match="boundary_exposures must be nonnegative"):
+            mf.EventStream(
+                [0.5], [0], [1], [5, 5], horizon=2.0,
+                boundary_times=[1.0], boundary_exposures=[[4, -6]],
+            )
+
     def test_snapshots_follow_events_and_boundaries(self):
         stream = mf.EventStream(
             times=np.array([0.5, 1.5]),
@@ -338,3 +355,8 @@ class TestPanelAndStream:
             mf.FilterState(np.array([0.5, 0.6]))
         with pytest.raises(ModelError):
             mf.FilterState(np.array([1.2, -0.2]))
+
+    @pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf]])
+    def test_filter_state_must_be_finite(self, probs):
+        with pytest.raises(ModelError, match="non-finite probabilities"):
+            mf.FilterState(np.array(probs))

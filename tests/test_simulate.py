@@ -209,3 +209,16 @@ class TestConfigValidation:
     def test_horizon_must_be_positive(self):
         with pytest.raises(DataError):
             mf.SimulationConfig(np.array([1]), 0, seed=0)
+
+    # only the constructor is called: a simulator given these would not return
+    @pytest.mark.parametrize("mode", [mf.Mode.DISCRETE, mf.Mode.CONTINUOUS])
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_horizon_must_be_finite(self, horizon, mode):
+        with pytest.raises(DataError, match="horizon must be positive and finite"):
+            mf.SimulationConfig(np.array([1]), horizon, seed=0, mode=mode)
+
+    def test_discrete_horizon_must_be_whole(self):
+        with pytest.raises(DataError, match="must be a whole number of steps, got 3.5"):
+            mf.SimulationConfig(np.array([1]), 3.5, seed=0)
+        assert mf.SimulationConfig(np.array([1]), 3.0, seed=0).horizon == 3.0
+        assert mf.SimulationConfig(np.array([1]), 3.5, seed=0, mode=mf.Mode.CONTINUOUS)

@@ -122,6 +122,22 @@ class TestFilterTrajectory:
         with pytest.raises(ModelError, match=message):
             mf.FilterTrajectory(**fields)
 
+    def test_nan_law_cell_in_a_file_is_refused(self, tmp_path):
+        text = "t,I_1,I_2,nu_1_1\n0.0,0.5,0.5,1.0\n1.0,nan,0.5,\n"
+        with pytest.raises(ModelError, match="non-finite probabilities"):
+            pio.trajectory_from_csv(io.StringIO(text))
+        factor, law = mf.demo_model(2, 1)
+        model, traj = tmp_path / "model.json", tmp_path / "traj.csv"
+        model.write_text(mf.model_to_json(factor, law))
+        traj.write_text(text)
+        out = CliRunner().invoke(
+            main, ["forecast", "--model", str(model), "--trajectory", str(traj),
+                   "--out", str(tmp_path / "nu.csv")],
+        )
+        assert out.exit_code == ModelError.exit_code, out.output
+        assert "error: filter state has non-finite probabilities" in out.output
+        assert not (tmp_path / "nu.csv").exists()
+
     @pytest.mark.parametrize("field", ["predicted_ratios", "prediction_parts"])
     def test_forecasts_and_drift_parts_are_read_only(self, field):
         traj = mf.FilterTrajectory(

@@ -482,8 +482,8 @@ def m_step(
     u: np.ndarray,
     v: np.ndarray,
     panel: MigrationPanel,
-    prev_law: MigrationLaw | np.ndarray | None = None,
-    floor: float = 1e-12,
+    prev_law: MigrationLaw | np.ndarray,
+    floor: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form maximization given the smoothing posteriors.
 
@@ -498,7 +498,7 @@ def m_step(
     num = np.einsum("...ti,tkr->...ikr", u, panel.counts.astype(float))
     den = np.einsum("...ti,tk->...ik", u, panel.exposures.astype(float))
     blind = den < max(floor, 1e-300)
-    prev = 1.0 / panel.p if prev_law is None else getattr(prev_law, "per_state", prev_law)
+    prev = getattr(prev_law, "per_state", prev_law)
     per_state = np.where(
         blind[..., None], prev, num / np.where(blind, 1.0, den)[..., None]
     )

@@ -37,6 +37,7 @@ from .model import (
     MigrationLaw,
     MigrationPanel,
     Mode,
+    _check_model,
     _exposures_at,
     generator_to_transition,
     predict_transition_probs,
@@ -148,16 +149,11 @@ def stream_to_panel(stream: EventStream, step_days: float) -> MigrationPanel:
     stayers = exposures - counts.sum(axis=2)
     short = np.argwhere(stayers < 0)
     if short.size:
+        # a consistent stream names no entities, so a count here is a move
         t, j = (int(x) for x in short[0])
-        cause = f"step {t}: more departures from rating {j} than exposure"
-        try:
-            stream.exposure_snapshots()
-        except DataError as exc:
-            raise DataError(f"{cause}: {exc}") from exc
-        # a stream names no entities, so a count here is a move, not an entity
         raise DataError(
-            f"{cause} at its start: an entity moved more than once within step {t}; "
-            "aggregate with a finer step_days"
+            f"step {t}: more departures from rating {j} than exposure at its start: "
+            f"an entity moved more than once within step {t}; aggregate with a finer step_days"
         )
     diagonal = np.arange(p)
     counts[:, diagonal, diagonal] = stayers
@@ -189,9 +185,10 @@ def continuous_drift_step(
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ModelError(f"dt must be positive and finite, got {dt}")
-    if factor.mode is not Mode.CONTINUOUS or law.mode is not Mode.CONTINUOUS:
-        raise ModelError("continuous_drift_step requires continuous mode")
+    _check_model("continuous_drift_step", Mode.CONTINUOUS, factor, law, state.m)
     exposures = np.asarray(exposures, dtype=float)
+    if exposures.shape != (law.p,):
+        raise ModelError(f"exposures have shape {exposures.shape}, law has {law.p} rating classes")
     load = _intensity_load(law, exposures)
     probs, _, _ = _integrate_drift(state.probs, dt, factor.trans, load, dt)
     return FilterState(probs, time_index=state.time_index + dt)
@@ -236,8 +233,7 @@ def continuous_jump_update(
     transition; the closed form normalizes itself, and a common rescaling of
     that intensity column across states cancels out.
     """
-    if law.mode is not Mode.CONTINUOUS:
-        raise ModelError("continuous_jump_update requires a continuous-mode law")
+    _check_model("continuous_jump_update", Mode.CONTINUOUS, None, law, state.m)
     j, k = transition
     if j == k:
         raise DataError(f"not a migration: {transition}")
@@ -284,10 +280,7 @@ def run_continuous_filter(
         raise ModelError(
             f"grid_dt and report_dt must be positive and finite, got {grid_dt}, {report_dt}"
         )
-    if factor.mode is not Mode.CONTINUOUS or law.mode is not Mode.CONTINUOUS:
-        raise ModelError("run_continuous_filter requires continuous mode")
-    if law.n_states != factor.m:
-        raise ModelError("law/factor state counts disagree")
+    _check_model("run_continuous_filter", Mode.CONTINUOUS, factor, law, None)
     if events.p != law.p:
         raise ModelError(f"stream has {events.p} rating classes, law has {law.p}")
     horizon = float(events.horizon)
@@ -326,14 +319,14 @@ def run_continuous_filter(
         t = stop
         if e < events.n_events and events.times[e] == stop:
             j, k = int(events.sources[e]), int(events.targets[e])
+            # a consistent stream holds exposure in ``j`` just before the event
             posterior, intensity = _bayes_jump(probs, law.per_state[:, j, k])
-            event_intensity = exposures[row, j] * intensity
-            if posterior is None or event_intensity <= 0.0:
+            if posterior is None:
                 raise ImpossibleObservationError(
                     f"event {e} ({j}->{k} at t={t}) has zero predicted intensity",
                     time_index=t,
                 )
-            loglik += float(np.log(event_intensity))
+            loglik += float(np.log(exposures[row, j] * intensity))
             probs = posterior
         if report_times[interval] == stop:
             laws[interval + 1] = probs

@@ -25,7 +25,7 @@ import numpy as np
 from .calibrate import _forward, _panel_log_weights
 from .errors import DataError, ImpossibleObservationError, ModelError
 from .model import FilterState, HiddenFactorSpec, MigrationLaw, MigrationPanel, Mode
-from .model import _checked_laws, _freeze, predict_transition_probs
+from .model import _check_model, _checked_laws, _freeze, predict_transition_probs
 
 __all__ = [
     "FilterTrajectory",
@@ -143,8 +143,7 @@ def filter_step_univariate(
     jump_probs = np.asarray(jump_probs, dtype=float)
     if not 0 <= d_n <= y:
         raise DataError(f"need 0 <= d_n <= y, got d_n={d_n}, y={y}")
-    if factor.mode is not Mode.DISCRETE:
-        raise ModelError("filter_step_univariate requires a discrete-mode factor")
+    _check_model("filter_step_univariate", Mode.DISCRETE, factor, None, state.m)
     w = _univariate_log_weights(int(d_n), int(y), jump_probs)
     return _one_step(state, w, factor.trans)
 
@@ -162,8 +161,7 @@ def filter_step_multivariate(
     exposures ``y`` (coefficients dropped, computed in log space); the prior
     is reweighted and pushed through the hidden chain.
     """
-    if factor.mode is not Mode.DISCRETE or law.mode is not Mode.DISCRETE:
-        raise ModelError("filter_step_multivariate requires discrete mode")
+    _check_model("filter_step_multivariate", Mode.DISCRETE, factor, law, state.m)
     step = MigrationPanel(np.asarray(y)[None], np.asarray(d_n)[None])
     return _one_step(state, _panel_log_weights(step, law.per_state)[0], factor.trans)
 
@@ -187,10 +185,7 @@ def run_filter(
     :class:`~migfilter.errors.NumericalError` when the scan loses precision
     (the command-line tools exit with code 3).
     """
-    if factor.mode is not Mode.DISCRETE or law.mode is not Mode.DISCRETE:
-        raise ModelError("run_filter requires discrete mode")
-    if law.n_states != factor.m:
-        raise ModelError("law/factor state counts disagree")
+    _check_model("run_filter", Mode.DISCRETE, factor, law, None)
     if panel.p != law.p:
         raise ModelError(f"panel has {panel.p} rating classes, law has {law.p}")
     probs = _checked_laws(factor.pi)[None, :]

@@ -287,6 +287,10 @@ class EventStream:
     readers (:func:`~migfilter.continuous.stream_to_panel`) apply the same
     rule to grid indices, snapping times within ``1e-9`` of a step to the
     grid point.
+
+    A stream is consistent once built: :class:`DataError` refuses event or
+    boundary times outside ``(0, horizon]``, and an event that departs from
+    a rating holding no exposure just before it.
     """
 
     times: np.ndarray
@@ -320,8 +324,11 @@ class EventStream:
             raise DataError(f"horizon must be finite and positive, got {self.horizon!r}")
         if not np.isfinite(self.times).all():
             raise DataError("event times must be finite")
-        if self.boundary_times is not None and not np.isfinite(self.boundary_times).all():
-            raise DataError("boundary times must be finite")
+        if self.boundary_times is not None:
+            if not np.isfinite(self.boundary_times).all():
+                raise DataError("boundary times must be finite")
+            if np.any(self.boundary_times <= 0) or np.any(self.boundary_times > self.horizon):
+                raise DataError("boundary times must lie in (0, horizon]")
         n = self.times.shape[0]
         if self.sources.shape[0] != n or self.targets.shape[0] != n:
             raise DataError("times, sources and targets must have equal length")
@@ -334,6 +341,13 @@ class EventStream:
         outside = np.setdiff1d(np.concatenate([self.sources, self.targets]), np.arange(self.p))
         if outside.size:
             raise DataError(f"event ratings must lie in [0, {self.p}), got {int(outside[0])}")
+        empty = np.flatnonzero(self.exposure_snapshots()[np.arange(n), self.sources] <= 0)
+        if empty.size:
+            i = int(empty[0])
+            raise DataError(
+                f"event {i} at t={self.times[i]}: departure from rating "
+                f"{int(self.sources[i])} with no exposure"
+            )
 
     @property
     def n_events(self) -> int:
@@ -344,20 +358,8 @@ class EventStream:
         return self.initial_exposures.shape[0]
 
     def exposure_snapshots(self) -> np.ndarray:
-        """Exposure vector in force just before each event, shape (n, p).
-
-        Raises :class:`DataError` if an event departs from an empty rating
-        class, which would make the stream inconsistent.
-        """
-        out = _exposures_at(self, np.nextafter(self.times, -np.inf))
-        empty = np.flatnonzero(out[np.arange(self.n_events), self.sources] <= 0)
-        if empty.size:
-            i = int(empty[0])
-            raise DataError(
-                f"event {i} at t={self.times[i]}: departure from rating "
-                f"{int(self.sources[i])} with no exposure"
-            )
-        return out
+        """Exposure vector in force just before each event, shape (n, p)."""
+        return _exposures_at(self, np.nextafter(self.times, -np.inf))
 
 
 def _exposures_at(
@@ -400,14 +402,35 @@ def validate_model(factor: HiddenFactorSpec, law: MigrationLaw) -> list[str]:
     Violations are returned as human-readable strings; an empty list means
     the model is valid.  Nothing is raised: broken input is data here.
     """
-    out = factor.violations() + law.violations()
+    return factor.violations() + law.violations() + _pair_violations(factor, law)
+
+
+def _pair_violations(factor: HiddenFactorSpec, law: MigrationLaw) -> list[str]:
+    """Violations of the rule that ``factor`` and ``law`` form one model:
+    one matrix per hidden state, and one mode."""
+    out = []
     if law.n_states != factor.m:
-        out.append(
-            f"law has {law.n_states} per-state matrices but factor has {factor.m} states"
-        )
+        out.append(f"law has {law.n_states} per-state matrices but factor has {factor.m} states")
     if law.mode is not factor.mode:
         out.append(f"law mode {law.mode.value} differs from factor mode {factor.mode.value}")
     return out
+
+
+def _check_model(caller: str, mode: Mode, factor: HiddenFactorSpec | None,
+                 law: MigrationLaw | None, width: int | None) -> None:
+    """Raise :class:`ModelError`, naming ``caller``, unless ``factor`` and
+    ``law`` form one model of ``mode`` (see :func:`_pair_violations`) and a
+    filter state of ``width`` entries fits it.  A part given as ``None`` is
+    not checked; the factor or the law must be given."""
+    model = factor if factor is not None else law
+    problems = [] if model.mode is mode else [f"needs {mode.value} mode, got {model.mode.value}"]
+    if factor is not None and law is not None:
+        problems += _pair_violations(factor, law)
+    name, m = ("factor", factor.m) if factor is not None else ("law", law.n_states)
+    if width is not None and width != m:
+        problems.append(f"{name} has {m} states but filter state has {width}")
+    if problems:
+        raise ModelError(f"{caller}: " + "; ".join(problems))
 
 
 def evolve_prior(state: FilterState, factor: HiddenFactorSpec, dt: float = 1.0) -> FilterState:
@@ -442,13 +465,8 @@ def predict_transition_probs(law: MigrationLaw, state: FilterState | np.ndarray)
     shape (..., p, p).  Requires a discrete-mode law; convert intensities
     first with :func:`generator_to_transition`.
     """
-    if law.mode is not Mode.DISCRETE:
-        raise ModelError("predict_transition_probs needs a discrete (probability) law")
     probs = state.probs if isinstance(state, FilterState) else np.asarray(state, dtype=float)
-    if law.n_states != probs.shape[-1]:
-        raise ModelError(
-            f"law has {law.n_states} states but filter state has {probs.shape[-1]}"
-        )
+    _check_model("predict_transition_probs", Mode.DISCRETE, None, law, probs.shape[-1])
     return np.einsum("...h,hjk->...jk", probs, law.per_state)
 
 

@@ -17,14 +17,14 @@ import datetime as dt
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataError
 from .filtering import FilterTrajectory
-from .model import MigrationPanel, _exposures_at
+from .model import EventStream, MigrationPanel, _exposures_at
 
 if TYPE_CHECKING:
     from .calibrate import EmConfig
@@ -615,7 +615,7 @@ def trajectory_from_csv(source: str | io.TextIOBase) -> FilterTrajectory:
 _EVENT_ROW = np.dtype([("time", float), ("from", np.int64), ("to", np.int64)])
 
 
-def events_to_csv(stream, target: str | io.TextIOBase) -> None:
+def events_to_csv(stream: EventStream, target: str | io.TextIOBase) -> None:
     """Event CSV: a comment line with the time-zero exposures and horizon,
     then ``time,from_rating,to_rating`` rows (1-based rating labels).
 
@@ -625,8 +625,9 @@ def events_to_csv(stream, target: str | io.TextIOBase) -> None:
     stream in memory, or re-spread it from its panel.
     """
     if stream.boundary_times is not None:
-        bare = replace(stream, boundary_times=None, boundary_exposures=None)
-        implied = _exposures_at(bare, stream.boundary_times)
+        # overrides placed past every query: the exposures the events imply
+        never = np.full(stream.boundary_times.shape, np.inf)
+        implied = _exposures_at(stream, stream.boundary_times, boundary_pos=never)
         if not np.array_equal(implied, stream.boundary_exposures):
             raise DataError(
                 "the event CSV holds no boundary exposures, and this stream's "
@@ -638,9 +639,7 @@ def events_to_csv(stream, target: str | io.TextIOBase) -> None:
     _write_table(target, ["time", "from_rating", "to_rating"], rows, comment)
 
 
-def events_from_csv(source: str | io.TextIOBase):
-    from .model import EventStream
-
+def events_from_csv(source: str | io.TextIOBase) -> EventStream:
     def layout(comment, header):
         if comment is None or not comment.startswith("# exposures0="):
             raise DataError("event CSV must start with the exposures comment line")

@@ -21,6 +21,7 @@ from .model import (
     MigrationLaw,
     MigrationPanel,
     Mode,
+    _check_model,
     _freeze,
     _freeze_int,
 )
@@ -81,13 +82,6 @@ class PiecewisePath:
         object.__setattr__(self, "states", _freeze_int(np.atleast_1d(self.states), "states"))
 
 
-def _check_mode(factor: HiddenFactorSpec, config: SimulationConfig) -> None:
-    if factor.mode is not config.mode:
-        raise ModelError(
-            f"config mode {config.mode.value} does not match factor mode {factor.mode.value}"
-        )
-
-
 def simulate_hidden_path(factor: HiddenFactorSpec, config: SimulationConfig):
     """Sample a trajectory of the hidden factor.
 
@@ -96,7 +90,7 @@ def simulate_hidden_path(factor: HiddenFactorSpec, config: SimulationConfig):
     :class:`PiecewisePath`: holding times are exponential with the diagonal
     exit rate, jump targets proportional to the off-diagonal intensities.
     """
-    _check_mode(factor, config)
+    _check_model("simulate_hidden_path", config.mode, factor, None, None)
     rng = np.random.default_rng(config.seed)
     return _hidden_path(factor, config, rng)
 
@@ -122,12 +116,17 @@ def _hidden_path(factor: HiddenFactorSpec, config: SimulationConfig, rng):
         t += rng.exponential(1.0 / rate)
         if t >= config.horizon:
             break
-        weights = factor.trans[state].copy()
-        weights[state] = 0.0
-        state = int(rng.choice(m, p=weights / weights.sum()))
+        state = _hidden_jump(factor, state, rng)
         times.append(t)
         states.append(state)
     return PiecewisePath(np.array(times), np.array(states), float(config.horizon))
+
+
+def _hidden_jump(factor: HiddenFactorSpec, state: int, rng) -> int:
+    """Draw the state a continuous hidden chain jumps to from ``state``,
+    proportional to the off-diagonal intensities."""
+    weights = np.where(np.arange(factor.m) == state, 0.0, factor.trans[state])
+    return int(rng.choice(factor.m, p=weights / weights.sum()))
 
 
 def simulate_panel_discrete(
@@ -140,11 +139,9 @@ def simulate_panel_discrete(
     ``law.per_state[theta[t], j]`` — the hidden state at the step's start
     drives the step's moves.  Exposures for ``t + 1`` are the column sums.
     """
-    _check_mode(factor, config)
     if config.mode is not Mode.DISCRETE:
-        raise ModelError("simulate_panel_discrete requires discrete mode")
-    if law.n_states != factor.m:
-        raise ModelError("law/factor state counts disagree")
+        raise ModelError("simulate_panel_discrete requires a discrete config")
+    _check_model("simulate_panel_discrete", Mode.DISCRETE, factor, law, None)
     rng = np.random.default_rng(config.seed)
     path = _hidden_path(factor, config, rng)
     steps = int(config.horizon)
@@ -177,11 +174,9 @@ def simulate_events_continuous(
     migrations are emitted in the stream; the hidden path is returned
     alongside.
     """
-    _check_mode(factor, config)
     if config.mode is not Mode.CONTINUOUS:
-        raise ModelError("simulate_events_continuous requires continuous mode")
-    if law.n_states != factor.m:
-        raise ModelError("law/factor state counts disagree")
+        raise ModelError("simulate_events_continuous requires a continuous config")
+    _check_model("simulate_events_continuous", Mode.CONTINUOUS, factor, law, None)
     p = law.p
     if config.p != p:
         raise DataError(f"entities_per_rating has {config.p} classes, law has {p}")
@@ -210,9 +205,7 @@ def simulate_events_continuous(
             break
         u = rng.uniform(0.0, total)
         if u < hidden_rate:
-            weights = factor.trans[theta].copy()
-            weights[theta] = 0.0
-            theta = int(rng.choice(factor.m, p=weights / weights.sum()))
+            theta = _hidden_jump(factor, theta, rng)
             hidden_times.append(t)
             hidden_states.append(theta)
         else:

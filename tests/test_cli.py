@@ -375,3 +375,19 @@ def test_calibrate_with_an_invalid_em_setting_exits_1(runner, tmp_path, option, 
     assert out.exit_code == 1, out.output
     assert f"error: {message}" in out.output
     assert not (tmp_path / "fit.json").exists()
+
+
+def test_filter_on_events_departing_from_an_empty_rating_exits_1(runner, tmp_path):
+    factor, law = mf.demo_model(2, 2, mode=mf.Mode.CONTINUOUS)
+    model = tmp_path / "cmodel.json"
+    model.write_text(mf.model_to_json(factor, law))
+    events = tmp_path / "events.csv"
+    events.write_text("# exposures0=2,0 horizon=1.0\ntime,from_rating,to_rating\n0.5,2,1\n")
+    out = runner.invoke(
+        main,
+        ["filter", "--events", str(events), "--model", str(model),
+         "--grid-dt", "0.5", "--report-dt", "1", "--out", str(tmp_path / "t.csv")],
+    )
+    assert out.exit_code == 1, out.output
+    assert "error: event 0 at t=0.5: departure from rating 1 with no exposure" in out.output
+    assert not (tmp_path / "t.csv").exists()

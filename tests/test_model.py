@@ -310,15 +310,16 @@ class TestPanelAndStream:
         np.testing.assert_array_equal(stream.exposure_snapshots(), [[2, 0]])
 
     def test_departure_from_empty_class_rejected(self):
-        stream = mf.EventStream(
-            times=np.array([0.5]),
-            sources=np.array([1]),
-            targets=np.array([0]),
-            initial_exposures=np.array([2, 0]),
-            horizon=1.0,
-        )
-        with pytest.raises(DataError):
-            stream.exposure_snapshots()
+        with pytest.raises(
+            DataError, match=r"^event 0 at t=0.5: departure from rating 1 with no exposure$"
+        ):
+            mf.EventStream(
+                times=np.array([0.5]),
+                sources=np.array([1]),
+                targets=np.array([0]),
+                initial_exposures=np.array([2, 0]),
+                horizon=1.0,
+            )
 
     @pytest.mark.parametrize(
         "sources, targets, rating",

@@ -9,10 +9,8 @@ import pytest
 import migfilter as mf
 from migfilter.errors import DataError, ModelError
 
-DISCRETE = mf.demo_model(2, 3)
-CONTINUOUS = mf.demo_model(2, 3, mode=mf.Mode.CONTINUOUS)
-DF, DL = DISCRETE
-CF, CL = CONTINUOUS
+DF, DL = mf.demo_model(2, 3)
+CF, CL = mf.demo_model(2, 3, mode=mf.Mode.CONTINUOUS)
 DL3 = mf.demo_model(3, 3)[1]
 CL3 = mf.demo_model(3, 3, mode=mf.Mode.CONTINUOUS)[1]
 # two ratings, for the hand-written streams

@@ -57,6 +57,7 @@ from .model import (
     MigrationLaw,
     MigrationPanel,
     Mode,
+    _check_model,
     model_to_json,
     sort_states_by_risk,
     transition_to_generator,
@@ -401,6 +402,21 @@ def _backward(logg: np.ndarray, trans: np.ndarray) -> BackwardResult:
     return BackwardResult(beta=beta, log_scale=log_scale)
 
 
+def _check_panel_model(
+    caller: str,
+    panel: MigrationPanel,
+    factor: HiddenFactorSpec,
+    law: MigrationLaw,
+    width: int | None,
+) -> None:
+    """:func:`~migfilter.model._check_model` of a discrete (factor, law)
+    pair and a filter state of ``width`` entries, then the panel's rating
+    classes against the law's; every :class:`ModelError` names ``caller``."""
+    _check_model(caller, Mode.DISCRETE, factor, law, width)
+    if panel.p != law.p:
+        raise ModelError(f"{caller}: panel has {panel.p} rating classes, law has {law.p}")
+
+
 def forward_pass(
     panel: MigrationPanel, factor: HiddenFactorSpec, law: MigrationLaw
 ) -> ForwardResult:
@@ -410,6 +426,7 @@ def forward_pass(
     Row ``t`` of ``alpha`` refers to the hidden state driving step ``t``
     (the state in force at the step's start).
     """
+    _check_panel_model("forward_pass", panel, factor, law, None)
     if panel.steps == 0:
         return ForwardResult(
             alpha=np.empty((0, factor.m)), log_scale=np.empty(0), loglik=0.0
@@ -422,6 +439,7 @@ def backward_pass(
 ) -> BackwardResult:
     """Scaled backward recursion; the terminal column is flat (nothing is
     observed after the last step)."""
+    _check_panel_model("backward_pass", panel, factor, law, None)
     if panel.steps == 0:
         return BackwardResult(beta=np.empty((0, factor.m)), log_scale=np.empty(0))
     logg = _panel_log_weights(panel, law.per_state)
@@ -442,6 +460,7 @@ def posteriors(
     of consecutive hidden states; ``v[t]`` has row marginal ``u[t]`` and
     column marginal ``u[t + 1]``.
     """
+    _check_panel_model("posteriors", panel, factor, law, None)
     if panel.steps == 0:
         m = factor.m
         return np.empty((0, m)), np.empty((0, m, m))

@@ -4,7 +4,11 @@ Between events the filtered law follows a drift ODE: the hidden chain's own
 Kolmogorov drift plus a no-news term that bleeds probability away from
 states whose predicted aggregate jump intensity exceeds the average.  Each
 observed migration applies a closed-form Bayes reweighting by the per-state
-intensity of that transition.
+intensity of that transition.  Both steps work on vectors of ``m`` hidden
+states, a handful of entries, where each numpy call would cost far more in
+per-call overhead than in arithmetic; so their kernels,
+:func:`_integrate_drift` and :func:`_bayes_jump`, run on Python floats, and
+the filter converts its inputs to lists once per run.
 
 Daily panels violate the no-simultaneous-jumps assumption this filter needs,
 so :func:`spread_jumps` redistributes each step's jumps onto distinct random
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, mul
 
 import numpy as np
 
@@ -37,11 +42,11 @@ from .model import (
     MigrationLaw,
     MigrationPanel,
     Mode,
+    _RENORM_TRIGGER,
     _check_model,
     _exposures_at,
     generator_to_transition,
     predict_transition_probs,
-    renormalize,
 )
 
 __all__ = [
@@ -170,6 +175,17 @@ def _intensity_load(law: MigrationLaw, exposures: np.ndarray) -> np.ndarray:
     return np.where(off, rates, 0.0).sum(axis=(-2, -1))
 
 
+def _drift_inputs(
+    trans: np.ndarray, loads: np.ndarray
+) -> tuple[list[list[float]], list[list[float]], list[float]]:
+    """The float inputs of :func:`_integrate_drift` for each row of
+    ``loads``: the rows of ``trans.T``, the load rows and each row's rate
+    scale, the fastest exit rate of the chain plus the largest load."""
+    exit_rate = np.max(-np.diag(trans), initial=0.0)
+    scales = exit_rate + np.max(loads, axis=-1, initial=0.0)
+    return trans.T.tolist(), loads.tolist(), scales.tolist()
+
+
 def continuous_drift_step(
     state: FilterState,
     dt: float,
@@ -189,38 +205,55 @@ def continuous_drift_step(
     exposures = np.asarray(exposures, dtype=float)
     if exposures.shape != (law.p,):
         raise ModelError(f"exposures have shape {exposures.shape}, law has {law.p} rating classes")
-    load = _intensity_load(law, exposures)
-    probs, _, _ = _integrate_drift(state.probs, dt, factor.trans, load, dt)
+    trans_t, (load,), (scale,) = _drift_inputs(factor.trans, _intensity_load(law, exposures[None]))
+    probs, _, _ = _integrate_drift(state.probs.tolist(), dt, trans_t, load, scale, dt)
     return FilterState(probs, time_index=state.time_index + dt)
 
 
+def _renormalized(probs: list[float]) -> list[float]:
+    """:func:`~migfilter.model.renormalize` on a list of floats: entries
+    below 0 are clipped to 0, and the list is rescaled only when its sum
+    drifts further than 1e-13 from 1."""
+    probs = [0.0 if x < 0.0 else x for x in probs]
+    total = sum(probs)
+    if abs(total - 1.0) > _RENORM_TRIGGER:
+        if total <= 0.0:
+            raise ModelError("probability vector has collapsed to zero mass")
+        probs = [x / total for x in probs]
+    return probs
+
+
 def _integrate_drift(
-    probs: np.ndarray,
+    probs: list[float],
     dt: float,
-    trans: np.ndarray,
-    load: np.ndarray,
+    trans_t: list[list[float]],
+    load: list[float],
+    rate_scale: float,
     max_h: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[list[float], list[float], float]:
     """Euler-integrate the drift ODE; also accumulate the chain-drift part
     and the predicted aggregate intensity integral (for the log-likelihood).
 
+    ``trans_t``, ``load`` and ``rate_scale`` come from :func:`_drift_inputs`.
     Substeps never exceed ``max_h`` (the caller's grid cap) nor the
-    stability bound tied to the fastest rate in play.
+    stability bound tied to ``rate_scale``, the fastest rate in play.  The
+    walk runs on Python floats: on vectors of ``m`` entries each numpy call
+    costs more in per-call overhead than in arithmetic.
     """
-    rate_scale = float(np.max(-np.diag(trans), initial=0.0) + np.max(load, initial=0.0))
     n_sub = max(1, math.ceil(dt * rate_scale / _MAX_EULER_MASS))
     if max_h < dt:
         n_sub = max(n_sub, math.ceil(round(dt / max_h, 9)))
     h = dt / n_sub
-    chain_part = np.zeros_like(probs)
+    chain_part = [0.0] * len(probs)
     intensity_integral = 0.0
     for _ in range(n_sub):
-        chain = trans.T @ probs
-        mean_load = float(probs @ load)
-        chain_part += chain * h
+        chain = [sum(map(mul, row, probs)) for row in trans_t]
+        mean_load = sum(map(mul, probs, load))
+        chain_part = [acc + c * h for acc, c in zip(chain_part, chain)]
         intensity_integral += mean_load * h
-        probs = probs + (chain + probs * (mean_load - load)) * h
-        probs = renormalize(probs)
+        probs = _renormalized(
+            [x + (c + x * (mean_load - q)) * h for x, c, q in zip(probs, chain, load)]
+        )
     return probs, chain_part, intensity_integral
 
 
@@ -237,7 +270,7 @@ def continuous_jump_update(
     j, k = transition
     if j == k:
         raise DataError(f"not a migration: {transition}")
-    posterior, _ = _bayes_jump(state.probs, law.per_state[:, j, k])
+    posterior, _ = _bayes_jump(state.probs.tolist(), law.per_state[:, j, k].tolist())
     if posterior is None:
         raise ImpossibleObservationError(
             f"transition {j}->{k} has zero intensity under every hidden state "
@@ -247,15 +280,15 @@ def continuous_jump_update(
     return FilterState(posterior, time_index=state.time_index)
 
 
-def _bayes_jump(probs: np.ndarray, column: np.ndarray) -> tuple[np.ndarray | None, float]:
+def _bayes_jump(probs: list[float], column: list[float]) -> tuple[list[float] | None, float]:
     """Reweight ``probs`` by the per-state intensity ``column`` of an observed
     transition.  Returns the posterior and the mixture intensity
     ``probs @ column``; the posterior is ``None`` when that intensity is not
-    positive."""
-    intensity = float(probs @ column)
+    positive.  Works on Python floats, as :func:`_integrate_drift` does."""
+    intensity = sum(map(mul, probs, column))
     if intensity <= 0.0:
         return None, intensity
-    return renormalize(probs * column / intensity), intensity
+    return _renormalized([x * c / intensity for x, c in zip(probs, column)]), intensity
 
 
 def run_continuous_filter(
@@ -293,7 +326,6 @@ def run_continuous_filter(
     if events.boundary_times is not None:
         knots = np.union1d(knots, events.boundary_times)
     exposures = _exposures_at(events, np.concatenate(([-np.inf], knots)))
-    loads = _intensity_load(law, exposures)
     stops = np.union1d(knots, report_times)
     stops = stops[(stops > 0.0) & (stops <= horizon)]
     # per stop: the exposure row in force since the previous stop (so just
@@ -302,33 +334,40 @@ def run_continuous_filter(
     event_at = np.searchsorted(events.times, stops)
     interval_of = np.searchsorted(report_times, stops)
 
+    # the walk below runs on Python floats (see _integrate_drift)
+    trans_t, loads, scales = _drift_inputs(factor.trans, _intensity_load(law, exposures))
+    exposure_rows = exposures.tolist()
+    columns = law.per_state.transpose(1, 2, 0).tolist()  # [j][k]: each state's j->k
+    times, sources, targets = (a.tolist() for a in (events.times, events.sources, events.targets))
+    reports = report_times.tolist()
     # row i + 1 holds the law at the end of reporting interval i
     laws = np.empty((n_intervals + 1, factor.m))
-    laws[0] = probs = factor.pi
-    pred_parts = np.zeros((n_intervals, factor.m))
+    laws[0] = factor.pi
+    probs = factor.pi.tolist()
+    pred_parts = [[0.0] * factor.m for _ in range(n_intervals)]
     loglik = 0.0
     t = 0.0
     for stop, row, e, interval in zip(
         stops.tolist(), rows.tolist(), event_at.tolist(), interval_of.tolist()
     ):
         probs, chain_part, intensity_int = _integrate_drift(
-            probs, stop - t, factor.trans, loads[row], max_h=grid_dt
+            probs, stop - t, trans_t, loads[row], scales[row], grid_dt
         )
-        pred_parts[interval] += chain_part
+        pred_parts[interval] = list(map(add, pred_parts[interval], chain_part))
         loglik -= intensity_int
         t = stop
-        if e < events.n_events and events.times[e] == stop:
-            j, k = int(events.sources[e]), int(events.targets[e])
+        if e < len(times) and times[e] == stop:
+            j, k = sources[e], targets[e]
             # a consistent stream holds exposure in ``j`` just before the event
-            posterior, intensity = _bayes_jump(probs, law.per_state[:, j, k])
+            posterior, intensity = _bayes_jump(probs, columns[j][k])
             if posterior is None:
                 raise ImpossibleObservationError(
                     f"event {e} ({j}->{k} at t={t}) has zero predicted intensity",
                     time_index=t,
                 )
-            loglik += float(np.log(exposures[row, j] * intensity))
+            loglik += math.log(exposure_rows[row][j] * intensity)
             probs = posterior
-        if report_times[interval] == stop:
+        if reports[interval] == stop:
             laws[interval + 1] = probs
     return FilterTrajectory(
         probs=laws,
@@ -337,5 +376,5 @@ def run_continuous_filter(
             MigrationLaw(generator_to_transition(law.per_state, report_dt)), laws[:-1]
         ),
         loglik=loglik,
-        prediction_parts=pred_parts,
+        prediction_parts=np.array(pred_parts),
     )

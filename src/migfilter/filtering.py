@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import _forward, _panel_log_weights
+from .calibrate import _check_panel_model, _forward, _panel_log_weights
 from .errors import DataError, ImpossibleObservationError, ModelError
 from .model import FilterState, HiddenFactorSpec, MigrationLaw, MigrationPanel, Mode
 from .model import _check_model, _checked_laws, _freeze, predict_transition_probs
@@ -144,6 +144,13 @@ def filter_step_univariate(
     if not 0 <= d_n <= y:
         raise DataError(f"need 0 <= d_n <= y, got d_n={d_n}, y={y}")
     _check_model("filter_step_univariate", Mode.DISCRETE, factor, None, state.m)
+    if jump_probs.shape != (factor.m,):
+        raise ModelError(
+            f"filter_step_univariate: jump_probs has shape {jump_probs.shape}, "
+            f"factor has {factor.m} states"
+        )
+    if not np.all((jump_probs >= 0.0) & (jump_probs <= 1.0)):
+        raise ModelError(f"filter_step_univariate: jump_probs {jump_probs} leave [0, 1]")
     w = _univariate_log_weights(int(d_n), int(y), jump_probs)
     return _one_step(state, w, factor.trans)
 
@@ -161,8 +168,8 @@ def filter_step_multivariate(
     exposures ``y`` (coefficients dropped, computed in log space); the prior
     is reweighted and pushed through the hidden chain.
     """
-    _check_model("filter_step_multivariate", Mode.DISCRETE, factor, law, state.m)
     step = MigrationPanel(np.asarray(y)[None], np.asarray(d_n)[None])
+    _check_panel_model("filter_step_multivariate", step, factor, law, state.m)
     return _one_step(state, _panel_log_weights(step, law.per_state)[0], factor.trans)
 
 
@@ -185,9 +192,7 @@ def run_filter(
     :class:`~migfilter.errors.NumericalError` when the scan loses precision
     (the command-line tools exit with code 3).
     """
-    _check_model("run_filter", Mode.DISCRETE, factor, law, None)
-    if panel.p != law.p:
-        raise ModelError(f"panel has {panel.p} rating classes, law has {law.p}")
+    _check_panel_model("run_filter", panel, factor, law, None)
     probs = _checked_laws(factor.pi)[None, :]
     loglik = 0.0
     if panel.steps:

@@ -83,10 +83,9 @@ def renormalize(probs: np.ndarray) -> np.ndarray:
     so exact results pass through bit-identically.
     """
     probs = np.where(probs < 0.0, 0.0, probs)
-    # scalars for one vector, cheap to test in the Euler substeps
     total = probs.sum(axis=-1)
     drift = abs(total - 1.0) > _RENORM_TRIGGER
-    if drift.any() if drift.ndim else drift:
+    if drift.any():
         if np.any(total <= 0.0):
             raise ModelError("probability vector has collapsed to zero mass")
         probs = np.where(drift[..., None], probs / total[..., None], probs)

@@ -6,9 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import migfilter as mf
-from migfilter.continuous import _bayes_jump, _integrate_drift, _intensity_load
+from migfilter.continuous import (
+    _MAX_EULER_MASS,
+    _bayes_jump,
+    _drift_inputs,
+    _integrate_drift,
+    _intensity_load,
+)
 from migfilter.errors import DataError, ImpossibleObservationError, ModelError
-from migfilter.model import _exposures_at
+from migfilter.model import _exposures_at, renormalize
 
 
 def two_state_continuous_model():
@@ -240,14 +246,17 @@ def loop_continuous_filter(events, factor, law, grid_dt, report_dt):
     """Reference for ``run_continuous_filter``: the time-stepping walk it
     replaced, which merged stops within an absolute 1e-12 of each other and
     ended its reports at the last multiple of ``report_dt`` (within 1e-9)."""
-    probs = factor.pi.copy()
+    probs = factor.pi.tolist()
     horizon = float(events.horizon)
     n_intervals = max(1, math.ceil(round(horizon / report_dt, 9)))
     report_times = np.minimum(np.arange(1, n_intervals + 1) * report_dt, horizon)
     knots = events.times
     if events.boundary_times is not None:
         knots = np.union1d(knots, events.boundary_times)
-    loads = _intensity_load(law, _exposures_at(events, np.concatenate(([-np.inf], knots))))
+    trans_t, loads, scales = _drift_inputs(
+        factor.trans,
+        _intensity_load(law, _exposures_at(events, np.concatenate(([-np.inf], knots)))),
+    )
     pre_jump = _exposures_at(events, np.nextafter(events.times, -np.inf))
     laws = np.empty((n_intervals + 1, factor.m))
     laws[0] = probs
@@ -268,21 +277,21 @@ def loop_continuous_filter(events, factor, law, grid_dt, report_dt):
         stop = min(stops)
         if stop > t + eps:
             probs, chain_part, intensity_int = _integrate_drift(
-                probs, stop - t, factor.trans, loads[passed], max_h=grid_dt
+                probs, stop - t, trans_t, loads[passed], scales[passed], grid_dt
             )
             pred_parts[interval] += chain_part
             loglik -= intensity_int
         t = stop
         if e < events.n_events and events.times[e] <= t + eps:
             j, k = int(events.sources[e]), int(events.targets[e])
-            posterior, intensity = _bayes_jump(probs, law.per_state[:, j, k])
+            posterior, intensity = _bayes_jump(probs, law.per_state[:, j, k].tolist())
             event_intensity = pre_jump[e, j] * intensity
             if posterior is None or event_intensity <= 0.0:
                 raise ImpossibleObservationError(
                     f"event {e} ({j}->{k} at t={t}) has zero predicted intensity",
                     time_index=t,
                 )
-            loglik += float(np.log(event_intensity))
+            loglik += math.log(event_intensity)
             probs = posterior
             e += 1
         if report_times[interval] <= t + eps:
@@ -440,6 +449,114 @@ class TestDriftStep:
             mf.continuous_drift_step(
                 mf.FilterState(np.array([0.5, 0.5])), 0.0, factor, law, np.zeros(2)
             )
+
+
+def numpy_integrate_drift(probs, dt, trans, load, max_h):
+    """Reference for ``_integrate_drift``: the Euler walk on numpy vectors
+    that the float kernel replaced.  Also returns its substep count."""
+    rate_scale = float(np.max(-np.diag(trans), initial=0.0) + np.max(load, initial=0.0))
+    n_sub = max(1, math.ceil(dt * rate_scale / _MAX_EULER_MASS))
+    if max_h < dt:
+        n_sub = max(n_sub, math.ceil(round(dt / max_h, 9)))
+    h = dt / n_sub
+    chain_part = np.zeros_like(probs)
+    intensity_integral = 0.0
+    for _ in range(n_sub):
+        chain = trans.T @ probs
+        mean_load = float(probs @ load)
+        chain_part += chain * h
+        intensity_integral += mean_load * h
+        probs = probs + (chain + probs * (mean_load - load)) * h
+        probs = renormalize(probs)
+    return probs, chain_part, intensity_integral, n_sub
+
+
+def numpy_bayes_jump(probs, column):
+    """Reference for ``_bayes_jump`` on numpy vectors."""
+    intensity = float(probs @ column)
+    if intensity <= 0.0:
+        return None, intensity
+    return renormalize(probs * column / intensity), intensity
+
+
+class CountingRows(list):
+    """Rows of ``trans.T`` counting the kernel's passes over them, one per
+    Euler substep."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A filtered law of 1-6 states, a generator and a load row.  Some laws
+    sum 1e-12 to 1e-9 away from 1 (so the 1e-13 rescale trips), hold zeros
+    or a tiny negative entry."""
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trans = rng.exponential(1.0, (m, m)) * draw(st.sampled_from([0.0, 0.1, 1.0, 5.0]))
+    np.fill_diagonal(trans, 0.0)
+    np.fill_diagonal(trans, -trans.sum(axis=1))
+    load = rng.exponential(1.0, m) * draw(st.sampled_from([0.0, 0.1, 1.0, 10.0]))
+    probs = rng.dirichlet(np.full(m, draw(st.sampled_from([0.2, 1.0, 5.0]))))
+    if m > 1 and draw(st.booleans()):
+        probs[rng.random(m) < 0.4] = 0.0
+        probs[0] = draw(st.sampled_from([0.0, -1e-17]))
+        assume(probs.sum() > 0.5)
+        probs = probs / probs.sum()
+    probs = probs * (1.0 + draw(st.sampled_from([0.0, 1e-12, -1e-11, 1e-9])))
+    return probs, trans, load
+
+
+class TestFloatKernels:
+    """The Euler and jump kernels on Python floats agree with the numpy
+    kernels they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_inputs(), st.floats(0.05, 20.0), st.floats(0.05, 20.0))
+    def test_drift_matches_numpy_reference(self, drawn, dt_share, max_h_share):
+        probs, trans, load = drawn
+        # dt and max_h as multiples of the stability bound, either side of it
+        rate_scale = max(np.max(-np.diag(trans)), 0.0) + max(load.max(), 0.0)
+        bound = _MAX_EULER_MASS / rate_scale if rate_scale > 0 else 1.0
+        dt, max_h = dt_share * bound, max_h_share * bound
+        ref_probs, ref_chain, ref_integral, n_sub = numpy_integrate_drift(
+            probs, dt, trans, load, max_h
+        )
+        trans_t, (load_row,), (scale,) = _drift_inputs(trans, load[None])
+        rows = CountingRows(trans_t)
+        out_probs, out_chain, out_integral = _integrate_drift(
+            probs.tolist(), dt, rows, load_row, scale, max_h
+        )
+        assert rows.passes == n_sub
+        np.testing.assert_allclose(out_probs, ref_probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out_chain, ref_chain, rtol=1e-12, atol=1e-12)
+        assert math.isclose(out_integral, ref_integral, rel_tol=1e-12, abs_tol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_inputs(), st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_jump_matches_numpy_reference(self, drawn, zeroed):
+        probs, _, load = drawn
+        column = np.where(zeroed[: len(probs)], 0.0, load)
+        ref_posterior, ref_intensity = numpy_bayes_jump(probs, column)
+        posterior, intensity = _bayes_jump(probs.tolist(), column.tolist())
+        assert math.isclose(intensity, ref_intensity, rel_tol=1e-12, abs_tol=1e-12)
+        if ref_posterior is None:
+            assert posterior is None
+        else:
+            np.testing.assert_allclose(posterior, ref_posterior, rtol=0, atol=1e-12)
+
+    def test_collapse_to_zero_mass_raises_like_the_reference(self):
+        trans = np.array([[-0.5, 0.5], [0.2, -0.2]])
+        load = np.array([1.0, 2.0])
+        with pytest.raises(ModelError, match="collapsed to zero mass"):
+            numpy_integrate_drift(np.zeros(2), 0.1, trans, load, 0.1)
+        trans_t, (load_row,), (scale,) = _drift_inputs(trans, load[None])
+        with pytest.raises(ModelError, match="collapsed to zero mass"):
+            _integrate_drift([0.0, 0.0], 0.1, trans_t, load_row, scale, 0.1)
 
 
 class TestJumpUpdate:

@@ -1,7 +1,7 @@
 """Every consumer refuses a (factor, law) pair that is not one model of its
-mode, a filter state of the wrong width, and an inconsistent event stream:
-each case raises the package's own error instead of returning or failing
-inside numpy."""
+mode, a filter state of the wrong width, data of the wrong size and an
+inconsistent event stream: each case raises the package's own error instead
+of returning or failing inside numpy."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ DL3 = mf.demo_model(3, 3)[1]
 CL3 = mf.demo_model(3, 3, mode=mf.Mode.CONTINUOUS)[1]
 # two ratings, for the hand-written streams
 CF2, CL2 = mf.demo_model(2, 2, mode=mf.Mode.CONTINUOUS)
+DL22 = mf.demo_model(2, 2)[1]
 
 PANEL, _ = mf.simulate_panel_discrete(DF, DL, mf.SimulationConfig(np.array([5, 5, 5]), 3, seed=0))
 STREAM, _ = mf.simulate_events_continuous(
@@ -50,6 +51,19 @@ def univariate(state, factor):
 
 def multivariate(state, factor, law):
     return lambda: mf.filter_step_multivariate(state, D_N, Y, factor, law)
+
+
+def univariate_probs(jump_probs):
+    return lambda: mf.filter_step_univariate(HALF, 1, 5, DF, np.array(jump_probs))
+
+
+def scan(name, factor, law, panel=PANEL):
+    """``forward_pass``, ``backward_pass`` or ``posteriors`` (whose forward
+    and backward results come from the valid model)."""
+    if name == "posteriors":
+        fwd, bwd = mf.forward_pass(PANEL, DF, DL), mf.backward_pass(PANEL, DF, DL)
+        return lambda: mf.posteriors(fwd, bwd, panel, factor, law)
+    return lambda: getattr(mf, name)(panel, factor, law)
 
 
 def drift(state, factor, law, exposures=Y):
@@ -114,4 +128,33 @@ CASES = {
 @pytest.mark.parametrize("error, call", list(CASES.values()), ids=list(CASES))
 def test_mismatch_is_refused(error, call):
     with pytest.raises(error):
+        call()
+
+
+NAMED_CASES = {
+    **{
+        f"{name}-{case}": (name, scan(name, *model))
+        for name in ("forward_pass", "backward_pass", "posteriors")
+        for case, model in (
+            ("continuous-factor", (CF, DL)),
+            ("continuous-law", (DF, CL)),
+            ("state-count", (DF, DL3)),
+            ("rating-count", (DF, DL22)),
+        )
+    },
+    "run_filter-rating-count": ("run_filter", run_filter(DF, DL22)),
+    "multivariate-rating-count": (
+        "filter_step_multivariate",
+        lambda: mf.filter_step_multivariate(HALF, np.diag([5, 5]), np.array([5, 5]), DF, DL),
+    ),
+    "univariate-jump-probs-width": ("filter_step_univariate", univariate_probs([0.1])),
+    "univariate-jump-prob-above-one": ("filter_step_univariate", univariate_probs([0.1, 1.5])),
+    "univariate-jump-prob-below-zero": ("filter_step_univariate", univariate_probs([-0.1, 0.5])),
+    "univariate-jump-prob-nan": ("filter_step_univariate", univariate_probs([np.nan, 0.5])),
+}
+
+
+@pytest.mark.parametrize("caller, call", list(NAMED_CASES.values()), ids=list(NAMED_CASES))
+def test_wrong_model_or_data_size_is_refused_naming_the_caller(caller, call):
+    with pytest.raises(ModelError, match=f"^{caller}: "):
         call()

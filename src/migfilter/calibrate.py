@@ -25,9 +25,13 @@ when it converges or hits an impossible observation.
 
 The continuous adaptation calibrates on a fine grid with at most one jump
 per interval: interval likelihoods come from a uniform picker model (one
-entity at a time is allowed to move), the hidden-chain updates stay closed
-form, and the migration rows are maximized numerically under simplex
-constraints.  The fitted fine-grid probabilities convert to intensity
+entity at a time is allowed to move), and the hidden-chain updates stay
+closed form.  In a migration matrix only the diagonal enters the no-jump
+likelihood, so each row's off-diagonal entries are the multinomial shares
+of its jump mass, in closed form, scaled by one minus the diagonal; the
+diagonals solve a concave problem in ``p`` unknowns by damped Newton,
+batched over every restart and state.  The fitted fine-grid probabilities
+convert to intensity
 matrices by the small-step linearization.  A no-jump interval's likelihood
 depends only on the exposures, which change only at events and
 boundaries, so the E-step runs on segments: every jump interval is one,
@@ -48,7 +52,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DataError, ImpossibleObservationError, ModelError, NumericalError
 from .model import (
@@ -458,9 +461,17 @@ def posteriors(
     Returns ``u`` of shape (steps, m) — the marginal law of the hidden state
     driving each step — and ``v`` of shape (steps - 1, m, m), the joint law
     of consecutive hidden states; ``v[t]`` has row marginal ``u[t]`` and
-    column marginal ``u[t + 1]``.
+    column marginal ``u[t + 1]``.  ``fwd`` and ``bwd`` must cover the
+    panel's steps.
     """
     _check_panel_model("posteriors", panel, factor, law, None)
+    want = (panel.steps, factor.m)
+    if fwd.alpha.shape != want or bwd.beta.shape != want:
+        raise DataError(
+            f"posteriors: forward rows of shape {fwd.alpha.shape} and backward rows of "
+            f"shape {bwd.beta.shape} do not cover a panel of {panel.steps} steps "
+            f"and {factor.m} states"
+        )
     if panel.steps == 0:
         m = factor.m
         return np.empty((0, m)), np.empty((0, m, m))
@@ -676,7 +687,7 @@ def _em_single(panel, pi, trans, per_state, cfg, e_and_m):
 
 
 # --------------------------------------------------------------------------
-# Continuous adaptation: fine grid, uniform picker likelihood, numeric M-step
+# Continuous adaptation: fine grid, uniform picker likelihood, Newton M-step
 # --------------------------------------------------------------------------
 
 
@@ -865,20 +876,71 @@ def _segment_e_step(
 def _jump_posterior_mass(
     u: np.ndarray, src: np.ndarray, dst: np.ndarray, m: int, p: int
 ) -> np.ndarray:
-    """Expected number of picked jumps per (state, source, target)."""
-    mass = np.zeros((m, p, p))
+    """Expected number of picked jumps per (state, source, target), shape
+    (..., m, p, p) for posteriors ``u`` of shape (..., steps, m); leading
+    axes are restart axes."""
+    mass = np.zeros((*u.shape[:-2], m, p, p))
     rows = np.flatnonzero(src >= 0)
-    np.add.at(mass, (slice(None), src[rows], dst[rows]), u[rows].T)
+    np.add.at(mass, (..., src[rows], dst[rows]), np.swapaxes(u[..., rows, :], -1, -2))
     return mass
 
 
-def _row_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+# Damped Newton on the leave probabilities (see ``minimize``): the iteration
+# cap, the relative step at which a pair takes its last full step, the
+# Armijo fraction of the predicted gain a step must realize, the step
+# halvings before a pair stops where it is, the smallest curvature, relative
+# to the largest, the Newton step divides by, and the fraction of the way to
+# the nearest barrier a line search starts from when the full step would
+# cross it.
+_NEWTON_ITERS = 100
+_NEWTON_TOL = 1e-6
+_ARMIJO = 1e-4
+_HALVINGS = 60
+_MIN_CURVATURE = 1e-13
+_TO_BARRIER = 0.99
 
 
-def _optimize_picker_rows(
+def _no_jump_term(d, x, u_nj, y_nj, n_bar):
+    """``sum_r u_r log(w_r)`` over the no-jump exposure rows ``y_nj``
+    (rows, p), where ``w_r = 1 - sum(y_r) / n_bar + y_r . d / n_bar =
+    1 - y_r . x / n_bar`` is the no-jump weight of diagonals ``d`` (..., p)
+    with ``x = 1 - d``, and ``w``; rows of zero mass ``u_nj`` (..., rows)
+    count 0.  ``log(w_r)`` comes from ``d`` below 1/2 and from ``x`` above
+    it, so it keeps its relative precision next to 0 and next to 1."""
+    w = 1.0 - y_nj.sum(axis=1) / n_bar + (y_nj @ d[..., None])[..., 0] / n_bar
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = np.where(w < 0.5, np.log(w), np.log1p(-(y_nj @ x[..., None])[..., 0] / n_bar))
+        return np.where(u_nj > 0, u_nj * log_w, 0.0).sum(axis=-1), w
+
+
+def _picker_q(mat, jump_mass, u_nj, y_nj, n_bar):
+    """One state's picker-likelihood contribution
+    ``sum_jk J_jk log L_jk + sum_r u_r log(w_r)`` (see :func:`_no_jump_term`)
+    for migration matrices ``mat`` (..., p, p), with jump mass ``J`` of the
+    same shape."""
+    off = ~np.eye(mat.shape[-1], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jump = np.where(jump_mass > 0, jump_mass * np.log(mat), 0.0)
+    stay, _ = _no_jump_term(
+        np.diagonal(mat, 0, -2, -1), np.where(off, mat, 0.0).sum(axis=-1), u_nj, y_nj, n_bar
+    )
+    return jump.reshape(*jump.shape[:-2], -1).sum(axis=-1) + stay
+
+
+def _leave_objective(d, x, rows_mass, u_nj, y_nj, n_bar):
+    """The picker objective when every row's off-diagonal entries are
+    ``x_j J_jk / S_j``, up to a constant: ``f(x) = sum_j S_j log(x_j) +
+    sum_r u_r log(w_r)`` at the diagonal ``d = 1 - x``, where ``S_j`` is row
+    ``j``'s jump mass; and ``w``.  It is -inf outside the domain: some
+    ``x_j <= 0`` with ``S_j > 0`` or some ``w_r <= 0`` with ``u_r > 0``."""
+    stay, w = _no_jump_term(d, x, u_nj, y_nj, n_bar)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        leave = np.where(rows_mass > 0, rows_mass * np.log(x), 0.0).sum(axis=-1)
+    inside = ((x > 0.0) | (rows_mass == 0)).all(axis=-1) & ((w > 0.0) | (u_nj == 0)).all(axis=-1)
+    return np.where(inside, leave + stay, -np.inf), w
+
+
+def minimize(
     jump_mass: np.ndarray,
     u_nj: np.ndarray,
     y_nj: np.ndarray,
@@ -886,51 +948,118 @@ def _optimize_picker_rows(
     start: np.ndarray,
     floor: float,
 ) -> np.ndarray:
-    """Maximize one state's picker-likelihood contribution over its
-    row-stochastic migration matrix.
+    """Maximize the picker objective :func:`_picker_q` (minimize ``-Q``)
+    over row-stochastic migration matrices, for a batch of (restart, state)
+    pairs on the leading axis: ``jump_mass`` and ``start`` (n, p, p),
+    ``u_nj`` (n, rows) on the exposure rows ``y_nj`` (rows, p).
 
-    Rows are reparameterized by softmax logits and ascended jointly (the
-    no-jump terms couple the diagonal entries across rows), with analytic
-    gradients.  Returns the new matrix, or ``start`` itself when the
-    optimizer's result scores lower.
+    For a leave probability ``x_j = 1 - L_jj``, row ``j``'s best
+    off-diagonal entries are ``x_j J_jk / S_j`` with ``S_j = sum_k J_jk``,
+    which leaves the concave problem :func:`_leave_objective` in ``x`` on
+    ``0 < x_j <= 1``.  A rating with ``S_j = 0`` stays put (``x_j = 0``), and
+    one in no no-jump row of positive mass always leaves (``x_j = 1``, its
+    optimum).  The others start from ``start``'s leave probabilities or
+    from 0.5, whichever scores higher, and take damped Newton steps on the
+    ``p x p`` Hessian.  Each backtracking line search starts from the full
+    step, or from ``_TO_BARRIER`` of the way to the nearest barrier
+    (``x_j = 0`` or ``w_r = 0``), and accepts a step that realizes
+    ``_ARMIJO`` of the gain it predicts.  Coordinates stepping above 1 are
+    projected onto 1; a coordinate at 1 whose gradient points above it is
+    clamped there while Newton solves the free ones (Bertsekas, 1982).
+    Every pair iterates alone, so its result does not depend on its batch.
+
+    Returns the matrices floored at ``floor``; a pair whose result scores
+    below its ``start`` by more than rounding keeps ``start``.
     """
-    p = start.shape[0]
-    c_nj = 1.0 - y_nj.sum(axis=1) / n_bar
-    jump_row_mass = jump_mass.sum(axis=1)
-
-    def q_of(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """The objective, with the diagonal and no-jump weights its
-        gradient reuses."""
-        with np.errstate(divide="ignore"):
-            log_mat = np.log(mat)
-        jump_term = float(np.sum(np.where(jump_mass > 0, jump_mass * log_mat, 0.0)))
-        diag = np.diag(mat).copy()
-        w = c_nj + (y_nj @ diag) / n_bar
-        return jump_term + float(u_nj @ np.log(w)), diag, w
-
-    def neg_q_and_grad(x: np.ndarray):
-        mat = _row_softmax(x.reshape(p, p))
-        q, diag, w = q_of(mat)
-        # gradient in logits, division-free through the softmax chain rule
-        grad_x = jump_mass - mat * jump_row_mass[:, None]
-        d_diag = ((u_nj / w) @ y_nj / n_bar) * diag
-        grad_x -= mat * d_diag[:, None]
-        grad_x[np.diag_indices(p)] += d_diag
-        return -q, -grad_x.ravel()
-
-    q_start, _, _ = q_of(start)
-    x0 = np.log(np.maximum(start, floor)).ravel()
-    res = minimize(
-        neg_q_and_grad,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"gtol": 1e-8, "ftol": 1e-13, "maxiter": 300},
-    )
-    mat = _floored(_row_softmax(res.x.reshape(p, p)), floor)
-    if q_of(mat)[0] + 1e-12 * (1.0 + abs(q_start)) < q_start:
-        return start
-    return mat
+    # contiguous, so every sum over one pair's entries runs in the same
+    # order whatever the batch
+    jump_mass, u_nj, start = (np.ascontiguousarray(a) for a in (jump_mass, u_nj, start))
+    rows_mass = jump_mass.sum(axis=-1)
+    lifted = rows_mass > 0
+    eye = np.eye(rows_mass.shape[-1], dtype=bool)
+    always = lifted & ~((u_nj > 0).astype(float) @ (y_nj > 0) > 0)
+    # the diagonal d and the leave probabilities x = 1 - d are kept apart, so
+    # each keeps its relative precision next to 0
+    d = np.where(always, 0.0, np.where(lifted, np.diagonal(start, 0, -2, -1), 1.0))
+    x = np.where(always, 1.0, np.where(lifted, np.where(eye, 0.0, start).sum(axis=-1), 0.0))
+    f, w = _leave_objective(d, x, rows_mass, u_nj, y_nj, n_bar)
+    d_mid = np.where(always, 0.0, np.where(lifted, 0.5, 1.0))
+    f_mid, w_mid = _leave_objective(d_mid, 1.0 - d_mid, rows_mass, u_nj, y_nj, n_bar)
+    # a start next to the x = 0 barrier would take many steps to leave it
+    cold = f_mid > f
+    d[cold], x[cold] = d_mid[cold], 1.0 - d_mid[cold]
+    f[cold], w[cold] = f_mid[cold], w_mid[cold]
+    running = np.flatnonzero((lifted & ~always).any(axis=-1))
+    for _ in range(_NEWTON_ITERS):
+        if not running.size:
+            break
+        dr, xr, fr = d[running], x[running], f[running]
+        s_mass, u = rows_mass[running], u_nj[running]
+        free = lifted[running]
+        s_over_x = np.where(free, s_mass / np.where(free, xr, 1.0), 0.0)
+        wr = np.where(u > 0, w[running], 1.0)
+        q = np.where(u > 0, u / wr, 0.0)
+        grad = s_over_x - (q[:, None, :] @ y_nj)[:, 0, :] / n_bar
+        hess = (y_nj.T * (q / wr)[:, None, :]) @ y_nj / n_bar**2
+        hess[:, eye] += s_over_x / np.where(free, xr, 1.0)
+        clamped = free & (dr == 0.0) & (grad > 0)
+        free &= ~clamped
+        hess = np.where(free[:, :, None] & free[:, None, :], hess, eye)
+        g = np.where(free, grad, 0.0)
+        # the Newton step through the eigendecomposition of -H, with
+        # curvatures lost to rounding raised to _MIN_CURVATURE of the largest:
+        # next to a barrier one curvature can exceed the rest by more than
+        # double precision resolves
+        curv, basis = np.linalg.eigh(hess)
+        curv = np.maximum(curv, _MIN_CURVATURE * curv[:, -1:])
+        step = (basis @ ((g[:, None, :] @ basis)[:, 0, :] / curv)[..., None])[..., 0]
+        # predicted gain of the full step: Newton on the free coordinates,
+        # the clamped ones moved to 1
+        gain = (g * step).sum(axis=-1) + np.where(clamped, grad * (1.0 - xr), 0.0).sum(axis=-1)
+        dw = -(y_nj @ step[..., None])[..., 0] / n_bar
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = np.minimum(
+                np.where(free & (step < 0), xr / -step, np.inf).min(axis=-1, initial=np.inf),
+                np.where((u > 0) & (dw < 0), wr / -dw, np.inf).min(axis=-1, initial=np.inf),
+            )
+        t = np.minimum(1.0, _TO_BARRIER * reach)
+        # a full step that is exact Newton (nothing projected) and moves no
+        # coordinate by more than _NEWTON_TOL of its distance to 0 or 1 is the
+        # last: Newton then leaves an error of about its square, and the step
+        # is taken whenever it stays inside
+        with np.errstate(divide="ignore", invalid="ignore"):
+            moves = np.where(free & (step != 0), np.abs(step) / np.minimum(xr, dr), 0.0)
+        projected = (free & (xr + step > 1.0)).any(axis=-1)
+        last = (moves <= _NEWTON_TOL).all(axis=-1) & ~projected & (t == 1.0)
+        todo = np.arange(len(running))
+        for _ in range(_HALVINGS):
+            move = t[todo, None] * step[todo]
+            keep, at_bound = ~free[todo], clamped[todo]
+            trial_d = np.where(at_bound, 0.0, dr[todo])
+            trial_d = np.where(keep, trial_d, np.maximum(dr[todo] - move, 0.0))
+            trial = np.where(at_bound, 1.0, xr[todo])
+            trial = np.where(keep, trial, np.minimum(xr[todo] + move, 1.0))
+            f_trial, w_trial = _leave_objective(trial_d, trial, s_mass[todo], u[todo], y_nj, n_bar)
+            ok = np.isfinite(f_trial) & (
+                last[todo]
+                | ((f_trial >= fr[todo] + _ARMIJO * t[todo] * gain[todo]) & (f_trial > fr[todo]))
+            )
+            done = running[todo[ok]]
+            d[done], x[done] = trial_d[ok], trial[ok]
+            f[done], w[done] = f_trial[ok], w_trial[ok]
+            todo = todo[~ok]
+            if not todo.size:
+                break
+            t[todo] /= 2.0
+        # a pair stops after its last step, or where no step length helps
+        last[todo] = True
+        running = running[~last]
+    share = jump_mass / np.where(lifted, rows_mass, 1.0)[..., None]
+    mat = np.where(eye, d[..., None], x[..., None] * share)
+    mat = _floored(mat, floor)
+    q_new, q_start = (_picker_q(a, jump_mass, u_nj, y_nj, n_bar) for a in (mat, start))
+    worse = q_new + 1e-12 * (1.0 + np.abs(q_start)) < q_start
+    return np.where(worse[:, None, None], start, mat)
 
 
 def em_fit_continuous(
@@ -944,9 +1073,10 @@ def em_fit_continuous(
 
     The stream is binned onto intervals of ``fine_dt`` (positive and
     finite), which must isolate every jump.  Interval likelihoods come from
-    the uniform picker model; the hidden chain's updates are closed
-    form while the migration rows are maximized numerically (an iteration
-    only ever accepts a non-decreasing objective).  The fitted fine-grid
+    the uniform picker model; the hidden chain's updates are closed form,
+    and each migration matrix has closed-form off-diagonal shares and a
+    diagonal found by damped Newton (see :func:`minimize`; an iteration only
+    ever accepts a non-decreasing objective).  The fitted fine-grid
     probabilities are returned as intensity matrices when ``to_generator``
     is set.
 
@@ -971,23 +1101,23 @@ def em_fit_continuous(
     nojump = seg.src < 0
     y_nj, row_of = np.unique(seg.exposures[nojump], axis=0, return_inverse=True)
     y_nj = y_nj.astype(float)
+    p = fine.p
 
     def e_and_m(_panel, pi, trans, per_state, cfg):
         """One iteration of the restarts stacked on the leading axis: one
-        batched E-step on segments, then L-BFGS per restart and state over
-        the distinct no-jump exposure rows."""
+        batched E-step on segments, then one batched M-step solve for every
+        (restart, state) pair over the distinct no-jump exposure rows."""
         logw = _picker_log_weights(seg.exposures, seg.src, seg.dst, per_state, n_bar)
         loglik, u, v = _segment_e_step(logw, pi, trans, seg)
         u_nj = np.zeros((len(per_state), len(y_nj), m))
         np.add.at(u_nj, (slice(None), row_of.ravel()), u[:, nojump])
-        new_per_state = np.empty_like(per_state)
-        for r in range(len(per_state)):
-            jump_mass = _jump_posterior_mass(u[r], seg.src, seg.dst, m, fine.p)
-            for i in range(m):
-                new_per_state[r, i] = _optimize_picker_rows(
-                    jump_mass[i], u_nj[r, :, i], y_nj, n_bar, per_state[r, i], cfg.floor
-                )
-        return loglik, (*_chain_m_step(u, v), new_per_state)
+        pairs = len(per_state) * m
+        new_per_state = minimize(
+            _jump_posterior_mass(u, seg.src, seg.dst, m, p).reshape(pairs, p, p),
+            np.swapaxes(u_nj, 1, 2).reshape(pairs, len(y_nj)),
+            y_nj, n_bar, per_state.reshape(pairs, p, p), cfg.floor,
+        )
+        return loglik, (*_chain_m_step(u, v), new_per_state.reshape(per_state.shape))
 
     result = _multi_start(fine, m, cfg, e_and_m)
     if to_generator:

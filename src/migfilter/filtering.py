@@ -25,7 +25,7 @@ import numpy as np
 from .calibrate import _check_panel_model, _forward, _panel_log_weights
 from .errors import DataError, ImpossibleObservationError, ModelError
 from .model import FilterState, HiddenFactorSpec, MigrationLaw, MigrationPanel, Mode
-from .model import _check_model, _checked_laws, _freeze, predict_transition_probs
+from .model import _check_model, _checked_laws, _freeze, _freeze_int, predict_transition_probs
 
 __all__ = [
     "FilterTrajectory",
@@ -135,12 +135,14 @@ def filter_step_univariate(
 ) -> FilterState:
     """Assimilate one step of a single tracked transition.
 
-    ``d_n`` of the ``y`` exposed entities jumped this step; ``jump_probs[h]``
-    is the per-entity jump probability under hidden state ``h``.  The update
+    ``d_n`` of the ``y`` exposed entities jumped this step (whole numbers;
+    a fractional count is a :class:`DataError`); ``jump_probs[h]`` is the
+    per-entity jump probability under hidden state ``h``.  The update
     reweights the current law by the binomial likelihood (coefficient
     dropped) and then applies the hidden chain's transition matrix.
     """
     jump_probs = np.asarray(jump_probs, dtype=float)
+    d_n, y = _freeze_int([d_n, y], "filter_step_univariate: d_n and y").tolist()
     if not 0 <= d_n <= y:
         raise DataError(f"need 0 <= d_n <= y, got d_n={d_n}, y={y}")
     _check_model("filter_step_univariate", Mode.DISCRETE, factor, None, state.m)
@@ -151,7 +153,7 @@ def filter_step_univariate(
         )
     if not np.all((jump_probs >= 0.0) & (jump_probs <= 1.0)):
         raise ModelError(f"filter_step_univariate: jump_probs {jump_probs} leave [0, 1]")
-    w = _univariate_log_weights(int(d_n), int(y), jump_probs)
+    w = _univariate_log_weights(d_n, y, jump_probs)
     return _one_step(state, w, factor.trans)
 
 

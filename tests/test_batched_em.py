@@ -21,7 +21,6 @@ from migfilter.calibrate import (
     _em_lockstep,
     _fine_grid_from_panel,
     _jump_posterior_mass,
-    _optimize_picker_rows,
     _panel_log_weights,
     _picker_log_weights,
     _random_init,
@@ -113,12 +112,9 @@ def reference_em_fit_continuous(stream, m, cfg, fine_dt):
         jump_mass = _jump_posterior_mass(u, seg.src, seg.dst, m, fine.p)
         u_nj = np.zeros((len(y_nj), m))
         np.add.at(u_nj, row_of.ravel(), u[nojump])
-        new_per_state = np.stack([
-            _optimize_picker_rows(
-                jump_mass[i], u_nj[:, i], y_nj.astype(float), n_bar, per_state[i], cfg.floor
-            )
-            for i in range(m)
-        ])
+        new_per_state = calibrate.minimize(
+            jump_mass, u_nj.T, y_nj.astype(float), n_bar, per_state, cfg.floor
+        )
         return loglik, (*_chain_m_step(u, v), new_per_state)
 
     return replace(reference_multi_start(fine, m, cfg, e_and_m), fine_dt=fine_dt)

@@ -1,5 +1,7 @@
 """Every submodule imports on its own in a fresh interpreter, so an import
-cycle between submodules fails whichever module a caller imports first."""
+cycle between submodules fails whichever module a caller imports first, and
+importing the package loads no scipy module (scipy's import costs about
+half a second of every CLI process)."""
 
 import pkgutil
 import subprocess
@@ -37,3 +39,13 @@ def imports():
 def test_submodule_imports_alone(imports, module):
     _, stderr = imports[module].communicate(timeout=120)
     assert imports[module].returncode == 0, stderr
+
+
+def test_package_import_loads_no_scipy():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, migfilter; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True, text=True, cwd=SRC, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

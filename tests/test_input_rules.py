@@ -158,3 +158,50 @@ NAMED_CASES = {
 def test_wrong_model_or_data_size_is_refused_naming_the_caller(caller, call):
     with pytest.raises(ModelError, match=f"^{caller}: "):
         call()
+
+
+def posteriors_of(fwd_steps, bwd_steps):
+    """``posteriors`` on ``PANEL`` (3 steps) with forward and backward
+    results from panels of the given step counts."""
+    def call():
+        runs = {}
+        for steps in {fwd_steps, bwd_steps}:
+            config = mf.SimulationConfig(np.array([5, 5, 5]), steps, seed=0)
+            runs[steps], _ = mf.simulate_panel_discrete(DF, DL, config)
+        fwd = mf.forward_pass(runs[fwd_steps], DF, DL)
+        bwd = mf.backward_pass(runs[bwd_steps], DF, DL)
+        return mf.posteriors(fwd, bwd, PANEL, DF, DL)
+
+    return call
+
+
+DATA_CASES = {
+    "posteriors-longer-passes": ("posteriors", posteriors_of(5, 5)),
+    "posteriors-longer-backward": ("posteriors", posteriors_of(3, 5)),
+    "posteriors-shorter-passes": ("posteriors", posteriors_of(2, 2)),
+    "univariate-fractional-jumps": (
+        "filter_step_univariate",
+        lambda: mf.filter_step_univariate(HALF, 2.7, 5, DF, np.array([0.1, 0.5])),
+    ),
+    "univariate-fractional-exposure": (
+        "filter_step_univariate",
+        lambda: mf.filter_step_univariate(HALF, 2, 5.9, DF, np.array([0.1, 0.5])),
+    ),
+    "univariate-nan-exposure": (
+        "filter_step_univariate",
+        lambda: mf.filter_step_univariate(HALF, 2, np.nan, DF, np.array([0.1, 0.5])),
+    ),
+}
+
+
+@pytest.mark.parametrize("caller, call", list(DATA_CASES.values()), ids=list(DATA_CASES))
+def test_mismatched_or_fractional_data_is_refused_naming_the_caller(caller, call):
+    with pytest.raises(DataError, match=f"^{caller}: "):
+        call()
+
+
+def test_whole_valued_float_counts_are_accepted():
+    args = (HALF, 2, 5, DF, np.array([0.1, 0.5]))
+    want = mf.filter_step_univariate(*args).probs
+    got = mf.filter_step_univariate(HALF, 2.0, 5.0, *args[3:]).probs
+    np.testing.assert_array_equal(got, want)

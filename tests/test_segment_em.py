@@ -4,10 +4,13 @@ The reference below is the per-interval path: the E-step scans every fine
 interval, and the picker M-step sums over every no-jump interval.  The
 segment path scans one step per run of equal no-jump intervals, sums each
 run's posteriors in closed form, and gives the M-step one row per distinct
-no-jump exposure vector.  One iteration from the same parameters must agree
-to rounding.  Full fits agree to looser bounds, because L-BFGS stops at
-``ftol=1e-13`` and so turns rounding-level differences in its objective
-into differences of about 1e-9 in its iterates.
+no-jump exposure vector.  Both call the package's M-step solver, so the
+comparison measures the E-step and the grouping alone.  One iteration from
+the same parameters must agree to rounding.  Full fits agree to looser
+bounds, because EM carries each iteration's rounding-level differences into
+the next, and the solver, which stops once its Newton step falls below 1e-6
+of each coordinate's range, can turn them into differences of about 1e-12
+in its iterates.
 """
 
 from dataclasses import replace
@@ -15,6 +18,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import test_picker_solver
+from test_picker_solver import lbfgs_picker_rows
 
 import migfilter as mf
 from migfilter import calibrate
@@ -24,7 +29,6 @@ from migfilter.calibrate import (
     _fine_grid_from_panel,
     _jump_posterior_mass,
     _multi_start,
-    _optimize_picker_rows,
     _picker_log_weights,
     _random_init,
     _segment_e_step,
@@ -35,25 +39,24 @@ from migfilter.errors import ImpossibleObservationError
 
 
 def reference_e_and_m(fine):
-    """The per-interval E-step and per-row picker M-step on the fine panel
-    ``fine``, for restarts stacked on a leading axis."""
+    """The per-interval E-step and the package's picker M-step with one row
+    per no-jump interval on the fine panel ``fine``, for restarts stacked on
+    a leading axis."""
     exposures, src, dst, n_bar = _fine_grid_from_panel(fine)
     nojump = src < 0
     y_nj = exposures[nojump].astype(float)
 
     def e_and_m(_panel, pi, trans, per_state, cfg):
-        m = pi.shape[-1]
+        *_, m, p, _ = per_state.shape
         logw = _picker_log_weights(exposures, src, dst, per_state, n_bar)
         loglik, u, v = _e_step(logw, pi, trans)
-        u_nj = u[:, nojump]
-        new_per_state = np.empty_like(per_state)
-        for r in range(len(per_state)):
-            jump_mass = _jump_posterior_mass(u[r], src, dst, m, fine.p)
-            for i in range(m):
-                new_per_state[r, i] = _optimize_picker_rows(
-                    jump_mass[i], u_nj[r, :, i], y_nj, n_bar, per_state[r, i], cfg.floor
-                )
-        return loglik, (*_chain_m_step(u, v), new_per_state)
+        pairs = len(per_state) * m
+        new_per_state = calibrate.minimize(
+            _jump_posterior_mass(u, src, dst, m, p).reshape(pairs, p, p),
+            np.swapaxes(u[:, nojump], 1, 2).reshape(pairs, len(y_nj)),
+            y_nj, n_bar, per_state.reshape(pairs, p, p), cfg.floor,
+        )
+        return loglik, (*_chain_m_step(u, v), new_per_state.reshape(per_state.shape))
 
     return e_and_m
 
@@ -180,15 +183,15 @@ def test_segments_collapse_runs_of_equal_no_jump_intervals():
 
 
 def capture_objective(monkeypatch):
-    """Make the picker M-step hand its objective to the caller instead of
-    optimizing it."""
+    """Make the L-BFGS reference M-step hand its objective to the caller
+    instead of optimizing it."""
     calls = []
 
     def fake_minimize(fun, x0, **kwargs):
         calls.append(fun)
         return SimpleNamespace(x=x0)
 
-    monkeypatch.setattr(calibrate, "minimize", fake_minimize)
+    monkeypatch.setattr(test_picker_solver, "minimize", fake_minimize)
     return calls
 
 
@@ -211,11 +214,11 @@ def test_grouped_picker_objective_matches_per_interval_rows(case, monkeypatch):
     rng = np.random.default_rng(0)
     for i in range(m):
         del calls[:]
-        _optimize_picker_rows(
+        lbfgs_picker_rows(
             jump_mass[i], u[0, src < 0, i], exposures[src < 0].astype(float), n_bar,
             per_state[0, i], 1e-12,
         )
-        _optimize_picker_rows(
+        lbfgs_picker_rows(
             jump_mass[i], u_rows[:, i], rows.astype(float), n_bar, per_state[0, i], 1e-12
         )
         for _ in range(5):

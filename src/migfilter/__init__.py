@@ -25,8 +25,6 @@ from .calibrate import (
 )
 from .continuous import (
     SpreadConfig,
-    continuous_drift_step,
-    continuous_jump_update,
     run_continuous_filter,
     spread_jumps,
     stream_to_panel,
@@ -40,8 +38,6 @@ from .errors import (
 )
 from .filtering import (
     FilterTrajectory,
-    filter_step_multivariate,
-    filter_step_univariate,
     run_filter,
 )
 from .model import (
@@ -51,7 +47,6 @@ from .model import (
     MigrationLaw,
     MigrationPanel,
     Mode,
-    evolve_prior,
     generator_to_transition,
     model_from_json,
     model_to_json,

@@ -410,12 +410,11 @@ def _check_panel_model(
     panel: MigrationPanel,
     factor: HiddenFactorSpec,
     law: MigrationLaw,
-    width: int | None,
 ) -> None:
     """:func:`~migfilter.model._check_model` of a discrete (factor, law)
-    pair and a filter state of ``width`` entries, then the panel's rating
-    classes against the law's; every :class:`ModelError` names ``caller``."""
-    _check_model(caller, Mode.DISCRETE, factor, law, width)
+    pair, then the panel's rating classes against the law's; every
+    :class:`ModelError` names ``caller``."""
+    _check_model(caller, Mode.DISCRETE, factor, law, None)
     if panel.p != law.p:
         raise ModelError(f"{caller}: panel has {panel.p} rating classes, law has {law.p}")
 
@@ -429,7 +428,7 @@ def forward_pass(
     Row ``t`` of ``alpha`` refers to the hidden state driving step ``t``
     (the state in force at the step's start).
     """
-    _check_panel_model("forward_pass", panel, factor, law, None)
+    _check_panel_model("forward_pass", panel, factor, law)
     if panel.steps == 0:
         return ForwardResult(
             alpha=np.empty((0, factor.m)), log_scale=np.empty(0), loglik=0.0
@@ -442,7 +441,7 @@ def backward_pass(
 ) -> BackwardResult:
     """Scaled backward recursion; the terminal column is flat (nothing is
     observed after the last step)."""
-    _check_panel_model("backward_pass", panel, factor, law, None)
+    _check_panel_model("backward_pass", panel, factor, law)
     if panel.steps == 0:
         return BackwardResult(beta=np.empty((0, factor.m)), log_scale=np.empty(0))
     logg = _panel_log_weights(panel, law.per_state)
@@ -464,7 +463,7 @@ def posteriors(
     column marginal ``u[t + 1]``.  ``fwd`` and ``bwd`` must cover the
     panel's steps.
     """
-    _check_panel_model("posteriors", panel, factor, law, None)
+    _check_panel_model("posteriors", panel, factor, law)
     want = (panel.steps, factor.m)
     if fwd.alpha.shape != want or bwd.beta.shape != want:
         raise DataError(

@@ -37,7 +37,6 @@ from .errors import DataError, ImpossibleObservationError, ModelError
 from .filtering import FilterTrajectory
 from .model import (
     EventStream,
-    FilterState,
     HiddenFactorSpec,
     MigrationLaw,
     MigrationPanel,
@@ -53,8 +52,6 @@ __all__ = [
     "SpreadConfig",
     "spread_jumps",
     "stream_to_panel",
-    "continuous_drift_step",
-    "continuous_jump_update",
     "run_continuous_filter",
 ]
 
@@ -186,30 +183,6 @@ def _drift_inputs(
     return trans.T.tolist(), loads.tolist(), scales.tolist()
 
 
-def continuous_drift_step(
-    state: FilterState,
-    dt: float,
-    factor: HiddenFactorSpec,
-    law: MigrationLaw,
-    exposures: np.ndarray,
-) -> FilterState:
-    """Propagate the filtered law over a jump-free interval of length ``dt``.
-
-    Explicit Euler with automatic substepping: the step is split until no
-    substep moves more than a fixed fraction of the fastest rate, then each
-    substep is renormalized.
-    """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ModelError(f"dt must be positive and finite, got {dt}")
-    _check_model("continuous_drift_step", Mode.CONTINUOUS, factor, law, state.m)
-    exposures = np.asarray(exposures, dtype=float)
-    if exposures.shape != (law.p,):
-        raise ModelError(f"exposures have shape {exposures.shape}, law has {law.p} rating classes")
-    trans_t, (load,), (scale,) = _drift_inputs(factor.trans, _intensity_load(law, exposures[None]))
-    probs, _, _ = _integrate_drift(state.probs.tolist(), dt, trans_t, load, scale, dt)
-    return FilterState(probs, time_index=state.time_index + dt)
-
-
 def _renormalized(probs: list[float]) -> list[float]:
     """:func:`~migfilter.model.renormalize` on a list of floats: entries
     below 0 are clipped to 0, and the list is rescaled only when its sum
@@ -257,29 +230,6 @@ def _integrate_drift(
     return probs, chain_part, intensity_integral
 
 
-def continuous_jump_update(
-    state: FilterState, transition: tuple[int, int], law: MigrationLaw
-) -> FilterState:
-    """Bayes update of the filtered law at an observed migration.
-
-    Each state's probability is reweighted by its intensity for the observed
-    transition; the closed form normalizes itself, and a common rescaling of
-    that intensity column across states cancels out.
-    """
-    _check_model("continuous_jump_update", Mode.CONTINUOUS, None, law, state.m)
-    j, k = transition
-    if j == k:
-        raise DataError(f"not a migration: {transition}")
-    posterior, _ = _bayes_jump(state.probs.tolist(), law.per_state[:, j, k].tolist())
-    if posterior is None:
-        raise ImpossibleObservationError(
-            f"transition {j}->{k} has zero intensity under every hidden state "
-            "carrying filter mass",
-            time_index=state.time_index,
-        )
-    return FilterState(posterior, time_index=state.time_index)
-
-
 def _bayes_jump(probs: list[float], column: list[float]) -> tuple[list[float] | None, float]:
     """Reweight ``probs`` by the per-state intensity ``column`` of an observed
     transition.  Returns the posterior and the mixture intensity
@@ -311,11 +261,14 @@ def run_continuous_filter(
     """
     if not all(math.isfinite(dt) and dt > 0 for dt in (grid_dt, report_dt)):
         raise ModelError(
-            f"grid_dt and report_dt must be positive and finite, got {grid_dt}, {report_dt}"
+            "run_continuous_filter: grid_dt and report_dt must be positive and finite, "
+            f"got {grid_dt}, {report_dt}"
         )
     _check_model("run_continuous_filter", Mode.CONTINUOUS, factor, law, None)
     if events.p != law.p:
-        raise ModelError(f"stream has {events.p} rating classes, law has {law.p}")
+        raise ModelError(
+            f"run_continuous_filter: stream has {events.p} rating classes, law has {law.p}"
+        )
     horizon = float(events.horizon)
     n_intervals = max(1, math.ceil(round(horizon / report_dt, 9)))
     report_times = np.append(np.arange(1, n_intervals) * report_dt, horizon)

@@ -7,10 +7,12 @@ through the hidden chain's transition matrix gives the filtered laws.  The
 pass runs as a column-scaled prefix scan with no loop over time, checked
 by one exact log-space recursion step per row, so weights hundreds of nats
 apart neither underflow nor read as impossible.  The per-state observation
-weights are binomial (single tracked transition) or multinomial (full
-migration matrix) with the combinatorial coefficients dropped — they
-cancel in the normalization, and dropping them keeps the log-likelihood
-identical to the one the calibration recursions compute.
+weights are multinomial in each step's migration count matrix, with the
+combinatorial coefficients dropped — they cancel in the normalization, and
+dropping them keeps the log-likelihood identical to the one the
+calibration recursions compute.  A single tracked transition (say, default)
+is the two-rating case: performing and defaulted, each state's law row
+``[1 - q_h, q_h]``, which makes the weights binomial.
 
 Smoothing (conditioning on the full sample) lives in
 :mod:`migfilter.calibrate`; everything here only looks backwards.
@@ -23,16 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import _check_panel_model, _forward, _panel_log_weights
-from .errors import DataError, ImpossibleObservationError, ModelError
-from .model import FilterState, HiddenFactorSpec, MigrationLaw, MigrationPanel, Mode
-from .model import _check_model, _checked_laws, _freeze, _freeze_int, predict_transition_probs
+from .errors import ModelError
+from .model import FilterState, HiddenFactorSpec, MigrationLaw, MigrationPanel
+from .model import _checked_laws, _freeze, predict_transition_probs
 
-__all__ = [
-    "FilterTrajectory",
-    "filter_step_univariate",
-    "filter_step_multivariate",
-    "run_filter",
-]
+__all__ = ["FilterTrajectory", "run_filter"]
 
 
 @dataclass(frozen=True)
@@ -103,78 +100,6 @@ class FilterTrajectory:
         return self.time_index
 
 
-def _univariate_log_weights(d_n: int, y: int, jump_probs: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        log_l = np.log(jump_probs)
-        log_1ml = np.log1p(-jump_probs)
-    w = np.zeros_like(jump_probs)
-    if d_n > 0:
-        w = w + d_n * log_l
-    if y - d_n > 0:
-        w = w + (y - d_n) * log_1ml
-    return w
-
-
-def _one_step(state: FilterState, log_w: np.ndarray, trans: np.ndarray) -> FilterState:
-    """One forward step from ``state``: Bayes update by ``log_w``, then the
-    hidden chain; errors carry the state's time index."""
-    try:
-        fwd = _forward(log_w[None, :], state.probs, trans)
-    except ImpossibleObservationError as exc:
-        exc.time_index = state.time_index
-        raise
-    return FilterState(fwd.alpha[0] @ trans, time_index=state.time_index + 1)
-
-
-def filter_step_univariate(
-    state: FilterState,
-    d_n: int,
-    y: int,
-    factor: HiddenFactorSpec,
-    jump_probs: np.ndarray,
-) -> FilterState:
-    """Assimilate one step of a single tracked transition.
-
-    ``d_n`` of the ``y`` exposed entities jumped this step (whole numbers;
-    a fractional count is a :class:`DataError`); ``jump_probs[h]`` is the
-    per-entity jump probability under hidden state ``h``.  The update
-    reweights the current law by the binomial likelihood (coefficient
-    dropped) and then applies the hidden chain's transition matrix.
-    """
-    jump_probs = np.asarray(jump_probs, dtype=float)
-    d_n, y = _freeze_int([d_n, y], "filter_step_univariate: d_n and y").tolist()
-    if not 0 <= d_n <= y:
-        raise DataError(f"need 0 <= d_n <= y, got d_n={d_n}, y={y}")
-    _check_model("filter_step_univariate", Mode.DISCRETE, factor, None, state.m)
-    if jump_probs.shape != (factor.m,):
-        raise ModelError(
-            f"filter_step_univariate: jump_probs has shape {jump_probs.shape}, "
-            f"factor has {factor.m} states"
-        )
-    if not np.all((jump_probs >= 0.0) & (jump_probs <= 1.0)):
-        raise ModelError(f"filter_step_univariate: jump_probs {jump_probs} leave [0, 1]")
-    w = _univariate_log_weights(d_n, y, jump_probs)
-    return _one_step(state, w, factor.trans)
-
-
-def filter_step_multivariate(
-    state: FilterState,
-    d_n: np.ndarray,
-    y: np.ndarray,
-    factor: HiddenFactorSpec,
-    law: MigrationLaw,
-) -> FilterState:
-    """Assimilate one panel step of the full migration count matrix.
-
-    The per-state weight is the multinomial likelihood of ``d_n`` given
-    exposures ``y`` (coefficients dropped, computed in log space); the prior
-    is reweighted and pushed through the hidden chain.
-    """
-    step = MigrationPanel(np.asarray(y)[None], np.asarray(d_n)[None])
-    _check_panel_model("filter_step_multivariate", step, factor, law, state.m)
-    return _one_step(state, _panel_log_weights(step, law.per_state)[0], factor.trans)
-
-
 def run_filter(
     panel: MigrationPanel,
     factor: HiddenFactorSpec,
@@ -194,7 +119,7 @@ def run_filter(
     :class:`~migfilter.errors.NumericalError` when the scan loses precision
     (the command-line tools exit with code 3).
     """
-    _check_panel_model("run_filter", panel, factor, law, None)
+    _check_panel_model("run_filter", panel, factor, law)
     probs = _checked_laws(factor.pi)[None, :]
     loglik = 0.0
     if panel.steps:

@@ -35,7 +35,6 @@ __all__ = [
     "FilterState",
     "EventStream",
     "validate_model",
-    "evolve_prior",
     "predict_transition_probs",
     "generator_to_transition",
     "transition_to_generator",
@@ -111,7 +110,10 @@ def _checked_laws(probs) -> np.ndarray:
 def _kernel_violations(name: str, mat: np.ndarray, mode: Mode) -> list[str]:
     """Violations of one one-step matrix (no negative entry, rows sum to 1)
     or, in continuous mode, intensity matrix (no negative off-diagonal
-    entry, rows sum to 0); ``name`` opens every message."""
+    entry, rows sum to 0), all entries finite; ``name`` opens every
+    message."""
+    if not np.isfinite(mat).all():
+        return [f"{name} has non-finite entries"]
     if mode is Mode.DISCRETE:
         checked, what, target = mat, "entries", 1.0
     else:
@@ -156,11 +158,14 @@ class HiddenFactorSpec:
         m = self.m
         if self.trans.shape != (m, m):
             return [f"factor: trans has shape {self.trans.shape}, expected {(m, m)}"]
+        kernel = _kernel_violations("factor: trans", self.trans, self.mode)
+        if not np.isfinite(self.pi).all():
+            return ["factor: pi has non-finite entries"] + kernel
         out = ["factor: pi has negative entries"] if np.any(self.pi < 0) else []
         s = self.pi.sum()
         if abs(s - 1.0) > _SUM_TOL:
             out.append(f"factor: pi sums to {s!r}, expected 1")
-        return out + _kernel_violations("factor: trans", self.trans, self.mode)
+        return out + kernel
 
 
 @dataclass(frozen=True)
@@ -259,7 +264,7 @@ class FilterState:
     """Filtered law of the hidden factor at one point in time."""
 
     probs: np.ndarray
-    time_index: float = 0.0
+    time_index: float
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _checked_laws(np.atleast_1d(self.probs)))
@@ -417,12 +422,15 @@ def _pair_violations(factor: HiddenFactorSpec, law: MigrationLaw) -> list[str]:
 
 def _check_model(caller: str, mode: Mode, factor: HiddenFactorSpec | None,
                  law: MigrationLaw | None, width: int | None) -> None:
-    """Raise :class:`ModelError`, naming ``caller``, unless ``factor`` and
-    ``law`` form one model of ``mode`` (see :func:`_pair_violations`) and a
-    filter state of ``width`` entries fits it.  A part given as ``None`` is
-    not checked; the factor or the law must be given."""
+    """Raise :class:`ModelError`, naming ``caller``, unless each given part
+    is valid (:meth:`HiddenFactorSpec.violations`,
+    :meth:`MigrationLaw.violations`), ``factor`` and ``law`` form one model
+    of ``mode`` (see :func:`_pair_violations`) and a filter state of
+    ``width`` entries fits it.  A part given as ``None`` is not checked; the
+    factor or the law must be given."""
     model = factor if factor is not None else law
     problems = [] if model.mode is mode else [f"needs {mode.value} mode, got {model.mode.value}"]
+    problems += [v for part in (factor, law) if part is not None for v in part.violations()]
     if factor is not None and law is not None:
         problems += _pair_violations(factor, law)
     name, m = ("factor", factor.m) if factor is not None else ("law", law.n_states)
@@ -430,30 +438,6 @@ def _check_model(caller: str, mode: Mode, factor: HiddenFactorSpec | None,
         problems.append(f"{name} has {m} states but filter state has {width}")
     if problems:
         raise ModelError(f"{caller}: " + "; ".join(problems))
-
-
-def evolve_prior(state: FilterState, factor: HiddenFactorSpec, dt: float = 1.0) -> FilterState:
-    """One-step (or one-``dt``) prior law of the hidden factor.
-
-    Discrete mode applies the transition matrix once (``dt`` is ignored);
-    continuous mode takes a single explicit Euler step ``p + k^T p * dt``,
-    which matches the exact matrix-exponential propagation to O(dt^2).
-    """
-    if factor.mode is Mode.DISCRETE:
-        probs = factor.trans.T @ state.probs
-        new_time = state.time_index + 1
-    else:
-        if not (math.isfinite(dt) and dt > 0):
-            raise ModelError(f"dt must be positive and finite in continuous mode, got {dt}")
-        rate = float(np.max(-np.diag(factor.trans), initial=0.0))
-        if dt * rate >= 1.0:
-            raise ModelError(
-                f"dt={dt} too large for generator with exit rate {rate}: "
-                "Euler step would leave the simplex"
-            )
-        probs = state.probs + factor.trans.T @ state.probs * dt
-        new_time = state.time_index + dt
-    return FilterState(renormalize(probs), time_index=new_time)
 
 
 def predict_transition_probs(law: MigrationLaw, state: FilterState | np.ndarray) -> np.ndarray:
@@ -472,17 +456,15 @@ def predict_transition_probs(law: MigrationLaw, state: FilterState | np.ndarray)
 def generator_to_transition(gen: np.ndarray, dt: float) -> np.ndarray:
     """Convert intensity matrices, shape (..., p, p), to ``dt``-step
     probability matrices by the small-step linearization ``I + gen*dt``,
-    the inverse of :func:`transition_to_generator`.  A matrix the step is
-    not small for has its entries clipped to [0, 1] and its rows
-    renormalized; the others are left as they are.
+    the inverse of :func:`transition_to_generator`.  Each row passes
+    through :func:`renormalize`: a row the step is not small for has its
+    negative entries clipped to 0, and a row is rescaled only when its sum
+    drifts further than 1e-13 from 1.  So every valid generator gives a
+    valid one-step law, however long the step, and the other rows are left
+    as they are.
     """
     gen = np.asarray(gen, dtype=float)
-    out = np.eye(gen.shape[-1]) + gen * dt
-    clip = np.any(out < 0, axis=(-2, -1))
-    if np.any(clip):
-        kept = np.clip(out[clip], 0.0, None)
-        out[clip] = kept / kept.sum(axis=-1, keepdims=True)
-    return out
+    return renormalize(np.eye(gen.shape[-1]) + gen * dt)
 
 
 def transition_to_generator(mat: np.ndarray, dt: float) -> np.ndarray:

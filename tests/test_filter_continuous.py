@@ -372,35 +372,37 @@ class TestStreamWalker:
         np.testing.assert_array_equal(panel.exposures, [[1, 0], [0, 1]])
 
 
+def drift_only(start, trans, law, exposures, dt):
+    """``run_continuous_filter`` over an empty stream of length ``dt`` from
+    ``start``: a pure drift integration, one report at ``dt``, with Euler
+    substeps capped only by the stability bound."""
+    factor = mf.HiddenFactorSpec(start, trans, mode=mf.Mode.CONTINUOUS)
+    stream = mf.EventStream([], [], [], exposures, horizon=dt)
+    return mf.run_continuous_filter(stream, factor, law, grid_dt=dt, report_dt=dt).probs[-1]
+
+
 class TestDriftStep:
     def test_identical_intensities_reduce_to_chain_drift(self):
         factor, _ = two_state_continuous_model()
         mat = np.array([[-0.05, 0.05], [0.02, -0.02]])
         law = mf.MigrationLaw(np.array([mat, mat]), mode=mf.Mode.CONTINUOUS)
-        state = mf.FilterState(np.array([0.7, 0.3]))
+        start = np.array([0.7, 0.3])
         dt = 1e-3
-        out = mf.continuous_drift_step(state, dt, factor, law, np.array([50, 50]))
-        euler = state.probs + factor.trans.T @ state.probs * dt
-        np.testing.assert_allclose(out.probs, euler / euler.sum(), atol=1e-12)
+        out = drift_only(start, factor.trans, law, [50, 50], dt)
+        euler = start + factor.trans.T @ start * dt
+        np.testing.assert_allclose(out, euler / euler.sum(), atol=1e-12)
 
     def test_no_dynamics_is_identity(self):
-        factor = mf.HiddenFactorSpec(
-            np.array([0.5, 0.5]), np.zeros((2, 2)), mode=mf.Mode.CONTINUOUS
-        )
         _, law = two_state_continuous_model()
-        state = mf.FilterState(np.array([0.25, 0.75]))
-        out = mf.continuous_drift_step(state, 0.5, factor, law, np.zeros(2))
-        np.testing.assert_allclose(out.probs, state.probs, atol=1e-15)
+        start = np.array([0.25, 0.75])
+        out = drift_only(start, np.zeros((2, 2)), law, [0, 0], 0.5)
+        np.testing.assert_allclose(out, start, atol=1e-15)
 
     def test_no_news_drains_high_intensity_states(self):
         # no jumps observed: mass must flow away from the stressed state
-        factor = mf.HiddenFactorSpec(
-            np.array([0.5, 0.5]), np.zeros((2, 2)), mode=mf.Mode.CONTINUOUS
-        )
         _, law = two_state_continuous_model()
-        state = mf.FilterState(np.array([0.5, 0.5]))
-        out = mf.continuous_drift_step(state, 0.5, factor, law, np.array([100, 100]))
-        assert out.probs[1] < 0.5 < out.probs[0]
+        out = drift_only(np.array([0.5, 0.5]), np.zeros((2, 2)), law, [100, 100], 0.5)
+        assert out[1] < 0.5 < out[0]
 
     def test_self_refinement_oracle(self):
         # frozen chain, one informative transition: coarse integration must
@@ -431,24 +433,11 @@ class TestDriftStep:
         assert np.abs(coarse - fine).max() < 1e-4
 
     def test_substepping_keeps_simplex_for_large_dt(self):
-        factor = mf.HiddenFactorSpec(
-            np.array([0.5, 0.5]),
-            np.array([[-3.0, 3.0], [2.0, -2.0]]),
-            mode=mf.Mode.CONTINUOUS,
-        )
         _, law = two_state_continuous_model()
-        out = mf.continuous_drift_step(
-            mf.FilterState(np.array([0.9, 0.1])), 5.0, factor, law, np.array([500, 500])
-        )
-        assert np.all(out.probs >= 0)
-        assert abs(out.probs.sum() - 1) < 1e-10
-
-    def test_nonpositive_dt_rejected(self):
-        factor, law = two_state_continuous_model()
-        with pytest.raises(ModelError):
-            mf.continuous_drift_step(
-                mf.FilterState(np.array([0.5, 0.5])), 0.0, factor, law, np.zeros(2)
-            )
+        trans = np.array([[-3.0, 3.0], [2.0, -2.0]])
+        out = drift_only(np.array([0.9, 0.1]), trans, law, [500, 500], 5.0)
+        assert np.all(out >= 0)
+        assert abs(out.sum() - 1) < 1e-10
 
 
 def numpy_integrate_drift(probs, dt, trans, load, max_h):
@@ -560,45 +549,37 @@ class TestFloatKernels:
 
 
 class TestJumpUpdate:
+    """Hand examples of the jump kernel, :func:`_bayes_jump`."""
+
     def test_equal_intensities_change_nothing(self):
-        mat = np.array([[-0.05, 0.05], [0.02, -0.02]])
-        law = mf.MigrationLaw(np.array([mat, mat]), mode=mf.Mode.CONTINUOUS)
-        state = mf.FilterState(np.array([0.3, 0.7]))
-        out = mf.continuous_jump_update(state, (0, 1), law)
-        np.testing.assert_allclose(out.probs, state.probs, atol=1e-15)
+        probs = [0.3, 0.7]
+        posterior, _ = _bayes_jump(probs, [0.05, 0.05])
+        np.testing.assert_allclose(posterior, probs, atol=1e-15)
 
     def test_hand_bayes_ratio(self):
-        ell = np.zeros((2, 2, 2))
-        ell[0] = [[-0.01, 0.01], [0.0, 0.0]]
-        ell[1] = [[-0.03, 0.03], [0.0, 0.0]]
-        law = mf.MigrationLaw(ell, mode=mf.Mode.CONTINUOUS)
-        out = mf.continuous_jump_update(mf.FilterState(np.array([0.5, 0.5])), (0, 1), law)
-        np.testing.assert_allclose(out.probs, [0.25, 0.75], atol=1e-14)
+        posterior, intensity = _bayes_jump([0.5, 0.5], [0.01, 0.03])
+        np.testing.assert_allclose(posterior, [0.25, 0.75], atol=1e-14)
+        assert intensity == pytest.approx(0.02, rel=1e-15)
 
     def test_degenerate_prior_is_fixed_point(self):
         _, law = two_state_continuous_model()
-        out = mf.continuous_jump_update(mf.FilterState(np.array([1.0, 0.0])), (0, 1), law)
-        np.testing.assert_array_equal(out.probs, [1.0, 0.0])
+        posterior, _ = _bayes_jump([1.0, 0.0], law.per_state[:, 0, 1].tolist())
+        assert posterior == [1.0, 0.0]
 
     def test_column_scale_invariance(self, rng):
         _, law = two_state_continuous_model()
-        scaled = law.per_state.copy()
-        scaled[:, 0, 1] *= 7.5
-        # keep generator rows valid after scaling a column
-        scaled[:, 0, 0] = -scaled[:, 0].sum(axis=1) + scaled[:, 0, 0]
-        scaled[:, 0, 0] = 0.0
-        scaled[:, 0, 0] = -scaled[:, 0, 1]
-        law2 = mf.MigrationLaw(scaled, mode=mf.Mode.CONTINUOUS)
-        state = mf.FilterState(rng.dirichlet(np.ones(2)))
-        a = mf.continuous_jump_update(state, (0, 1), law)
-        b = mf.continuous_jump_update(state, (0, 1), law2)
-        np.testing.assert_allclose(a.probs, b.probs, atol=1e-14)
+        column = law.per_state[:, 0, 1]
+        probs = rng.dirichlet(np.ones(2)).tolist()
+        a, _ = _bayes_jump(probs, column.tolist())
+        b, _ = _bayes_jump(probs, (column * 7.5).tolist())
+        np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_zero_intensity_transition_rejected(self):
-        ell = np.zeros((1, 2, 2))
-        law = mf.MigrationLaw(ell, mode=mf.Mode.CONTINUOUS)
-        with pytest.raises(ImpossibleObservationError):
-            mf.continuous_jump_update(mf.FilterState(np.array([1.0])), (0, 1), law)
+        factor = mf.HiddenFactorSpec([1.0], [[0.0]], mode=mf.Mode.CONTINUOUS)
+        law = mf.MigrationLaw(np.zeros((1, 2, 2)), mode=mf.Mode.CONTINUOUS)
+        stream = mf.EventStream([0.5], [0], [1], [1, 0], horizon=1.0)
+        with pytest.raises(ImpossibleObservationError, match="zero predicted intensity"):
+            mf.run_continuous_filter(stream, factor, law, grid_dt=0.1, report_dt=1.0)
 
 
 class TestStepSizes:
@@ -616,16 +597,10 @@ class TestStepSizes:
         with pytest.raises(DataError, match="grid step must be positive and finite"):
             mf.stream_to_panel(self.stream(), step)
 
-    @pytest.mark.parametrize("dt", [0.0, -0.5, float("nan"), float("inf")])
-    def test_continuous_drift_step_refuses_the_step(self, dt):
-        factor, law = two_state_continuous_model()
-        with pytest.raises(ModelError, match="dt must be positive and finite"):
-            mf.continuous_drift_step(mf.FilterState(factor.pi), dt, factor, law, np.array([4, 4]))
-
     @pytest.mark.parametrize(
         "grid_dt, report_dt",
-        [(float("nan"), 1.0), (float("inf"), 1.0), (0.0, 1.0), (0.01, float("nan")),
-         (0.01, float("inf")), (0.01, -1.0)],
+        [(float("nan"), 1.0), (float("inf"), 1.0), (0.0, 1.0), (-0.5, 1.0),
+         (0.01, float("nan")), (0.01, float("inf")), (0.01, -1.0)],
     )
     def test_run_continuous_filter_refuses_the_step(self, grid_dt, report_dt):
         factor, law = two_state_continuous_model()
@@ -665,16 +640,16 @@ class TestRunContinuousFilter:
         grid_dt = 1e-3
         traj = mf.run_continuous_filter(stream, factor, law, grid_dt=grid_dt, report_dt=1.0)
 
-        state = mf.FilterState(factor.pi)
-        y = np.array([20.0, 10.0])
-        # drift to the event, using the same capped substeps as the runner
+        # the kernels, composed by hand with the same capped substeps
+        exposures = np.array([[20, 10], [19, 11]])
+        trans_t, loads, scales = _drift_inputs(factor.trans, _intensity_load(law, exposures))
+        probs = factor.pi.tolist()
         for _ in range(600):
-            state = mf.continuous_drift_step(state, grid_dt, factor, law, y)
-        state = mf.continuous_jump_update(state, (0, 1), law)
-        y = np.array([19.0, 11.0])
+            probs, _, _ = _integrate_drift(probs, grid_dt, trans_t, loads[0], scales[0], grid_dt)
+        probs, _ = _bayes_jump(probs, law.per_state[:, 0, 1].tolist())
         for _ in range(400):
-            state = mf.continuous_drift_step(state, grid_dt, factor, law, y)
-        np.testing.assert_allclose(traj.states[-1].probs, state.probs, atol=1e-9)
+            probs, _, _ = _integrate_drift(probs, grid_dt, trans_t, loads[1], scales[1], grid_dt)
+        np.testing.assert_allclose(traj.states[-1].probs, probs, atol=1e-9)
 
     def test_reported_states_on_simplex_and_parts_decompose(self):
         factor, law = mf.demo_model(3, 3, mode=mf.Mode.CONTINUOUS)

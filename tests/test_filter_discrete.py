@@ -7,41 +7,46 @@ from migfilter.errors import DataError, ImpossibleObservationError
 from conftest import enumerate_reference, random_instance
 
 
-class TestUnivariateStep:
+def tracked_step(start, trans, jump, d_n, y):
+    """``run_filter`` over one step of a single tracked transition: ``d_n``
+    of ``y`` performing entities default, and state ``h``'s law row is
+    ``[1 - jump[h], jump[h]]`` (default absorbs).  Returns the filtered law
+    after the step."""
+    law = mf.MigrationLaw(np.array([[[1 - q, q], [0.0, 1.0]] for q in jump]))
+    panel = mf.MigrationPanel(np.array([[y, 0]]), np.array([[[y - d_n, d_n], [0, 0]]]))
+    return mf.run_filter(panel, mf.HiddenFactorSpec(start, trans), law).probs[1]
+
+
+def one_step(start, trans, law, d_n, y):
+    """``run_filter`` over a one-step panel; the filtered law after it."""
+    panel = mf.MigrationPanel(np.asarray(y)[None], np.asarray(d_n)[None])
+    return mf.run_filter(panel, mf.HiddenFactorSpec(start, trans), law).probs[1]
+
+
+class TestTrackedTransition:
+    """One tracked transition is the binomial filter: ``run_filter`` on a
+    two-rating panel (performing, default)."""
+
     def test_single_state_stays_degenerate(self):
-        factor = mf.HiddenFactorSpec(np.array([1.0]), np.array([[1.0]]))
-        out = mf.filter_step_univariate(
-            mf.FilterState(np.array([1.0])), 3, 10, factor, np.array([0.2])
-        )
-        np.testing.assert_array_equal(out.probs, [1.0])
+        out = tracked_step(np.array([1.0]), np.array([[1.0]]), [0.2], 3, 10)
+        np.testing.assert_array_equal(out, [1.0])
 
     def test_equal_jump_probs_reduce_to_prior_evolution(self):
-        factor = mf.HiddenFactorSpec(np.array([0.5, 0.5]), np.array([[0.7, 0.3], [0.1, 0.9]]))
-        state = mf.FilterState(np.array([0.6, 0.4]))
-        out = mf.filter_step_univariate(state, 2, 9, factor, np.array([0.15, 0.15]))
-        expected = mf.evolve_prior(state, factor).probs
-        np.testing.assert_allclose(out.probs, expected, atol=1e-14)
+        start, trans = np.array([0.6, 0.4]), np.array([[0.7, 0.3], [0.1, 0.9]])
+        out = tracked_step(start, trans, [0.15, 0.15], 2, 9)
+        np.testing.assert_allclose(out, trans.T @ start, atol=1e-14)
 
     def test_hand_bayes_example(self):
-        factor = mf.HiddenFactorSpec(np.array([0.5, 0.5]), np.eye(2))
-        out = mf.filter_step_univariate(
-            mf.FilterState(np.array([0.5, 0.5])), 1, 1, factor, np.array([0.1, 0.3])
-        )
-        np.testing.assert_allclose(out.probs, [0.25, 0.75], atol=1e-14)
+        out = tracked_step(np.array([0.5, 0.5]), np.eye(2), [0.1, 0.3], 1, 1)
+        np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-14)
 
     def test_more_jumps_than_exposure_rejected(self):
-        factor = mf.HiddenFactorSpec(np.array([1.0]), np.array([[1.0]]))
         with pytest.raises(DataError):
-            mf.filter_step_univariate(
-                mf.FilterState(np.array([1.0])), 3, 2, factor, np.array([0.2])
-            )
+            tracked_step(np.array([1.0]), np.array([[1.0]]), [0.2], 3, 2)
 
     def test_impossible_observation_raises(self):
-        factor = mf.HiddenFactorSpec(np.array([0.5, 0.5]), np.eye(2))
         with pytest.raises(ImpossibleObservationError):
-            mf.filter_step_univariate(
-                mf.FilterState(np.array([0.5, 0.5])), 1, 4, factor, np.array([0.0, 0.0])
-            )
+            tracked_step(np.array([0.5, 0.5]), np.eye(2), [0.0, 0.0], 1, 4)
 
     def test_binomial_weights_match_enumeration(self, rng):
         # the step must equal Bayes over the two-outcome-per-entity model
@@ -52,86 +57,52 @@ class TestUnivariateStep:
             jump = rng.uniform(0.05, 0.6, size=m)
             y = int(rng.integers(1, 6))
             d_n = int(rng.integers(0, y + 1))
-            factor = mf.HiddenFactorSpec(rng.dirichlet(np.ones(m)), trans)
-            out = mf.filter_step_univariate(
-                mf.FilterState(probs), d_n, y, factor, jump
-            )
+            out = tracked_step(probs, trans, jump, d_n, y)
             weights = jump**d_n * (1 - jump) ** (y - d_n)
             posterior = weights * probs
             posterior /= posterior.sum()
-            np.testing.assert_allclose(out.probs, trans.T @ posterior, atol=1e-12)
+            np.testing.assert_allclose(out, trans.T @ posterior, atol=1e-12)
 
 
-class TestMultivariateStep:
+class TestOneStepPanel:
     def test_identical_laws_reduce_to_prior_evolution(self):
         mat = np.array([[0.9, 0.1], [0.2, 0.8]])
         law = mf.MigrationLaw(np.array([mat, mat]))
-        factor = mf.HiddenFactorSpec(np.array([0.5, 0.5]), np.array([[0.6, 0.4], [0.3, 0.7]]))
-        state = mf.FilterState(np.array([0.35, 0.65]))
-        d_n = np.array([[5, 1], [2, 4]])
-        out = mf.filter_step_multivariate(state, d_n, np.array([6, 6]), factor, law)
-        np.testing.assert_allclose(out.probs, mf.evolve_prior(state, factor).probs, atol=1e-14)
+        start, trans = np.array([0.35, 0.65]), np.array([[0.6, 0.4], [0.3, 0.7]])
+        out = one_step(start, trans, law, np.array([[5, 1], [2, 4]]), np.array([6, 6]))
+        np.testing.assert_allclose(out, trans.T @ start, atol=1e-14)
 
     def test_hand_bayes_example(self):
-        factor = mf.HiddenFactorSpec(np.array([0.5, 0.5]), np.eye(2))
         law = mf.MigrationLaw(
             np.array([[[0.99, 0.01], [0.5, 0.5]], [[0.95, 0.05], [0.5, 0.5]]])
         )
-        out = mf.filter_step_multivariate(
-            mf.FilterState(np.array([0.5, 0.5])),
-            np.array([[0, 1], [0, 0]]),
-            np.array([1, 0]),
-            factor,
-            law,
+        out = one_step(
+            np.array([0.5, 0.5]), np.eye(2), law, np.array([[0, 1], [0, 0]]), np.array([1, 0])
         )
-        np.testing.assert_allclose(out.probs, [1 / 6, 5 / 6], atol=1e-12)
+        np.testing.assert_allclose(out, [1 / 6, 5 / 6], atol=1e-12)
 
     def test_output_always_on_simplex(self, rng):
         for _ in range(30):
             panel, factor, law = random_instance(rng, steps=1)
-            out = mf.filter_step_multivariate(
-                mf.FilterState(factor.pi), panel.counts[0], panel.exposures[0], factor, law
-            )
-            assert np.all(out.probs >= 0)
-            assert abs(out.probs.sum() - 1) < 1e-10
-
-    def test_conservation_violation_rejected(self):
-        factor = mf.HiddenFactorSpec(np.array([1.0]), np.array([[1.0]]))
-        law = mf.MigrationLaw(np.array([[[0.9, 0.1], [0.1, 0.9]]]))
-        with pytest.raises(DataError):
-            mf.filter_step_multivariate(
-                mf.FilterState(np.array([1.0])),
-                np.array([[1, 1], [0, 0]]),
-                np.array([1, 0]),
-                factor,
-                law,
-            )
+            out = mf.run_filter(panel, factor, law).probs[1]
+            assert np.all(out >= 0)
+            assert abs(out.sum() - 1) < 1e-10
 
     def test_impossible_transition_reported(self):
-        factor = mf.HiddenFactorSpec(np.array([0.5, 0.5]), np.eye(2))
         law = mf.MigrationLaw(np.array([[[1.0, 0.0], [0.0, 1.0]]] * 2))
         with pytest.raises(ImpossibleObservationError):
-            mf.filter_step_multivariate(
-                mf.FilterState(np.array([0.5, 0.5])),
-                np.array([[0, 1], [0, 0]]),
-                np.array([1, 0]),
-                factor,
-                law,
+            one_step(
+                np.array([0.5, 0.5]), np.eye(2), law, np.array([[0, 1], [0, 0]]), np.array([1, 0])
             )
 
     def test_zero_count_cells_ignore_zero_probability(self):
         # a zero law entry only matters when its count is positive
-        factor = mf.HiddenFactorSpec(np.array([0.5, 0.5]), np.eye(2))
         law = mf.MigrationLaw(np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.9, 0.1], [0.1, 0.9]]]))
-        out = mf.filter_step_multivariate(
-            mf.FilterState(np.array([0.5, 0.5])),
-            np.array([[2, 0], [0, 1]]),
-            np.array([2, 1]),
-            factor,
-            law,
+        out = one_step(
+            np.array([0.5, 0.5]), np.eye(2), law, np.array([[2, 0], [0, 1]]), np.array([2, 1])
         )
         # state 0 explains staying better (prob 1 vs 0.81 * 0.9)
-        assert out.probs[0] > out.probs[1]
+        assert out[0] > out[1]
 
 
 class TestRunFilter:
@@ -210,7 +181,7 @@ class TestRunFilter:
         # forecast for step 0 is the pi-mixture: issued before any data
         np.testing.assert_allclose(
             traj.predicted_ratios[0],
-            mf.predict_transition_probs(law, mf.FilterState(factor.pi)),
+            mf.predict_transition_probs(law, factor.pi),
             atol=1e-14,
         )
 

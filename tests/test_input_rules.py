@@ -1,7 +1,7 @@
-"""Every consumer refuses a (factor, law) pair that is not one model of its
-mode, a filter state of the wrong width, data of the wrong size and an
-inconsistent event stream: each case raises the package's own error instead
-of returning or failing inside numpy."""
+"""Every consumer refuses a (factor, law) pair that is not one valid model
+of its mode, data of the wrong size and an inconsistent event stream: each
+case raises the package's own error instead of returning or failing inside
+numpy."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ CL3 = mf.demo_model(3, 3, mode=mf.Mode.CONTINUOUS)[1]
 # two ratings, for the hand-written streams
 CF2, CL2 = mf.demo_model(2, 2, mode=mf.Mode.CONTINUOUS)
 DL22 = mf.demo_model(2, 2)[1]
+CL22 = mf.demo_model(2, 2, mode=mf.Mode.CONTINUOUS)[1]
 
 PANEL, _ = mf.simulate_panel_discrete(DF, DL, mf.SimulationConfig(np.array([5, 5, 5]), 3, seed=0))
 STREAM, _ = mf.simulate_events_continuous(
@@ -23,10 +24,6 @@ STREAM, _ = mf.simulate_events_continuous(
 )
 D_CONFIG = mf.SimulationConfig(np.array([50, 50, 50]), 20, seed=1)
 C_CONFIG = mf.SimulationConfig(np.array([50, 50, 50]), 20.0, seed=1, mode=mf.Mode.CONTINUOUS)
-HALF = mf.FilterState(np.array([0.5, 0.5]))
-THIRDS = mf.FilterState(np.full(3, 1 / 3))
-Y = np.array([5, 5, 5])
-D_N = np.diag(Y)
 
 
 def empty_departure_stream():
@@ -45,16 +42,11 @@ def run_filter(factor, law):
     return lambda: mf.run_filter(PANEL, factor, law)
 
 
-def univariate(state, factor):
-    return lambda: mf.filter_step_univariate(state, 1, 5, factor, np.array([0.1, 0.2]))
-
-
-def multivariate(state, factor, law):
-    return lambda: mf.filter_step_multivariate(state, D_N, Y, factor, law)
-
-
-def univariate_probs(jump_probs):
-    return lambda: mf.filter_step_univariate(HALF, 1, 5, DF, np.array(jump_probs))
+def law_with_row(row):
+    """``DL`` with state 1's rating-0 row replaced by ``row``."""
+    per_state = DL.per_state.copy()
+    per_state[1, 0] = row
+    return mf.MigrationLaw(per_state)
 
 
 def scan(name, factor, law, panel=PANEL):
@@ -64,14 +56,6 @@ def scan(name, factor, law, panel=PANEL):
         fwd, bwd = mf.forward_pass(PANEL, DF, DL), mf.backward_pass(PANEL, DF, DL)
         return lambda: mf.posteriors(fwd, bwd, panel, factor, law)
     return lambda: getattr(mf, name)(panel, factor, law)
-
-
-def drift(state, factor, law, exposures=Y):
-    return lambda: mf.continuous_drift_step(state, 1.0, factor, law, exposures)
-
-
-def jump(state, law):
-    return lambda: mf.continuous_jump_update(state, (0, 1), law)
 
 
 def run_continuous(factor, law, stream=lambda: STREAM):
@@ -91,19 +75,6 @@ CASES = {
     "run_filter-continuous-factor": (ModelError, run_filter(CF, DL)),
     "run_filter-continuous-law": (ModelError, run_filter(DF, CL)),
     "run_filter-state-count": (ModelError, run_filter(DF, DL3)),
-    "univariate-continuous-factor": (ModelError, univariate(HALF, CF)),
-    "univariate-state-width": (ModelError, univariate(THIRDS, DF)),
-    "multivariate-continuous-factor": (ModelError, multivariate(HALF, CF, DL)),
-    "multivariate-continuous-law": (ModelError, multivariate(HALF, DF, CL)),
-    "multivariate-state-count": (ModelError, multivariate(HALF, DF, DL3)),
-    "multivariate-state-width": (ModelError, multivariate(THIRDS, DF, DL)),
-    "drift-discrete-factor": (ModelError, drift(HALF, DF, CL)),
-    "drift-discrete-law": (ModelError, drift(HALF, CF, DL)),
-    "drift-state-count": (ModelError, drift(HALF, CF, CL3)),
-    "drift-state-width": (ModelError, drift(THIRDS, CF, CL)),
-    "drift-exposure-width": (ModelError, drift(HALF, CF, CL, np.array([5]))),
-    "jump-discrete-law": (ModelError, jump(HALF, DL)),
-    "jump-state-width": (ModelError, jump(THIRDS, CL)),
     "run_continuous-discrete-factor": (ModelError, run_continuous(DF, CL)),
     "run_continuous-discrete-law": (ModelError, run_continuous(CF, DL)),
     "run_continuous-state-count": (ModelError, run_continuous(CF, CL3)),
@@ -143,14 +114,15 @@ NAMED_CASES = {
         )
     },
     "run_filter-rating-count": ("run_filter", run_filter(DF, DL22)),
-    "multivariate-rating-count": (
-        "filter_step_multivariate",
-        lambda: mf.filter_step_multivariate(HALF, np.diag([5, 5]), np.array([5, 5]), DF, DL),
-    ),
-    "univariate-jump-probs-width": ("filter_step_univariate", univariate_probs([0.1])),
-    "univariate-jump-prob-above-one": ("filter_step_univariate", univariate_probs([0.1, 1.5])),
-    "univariate-jump-prob-below-zero": ("filter_step_univariate", univariate_probs([-0.1, 0.5])),
-    "univariate-jump-prob-nan": ("filter_step_univariate", univariate_probs([np.nan, 0.5])),
+    **{
+        f"run_filter-law-entry-{case}": ("run_filter", run_filter(DF, law_with_row(row)))
+        for case, row in (
+            ("above-one", [0.0, 1.5, 0.0]),
+            ("below-zero", [-0.5, 1.5, 0.0]),
+            ("nan", [np.nan, 0.5, 0.5]),
+        )
+    },
+    "run_continuous-rating-count": ("run_continuous_filter", run_continuous(CF, CL22)),
 }
 
 
@@ -179,18 +151,6 @@ DATA_CASES = {
     "posteriors-longer-passes": ("posteriors", posteriors_of(5, 5)),
     "posteriors-longer-backward": ("posteriors", posteriors_of(3, 5)),
     "posteriors-shorter-passes": ("posteriors", posteriors_of(2, 2)),
-    "univariate-fractional-jumps": (
-        "filter_step_univariate",
-        lambda: mf.filter_step_univariate(HALF, 2.7, 5, DF, np.array([0.1, 0.5])),
-    ),
-    "univariate-fractional-exposure": (
-        "filter_step_univariate",
-        lambda: mf.filter_step_univariate(HALF, 2, 5.9, DF, np.array([0.1, 0.5])),
-    ),
-    "univariate-nan-exposure": (
-        "filter_step_univariate",
-        lambda: mf.filter_step_univariate(HALF, 2, np.nan, DF, np.array([0.1, 0.5])),
-    ),
 }
 
 
@@ -198,10 +158,3 @@ DATA_CASES = {
 def test_mismatched_or_fractional_data_is_refused_naming_the_caller(caller, call):
     with pytest.raises(DataError, match=f"^{caller}: "):
         call()
-
-
-def test_whole_valued_float_counts_are_accepted():
-    args = (HALF, 2, 5, DF, np.array([0.1, 0.5]))
-    want = mf.filter_step_univariate(*args).probs
-    got = mf.filter_step_univariate(HALF, 2.0, 5.0, *args[3:]).probs
-    np.testing.assert_array_equal(got, want)

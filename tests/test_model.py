@@ -8,16 +8,6 @@ import migfilter as mf
 from migfilter.errors import DataError, ModelError
 
 
-def series_expm(mat, order=40):
-    """Taylor-series matrix exponential; independent oracle for propagation."""
-    out = np.eye(mat.shape[0])
-    term = np.eye(mat.shape[0])
-    for n in range(1, order + 1):
-        term = term @ mat / n
-        out = out + term
-    return out
-
-
 class TestValidateModel:
     def test_valid_model_has_no_violations(self):
         factor = mf.HiddenFactorSpec(np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.2, 0.8]]))
@@ -38,6 +28,35 @@ class TestValidateModel:
         out = mf.validate_model(factor, law)
         assert any("row 0 sums to" in v for v in out)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field, index, message",
+        [
+            ("pi", (0,), "factor: pi has non-finite entries"),
+            ("trans", (1, 0), "factor: trans has non-finite entries"),
+            ("law", (1, 2, 0), "law: state 1 matrix has non-finite entries"),
+        ],
+    )
+    def test_non_finite_entries_are_violations(self, field, index, message, value):
+        factor, law = mf.demo_model(2, 3)
+        doc = json.loads(mf.model_to_json(factor, law))
+        entry = doc[field]
+        for i in index[:-1]:
+            entry = entry[i]
+        entry[index[-1]] = value
+        with pytest.raises(ModelError, match=message):
+            mf.model_from_json(json.dumps(doc))
+
+    def test_non_finite_law_row_without_counts_is_refused(self):
+        # rating 2 holds nobody, so its NaN row never meets a count; the
+        # filter must still refuse the model, not forecast NaN
+        factor, law = mf.demo_model(2, 3)
+        per_state = law.per_state.copy()
+        per_state[1, 2, 0] = np.nan
+        panel = mf.MigrationPanel(np.array([[5, 5, 0]]), np.array([np.diag([5, 5, 0])]))
+        with pytest.raises(ModelError, match="^run_filter: law: state 1 matrix has non-finite"):
+            mf.run_filter(panel, factor, mf.MigrationLaw(per_state))
+
     def test_mode_and_shape_mismatches(self):
         factor = mf.HiddenFactorSpec(np.array([0.5, 0.5]), np.eye(2))
         law = mf.MigrationLaw(np.array([np.eye(2)] * 3))
@@ -45,101 +64,36 @@ class TestValidateModel:
         assert any("per-state matrices" in v for v in out)
 
 
-class TestEvolvePrior:
-    def test_identity_is_fixed_point(self):
-        factor = mf.HiddenFactorSpec(np.array([0.3, 0.7]), np.eye(2))
-        state = mf.FilterState(np.array([0.3, 0.7]))
-        out = mf.evolve_prior(state, factor)
-        np.testing.assert_allclose(out.probs, [0.3, 0.7])
-
-    def test_degenerate_state_reads_row(self):
-        factor = mf.HiddenFactorSpec(np.array([1.0, 0.0]), np.array([[0.9, 0.1], [0.2, 0.8]]))
-        out = mf.evolve_prior(mf.FilterState(np.array([1.0, 0.0])), factor)
-        np.testing.assert_allclose(out.probs, [0.9, 0.1])
-
-    def test_continuous_euler_matches_example(self):
-        gen = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        factor = mf.HiddenFactorSpec(np.array([1.0, 0.0]), gen, mode=mf.Mode.CONTINUOUS)
-        out = mf.evolve_prior(mf.FilterState(np.array([1.0, 0.0])), factor, dt=0.1)
-        np.testing.assert_allclose(out.probs, [0.9, 0.1], atol=1e-12)
-        exact = series_expm(gen.T * 0.1) @ np.array([1.0, 0.0])
-        assert np.abs(out.probs - exact).max() < 0.1**2  # one-step error O(dt^2)
-
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_continuous_converges_to_matrix_exponential(self, m, rng):
-        gen = rng.uniform(0.1, 1.0, size=(m, m))
-        np.fill_diagonal(gen, 0.0)
-        np.fill_diagonal(gen, -gen.sum(axis=1))
-        factor = mf.HiddenFactorSpec(np.full(m, 1.0 / m), gen, mode=mf.Mode.CONTINUOUS)
-        start = rng.dirichlet(np.ones(m))
-        exact = series_expm(gen.T) @ start  # propagate over unit time
-        errs = []
-        for n in (8, 32, 128):
-            state = mf.FilterState(start)
-            for _ in range(n):
-                state = mf.evolve_prior(state, factor, dt=1.0 / n)
-            errs.append(np.abs(state.probs - exact).max())
-        # halving dt four times must shrink the error about linearly
-        assert errs[2] < errs[0] / 8
-        assert errs[2] < 1e-2
-
-    def test_simplex_preserved(self, rng):
-        for _ in range(50):
-            m = int(rng.integers(2, 5))
-            trans = rng.dirichlet(np.ones(m), size=m)
-            factor = mf.HiddenFactorSpec(rng.dirichlet(np.ones(m)), trans)
-            out = mf.evolve_prior(mf.FilterState(rng.dirichlet(np.ones(m))), factor)
-            assert np.all(out.probs >= 0)
-            assert abs(out.probs.sum() - 1) < 1e-10
-
-    def test_bad_dt_rejected(self):
-        gen = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        factor = mf.HiddenFactorSpec(np.array([0.5, 0.5]), gen, mode=mf.Mode.CONTINUOUS)
-        state = mf.FilterState(np.array([0.5, 0.5]))
-        with pytest.raises(ModelError):
-            mf.evolve_prior(state, factor, dt=0.0)
-        with pytest.raises(ModelError):
-            mf.evolve_prior(state, factor, dt=2.0)
-
-    @pytest.mark.parametrize("dt", [np.nan, np.inf])
-    def test_non_finite_dt_rejected(self, dt):
-        factor = mf.HiddenFactorSpec(
-            np.array([0.5, 0.5]), np.zeros((2, 2)), mode=mf.Mode.CONTINUOUS
-        )
-        with pytest.raises(ModelError, match="dt must be positive and finite"):
-            mf.evolve_prior(mf.FilterState(np.array([0.5, 0.5])), factor, dt=dt)
-
-
 class TestPredictTransitionProbs:
     def test_degenerate_mixture_returns_first_matrix(self):
         law = mf.MigrationLaw(np.array([[[0.9, 0.1], [0.3, 0.7]], [[0.5, 0.5], [0.5, 0.5]]]))
-        out = mf.predict_transition_probs(law, mf.FilterState(np.array([1.0, 0.0])))
+        out = mf.predict_transition_probs(law, mf.FilterState(np.array([1.0, 0.0]), 0.0))
         np.testing.assert_array_equal(out, law.per_state[0])
 
     def test_even_mixture_averages(self):
         a = np.array([[0.98, 0.02], [0.1, 0.9]])
         b = np.array([[0.94, 0.06], [0.1, 0.9]])
         law = mf.MigrationLaw(np.array([a, b]))
-        out = mf.predict_transition_probs(law, mf.FilterState(np.array([0.5, 0.5])))
+        out = mf.predict_transition_probs(law, mf.FilterState(np.array([0.5, 0.5]), 0.0))
         assert out[0, 1] == pytest.approx(0.04)
 
     def test_identical_matrices_mix_to_themselves(self):
         mat = np.array([[0.9, 0.1], [0.2, 0.8]])
         law = mf.MigrationLaw(np.array([mat] * 3))
-        out = mf.predict_transition_probs(law, mf.FilterState(np.full(3, 1 / 3)))
+        out = mf.predict_transition_probs(law, mf.FilterState(np.full(3, 1 / 3), 0.0))
         np.testing.assert_allclose(out, mat, atol=1e-15)
 
     def test_rows_stochastic_for_random_inputs(self, rng):
         for _ in range(50):
             m, p = int(rng.integers(1, 5)), int(rng.integers(2, 5))
             law = mf.MigrationLaw(rng.dirichlet(np.ones(p), size=(m, p)))
-            out = mf.predict_transition_probs(law, mf.FilterState(rng.dirichlet(np.ones(m))))
+            out = mf.predict_transition_probs(law, mf.FilterState(rng.dirichlet(np.ones(m)), 0.0))
             np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
     def test_rejects_intensity_law(self):
         law = mf.MigrationLaw(np.array([[[-0.1, 0.1], [0.0, 0.0]]]), mode=mf.Mode.CONTINUOUS)
         with pytest.raises(ModelError):
-            mf.predict_transition_probs(law, mf.FilterState(np.array([1.0])))
+            mf.predict_transition_probs(law, mf.FilterState(np.array([1.0]), 0.0))
 
 
 class TestConversions:
@@ -154,6 +108,18 @@ class TestConversions:
         lin = mf.generator_to_transition(gen, 1e-3)
         exact = expm(gen * 1e-3)
         assert np.abs(lin - exact).max() < 1e-6
+
+    def test_long_step_of_a_valid_generator_is_a_valid_law(self):
+        # rows summing to 5e-13 pass the generator check; a 30-unit step
+        # multiplies that drift to 1.5e-11, past the one-step law's 1e-12
+        gen = np.array([[-0.01, 0.01 + 5e-13], [0.02, -0.02]])
+        law = mf.MigrationLaw(mf.generator_to_transition(gen, 30.0)[None])
+        assert law.violations() == []
+        factor = mf.HiddenFactorSpec([1.0], [[0.0]], mode=mf.Mode.CONTINUOUS)
+        stream = mf.EventStream([10.0], [0], [1], [5, 5], horizon=60.0)
+        continuous = mf.MigrationLaw(gen[None], mode=mf.Mode.CONTINUOUS)
+        traj = mf.run_continuous_filter(stream, factor, continuous, grid_dt=0.5, report_dt=30.0)
+        np.testing.assert_allclose(traj.predicted_ratios.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
     def test_stack_equals_per_matrix_calls_bit_for_bit(self, rng):
         slow = np.array([[-0.2, 0.2], [0.1, -0.1]])
@@ -353,11 +319,11 @@ class TestPanelAndStream:
 
     def test_filter_state_must_be_probability_vector(self):
         with pytest.raises(ModelError):
-            mf.FilterState(np.array([0.5, 0.6]))
+            mf.FilterState(np.array([0.5, 0.6]), 0.0)
         with pytest.raises(ModelError):
-            mf.FilterState(np.array([1.2, -0.2]))
+            mf.FilterState(np.array([1.2, -0.2]), 0.0)
 
     @pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf]])
     def test_filter_state_must_be_finite(self, probs):
         with pytest.raises(ModelError, match="non-finite probabilities"):
-            mf.FilterState(np.array(probs))
+            mf.FilterState(np.array(probs), 0.0)

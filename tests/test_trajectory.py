@@ -158,7 +158,7 @@ class TestFilterTrajectory:
         traj = mf.FilterTrajectory(
             probs=probs, time_index=np.arange(50), predicted_ratios=np.empty((49, 2, 2)), loglik=0.0
         )
-        expected = np.array([mf.FilterState(row).probs for row in probs])
+        expected = np.array([mf.FilterState(row, 0.0).probs for row in probs])
         np.testing.assert_array_equal(traj.probs_matrix(), expected)
         assert not traj.probs_matrix().flags.writeable and not traj.times().flags.writeable
         assert traj.n_steps == 49

@@ -28,7 +28,7 @@ class TestValidateModel:
         out = mf.validate_model(factor, law)
         assert any("row 0 sums to" in v for v in out)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     @pytest.mark.parametrize(
         "field, index, message",
         [
@@ -36,6 +36,7 @@ class TestValidateModel:
             ("trans", (1, 0), "factor: trans has non-finite entries"),
             ("law", (1, 2, 0), "law: state 1 matrix has non-finite entries"),
         ],
+        ids=["pi", "trans", "law"],
     )
     def test_non_finite_entries_are_violations(self, field, index, message, value):
         factor, law = mf.demo_model(2, 3)

@@ -44,6 +44,7 @@ from .model import (
     _RENORM_TRIGGER,
     _check_model,
     _exposures_at,
+    _freeze_int,
     generator_to_transition,
     predict_transition_probs,
 )
@@ -68,16 +69,19 @@ _GRID_TOL = 1e-9
 class SpreadConfig:
     """How to redistribute same-step jumps onto a finer grid.
 
-    ``subintervals_per_step`` must exceed the largest per-step jump total so
-    that every jump can get its own slot.
+    ``subintervals_per_step`` must be a whole number (a whole-valued float
+    is taken as its int) exceeding the largest per-step jump total, so that
+    every jump can get its own slot.
     """
 
     subintervals_per_step: int
     seed: int = 0
 
     def __post_init__(self):
-        if self.subintervals_per_step < 1:
+        slots = int(_freeze_int(self.subintervals_per_step, "subintervals_per_step"))
+        if slots < 1:
             raise DataError("subintervals_per_step must be at least 1")
+        object.__setattr__(self, "subintervals_per_step", slots)
 
 
 def spread_jumps(panel: MigrationPanel, cfg: SpreadConfig) -> EventStream:

@@ -121,7 +121,7 @@ def _kernel_violations(name: str, mat: np.ndarray, mode: Mode) -> list[str]:
     out = [f"{name} has negative {what}"] if np.any(checked < 0) else []
     return out + [
         f"{name} row {i} sums to {row_sum!r}, expected {target:g}"
-        for i, row_sum in enumerate(mat.sum(axis=1))
+        for i, row_sum in enumerate(mat.sum(axis=1).tolist())
         if abs(row_sum - target) > _SUM_TOL
     ]
 
@@ -162,7 +162,7 @@ class HiddenFactorSpec:
         if not np.isfinite(self.pi).all():
             return ["factor: pi has non-finite entries"] + kernel
         out = ["factor: pi has negative entries"] if np.any(self.pi < 0) else []
-        s = self.pi.sum()
+        s = float(self.pi.sum())
         if abs(s - 1.0) > _SUM_TOL:
             out.append(f"factor: pi sums to {s!r}, expected 1")
         return out + kernel

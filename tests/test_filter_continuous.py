@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -65,6 +66,20 @@ class TestSpreadJumps:
         panel = mf.MigrationPanel(np.array([[3, 3]]), counts)
         with pytest.raises(DataError, match="slots"):
             mf.spread_jumps(panel, mf.SpreadConfig(3, seed=0))
+
+    @pytest.mark.parametrize("slots", [2.5, float("nan"), float("inf")])
+    def test_fractional_slot_count_rejected(self, slots):
+        with pytest.raises(DataError, match="^subintervals_per_step must hold whole numbers"):
+            mf.SpreadConfig(slots)
+
+    def test_whole_valued_slot_count_accepted(self):
+        factor, law = mf.demo_model(2, 2)
+        cfg = mf.SimulationConfig(np.array([150, 150]), 10, seed=1)
+        panel, _ = mf.simulate_panel_discrete(factor, law, cfg)
+        a = mf.spread_jumps(panel, mf.SpreadConfig(50, seed=9))
+        b = mf.spread_jumps(panel, mf.SpreadConfig(50.0, seed=9))
+        np.testing.assert_array_equal(a.times, b.times)
+        np.testing.assert_array_equal(a.targets, b.targets)
 
     def test_fractional_step_round_trips(self):
         stream = mf.EventStream(
@@ -440,6 +455,50 @@ class TestDriftStep:
         assert abs(out.sum() - 1) < 1e-10
 
 
+class TestChainDrift:
+    """With every state's intensity matrix the same, the observations carry
+    no news of the factor, so the filter over an empty stream is the chain's
+    own marginal, ``expm(Q^T t) pi``, to the first order of its Euler step."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_converges_to_matrix_exponential(self, m, rng):
+        # leave rates plus the law's load stay below 1.6, so that no Euler
+        # step is cut below grid_dt
+        gen = rng.uniform(0.1, 0.5, size=(m, m))
+        np.fill_diagonal(gen, 0.0)
+        np.fill_diagonal(gen, -gen.sum(axis=1))
+        mat = np.array([[-0.05, 0.05], [0.02, -0.02]])
+        law = mf.MigrationLaw(np.array([mat] * m), mode=mf.Mode.CONTINUOUS)
+        start = rng.dirichlet(np.ones(m))
+        factor = mf.HiddenFactorSpec(start, gen, mode=mf.Mode.CONTINUOUS)
+        stream = mf.EventStream([], [], [], [1, 0], horizon=1.0)
+        exact = expm(gen.T) @ start
+        errs = [
+            np.abs(
+                mf.run_continuous_filter(stream, factor, law, grid_dt=1.0 / n, report_dt=1.0)
+                .probs[-1] - exact
+            ).max()
+            for n in (8, 32, 128)
+        ]
+        # dt falls 16-fold: a first-order error falls about as much
+        assert errs[2] < errs[0] / 8
+        assert errs[2] < 1e-2
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.floats(0.01, 5.0))
+    def test_simplex_preserved(self, m, seed, dt):
+        rng = np.random.default_rng(seed)
+        gen = rng.uniform(0.0, 5.0, size=(m, m))
+        np.fill_diagonal(gen, 0.0)
+        np.fill_diagonal(gen, -gen.sum(axis=1))
+        ell = rng.uniform(0.0, 1.0, size=(m, 2, 2))
+        ell[:, [0, 1], [0, 1]] = -ell[:, [0, 1], [1, 0]]
+        law = mf.MigrationLaw(ell, mode=mf.Mode.CONTINUOUS)
+        out = drift_only(rng.dirichlet(np.ones(m)), gen, law, [100, 100], dt)
+        assert np.all(out >= 0)
+        assert abs(out.sum() - 1) < 1e-10
+
+
 def numpy_integrate_drift(probs, dt, trans, load, max_h):
     """Reference for ``_integrate_drift``: the Euler walk on numpy vectors
     that the float kernel replaced.  Also returns its substep count."""
@@ -600,11 +659,11 @@ class TestStepSizes:
     @pytest.mark.parametrize(
         "grid_dt, report_dt",
         [(float("nan"), 1.0), (float("inf"), 1.0), (0.0, 1.0), (-0.5, 1.0),
-         (0.01, float("nan")), (0.01, float("inf")), (0.01, -1.0)],
+         (0.01, float("nan")), (0.01, float("inf")), (0.01, 0.0), (0.01, -1.0)],
     )
     def test_run_continuous_filter_refuses_the_step(self, grid_dt, report_dt):
         factor, law = two_state_continuous_model()
-        with pytest.raises(ModelError, match="must be positive and finite"):
+        with pytest.raises(ModelError, match="^run_continuous_filter: .* must be positive and finite"):
             mf.run_continuous_filter(
                 self.stream(), factor, law, grid_dt=grid_dt, report_dt=report_dt
             )

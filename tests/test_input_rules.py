@@ -49,6 +49,27 @@ def law_with_row(row):
     return mf.MigrationLaw(per_state)
 
 
+def factor_with(factor, pi=None, trans=None):
+    """``factor`` with its initial law or its transition matrix replaced."""
+    return mf.HiddenFactorSpec(
+        factor.pi if pi is None else pi,
+        factor.trans if trans is None else trans,
+        mode=factor.mode,
+    )
+
+
+def generator_with_rate(rate):
+    """``CL`` with state 1's rating-0 -> rating-1 intensity set to ``rate``
+    (and its diagonal following)."""
+    per_state = CL.per_state.copy()
+    per_state[1, 0, 0] += per_state[1, 0, 1] - rate
+    per_state[1, 0, 1] = rate
+    return mf.MigrationLaw(per_state, mode=mf.Mode.CONTINUOUS)
+
+
+NAN_LAW = law_with_row([np.nan, 0.5, 0.5])
+
+
 def scan(name, factor, law, panel=PANEL):
     """``forward_pass``, ``backward_pass`` or ``posteriors`` (whose forward
     and backward results come from the valid model)."""
@@ -111,6 +132,7 @@ NAMED_CASES = {
             ("continuous-law", (DF, CL)),
             ("state-count", (DF, DL3)),
             ("rating-count", (DF, DL22)),
+            ("law-entry-nan", (DF, NAN_LAW)),
         )
     },
     "run_filter-rating-count": ("run_filter", run_filter(DF, DL22)),
@@ -122,7 +144,33 @@ NAMED_CASES = {
             ("nan", [np.nan, 0.5, 0.5]),
         )
     },
+    "run_filter-factor-entry-nan": ("run_filter", run_filter(factor_with(DF, pi=[np.nan, 1.0]), DL)),
+    "run_filter-trans-row-sum": (
+        "run_filter", run_filter(factor_with(DF, trans=[[0.5, 0.6], [0.2, 0.8]]), DL)
+    ),
     "run_continuous-rating-count": ("run_continuous_filter", run_continuous(CF, CL22)),
+    "run_continuous-negative-rate": (
+        "run_continuous_filter", run_continuous(CF, generator_with_rate(-0.01))
+    ),
+    "run_continuous-law-entry-nan": (
+        "run_continuous_filter", run_continuous(CF, generator_with_rate(np.nan))
+    ),
+    "run_continuous-factor-entry-inf": (
+        "run_continuous_filter",
+        run_continuous(factor_with(CF, trans=[[-np.inf, np.inf], [0.1, -0.1]]), CL),
+    ),
+    "simulate_panel_discrete-law-entry-nan": ("simulate_panel_discrete", simulate_panel(DF, NAN_LAW)),
+    "simulate_events_continuous-law-entry-nan": (
+        "simulate_events_continuous", simulate_events(CF, generator_with_rate(np.nan))
+    ),
+    "simulate_hidden_path-factor-entry-nan": (
+        "simulate_hidden_path",
+        lambda: mf.simulate_hidden_path(factor_with(DF, pi=[np.nan, 1.0]), D_CONFIG),
+    ),
+    "predict_transition_probs-law-entry-nan": (
+        "predict_transition_probs",
+        lambda: mf.predict_transition_probs(NAN_LAW, np.array([0.5, 0.5])),
+    ),
 }
 
 
@@ -158,3 +206,11 @@ DATA_CASES = {
 def test_mismatched_or_fractional_data_is_refused_naming_the_caller(caller, call):
     with pytest.raises(DataError, match=f"^{caller}: "):
         call()
+
+
+def test_whole_valued_float_counts_are_accepted():
+    floats = mf.MigrationPanel(PANEL.exposures.astype(float), PANEL.counts.astype(float))
+    want = mf.run_filter(PANEL, DF, DL)
+    got = mf.run_filter(floats, DF, DL)
+    np.testing.assert_array_equal(got.probs, want.probs)
+    assert got.loglik == want.loglik

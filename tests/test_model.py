@@ -18,7 +18,7 @@ class TestValidateModel:
         factor = mf.HiddenFactorSpec(np.array([0.6, 0.6]), np.eye(2))
         law = mf.MigrationLaw(np.array([np.eye(2), np.eye(2)]))
         out = mf.validate_model(factor, law)
-        assert any("pi sums to" in v for v in out)
+        assert "factor: pi sums to 1.2, expected 1" in out
 
     def test_generator_row_sum_violation(self):
         factor = mf.HiddenFactorSpec(
@@ -26,20 +26,22 @@ class TestValidateModel:
         )
         law = mf.MigrationLaw(np.array([np.zeros((2, 2))] * 2), mode=mf.Mode.CONTINUOUS)
         out = mf.validate_model(factor, law)
-        assert any("row 0 sums to" in v for v in out)
+        assert "factor: trans row 0 sums to 0.1, expected 0" in out
 
+    @pytest.mark.parametrize("mode", list(mf.Mode), ids=[mode.value for mode in mf.Mode])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     @pytest.mark.parametrize(
         "field, index, message",
         [
-            ("pi", (0,), "factor: pi has non-finite entries"),
-            ("trans", (1, 0), "factor: trans has non-finite entries"),
-            ("law", (1, 2, 0), "law: state 1 matrix has non-finite entries"),
+            pytest.param("pi", (0,), "factor: pi has non-finite entries", id="pi"),
+            pytest.param("trans", (1, 0), "factor: trans has non-finite entries", id="trans"),
+            pytest.param(
+                "law", (1, 2, 0), "law: state 1 matrix has non-finite entries", id="law"
+            ),
         ],
-        ids=["pi", "trans", "law"],
     )
-    def test_non_finite_entries_are_violations(self, field, index, message, value):
-        factor, law = mf.demo_model(2, 3)
+    def test_non_finite_entries_are_violations(self, field, index, message, value, mode):
+        factor, law = mf.demo_model(2, 3, mode=mode)
         doc = json.loads(mf.model_to_json(factor, law))
         entry = doc[field]
         for i in index[:-1]:

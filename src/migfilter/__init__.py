@@ -20,7 +20,6 @@ from .calibrate import (
     em_fit_continuous,
     forward_pass,
     m_step,
-    picker_weights,
     posteriors,
 )
 from .continuous import (

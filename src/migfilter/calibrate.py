@@ -31,17 +31,16 @@ likelihood, so each row's off-diagonal entries are the multinomial shares
 of its jump mass, in closed form, scaled by one minus the diagonal; the
 diagonals solve a concave problem in ``p`` unknowns by damped Newton,
 batched over every restart and state.  The fitted fine-grid probabilities
-convert to intensity
-matrices by the small-step linearization.  A no-jump interval's likelihood
-depends only on the exposures, which change only at events and
-boundaries, so the E-step runs on segments: every jump interval is one,
-and so is every run of equal no-jump intervals.  The segments form a
-hidden-Markov chain of their own, scanned like the discrete one with one
-transition matrix per segment, and each run's posteriors summed over its
-intervals come from a block matrix power (Van Loan, 1978; the same algebra
-as Ryden's 1996 EM for Markov-modulated Poisson processes).  The
-migration-row objective sums that mass per distinct no-jump exposure
-vector.
+convert to intensity matrices by the small-step linearization.  A no-jump
+interval's likelihood depends only on the exposures, which change only at
+events and overrides, so the grid is read from the stream as segments,
+never interval by interval: every jump interval is one, and so is every
+run of equal no-jump intervals.  The segments form a hidden-Markov chain of
+their own, scanned like the discrete one with one transition matrix per
+segment, and each run's posteriors summed over its intervals come from a
+block matrix power (Van Loan, 1978; the same algebra as Ryden's 1996 EM
+for Markov-modulated Poisson processes).  The migration-row objective sums
+that mass per distinct no-jump exposure vector.
 """
 
 from __future__ import annotations
@@ -61,6 +60,8 @@ from .model import (
     MigrationPanel,
     Mode,
     _check_model,
+    _exposures_at,
+    _grid_positions,
     model_to_json,
     sort_states_by_risk,
     transition_to_generator,
@@ -76,7 +77,6 @@ __all__ = [
     "posteriors",
     "m_step",
     "em_fit",
-    "picker_weights",
     "em_fit_continuous",
 ]
 
@@ -566,19 +566,18 @@ def em_fit(panel: MigrationPanel, m: int, cfg: EmConfig) -> CalibrationResult:
     final log-likelihood wins; its states are relabeled from least to most
     risky before being returned.
     """
-    return _multi_start(panel, m, cfg, _discrete_e_and_m)
-
-
-def _multi_start(panel, m, cfg, e_and_m) -> CalibrationResult:
-    """Run ``cfg.restarts`` EM restarts on ``panel`` from seeded random
-    starts and return the best one, states relabeled from least to most
-    risky.  The starts are stacked on a leading axis and iterated in
-    lockstep by ``_em_lockstep``.  An empty panel, ``m < 1`` or a floor of
-    ``1 / max(m, p)`` or more is a DataError.  Restarts that hit an
-    impossible observation count as failed; all failing is a ModelError."""
-    p = panel.p
     if panel.steps == 0:
         raise DataError("cannot calibrate on an empty panel")
+    return _multi_start(panel, panel.p, m, cfg, _discrete_e_and_m)
+
+
+def _multi_start(data, p, m, cfg, e_and_m) -> CalibrationResult:
+    """Run ``cfg.restarts`` EM restarts over ``p`` ratings from seeded
+    random starts, ``data`` passed to ``e_and_m`` as it is, and return the
+    best, states relabeled from least to most risky.  The starts run in
+    lockstep (``_em_lockstep``).  ``m < 1`` or a floor of ``1 / max(m, p)``
+    or more is a DataError.  A restart that hits an impossible observation
+    fails; all failing is a ModelError."""
     if m < 1:
         raise DataError("need at least one hidden state")
     if cfg.floor >= 1.0 / max(m, p):
@@ -587,7 +586,7 @@ def _multi_start(panel, m, cfg, e_and_m) -> CalibrationResult:
     seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=cfg.restarts)]
     starts = [_random_init(np.random.default_rng(seed), m, p, cfg.floor) for seed in seeds]
     traces, params, converged, errors = _em_lockstep(
-        panel, [np.stack(x) for x in zip(*starts)], cfg, e_and_m
+        data, [np.stack(x) for x in zip(*starts)], cfg, e_and_m
     )
     failures = tuple(None if exc is None else str(exc) for exc in errors)
     if all(failures):
@@ -690,29 +689,6 @@ def _em_single(panel, pi, trans, per_state, cfg, e_and_m):
 # --------------------------------------------------------------------------
 
 
-def _fine_grid_from_panel(panel: MigrationPanel):
-    """Read a panel whose steps are fine intervals (at most one jump each):
-    the exposures, each interval's jump source and target (-1 without a
-    jump) and ``n_bar``, the largest per-interval entity total."""
-    p = panel.p
-    off = ~np.eye(p, dtype=bool)
-    totals = panel.counts[:, off].sum(axis=1)
-    bad = np.nonzero(totals > 1)[0]
-    if bad.size:
-        raise DataError(
-            f"fine-grid step {int(bad[0])} holds {int(totals[bad[0]])} jumps; "
-            "the picker likelihood needs at most one per interval"
-        )
-    # the one jump of a step is its largest off-diagonal cell
-    cell = (panel.counts * off).reshape(panel.steps, p * p).argmax(axis=1)
-    src = np.where(totals == 1, cell // p, -1)
-    dst = np.where(totals == 1, cell % p, -1)
-    n_bar = float(panel.exposures.sum(axis=1).max(initial=0))
-    if n_bar <= 0:
-        raise DataError("sample holds no entities")
-    return panel.exposures, src, dst, n_bar
-
-
 def _picker_log_weights(
     exposures: np.ndarray,
     src: np.ndarray,
@@ -746,24 +722,14 @@ def _picker_log_weights(
     return logw
 
 
-def picker_weights(panel_fine: MigrationPanel, law: MigrationLaw) -> np.ndarray:
-    """Interval likelihood matrix of a fine-grid panel, shape (steps, m).
-
-    The picker draws from ``n_bar`` slots, the largest per-interval entity
-    total.  Weights are strictly positive whenever the law has no exact
-    zeros (flooring guarantees that during calibration).
-    """
-    exposures, src, dst, n_bar = _fine_grid_from_panel(panel_fine)
-    return np.exp(_picker_log_weights(exposures, src, dst, law.per_state, n_bar))
-
-
 class _Segments(NamedTuple):
     """A fine grid collapsed into segments of equal interval likelihoods.
 
     Interval 0, the last interval and every jump interval are segments of
-    their own; every maximal run of no-jump intervals with equal exposures
-    is one segment.  Segment ``s`` covers the ``lengths[s]`` intervals from
-    ``starts[s]``, which all share its ``exposures``, ``src`` and ``dst``.
+    their own; from interval 1 on, every maximal run of no-jump intervals
+    with equal exposures is one segment.  Segment ``s`` covers the
+    ``lengths[s]`` intervals from ``starts[s]``, which all share its
+    ``exposures``, ``src`` and ``dst`` (-1 without a jump).
     """
 
     starts: np.ndarray
@@ -773,18 +739,48 @@ class _Segments(NamedTuple):
     dst: np.ndarray
 
 
-def _segments(exposures: np.ndarray, src: np.ndarray, dst: np.ndarray) -> _Segments:
-    """Collapse the fine-grid arrays of :func:`_fine_grid_from_panel`."""
-    steps = src.shape[0]
-    new = np.ones(steps, dtype=bool)
-    new[2:-1] = (
-        (src[2:-1] >= 0)
-        | (src[1:-2] >= 0)
-        | (exposures[2:-1] != exposures[1:-2]).any(axis=1)
-    )
-    starts = np.flatnonzero(new)
+def _fine_segments(events: EventStream, fine_dt: float) -> tuple[_Segments, float]:
+    """The grid of ``fine_dt`` over ``events`` as segments, and ``n_bar``,
+    the largest per-interval entity total.
+
+    Events fall in intervals by :func:`~migfilter.model._grid_positions`.
+    Exposures change only where an event or an override lands, so they are
+    read at the candidate starts alone: intervals 0, 1 and the last, every
+    jump interval and the one after it, and every interval an override
+    reaches; a candidate that continues a no-jump run with equal exposures
+    is dropped.  An interval with two events is a DataError, and so is a
+    jump from a rating empty at its interval's start (snapping can move an
+    override past an event)."""
+    steps, bins, boundary_pos = _grid_positions(events, fine_dt)
+    twice = np.flatnonzero(np.diff(bins) == 0)
+    if twice.size:
+        t = int(bins[twice[0]])
+        raise DataError(
+            f"fine-grid step {t} holds {np.count_nonzero(bins == t)} jumps; "
+            "the picker likelihood needs at most one per interval"
+        )
+    cand = np.unique(np.concatenate(([0, 1, steps - 1], bins, bins + 1, boundary_pos)))
+    cand = cand[cand < steps]
+    exposures = _exposures_at(events, cand, bins + 1, boundary_pos)
+    jumps = np.searchsorted(cand, bins)
+    empty = np.flatnonzero(exposures[jumps, events.sources] <= 0)
+    if empty.size:
+        i = int(empty[0])
+        raise DataError(
+            f"fine-grid step {int(bins[i])}: event {i} leaves rating {int(events.sources[i])}, "
+            "which holds no exposure at the step's start (an override snapped past the event)"
+        )
+    src, dst = np.full((2, cand.size), -1, dtype=np.int64)
+    src[jumps], dst[jumps] = events.sources, events.targets
+    # a jump interval's next candidate is the interval after it
+    new = (cand < 2) | (cand == steps - 1) | (src >= 0)
+    new[1:] |= (src[:-1] >= 0) | (exposures[1:] != exposures[:-1]).any(axis=1)
+    n_bar = float(exposures.sum(axis=1).max(initial=0))
+    if n_bar <= 0:
+        raise DataError("sample holds no entities")
+    starts = cand[new]
     lengths = np.diff(starts, append=steps)
-    return _Segments(starts, lengths, exposures[starts], src[starts], dst[starts])
+    return _Segments(starts, lengths, exposures[new], src[new], dst[new]), n_bar
 
 
 def _matrix_powers(base: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1070,39 +1066,33 @@ def em_fit_continuous(
 ) -> CalibrationResult:
     """Multi-start EM fit adapted to event data with no simultaneous jumps.
 
-    The stream is binned onto intervals of ``fine_dt`` (positive and
-    finite), which must isolate every jump.  Interval likelihoods come from
-    the uniform picker model; the hidden chain's updates are closed form,
-    and each migration matrix has closed-form off-diagonal shares and a
-    diagonal found by damped Newton (see :func:`minimize`; an iteration only
-    ever accepts a non-decreasing objective).  The fitted fine-grid
-    probabilities are returned as intensity matrices when ``to_generator``
-    is set.
+    Events fall in intervals of ``fine_dt`` (positive and finite) by the
+    grid readers' snap rule, at most one per interval.  Interval likelihoods
+    come from the uniform picker model; the hidden chain's updates are
+    closed form, and each migration matrix has closed-form off-diagonal
+    shares and a diagonal found by damped Newton (see :func:`minimize`; an
+    iteration only ever accepts a non-decreasing objective).  The fitted
+    fine-grid probabilities are returned as intensity matrices when
+    ``to_generator`` is set.
 
-    The intervals are collapsed into segments (see :class:`_Segments`), and
-    the E-step takes one scan step per segment, with each run's posteriors
-    summed in closed form (see :func:`_segment_e_step`).  The migration-row
-    objective has one term per distinct no-jump exposure vector, weighted
-    by the posterior mass of every interval that holds it.  The result is
-    the per-interval EM's up to rounding, at a cost that follows the number
-    of segments rather than of intervals.
+    The E-step takes one scan step per segment (see :func:`_fine_segments`),
+    with each run's posteriors summed in closed form (see
+    :func:`_segment_e_step`), and the migration-row objective one term per
+    distinct no-jump exposure vector.  The result is the per-interval EM's
+    up to rounding, at a cost that follows the number of segments rather
+    than of intervals.
 
     Conversion note: the fitted migration matrix is the law of a *picked*
     entity, and an entity is picked once per ``n_bar`` intervals on average,
     so its intensities are ``(L - I) / (n_bar * fine_dt)``; the hidden chain
     moves every interval, so its generator is ``(K - I) / fine_dt``.
     """
-    from .continuous import stream_to_panel
-
-    fine = stream_to_panel(events, fine_dt)
-    exposures, src, dst, n_bar = _fine_grid_from_panel(fine)
-    seg = _segments(exposures, src, dst)
+    seg, n_bar = _fine_segments(events, fine_dt)
     nojump = seg.src < 0
-    y_nj, row_of = np.unique(seg.exposures[nojump], axis=0, return_inverse=True)
-    y_nj = y_nj.astype(float)
-    p = fine.p
+    y_nj, row_of = np.unique(seg.exposures[nojump].astype(float), axis=0, return_inverse=True)
+    p = events.p
 
-    def e_and_m(_panel, pi, trans, per_state, cfg):
+    def e_and_m(seg, pi, trans, per_state, cfg):
         """One iteration of the restarts stacked on the leading axis: one
         batched E-step on segments, then one batched M-step solve for every
         (restart, state) pair over the distinct no-jump exposure rows."""
@@ -1118,7 +1108,7 @@ def em_fit_continuous(
         )
         return loglik, (*_chain_m_step(u, v), new_per_state.reshape(per_state.shape))
 
-    result = _multi_start(fine, m, cfg, e_and_m)
+    result = _multi_start(seg, p, m, cfg, e_and_m)
     if to_generator:
         result = replace(
             result,

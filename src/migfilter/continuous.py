@@ -19,10 +19,11 @@ Every reader of a stream takes its exposures from one walker with one tie
 rule: at a given time (or grid index) every event at or before it applies
 first, then the last boundary override at or before it.  The filter
 compares times exactly, orders equal times as event, override, report and
-reports up to the horizon.  Only the grid reader (:func:`stream_to_panel`)
-snaps: on a grid of step ``d``, times within ``1e-9 * d`` of a grid point
-count as on it, so an event falls in the step ``(start, end]`` holding it
-and an override at the first step start at or after it.
+reports up to the horizon.  Only the grid readers (:func:`stream_to_panel`
+and the picker EM's fine grid) snap, by one rule: on a grid of step ``d``,
+times within ``1e-9 * d`` of a grid point count as on it, so an event falls
+in the step ``(start, end]`` holding it and an override at the first step
+start at or after it.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .model import (
     _check_model,
     _exposures_at,
     _freeze_int,
+    _grid_positions,
     generator_to_transition,
     predict_transition_probs,
 )
@@ -59,10 +61,6 @@ __all__ = [
 # Largest (rate * dt) an explicit Euler substep is allowed to take; keeps the
 # update on the simplex with a wide margin.
 _MAX_EULER_MASS = 0.2
-
-# Times within this fraction of a step of a grid point snap to it; absorbs
-# the rounding of times written as ``k * step``.
-_GRID_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -133,22 +131,9 @@ def stream_to_panel(stream: EventStream, step_days: float) -> MigrationPanel:
     off-diagonal count to its step and the diagonal absorbs the stayers, so
     conservation holds by construction.
     """
-    if not (math.isfinite(step_days) and step_days > 0):
-        raise DataError(f"grid step must be positive and finite, got {step_days!r}")
-    n_steps = stream.horizon / step_days
-    if abs(n_steps - round(n_steps)) > _GRID_TOL:
-        raise DataError(
-            f"horizon {stream.horizon} is not a whole number of {step_days}-day steps"
-        )
-    n_steps = int(round(n_steps))
+    n_steps, bins, boundary_pos = _grid_positions(stream, step_days)
     p = stream.p
-    # event i lies in step bins[i], whose (start, end] holds it; its grid
-    # position is that step's end, bins[i] + 1
-    bins = np.ceil(stream.times / step_days - _GRID_TOL).astype(np.int64) - 1
-    bins = np.clip(bins, 0, n_steps - 1)
-    boundary_pos = None
-    if stream.boundary_times is not None:
-        boundary_pos = np.ceil(stream.boundary_times / step_days - _GRID_TOL)
+    # event i lies in step bins[i]; its grid position is that step's end
     exposures = _exposures_at(stream, np.arange(n_steps), bins + 1, boundary_pos)
     flat = (bins * p + stream.sources) * p + stream.targets
     counts = np.bincount(flat, minlength=n_steps * p * p).reshape(n_steps, p, p)

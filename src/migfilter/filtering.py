@@ -59,7 +59,7 @@ class FilterTrajectory:
     prediction_parts: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _checked_laws(np.atleast_2d(self.probs)))
+        object.__setattr__(self, "probs", _checked_laws(np.atleast_2d(self.probs), "filter state"))
         object.__setattr__(self, "time_index", _freeze(self.time_index))
         object.__setattr__(self, "predicted_ratios", _freeze(self.predicted_ratios))
         if self.prediction_parts is not None:
@@ -120,7 +120,7 @@ def run_filter(
     (the command-line tools exit with code 3).
     """
     _check_panel_model("run_filter", panel, factor, law)
-    probs = _checked_laws(factor.pi)[None, :]
+    probs = _checked_laws(factor.pi, "filter state")[None, :]
     loglik = 0.0
     if panel.steps:
         fwd = _forward(_panel_log_weights(panel, law.per_state), probs[0], factor.trans)

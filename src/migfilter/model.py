@@ -46,6 +46,9 @@ __all__ = [
 
 _SUM_TOL = 1e-12
 _RENORM_TRIGGER = 1e-13
+# Times within this fraction of a step of a grid point snap to it; absorbs
+# the rounding of times written as ``k * step``.
+_GRID_TOL = 1e-9
 
 
 class Mode(str, enum.Enum):
@@ -91,19 +94,19 @@ def renormalize(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _checked_laws(probs) -> np.ndarray:
+def _checked_laws(probs, name: str) -> np.ndarray:
     """Filtered laws on the last axis, checked (finite, no entry below
-    -1e-10, sums within 1e-10 of 1), passed through :func:`renormalize` and
-    frozen."""
+    -1e-10, sums within 1e-10 of 1; ``name`` opens every message), passed
+    through :func:`renormalize` and frozen."""
     probs = np.asarray(probs, dtype=float)
     if not np.isfinite(probs).all():
-        raise ModelError("filter state has non-finite probabilities")
+        raise ModelError(f"{name} has non-finite probabilities")
     if np.any(probs < -1e-10):
-        raise ModelError("filter state has negative probabilities")
+        raise ModelError(f"{name} has negative probabilities")
     sums = probs.sum(axis=-1)
     off = np.abs(sums - 1.0) > 1e-10
     if np.any(off):
-        raise ModelError(f"filter state probabilities sum to {sums[off][0]!r}, expected 1")
+        raise ModelError(f"{name} probabilities sum to {sums[off][0]!r}, expected 1")
     return _freeze(renormalize(probs))
 
 
@@ -267,7 +270,7 @@ class FilterState:
     time_index: float
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _checked_laws(np.atleast_1d(self.probs)))
+        object.__setattr__(self, "probs", _checked_laws(np.atleast_1d(self.probs), "filter state"))
 
     @property
     def m(self) -> int:
@@ -288,9 +291,9 @@ class EventStream:
     Tie rule: the exposures in force at time ``q`` are those after every
     event at a time ``<= q`` and then the last boundary override at a time
     ``<= q``, so an override replaces the events it coincides with.  Grid
-    readers (:func:`~migfilter.continuous.stream_to_panel`) apply the same
-    rule to grid indices, snapping times within ``1e-9`` of a step to the
-    grid point.
+    readers (:func:`~migfilter.continuous.stream_to_panel`, the fine grid of
+    :func:`~migfilter.calibrate.em_fit_continuous`) apply the same rule to
+    grid indices, snapping by :func:`_grid_positions`.
 
     A stream is consistent once built: :class:`DataError` refuses event or
     boundary times outside ``(0, horizon]``, and an event that departs from
@@ -400,6 +403,26 @@ def _exposures_at(
     return base + moved[np.searchsorted(event_pos, query, side="right")] - moved[since]
 
 
+def _grid_positions(stream: EventStream, step: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """A grid of ``step`` over the stream: its number of steps, the step
+    ``(start, end]`` holding each event and the grid index of each override,
+    the first step start at or after it.  Times within ``1e-9 * step`` of a
+    grid point count as on it.  The step must be positive and finite, and
+    the horizon a positive whole number of steps."""
+    if not (math.isfinite(step) and step > 0):
+        raise DataError(f"grid step must be positive and finite, got {step!r}")
+    n_steps = round(stream.horizon / step)
+    if n_steps < 1 or abs(stream.horizon / step - n_steps) > _GRID_TOL:
+        raise DataError(
+            f"horizon {stream.horizon} is not a positive whole number of {step}-day steps"
+        )
+    overrides = np.empty(0) if stream.boundary_times is None else stream.boundary_times
+    bins, boundary_pos = (
+        np.ceil(t / step - _GRID_TOL).astype(np.int64) for t in (stream.times, overrides)
+    )
+    return n_steps, np.clip(bins - 1, 0, n_steps - 1), boundary_pos
+
+
 def validate_model(factor: HiddenFactorSpec, law: MigrationLaw) -> list[str]:
     """Collect every invariant violation of a (factor, law) pair.
 
@@ -444,12 +467,14 @@ def predict_transition_probs(law: MigrationLaw, state: FilterState | np.ndarray)
     """Forecast transition probabilities: the filtered mixture of the
     per-state migration matrices, ``sum_h probs[h] * per_state[h]``.
 
-    ``state`` is a :class:`FilterState` or laws of shape (..., m), giving
-    shape (..., p, p).  Requires a discrete-mode law; convert intensities
-    first with :func:`generator_to_transition`.
+    ``state`` is a :class:`FilterState` or laws of shape (..., m) held to
+    its rule, giving shape (..., p, p).  Requires a discrete-mode law;
+    convert intensities first with :func:`generator_to_transition`.
     """
     probs = state.probs if isinstance(state, FilterState) else np.asarray(state, dtype=float)
     _check_model("predict_transition_probs", Mode.DISCRETE, None, law, probs.shape[-1])
+    if not isinstance(state, FilterState):
+        _checked_laws(probs, "predict_transition_probs: state")
     return np.einsum("...h,hjk->...jk", probs, law.per_state)
 
 

@@ -19,20 +19,18 @@ from migfilter.calibrate import (
     _discrete_e_and_m,
     _e_step,
     _em_lockstep,
-    _fine_grid_from_panel,
     _jump_posterior_mass,
     _panel_log_weights,
     _picker_log_weights,
     _random_init,
     _segment_e_step,
-    _segments,
     m_step,
 )
-from migfilter.continuous import stream_to_panel
 from migfilter.errors import ImpossibleObservationError, ModelError
 from migfilter.model import HiddenFactorSpec, MigrationLaw, Mode, sort_states_by_risk
 
 from conftest import random_instance
+from test_segment_em import collapse, fine_grid
 
 
 def reference_em_single(panel, pi, trans, per_state, cfg, e_and_m):
@@ -52,16 +50,17 @@ def reference_em_single(panel, pi, trans, per_state, cfg, e_and_m):
     return np.array(trace), params, converged
 
 
-def reference_multi_start(panel, m, cfg, e_and_m):
-    """The restart loop one restart at a time; starts come from the module's
-    ``_random_init``, so a test that patches it patches both fits."""
+def reference_multi_start(data, p, m, cfg, e_and_m):
+    """The restart loop one restart at a time over ``p`` ratings, ``data``
+    passed to ``e_and_m``; starts come from the module's ``_random_init``,
+    so a test that patches it patches both fits."""
     master = np.random.default_rng(cfg.seed)
     seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=cfg.restarts)]
     traces, fits, converged, failures = [], [], [], []
     for seed in seeds:
-        start = calibrate._random_init(np.random.default_rng(seed), m, panel.p, cfg.floor)
+        start = calibrate._random_init(np.random.default_rng(seed), m, p, cfg.floor)
         try:
-            trace, params, conv = reference_em_single(panel, *start, cfg, e_and_m)
+            trace, params, conv = reference_em_single(data, *start, cfg, e_and_m)
         except ImpossibleObservationError as exc:
             traces.append(np.empty(0))
             fits.append(None)
@@ -98,18 +97,18 @@ def reference_discrete_e_and_m(panel, pi, trans, per_state, cfg):
 
 
 def reference_em_fit_continuous(stream, m, cfg, fine_dt):
-    """``em_fit_continuous(..., to_generator=False)`` one restart at a time,
-    each iteration an unstacked segment E-step and grouped picker M-step."""
-    fine = stream_to_panel(stream, fine_dt)
-    exposures, src, dst, n_bar = _fine_grid_from_panel(fine)
-    seg = _segments(exposures, src, dst)
+    """``em_fit_continuous(..., to_generator=False)`` one restart at a time
+    on the per-interval reference's segments, each iteration an unstacked
+    segment E-step and grouped picker M-step."""
+    exposures, src, dst, n_bar = fine_grid(stream, fine_dt)
+    seg = collapse(exposures, src, dst)
     nojump = seg.src < 0
     y_nj, row_of = np.unique(seg.exposures[nojump], axis=0, return_inverse=True)
 
-    def e_and_m(_panel, pi, trans, per_state, cfg):
+    def e_and_m(seg, pi, trans, per_state, cfg):
         logw = _picker_log_weights(seg.exposures, seg.src, seg.dst, per_state, n_bar)
         loglik, u, v = _segment_e_step(logw, pi, trans, seg)
-        jump_mass = _jump_posterior_mass(u, seg.src, seg.dst, m, fine.p)
+        jump_mass = _jump_posterior_mass(u, seg.src, seg.dst, m, stream.p)
         u_nj = np.zeros((len(y_nj), m))
         np.add.at(u_nj, row_of.ravel(), u[nojump])
         new_per_state = calibrate.minimize(
@@ -117,7 +116,7 @@ def reference_em_fit_continuous(stream, m, cfg, fine_dt):
         )
         return loglik, (*_chain_m_step(u, v), new_per_state)
 
-    return replace(reference_multi_start(fine, m, cfg, e_and_m), fine_dt=fine_dt)
+    return replace(reference_multi_start(seg, stream.p, m, cfg, e_and_m), fine_dt=fine_dt)
 
 
 def assert_same_fit(got, want):
@@ -153,7 +152,8 @@ def test_random_panels_match_sequential_fit():
             seed=int(rng.integers(2**31)),
         )
         got = mf.em_fit(panel, m, cfg)
-        assert_same_fit(got, reference_multi_start(panel, m, cfg, reference_discrete_e_and_m))
+        want = reference_multi_start(panel, panel.p, m, cfg, reference_discrete_e_and_m)
+        assert_same_fit(got, want)
         uneven += len({t.size for t in got.restart_traces}) > 1
     # restarts leaving the batch at different iterations were exercised
     assert uneven >= 10
@@ -197,7 +197,7 @@ def test_failed_restart_is_reported_in_the_result(monkeypatch):
     monkeypatch.setattr(calibrate, "_random_init", second_draw_impossible)
     cfg = mf.EmConfig(restarts=3, max_iters=20, seed=3)
     got = mf.em_fit(panel, 2, cfg)
-    want = reference_multi_start(panel, 2, cfg, reference_discrete_e_and_m)
+    want = reference_multi_start(panel, panel.p, 2, cfg, reference_discrete_e_and_m)
     assert_same_fit(got, want)
     assert [f is None for f in got.restart_failures] == [True, False, True]
 
@@ -211,7 +211,7 @@ def test_every_restart_failing_gives_the_sequential_message(monkeypatch):
     )
     cfg = mf.EmConfig(restarts=3, max_iters=5, seed=2)
     with pytest.raises(ModelError) as want:
-        reference_multi_start(panel, 2, cfg, reference_discrete_e_and_m)
+        reference_multi_start(panel, panel.p, 2, cfg, reference_discrete_e_and_m)
     with pytest.raises(ModelError) as got:
         mf.em_fit(panel, 2, cfg)
     assert str(got.value) == str(want.value)

@@ -334,31 +334,37 @@ def picker_oracle_weights(trajectories, per_state, n_bar):
 
 class TestPickerWeights:
     def test_full_sample_identity_law_gives_unit_weight(self):
-        panel = mf.MigrationPanel(np.full((3, 2), 2), np.array([np.diag([2, 2])] * 3))
-        law = mf.MigrationLaw(np.array([np.eye(2), np.eye(2)]))
-        w = mf.picker_weights(panel, law)  # n_bar = 4 = every interval's total
+        exposures, jumps = np.full((3, 2), 2), np.full(3, -1)
+        per_state = np.array([np.eye(2), np.eye(2)])
+        # n_bar = 4 = every interval's total
+        w = np.exp(_picker_log_weights(exposures, jumps, jumps, per_state, 4.0))
         np.testing.assert_allclose(w, 1.0, atol=1e-12)
 
     def test_jump_interval_ratios_follow_the_law(self):
-        counts = np.array([[[1, 1], [0, 2]]])
-        panel = mf.MigrationPanel(np.array([[2, 2]]), counts)
         per_state = np.array([[[0.95, 0.05], [0.1, 0.9]], [[0.8, 0.2], [0.3, 0.7]]])
-        law = mf.MigrationLaw(per_state)
-        w = mf.picker_weights(panel, law)  # n_bar = 4
+        src, dst = np.array([0]), np.array([1])
+        w = np.exp(_picker_log_weights(np.array([[2, 2]]), src, dst, per_state, 4.0))
         assert w[0, 0] / w[0, 1] == pytest.approx(0.05 / 0.2)
 
-    def test_sample_without_entities_rejected(self):
-        panel = mf.MigrationPanel(np.zeros((2, 2), int), np.zeros((2, 2, 2), int))
-        law = mf.MigrationLaw(np.array([np.eye(2)]))
-        with pytest.raises(DataError, match="sample holds no entities"):
-            mf.picker_weights(panel, law)
+    def fit(self, times, sources, targets, initial):
+        stream = mf.EventStream(times, sources, targets, initial, horizon=2.0)
+        return mf.em_fit_continuous(stream, 1, mf.EmConfig(restarts=1), fine_dt=1.0)
 
-    def test_two_jump_interval_rejected(self):
-        counts = np.array([[[0, 2], [0, 0]]])
-        panel = mf.MigrationPanel(np.array([[2, 0]]), counts)
-        law = mf.MigrationLaw(np.array([np.eye(2)]))
-        with pytest.raises(DataError):
-            mf.picker_weights(panel, law)
+    def test_sample_without_entities_rejected(self):
+        with pytest.raises(DataError, match="sample holds no entities"):
+            self.fit([], [], [], [0, 0])
+
+    @pytest.mark.parametrize(
+        "sources, targets, initial",
+        [([0, 0], [1, 1], [2, 0, 0]), ([0, 1], [1, 2], [1, 0, 0])],
+        ids=["two-entities", "one-entity-twice"],
+    )
+    def test_two_jump_interval_rejected(self, sources, targets, initial):
+        with pytest.raises(
+            DataError,
+            match="^fine-grid step 1 holds 2 jumps; the picker likelihood needs at most one",
+        ):
+            self.fit([1.3, 1.6], sources, targets, initial)
 
     def test_matches_entity_level_enumeration(self):
         # 2 entities over 4 intervals, one censoring gap, n_bar = 3

@@ -657,6 +657,19 @@ class TestStepSizes:
             mf.stream_to_panel(self.stream(), step)
 
     @pytest.mark.parametrize(
+        "read",
+        [
+            lambda stream, step: mf.stream_to_panel(stream, step),
+            lambda stream, step: mf.em_fit_continuous(stream, 1, mf.EmConfig(restarts=1), step),
+        ],
+        ids=["stream_to_panel", "em_fit_continuous"],
+    )
+    def test_a_step_far_longer_than_the_horizon_is_refused(self, read):
+        """The horizon is within 1e-9 of zero steps: a grid of no steps."""
+        with pytest.raises(DataError, match="^horizon 2.0 is not a positive whole number of"):
+            read(self.stream(), 1e12)
+
+    @pytest.mark.parametrize(
         "grid_dt, report_dt",
         [(float("nan"), 1.0), (float("inf"), 1.0), (0.0, 1.0), (-0.5, 1.0),
          (0.01, float("nan")), (0.01, float("inf")), (0.01, 0.0), (0.01, -1.0)],

@@ -1,7 +1,7 @@
 """Every submodule imports on its own in a fresh interpreter, so an import
 cycle between submodules fails whichever module a caller imports first, and
 importing the package loads no scipy module (scipy's import costs about
-half a second of every CLI process)."""
+half a second of every CLI process).  The public names are pinned."""
 
 import pkgutil
 import subprocess
@@ -49,3 +49,22 @@ def test_package_import_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_public_api():
+    """The package's public names, pinned, so that adding or removing one
+    shows in review as a change to this list."""
+    assert sorted(migfilter.__all__) == [
+        "BackwardResult", "CalibrationResult", "DataError", "EmConfig", "EvaluationReport",
+        "EventStream", "FilterState", "FilterTrajectory", "ForwardResult", "HiddenFactorSpec",
+        "ImpossibleObservationError", "MigfilterError", "MigrationLaw", "MigrationPanel", "Mode",
+        "ModelError", "NumericalError", "PiecewisePath", "RatingPaths", "SimulationConfig",
+        "SpreadConfig", "backward_pass", "build_panel", "calibrate", "continuous", "demo_model",
+        "em_fit", "em_fit_continuous", "errors", "evaluate_predictions", "filtering",
+        "forward_pass", "generator_to_transition", "ingest_ratings", "m_step", "model",
+        "model_from_json", "model_to_json", "panel_io", "posteriors", "predict_transition_probs",
+        "r_squared", "realized_ratios", "risk_scores", "rolling_backtest",
+        "run_continuous_filter", "run_filter", "simulate", "simulate_events_continuous",
+        "simulate_hidden_path", "simulate_panel_discrete", "sort_states_by_risk",
+        "spread_jumps", "stream_to_panel", "transition_to_generator", "validate_model",
+    ]

@@ -171,6 +171,14 @@ NAMED_CASES = {
         "predict_transition_probs",
         lambda: mf.predict_transition_probs(NAN_LAW, np.array([0.5, 0.5])),
     ),
+    "predict_transition_probs-state-entry-nan": (
+        "predict_transition_probs",
+        lambda: mf.predict_transition_probs(DL, np.array([np.nan, 1.0])),
+    ),
+    "predict_transition_probs-state-sum": (
+        "predict_transition_probs",
+        lambda: mf.predict_transition_probs(DL, np.array([0.9, 0.9])),
+    ),
 }
 
 

@@ -11,6 +11,11 @@ bounds, because EM carries each iteration's rounding-level differences into
 the next, and the solver, which stops once its Newton step falls below 1e-6
 of each coordinate's range, can turn them into differences of about 1e-12
 in its iterates.
+
+The reference grid is ``stream_to_panel`` read back interval by interval
+and collapsed into segments; the package reads its segments straight from
+the stream.  On every stream the two give the same arrays bit for bit, or
+both refuse it with a DataError.
 """
 
 from dataclasses import replace
@@ -19,6 +24,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import test_picker_solver
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_picker_solver import lbfgs_picker_rows
 
 import migfilter as mf
@@ -26,27 +33,64 @@ from migfilter import calibrate
 from migfilter.calibrate import (
     _chain_m_step,
     _e_step,
-    _fine_grid_from_panel,
+    _fine_segments,
     _jump_posterior_mass,
     _multi_start,
     _picker_log_weights,
     _random_init,
+    _Segments,
     _segment_e_step,
-    _segments,
 )
 from migfilter.continuous import stream_to_panel
-from migfilter.errors import ImpossibleObservationError
+from migfilter.errors import DataError, ImpossibleObservationError
 
 
-def reference_e_and_m(fine):
+def fine_grid(stream, fine_dt):
+    """The per-interval reference grid: ``stream_to_panel`` on intervals of
+    ``fine_dt``, read back as the exposures, each interval's jump source and
+    target (-1 without a jump) and ``n_bar``, the largest per-interval
+    entity total."""
+    panel = stream_to_panel(stream, fine_dt)
+    p = panel.p
+    off = ~np.eye(p, dtype=bool)
+    totals = panel.counts[:, off].sum(axis=1)
+    bad = np.nonzero(totals > 1)[0]
+    if bad.size:
+        raise DataError(f"fine-grid step {int(bad[0])} holds {int(totals[bad[0]])} jumps")
+    # the one jump of a step is its largest off-diagonal cell
+    cell = (panel.counts * off).reshape(panel.steps, p * p).argmax(axis=1)
+    src = np.where(totals == 1, cell // p, -1)
+    dst = np.where(totals == 1, cell % p, -1)
+    n_bar = float(panel.exposures.sum(axis=1).max(initial=0))
+    if n_bar <= 0:
+        raise DataError("sample holds no entities")
+    return panel.exposures, src, dst, n_bar
+
+
+def collapse(exposures, src, dst):
+    """The reference segments of the arrays of :func:`fine_grid`: interval
+    0, interval 1 and the last interval start segments, and so does every
+    other interval that is a jump, follows a jump or changes exposures."""
+    steps = src.shape[0]
+    new = np.ones(steps, dtype=bool)
+    new[2:-1] = (
+        (src[2:-1] >= 0)
+        | (src[1:-2] >= 0)
+        | (exposures[2:-1] != exposures[1:-2]).any(axis=1)
+    )
+    starts = np.flatnonzero(new)
+    lengths = np.diff(starts, append=steps)
+    return _Segments(starts, lengths, exposures[starts], src[starts], dst[starts])
+
+
+def reference_e_and_m(exposures, src, dst, n_bar):
     """The per-interval E-step and the package's picker M-step with one row
-    per no-jump interval on the fine panel ``fine``, for restarts stacked on
-    a leading axis."""
-    exposures, src, dst, n_bar = _fine_grid_from_panel(fine)
+    per no-jump interval on the arrays of :func:`fine_grid`, for restarts
+    stacked on a leading axis."""
     nojump = src < 0
     y_nj = exposures[nojump].astype(float)
 
-    def e_and_m(_panel, pi, trans, per_state, cfg):
+    def e_and_m(_data, pi, trans, per_state, cfg):
         *_, m, p, _ = per_state.shape
         logw = _picker_log_weights(exposures, src, dst, per_state, n_bar)
         loglik, u, v = _e_step(logw, pi, trans)
@@ -63,8 +107,9 @@ def reference_e_and_m(fine):
 
 def reference_fit(stream, m, cfg, fine_dt):
     """``em_fit_continuous(..., to_generator=False)`` on fine intervals."""
-    fine = stream_to_panel(stream, fine_dt)
-    return replace(_multi_start(fine, m, cfg, reference_e_and_m(fine)), fine_dt=fine_dt)
+    grid = fine_grid(stream, fine_dt)
+    fit = _multi_start(None, stream.p, m, cfg, reference_e_and_m(*grid))
+    return replace(fit, fine_dt=fine_dt)
 
 
 def spread_stream(seed, m=2, p=2, entities=12, steps=25, slot_factor=1):
@@ -145,12 +190,121 @@ def run_sums(x, starts, axis):
     return np.add.reduceat(x, starts, axis=axis)
 
 
+def segments_or_refusal(build):
+    """The bytes, dtype and shape of every segment array and ``n_bar``,
+    or "refused" when ``build`` raises DataError."""
+    try:
+        seg, n_bar = build()
+    except DataError:
+        return "refused"
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in seg] + [n_bar]
+
+
+def reference_segments(stream, fine_dt):
+    exposures, src, dst, n_bar = fine_grid(stream, fine_dt)
+    return collapse(exposures, src, dst), n_bar
+
+
+@st.composite
+def fine_streams(draw):
+    """Streams on a grid of ``fine_dt``: event and override times on grid
+    points, within 1e-12 of a step of one, or between them; overrides that
+    set new exposures or repeat the ones in force.  Sources always hold
+    exposure, and most streams are sparse enough to keep one event per
+    interval."""
+    p = draw(st.integers(2, 3))
+    fine_dt = draw(st.sampled_from([0.5, 0.25, 0.1, 1 / 3, 0.7]))
+    steps = draw(st.integers(1, 12))
+
+    def time():
+        k = draw(st.integers(0, steps))
+        kind = draw(st.sampled_from(["on", "near", "off"]))
+        if kind == "on":
+            return k * fine_dt
+        if kind == "near":
+            return (k + draw(st.floats(-1e-12, 1e-12))) * fine_dt
+        return (k + draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))) * fine_dt
+
+    horizon = steps * fine_dt
+    n_events = draw(st.integers(0, steps))
+    n_overrides = draw(st.integers(0, 3))
+    # at equal times an event applies before an override
+    moments = sorted(
+        [(time(), 0) for _ in range(n_events)] + [(time(), 1) for _ in range(n_overrides)]
+    )
+    counts_of = st.lists(st.integers(0, 3), min_size=p, max_size=p)
+    y = draw(counts_of)
+    initial = list(y)
+    times, sources, targets, boundary_times, boundary_exposures = [], [], [], [], []
+    for t, is_override in moments:
+        if not 0.0 < t <= horizon:
+            continue
+        if is_override:
+            y = list(y) if draw(st.booleans()) else draw(counts_of)
+            boundary_times.append(t)
+            boundary_exposures.append(list(y))
+            continue
+        movable = [j for j in range(p) if y[j] > 0]
+        if not movable or (times and times[-1] == t):
+            continue
+        j = draw(st.sampled_from(movable))
+        k = draw(st.sampled_from([x for x in range(p) if x != j]))
+        times.append(t)
+        sources.append(j)
+        targets.append(k)
+        y[j] -= 1
+        y[k] += 1
+    return mf.EventStream(
+        times=np.array(times, dtype=float),
+        sources=np.array(sources, dtype=np.int64),
+        targets=np.array(targets, dtype=np.int64),
+        initial_exposures=np.array(initial),
+        horizon=horizon,
+        boundary_times=np.array(boundary_times) if boundary_times else None,
+        boundary_exposures=np.array(boundary_exposures) if boundary_exposures else None,
+    ), fine_dt
+
+
+@settings(max_examples=400, deadline=None)
+@given(fine_streams())
+def test_segments_from_the_stream_match_the_interval_reference(drawn):
+    stream, fine_dt = drawn
+    assert segments_or_refusal(lambda: _fine_segments(stream, fine_dt)) == segments_or_refusal(
+        lambda: reference_segments(stream, fine_dt)
+    )
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_segments_of_the_cases_match_the_interval_reference(case):
+    stream, fine_dt = CASES[case]()
+    got = segments_or_refusal(lambda: _fine_segments(stream, fine_dt))
+    assert got != "refused"
+    assert got == segments_or_refusal(lambda: reference_segments(stream, fine_dt))
+
+
+def test_override_snapped_past_an_event_is_refused():
+    """The override at 2.773 precedes the event at 3.0 that leaves rating
+    2, but snaps to grid index 6, after that event's interval; at the
+    interval's start rating 2 holds no exposure."""
+    stream = mf.EventStream(
+        times=[0.3189, 1.5, 3.0], sources=[0, 0, 2], targets=[2, 2, 0],
+        initial_exposures=[2, 3, 4], horizon=3.0, boundary_times=[1.414, 2.0, 2.773],
+        boundary_exposures=[[3, 0, 2], [3, 1, 0], [2, 3, 2]],
+    )
+    with pytest.raises(DataError, match="more departures from rating 2"):
+        reference_segments(stream, 0.5)
+    with pytest.raises(
+        DataError, match=r"^fine-grid step 5: event 2 leaves rating 2, which holds no exposure"
+    ):
+        _fine_segments(stream, 0.5)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_one_e_step_matches_the_interval_e_step(case, m):
     stream, fine_dt = CASES[case]()
-    exposures, src, dst, n_bar = _fine_grid_from_panel(stream_to_panel(stream, fine_dt))
-    seg = _segments(exposures, src, dst)
+    exposures, src, dst, n_bar = fine_grid(stream, fine_dt)
+    seg, _ = _fine_segments(stream, fine_dt)
     pi, trans, per_state = random_params(7 * m, 3, m, exposures.shape[1])
     want_ll, want_u, want_v = _e_step(
         _picker_log_weights(exposures, src, dst, per_state, n_bar), pi, trans
@@ -168,8 +322,8 @@ def test_one_e_step_matches_the_interval_e_step(case, m):
 
 def test_segments_collapse_runs_of_equal_no_jump_intervals():
     stream, fine_dt = open_cohort_stream(4)
-    exposures, src, dst, _ = _fine_grid_from_panel(stream_to_panel(stream, fine_dt))
-    seg = _segments(exposures, src, dst)
+    exposures, src, dst, _ = fine_grid(stream, fine_dt)
+    seg, _ = _fine_segments(stream, fine_dt)
     steps = src.shape[0]
     assert seg.starts[0] == 0 and seg.lengths[0] == 1 and seg.lengths[-1] == 1
     assert seg.lengths.sum() == steps
@@ -198,8 +352,8 @@ def capture_objective(monkeypatch):
 @pytest.mark.parametrize("case", ["spread", "open_cohort", "three_ratings", "no_events"])
 def test_grouped_picker_objective_matches_per_interval_rows(case, monkeypatch):
     stream, fine_dt = CASES[case]()
-    exposures, src, dst, n_bar = _fine_grid_from_panel(stream_to_panel(stream, fine_dt))
-    seg = _segments(exposures, src, dst)
+    exposures, src, dst, n_bar = fine_grid(stream, fine_dt)
+    seg, _ = _fine_segments(stream, fine_dt)
     p, m = exposures.shape[1], 2
     pi, trans, per_state = random_params(11, 1, m, p)
     logw = _picker_log_weights(exposures, src, dst, per_state, n_bar)
@@ -261,8 +415,8 @@ def test_impossible_run_is_reported_at_the_same_interval():
     """A run whose no-jump weight is zero in every state fails where the
     per-interval scan fails: at the run's first interval."""
     stream, fine_dt = open_cohort_stream(5)
-    exposures, src, dst, n_bar = _fine_grid_from_panel(stream_to_panel(stream, fine_dt))
-    seg = _segments(exposures, src, dst)
+    exposures, src, dst, n_bar = fine_grid(stream, fine_dt)
+    seg, _ = _fine_segments(stream, fine_dt)
     full = np.flatnonzero((exposures.sum(axis=1) == n_bar) & (src < 0))
     assert full.size and full[0] > 0
     p = exposures.shape[1]
@@ -285,8 +439,8 @@ def test_segment_count_does_not_grow_with_the_slots():
         intervals, bounds = [], []
         for factor in (1, 4):
             stream, fine_dt = spread_stream(seed, steps=30, slot_factor=factor)
-            exposures, src, dst, _ = _fine_grid_from_panel(stream_to_panel(stream, fine_dt))
-            seg = _segments(exposures, src, dst)
+            exposures, src, dst, _ = fine_grid(stream, fine_dt)
+            seg, _ = _fine_segments(stream, fine_dt)
             jumps = int((src >= 0).sum())
             changes = int(
                 ((exposures[1:] != exposures[:-1]).any(axis=1) & (src[:-1] < 0)).sum()

@@ -76,4 +76,16 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BackwardResult", "CalibrationResult", "DataError", "EmConfig", "EvaluationReport",
+    "EventStream", "FilterState", "FilterTrajectory", "ForwardResult", "HiddenFactorSpec",
+    "ImpossibleObservationError", "MigfilterError", "MigrationLaw", "MigrationPanel", "Mode",
+    "ModelError", "NumericalError", "PiecewisePath", "RatingPaths", "SimulationConfig",
+    "SpreadConfig", "backward_pass", "build_panel", "demo_model", "em_fit", "em_fit_continuous",
+    "evaluate_predictions", "forward_pass", "generator_to_transition", "ingest_ratings", "m_step",
+    "model_from_json", "model_to_json", "posteriors", "predict_transition_probs", "r_squared",
+    "realized_ratios", "risk_scores", "rolling_backtest", "run_continuous_filter", "run_filter",
+    "simulate_events_continuous", "simulate_hidden_path", "simulate_panel_discrete",
+    "sort_states_by_risk", "spread_jumps", "stream_to_panel", "transition_to_generator",
+    "validate_model",
+]

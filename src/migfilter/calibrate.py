@@ -405,20 +405,6 @@ def _backward(logg: np.ndarray, trans: np.ndarray) -> BackwardResult:
     return BackwardResult(beta=beta, log_scale=log_scale)
 
 
-def _check_panel_model(
-    caller: str,
-    panel: MigrationPanel,
-    factor: HiddenFactorSpec,
-    law: MigrationLaw,
-) -> None:
-    """:func:`~migfilter.model._check_model` of a discrete (factor, law)
-    pair, then the panel's rating classes against the law's; every
-    :class:`ModelError` names ``caller``."""
-    _check_model(caller, Mode.DISCRETE, factor, law, None)
-    if panel.p != law.p:
-        raise ModelError(f"{caller}: panel has {panel.p} rating classes, law has {law.p}")
-
-
 def forward_pass(
     panel: MigrationPanel, factor: HiddenFactorSpec, law: MigrationLaw
 ) -> ForwardResult:
@@ -428,7 +414,7 @@ def forward_pass(
     Row ``t`` of ``alpha`` refers to the hidden state driving step ``t``
     (the state in force at the step's start).
     """
-    _check_panel_model("forward_pass", panel, factor, law)
+    _check_model("forward_pass", Mode.DISCRETE, factor, law, None, panel.p)
     if panel.steps == 0:
         return ForwardResult(
             alpha=np.empty((0, factor.m)), log_scale=np.empty(0), loglik=0.0
@@ -441,7 +427,7 @@ def backward_pass(
 ) -> BackwardResult:
     """Scaled backward recursion; the terminal column is flat (nothing is
     observed after the last step)."""
-    _check_panel_model("backward_pass", panel, factor, law)
+    _check_model("backward_pass", Mode.DISCRETE, factor, law, None, panel.p)
     if panel.steps == 0:
         return BackwardResult(beta=np.empty((0, factor.m)), log_scale=np.empty(0))
     logg = _panel_log_weights(panel, law.per_state)
@@ -463,7 +449,7 @@ def posteriors(
     column marginal ``u[t + 1]``.  ``fwd`` and ``bwd`` must cover the
     panel's steps.
     """
-    _check_panel_model("posteriors", panel, factor, law)
+    _check_model("posteriors", Mode.DISCRETE, factor, law, None, panel.p)
     want = (panel.steps, factor.m)
     if fwd.alpha.shape != want or bwd.beta.shape != want:
         raise DataError(
@@ -521,13 +507,20 @@ def m_step(
     ``floor`` keeps its previous value (no information to update it with);
     migration rows are floored at ``floor`` and renormalized.  Leading axes
     of ``u`` and ``v`` are restart axes, and ``prev_law`` may be given as
-    its per-state array stacked the same way.
+    its per-state array stacked the same way; all must fit the panel.
     """
+    prev = getattr(prev_law, "per_state", prev_law)
+    m, steps, p = u.shape[-1], panel.steps, panel.p
+    fits = u.shape[-2:-1] == (steps,) and v.shape[-3:] == (max(steps - 1, 0), m, m)
+    if not (fits and np.shape(prev)[-3:] == (m, p, p)):
+        raise DataError(
+            f"m_step: posteriors of shapes {u.shape} and {v.shape} and a previous law of "
+            f"shape {np.shape(prev)} do not fit a panel of {steps} steps and {p} ratings"
+        )
     pi, trans = _chain_m_step(u, v)
     num = np.einsum("...ti,tkr->...ikr", u, panel.counts.astype(float))
     den = np.einsum("...ti,tk->...ik", u, panel.exposures.astype(float))
     blind = den < max(floor, 1e-300)
-    prev = getattr(prev_law, "per_state", prev_law)
     per_state = np.where(
         blind[..., None], prev, num / np.where(blind, 1.0, den)[..., None]
     )

@@ -118,8 +118,8 @@ def spread_jumps(panel: MigrationPanel, cfg: SpreadConfig) -> EventStream:
         targets=targets,
         initial_exposures=panel.exposures[0],
         horizon=panel.steps * d,
-        boundary_times=np.arange(1, panel.steps) * d if panel.steps > 1 else None,
-        boundary_exposures=panel.exposures[1:] if panel.steps > 1 else None,
+        boundary_times=np.arange(1, panel.steps) * d,
+        boundary_exposures=panel.exposures[1:],
     )
 
 
@@ -140,11 +140,16 @@ def stream_to_panel(stream: EventStream, step_days: float) -> MigrationPanel:
     stayers = exposures - counts.sum(axis=2)
     short = np.argwhere(stayers < 0)
     if short.size:
-        # a consistent stream names no entities, so a count here is a move
         t, j = (int(x) for x in short[0])
+        # a consistent stream falls short past a snapped override or a second move
+        late = (boundary_pos == t + 1) & (stream.boundary_times < stream.times[bins == t].max())
+        cause = f"an entity moved more than once within step {t}"
+        if late.any():
+            cause = (f"the override at t={stream.boundary_times[late][0]} snaps to the end "
+                     f"of step {t}, after the events it precedes")
         raise DataError(
             f"step {t}: more departures from rating {j} than exposure at its start: "
-            f"an entity moved more than once within step {t}; aggregate with a finer step_days"
+            f"{cause}; aggregate with a finer step_days"
         )
     diagonal = np.arange(p)
     counts[:, diagonal, diagonal] = stayers
@@ -253,21 +258,16 @@ def run_continuous_filter(
             "run_continuous_filter: grid_dt and report_dt must be positive and finite, "
             f"got {grid_dt}, {report_dt}"
         )
-    _check_model("run_continuous_filter", Mode.CONTINUOUS, factor, law, None)
-    if events.p != law.p:
-        raise ModelError(
-            f"run_continuous_filter: stream has {events.p} rating classes, law has {law.p}"
-        )
+    _check_model("run_continuous_filter", Mode.CONTINUOUS, factor, law, None, events.p)
     horizon = float(events.horizon)
     n_intervals = max(1, math.ceil(round(horizon / report_dt, 9)))
     report_times = np.append(np.arange(1, n_intervals) * report_dt, horizon)
 
     # exposures change only at event and boundary times (the knots); row i
     # of ``exposures`` is in force from knots[i - 1] to knots[i]
-    knots = events.times
-    if events.boundary_times is not None:
-        knots = np.union1d(knots, events.boundary_times)
-    exposures = _exposures_at(events, np.concatenate(([-np.inf], knots)))
+    knots = np.union1d(events.times, events.boundary_times)
+    query = np.concatenate(([-np.inf], knots))
+    exposures = _exposures_at(events, query, events.times, events.boundary_times)
     stops = np.union1d(knots, report_times)
     stops = stops[(stops > 0.0) & (stops <= horizon)]
     # per stop: the exposure row in force since the previous stop (so just

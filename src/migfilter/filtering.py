@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import _check_panel_model, _forward, _panel_log_weights
+from .calibrate import _forward, _panel_log_weights
 from .errors import ModelError
-from .model import FilterState, HiddenFactorSpec, MigrationLaw, MigrationPanel
-from .model import _checked_laws, _freeze, predict_transition_probs
+from .model import FilterState, HiddenFactorSpec, MigrationLaw, MigrationPanel, Mode
+from .model import _check_model, _checked_laws, _freeze, predict_transition_probs
 
 __all__ = ["FilterTrajectory", "run_filter"]
 
@@ -119,7 +119,7 @@ def run_filter(
     :class:`~migfilter.errors.NumericalError` when the scan loses precision
     (the command-line tools exit with code 3).
     """
-    _check_panel_model("run_filter", panel, factor, law)
+    _check_model("run_filter", Mode.DISCRETE, factor, law, None, panel.p)
     probs = _checked_laws(factor.pi, "filter state")[None, :]
     loglik = 0.0
     if panel.steps:

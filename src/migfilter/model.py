@@ -284,9 +284,10 @@ class EventStream:
     Event ``i`` moves one entity from ``sources[i]`` to ``targets[i]`` at
     ``times[i]`` (strictly increasing: no simultaneous jumps).  Exposures
     start at ``initial_exposures`` and follow the events; an optional
-    boundary track (nondecreasing ``boundary_times``) overrides them at given
-    times, which is how entry and censoring at aggregation-step boundaries
-    are represented.
+    boundary track (nondecreasing ``boundary_times``, given together with
+    one row of ``boundary_exposures`` each) overrides them at given times,
+    which is how entry and censoring at aggregation-step boundaries are
+    represented.  Without a track both are empty, of shapes (0,) and (0, p).
 
     Tie rule: the exposures in force at time ``q`` are those after every
     event at a time ``<= q`` and then the last boundary override at a time
@@ -312,35 +313,35 @@ class EventStream:
         object.__setattr__(self, "times", _freeze(np.atleast_1d(self.times)))
         for name in ("sources", "targets", "initial_exposures"):
             object.__setattr__(self, name, _freeze_int(np.atleast_1d(getattr(self, name)), name))
-        if self.boundary_times is not None:
-            object.__setattr__(self, "boundary_times", _freeze(np.atleast_1d(self.boundary_times)))
-            exposures = _freeze_int(np.atleast_2d(self.boundary_exposures), "boundary_exposures")
-            object.__setattr__(self, "boundary_exposures", exposures)
-            if self.boundary_exposures.shape != (self.boundary_times.shape[0], self.p):
-                raise DataError(
-                    f"boundary_exposures must have shape {(self.boundary_times.shape[0], self.p)}, "
-                    f"got {self.boundary_exposures.shape}"
-                )
-            if np.any(np.diff(self.boundary_times) < 0):
-                raise DataError("boundary times must be nondecreasing")
-            if np.any(self.boundary_exposures < 0):
-                raise DataError("boundary_exposures must be nonnegative")
+        track = (self.boundary_times, self.boundary_exposures)
+        missing = [name for name, part in zip(("times", "exposures"), track) if part is None]
+        if len(missing) == 1:
+            raise DataError(f"boundary times and exposures go together; {missing[0]} are missing")
+        times, exposures = (np.empty(0), np.empty((0, self.p))) if missing else track
+        object.__setattr__(self, "boundary_times", _freeze(np.atleast_1d(times)))
+        exposures = _freeze_int(np.atleast_2d(exposures), "boundary_exposures")
+        object.__setattr__(self, "boundary_exposures", exposures)
+        if self.boundary_exposures.shape != (self.boundary_times.shape[0], self.p):
+            raise DataError(
+                f"boundary_exposures must have shape {(self.boundary_times.shape[0], self.p)}, "
+                f"got {self.boundary_exposures.shape}"
+            )
+        if np.any(np.diff(self.boundary_times) < 0):
+            raise DataError("boundary times must be nondecreasing")
+        if np.any(self.boundary_exposures < 0):
+            raise DataError("boundary_exposures must be nonnegative")
         if np.any(self.initial_exposures < 0):
             raise DataError("initial_exposures must be nonnegative")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise DataError(f"horizon must be finite and positive, got {self.horizon!r}")
-        if not np.isfinite(self.times).all():
-            raise DataError("event times must be finite")
-        if self.boundary_times is not None:
-            if not np.isfinite(self.boundary_times).all():
-                raise DataError("boundary times must be finite")
-            if np.any(self.boundary_times <= 0) or np.any(self.boundary_times > self.horizon):
-                raise DataError("boundary times must lie in (0, horizon]")
+        for name, when in (("event", self.times), ("boundary", self.boundary_times)):
+            if not np.isfinite(when).all():
+                raise DataError(f"{name} times must be finite")
+            if np.any(when <= 0) or np.any(when > self.horizon):
+                raise DataError(f"{name} times must lie in (0, horizon]")
         n = self.times.shape[0]
         if self.sources.shape[0] != n or self.targets.shape[0] != n:
             raise DataError("times, sources and targets must have equal length")
-        if n and (np.any(self.times <= 0) or np.any(self.times > self.horizon)):
-            raise DataError("event times must lie in (0, horizon]")
         if n > 1 and np.any(np.diff(self.times) <= 0):
             raise DataError("event times must be strictly increasing")
         if np.any(self.sources == self.targets):
@@ -366,23 +367,19 @@ class EventStream:
 
     def exposure_snapshots(self) -> np.ndarray:
         """Exposure vector in force just before each event, shape (n, p)."""
-        return _exposures_at(self, np.nextafter(self.times, -np.inf))
+        before = np.nextafter(self.times, -np.inf)
+        return _exposures_at(self, before, self.times, self.boundary_times)
 
 
 def _exposures_at(
-    stream: EventStream,
-    query: np.ndarray,
-    event_pos: np.ndarray | None = None,
-    boundary_pos: np.ndarray | None = None,
+    stream: EventStream, query: np.ndarray, event_pos: np.ndarray, boundary_pos: np.ndarray
 ) -> np.ndarray:
     """Exposure vector in force at each query position, shape (len(query), p).
 
     Every event at a position ``<= q`` applies first, then the last boundary
-    override at a position ``<= q``.  Positions default to the stream's own
-    times; grid readers pass grid indices instead (both nondecreasing).
+    override at a position ``<= q``.  Positions (both nondecreasing) are
+    the stream's own times or, for grid readers, grid indices.
     """
-    if event_pos is None:
-        event_pos = stream.times
     n, p = stream.n_events, stream.p
     rows = np.arange(n)
     step = np.zeros((n, p), dtype=np.int64)
@@ -393,9 +390,7 @@ def _exposures_at(
     np.cumsum(step, axis=0, out=moved[1:])
     base = np.broadcast_to(stream.initial_exposures, (len(query), p))
     since = np.zeros(len(query), dtype=np.intp)
-    if stream.boundary_times is not None and stream.boundary_times.size:
-        if boundary_pos is None:
-            boundary_pos = stream.boundary_times
+    if boundary_pos.size:
         last = np.searchsorted(boundary_pos, query, side="right") - 1
         hit = last >= 0
         base = np.where(hit[:, None], stream.boundary_exposures[last], base)
@@ -416,9 +411,9 @@ def _grid_positions(stream: EventStream, step: float) -> tuple[int, np.ndarray, 
         raise DataError(
             f"horizon {stream.horizon} is not a positive whole number of {step}-day steps"
         )
-    overrides = np.empty(0) if stream.boundary_times is None else stream.boundary_times
     bins, boundary_pos = (
-        np.ceil(t / step - _GRID_TOL).astype(np.int64) for t in (stream.times, overrides)
+        np.ceil(t / step - _GRID_TOL).astype(np.int64)
+        for t in (stream.times, stream.boundary_times)
     )
     return n_steps, np.clip(bins - 1, 0, n_steps - 1), boundary_pos
 
@@ -444,13 +439,15 @@ def _pair_violations(factor: HiddenFactorSpec, law: MigrationLaw) -> list[str]:
 
 
 def _check_model(caller: str, mode: Mode, factor: HiddenFactorSpec | None,
-                 law: MigrationLaw | None, width: int | None) -> None:
+                 law: MigrationLaw | None, width: int | None, p: int | None) -> None:
     """Raise :class:`ModelError`, naming ``caller``, unless each given part
     is valid (:meth:`HiddenFactorSpec.violations`,
     :meth:`MigrationLaw.violations`), ``factor`` and ``law`` form one model
-    of ``mode`` (see :func:`_pair_violations`) and a filter state of
-    ``width`` entries fits it.  A part given as ``None`` is not checked; the
-    factor or the law must be given."""
+    of ``mode`` (see :func:`_pair_violations`), a filter state of ``width``
+    entries fits it and the caller's data (a panel, a stream or a cohort)
+    has the law's ``p`` rating classes.  A part given as ``None`` is not
+    checked; the factor or the law must be given, and the law with ``p``.
+    This is the one home of the rating-count rule."""
     model = factor if factor is not None else law
     problems = [] if model.mode is mode else [f"needs {mode.value} mode, got {model.mode.value}"]
     problems += [v for part in (factor, law) if part is not None for v in part.violations()]
@@ -459,6 +456,8 @@ def _check_model(caller: str, mode: Mode, factor: HiddenFactorSpec | None,
     name, m = ("factor", factor.m) if factor is not None else ("law", law.n_states)
     if width is not None and width != m:
         problems.append(f"{name} has {m} states but filter state has {width}")
+    if p is not None and p != law.p:
+        problems.append(f"data has {p} rating classes but law has {law.p}")
     if problems:
         raise ModelError(f"{caller}: " + "; ".join(problems))
 
@@ -472,7 +471,7 @@ def predict_transition_probs(law: MigrationLaw, state: FilterState | np.ndarray)
     convert intensities first with :func:`generator_to_transition`.
     """
     probs = state.probs if isinstance(state, FilterState) else np.asarray(state, dtype=float)
-    _check_model("predict_transition_probs", Mode.DISCRETE, None, law, probs.shape[-1])
+    _check_model("predict_transition_probs", Mode.DISCRETE, None, law, probs.shape[-1], None)
     if not isinstance(state, FilterState):
         _checked_laws(probs, "predict_transition_probs: state")
     return np.einsum("...h,hjk->...jk", probs, law.per_state)

@@ -624,15 +624,14 @@ def events_to_csv(stream: EventStream, target: str | io.TextIOBase) -> None:
     entry or censoring, spread) raises :class:`DataError`; keep such a
     stream in memory, or re-spread it from its panel.
     """
-    if stream.boundary_times is not None:
-        # overrides placed past every query: the exposures the events imply
-        never = np.full(stream.boundary_times.shape, np.inf)
-        implied = _exposures_at(stream, stream.boundary_times, boundary_pos=never)
-        if not np.array_equal(implied, stream.boundary_exposures):
-            raise DataError(
-                "the event CSV holds no boundary exposures, and this stream's "
-                "differ from what its events imply (entry or censoring)"
-            )
+    # overrides placed past every query: the exposures the events imply
+    never = np.full(stream.boundary_times.shape, np.inf)
+    implied = _exposures_at(stream, stream.boundary_times, stream.times, never)
+    if not np.array_equal(implied, stream.boundary_exposures):
+        raise DataError(
+            "the event CSV holds no boundary exposures, and this stream's "
+            "differ from what its events imply (entry or censoring)"
+        )
     y0 = ",".join(str(int(x)) for x in stream.initial_exposures)
     rows = zip(stream.times.tolist(), (stream.sources + 1).tolist(), (stream.targets + 1).tolist())
     comment = f"exposures0={y0} horizon={stream.horizon!r}"

@@ -90,7 +90,7 @@ def simulate_hidden_path(factor: HiddenFactorSpec, config: SimulationConfig):
     :class:`PiecewisePath`: holding times are exponential with the diagonal
     exit rate, jump targets proportional to the off-diagonal intensities.
     """
-    _check_model("simulate_hidden_path", config.mode, factor, None, None)
+    _check_model("simulate_hidden_path", config.mode, factor, None, None, None)
     rng = np.random.default_rng(config.seed)
     return _hidden_path(factor, config, rng)
 
@@ -141,13 +141,11 @@ def simulate_panel_discrete(
     """
     if config.mode is not Mode.DISCRETE:
         raise ModelError("simulate_panel_discrete requires a discrete config")
-    _check_model("simulate_panel_discrete", Mode.DISCRETE, factor, law, None)
+    _check_model("simulate_panel_discrete", Mode.DISCRETE, factor, law, None, config.p)
     rng = np.random.default_rng(config.seed)
     path = _hidden_path(factor, config, rng)
     steps = int(config.horizon)
     p = law.p
-    if config.p != p:
-        raise DataError(f"entities_per_rating has {config.p} classes, law has {p}")
     exposures = np.zeros((steps, p), dtype=np.int64)
     counts = np.zeros((steps, p, p), dtype=np.int64)
     y = config.entities_per_rating.astype(np.int64).copy()
@@ -176,10 +174,8 @@ def simulate_events_continuous(
     """
     if config.mode is not Mode.CONTINUOUS:
         raise ModelError("simulate_events_continuous requires a continuous config")
-    _check_model("simulate_events_continuous", Mode.CONTINUOUS, factor, law, None)
+    _check_model("simulate_events_continuous", Mode.CONTINUOUS, factor, law, None, config.p)
     p = law.p
-    if config.p != p:
-        raise DataError(f"entities_per_rating has {config.p} classes, law has {p}")
     rng = np.random.default_rng(config.seed)
     off_diag = ~np.eye(p, dtype=bool)
 

@@ -246,6 +246,16 @@ def test_exit_codes(runner, tmp_path, model_file):
     assert out.exit_code == 1
 
 
+def test_simulate_with_entities_of_other_rating_count_exits_2(runner, model_file, tmp_path):
+    out = runner.invoke(
+        main,
+        ["simulate", "--model", str(model_file), "--entities", "5,5", "--steps", "3",
+         "--out-panel", str(tmp_path / "p.csv")],
+    )
+    assert out.exit_code == 2
+    assert "simulate_panel_discrete: data has 2 rating classes but law has 3" in out.output
+
+
 def test_forecast_with_a_model_of_other_state_count_exits_2(runner, model_file, tmp_path):
     factor, law = mf.demo_model(3, 3)
     panel, _ = mf.simulate_panel_discrete(

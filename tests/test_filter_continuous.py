@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from migfilter.continuous import (
     _integrate_drift,
     _intensity_load,
 )
+from migfilter import panel_io as pio
+from migfilter.calibrate import _fine_segments
 from migfilter.errors import DataError, ImpossibleObservationError, ModelError
 from migfilter.model import _exposures_at, renormalize
 
@@ -175,10 +178,15 @@ def loop_stream_to_panel(stream, step_days):
         for j in range(p):
             counts[t, j, j] = exposures[t, j] - counts[t, j].sum()
             if counts[t, j, j] < 0:
+                # the next override, applied at step t + 1, precedes an event of step t
+                bt = stream.boundary_times
+                cause = f"an entity moved more than once within step {t}"
+                if b < bt.shape[0] and bt[b] < stream.times[e - 1]:
+                    cause = (f"the override at t={bt[b]} snaps to the end of step {t}, "
+                             "after the events it precedes")
                 raise DataError(
                     f"step {t}: more departures from rating {j} than exposure at its start: "
-                    f"an entity moved more than once within step {t}; "
-                    "aggregate with a finer step_days"
+                    f"{cause}; aggregate with a finer step_days"
                 )
     return mf.MigrationPanel(exposures, counts, step_length_days=step_days)
 
@@ -268,11 +276,10 @@ def loop_continuous_filter(events, factor, law, grid_dt, report_dt):
     knots = events.times
     if events.boundary_times is not None:
         knots = np.union1d(knots, events.boundary_times)
-    trans_t, loads, scales = _drift_inputs(
-        factor.trans,
-        _intensity_load(law, _exposures_at(events, np.concatenate(([-np.inf], knots)))),
-    )
-    pre_jump = _exposures_at(events, np.nextafter(events.times, -np.inf))
+    positions = (events.times, events.boundary_times)
+    exposures = _exposures_at(events, np.concatenate(([-np.inf], knots)), *positions)
+    trans_t, loads, scales = _drift_inputs(factor.trans, _intensity_load(law, exposures))
+    pre_jump = _exposures_at(events, np.nextafter(events.times, -np.inf), *positions)
     laws = np.empty((n_intervals + 1, factor.m))
     laws[0] = probs
     times = np.concatenate(([0.0], report_times))
@@ -373,6 +380,44 @@ class TestStreamWalker:
             )
             mf.stream_to_panel(stream, 1.0)
         assert str(err.value) == message
+
+    def test_short_step_names_a_snapped_override(self):
+        """The override at 2.773 precedes the event at 3.0 that leaves
+        rating 2, but applies at the end of step 5; no entity moves twice."""
+        stream = mf.EventStream(
+            times=[0.3189, 1.5, 3.0], sources=[0, 0, 2], targets=[2, 2, 0],
+            initial_exposures=[2, 3, 4], horizon=3.0, boundary_times=[1.414, 2.0, 2.773],
+            boundary_exposures=[[3, 0, 2], [3, 1, 0], [2, 3, 2]],
+        )
+        with pytest.raises(DataError) as err:
+            mf.stream_to_panel(stream, 0.5)
+        assert str(err.value) == (
+            "step 5: more departures from rating 2 than exposure at its start: the override "
+            "at t=2.773 snaps to the end of step 5, after the events it precedes; aggregate "
+            "with a finer step_days"
+        )
+
+    def test_a_missing_track_reads_as_an_empty_one(self):
+        """Every reader gives a stream without overrides the same bytes as
+        the stream given an empty track explicitly."""
+        events = ([0.3, 0.7, 1.5], [0, 1, 0], [1, 0, 1], [3, 2], 2.0)
+        missing = mf.EventStream(*events)
+        empty = mf.EventStream(*events, boundary_times=np.empty(0),
+                               boundary_exposures=np.empty((0, 2), dtype=np.int64))
+        factor, law = mf.demo_model(2, 2, mode=mf.Mode.CONTINUOUS)
+
+        def outputs(stream):
+            panel = mf.stream_to_panel(stream, 0.5)
+            traj = mf.run_continuous_filter(stream, factor, law, grid_dt=0.05, report_dt=0.5)
+            segments, n_bar = _fine_segments(stream, 0.25)
+            csv = io.StringIO()
+            pio.events_to_csv(stream, csv)
+            arrays = (panel.exposures, panel.counts, traj.probs, traj.predicted_ratios,
+                      traj.prediction_parts, np.float64(traj.loglik), *segments,
+                      np.float64(n_bar))
+            return [a.tobytes() for a in arrays] + [csv.getvalue()]
+
+        assert outputs(missing) == outputs(empty)
 
     def test_event_within_tolerance_of_zero_stays_in_step_zero(self):
         stream = mf.EventStream(

@@ -1,11 +1,14 @@
 """Every submodule imports on its own in a fresh interpreter, so an import
 cycle between submodules fails whichever module a caller imports first, and
 importing the package loads no scipy module (scipy's import costs about
-half a second of every CLI process).  The public names are pinned."""
+half a second of every CLI process).  The public names and the option count
+are pinned."""
 
+import ast
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -59,12 +62,38 @@ def test_public_api():
         "EventStream", "FilterState", "FilterTrajectory", "ForwardResult", "HiddenFactorSpec",
         "ImpossibleObservationError", "MigfilterError", "MigrationLaw", "MigrationPanel", "Mode",
         "ModelError", "NumericalError", "PiecewisePath", "RatingPaths", "SimulationConfig",
-        "SpreadConfig", "backward_pass", "build_panel", "calibrate", "continuous", "demo_model",
-        "em_fit", "em_fit_continuous", "errors", "evaluate_predictions", "filtering",
-        "forward_pass", "generator_to_transition", "ingest_ratings", "m_step", "model",
-        "model_from_json", "model_to_json", "panel_io", "posteriors", "predict_transition_probs",
-        "r_squared", "realized_ratios", "risk_scores", "rolling_backtest",
-        "run_continuous_filter", "run_filter", "simulate", "simulate_events_continuous",
+        "SpreadConfig", "backward_pass", "build_panel", "demo_model", "em_fit",
+        "em_fit_continuous", "evaluate_predictions", "forward_pass", "generator_to_transition",
+        "ingest_ratings", "m_step", "model_from_json", "model_to_json", "posteriors",
+        "predict_transition_probs", "r_squared", "realized_ratios", "risk_scores",
+        "rolling_backtest", "run_continuous_filter", "run_filter", "simulate_events_continuous",
         "simulate_hidden_path", "simulate_panel_discrete", "sort_states_by_risk",
         "spread_jumps", "stream_to_panel", "transition_to_generator", "validate_model",
     ]
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from migfilter import *", namespace)
+    assert [name for name, value in namespace.items() if isinstance(value, types.ModuleType)] == []
+
+
+def defaulted_options(tree):
+    """Defaulted positional and keyword-only parameters, plus fields with
+    a default in ``@dataclass`` classes."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
+def test_option_count():
+    """The package's options, counted, so that adding or removing one shows
+    in review as a change to this number."""
+    sources = sorted(Path(migfilter.__file__).parent.glob("*.py"))
+    assert sum(defaulted_options(ast.parse(path.read_text())) for path in sources) == 31

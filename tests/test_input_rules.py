@@ -159,6 +159,10 @@ NAMED_CASES = {
         "run_continuous_filter",
         run_continuous(factor_with(CF, trans=[[-np.inf, np.inf], [0.1, -0.1]]), CL),
     ),
+    "simulate_panel_discrete-rating-count": ("simulate_panel_discrete", simulate_panel(DF, DL22)),
+    "simulate_events_continuous-rating-count": (
+        "simulate_events_continuous", simulate_events(CF, CL22)
+    ),
     "simulate_panel_discrete-law-entry-nan": ("simulate_panel_discrete", simulate_panel(DF, NAN_LAW)),
     "simulate_events_continuous-law-entry-nan": (
         "simulate_events_continuous", simulate_events(CF, generator_with_rate(np.nan))
@@ -203,10 +207,26 @@ def posteriors_of(fwd_steps, bwd_steps):
     return call
 
 
+def m_step_with(steps, prev_law):
+    """``m_step`` on ``PANEL`` (3 steps, 3 ratings) with posteriors from a
+    panel of ``steps`` steps and the previous law ``prev_law``."""
+    def call():
+        config = mf.SimulationConfig(np.array([5, 5, 5]), steps, seed=0)
+        panel, _ = mf.simulate_panel_discrete(DF, DL, config)
+        u, v = mf.posteriors(
+            mf.forward_pass(panel, DF, DL), mf.backward_pass(panel, DF, DL), panel, DF, DL
+        )
+        return mf.m_step(u, v, PANEL, prev_law, floor=1e-12)
+
+    return call
+
+
 DATA_CASES = {
     "posteriors-longer-passes": ("posteriors", posteriors_of(5, 5)),
     "posteriors-longer-backward": ("posteriors", posteriors_of(3, 5)),
     "posteriors-shorter-passes": ("posteriors", posteriors_of(2, 2)),
+    "m_step-longer-posteriors": ("m_step", m_step_with(5, DL)),
+    "m_step-prev-law-rating-count": ("m_step", m_step_with(3, DL22)),
 }
 
 

@@ -253,6 +253,22 @@ class TestPanelAndStream:
                 boundary_times=[1.0], boundary_exposures=[[4, -6]],
             )
 
+    @pytest.mark.parametrize(
+        "track, missing",
+        [({"boundary_exposures": [[1, 1]]}, "times"), ({"boundary_times": [0.7]}, "exposures")],
+        ids=["exposures-without-times", "times-without-exposures"],
+    )
+    def test_stream_override_track_is_given_whole(self, track, missing):
+        with pytest.raises(
+            DataError, match=f"^boundary times and exposures go together; {missing} are missing$"
+        ):
+            mf.EventStream([0.5], [0], [1], [2, 2], 1.0, **track)
+
+    def test_stream_without_a_track_holds_empty_arrays(self):
+        stream = mf.EventStream([0.5], [0], [1], [2, 2], 1.0)
+        assert stream.boundary_times.shape == (0,)
+        assert stream.boundary_exposures.shape == (0, 2)
+
     def test_snapshots_follow_events_and_boundaries(self):
         stream = mf.EventStream(
             times=np.array([0.5, 1.5]),

@@ -513,10 +513,8 @@ def m_step(
     m, steps, p = u.shape[-1], panel.steps, panel.p
     fits = u.shape[-2:-1] == (steps,) and v.shape[-3:] == (max(steps - 1, 0), m, m)
     if not (fits and np.shape(prev)[-3:] == (m, p, p)):
-        raise DataError(
-            f"m_step: posteriors of shapes {u.shape} and {v.shape} and a previous law of "
-            f"shape {np.shape(prev)} do not fit a panel of {steps} steps and {p} ratings"
-        )
+        raise DataError(f"m_step: posteriors of shapes {u.shape} and {v.shape} and previous "
+                        f"law of shape {np.shape(prev)} do not fit a {steps}-step {p}-rating panel")
     pi, trans = _chain_m_step(u, v)
     num = np.einsum("...ti,tkr->...ikr", u, panel.counts.astype(float))
     den = np.einsum("...ti,tk->...ik", u, panel.exposures.astype(float))
@@ -877,15 +875,16 @@ def _jump_posterior_mass(
 # cap, the relative step at which a pair takes its last full step, the
 # Armijo fraction of the predicted gain a step must realize, the step
 # halvings before a pair stops where it is, the smallest curvature, relative
-# to the largest, the Newton step divides by, and the fraction of the way to
+# to the largest, the Newton step divides by, the fraction of the way to
 # the nearest barrier a line search starts from when the full step would
-# cross it.
+# cross it, and the largest distance to 1 of an epsilon-active coordinate.
 _NEWTON_ITERS = 100
 _NEWTON_TOL = 1e-6
 _ARMIJO = 1e-4
 _HALVINGS = 60
 _MIN_CURVATURE = 1e-13
 _TO_BARRIER = 0.99
+_ACTIVE_EPS = 1e-6
 
 
 def _no_jump_term(d, x, u_nj, y_nj, n_bar):
@@ -952,8 +951,10 @@ def minimize(
     step, or from ``_TO_BARRIER`` of the way to the nearest barrier
     (``x_j = 0`` or ``w_r = 0``), and accepts a step that realizes
     ``_ARMIJO`` of the gain it predicts.  Coordinates stepping above 1 are
-    projected onto 1; a coordinate at 1 whose gradient points above it is
-    clamped there while Newton solves the free ones (Bertsekas, 1982).
+    projected onto 1.  One within ``eps`` of 1 whose gradient points above
+    it (``_ACTIVE_EPS``, or the largest projected-gradient move if less)
+    takes a gradient step scaled by its curvature and capped at 1 while
+    Newton solves the free ones: Bertsekas' (1982) epsilon-active set.
     Every pair iterates alone, so its result does not depend on its batch.
 
     Returns the matrices floored at ``floor``; a pair whose result scores
@@ -990,8 +991,10 @@ def minimize(
         grad = s_over_x - (q[:, None, :] @ y_nj)[:, 0, :] / n_bar
         hess = (y_nj.T * (q / wr)[:, None, :]) @ y_nj / n_bar**2
         hess[:, eye] += s_over_x / np.where(free, xr, 1.0)
-        clamped = free & (dr == 0.0) & (grad > 0)
+        reachable = np.where(free, np.abs(np.clip(grad, -xr, dr)), 0.0).max(axis=-1)
+        clamped = free & (grad > 0) & (dr <= np.minimum(_ACTIVE_EPS, reachable)[:, None])
         free &= ~clamped
+        scaled = np.minimum(grad / np.where(clamped, np.diagonal(hess, 0, -2, -1), 1.0), dr)
         hess = np.where(free[:, :, None] & free[:, None, :], hess, eye)
         g = np.where(free, grad, 0.0)
         # the Newton step through the eigendecomposition of -H, with
@@ -1001,9 +1004,10 @@ def minimize(
         curv, basis = np.linalg.eigh(hess)
         curv = np.maximum(curv, _MIN_CURVATURE * curv[:, -1:])
         step = (basis @ ((g[:, None, :] @ basis)[:, 0, :] / curv)[..., None])[..., 0]
+        step = np.where(clamped, scaled, step)
         # predicted gain of the full step: Newton on the free coordinates,
-        # the clamped ones moved to 1
-        gain = (g * step).sum(axis=-1) + np.where(clamped, grad * (1.0 - xr), 0.0).sum(axis=-1)
+        # first order on the clamped ones
+        gain = (g * step).sum(axis=-1) + np.where(clamped, grad * step, 0.0).sum(axis=-1)
         dw = -(y_nj @ step[..., None])[..., 0] / n_bar
         with np.errstate(divide="ignore", invalid="ignore"):
             reach = np.minimum(
@@ -1019,14 +1023,13 @@ def minimize(
             moves = np.where(free & (step != 0), np.abs(step) / np.minimum(xr, dr), 0.0)
         projected = (free & (xr + step > 1.0)).any(axis=-1)
         last = (moves <= _NEWTON_TOL).all(axis=-1) & ~projected & (t == 1.0)
+        last &= ~(clamped & (dr > 0.0)).any(axis=-1)
         todo = np.arange(len(running))
         for _ in range(_HALVINGS):
             move = t[todo, None] * step[todo]
-            keep, at_bound = ~free[todo], clamped[todo]
-            trial_d = np.where(at_bound, 0.0, dr[todo])
-            trial_d = np.where(keep, trial_d, np.maximum(dr[todo] - move, 0.0))
-            trial = np.where(at_bound, 1.0, xr[todo])
-            trial = np.where(keep, trial, np.minimum(xr[todo] + move, 1.0))
+            keep = ~(free | clamped)[todo]
+            trial_d = np.where(keep, dr[todo], np.maximum(dr[todo] - move, 0.0))
+            trial = np.where(keep, xr[todo], np.minimum(xr[todo] + move, 1.0))
             f_trial, w_trial = _leave_objective(trial_d, trial, s_mass[todo], u[todo], y_nj, n_bar)
             ok = np.isfinite(f_trial) & (
                 last[todo]

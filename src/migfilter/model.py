@@ -321,11 +321,9 @@ class EventStream:
         object.__setattr__(self, "boundary_times", _freeze(np.atleast_1d(times)))
         exposures = _freeze_int(np.atleast_2d(exposures), "boundary_exposures")
         object.__setattr__(self, "boundary_exposures", exposures)
-        if self.boundary_exposures.shape != (self.boundary_times.shape[0], self.p):
-            raise DataError(
-                f"boundary_exposures must have shape {(self.boundary_times.shape[0], self.p)}, "
-                f"got {self.boundary_exposures.shape}"
-            )
+        want = (self.boundary_times.shape[0], self.p)
+        if self.boundary_exposures.shape != want:
+            raise DataError(f"boundary_exposures must have shape {want}, got {exposures.shape}")
         if np.any(np.diff(self.boundary_times) < 0):
             raise DataError("boundary times must be nondecreasing")
         if np.any(self.boundary_exposures < 0):
@@ -446,8 +444,7 @@ def _check_model(caller: str, mode: Mode, factor: HiddenFactorSpec | None,
     of ``mode`` (see :func:`_pair_violations`), a filter state of ``width``
     entries fits it and the caller's data (a panel, a stream or a cohort)
     has the law's ``p`` rating classes.  A part given as ``None`` is not
-    checked; the factor or the law must be given, and the law with ``p``.
-    This is the one home of the rating-count rule."""
+    checked; the factor or the law must be given, and the law with ``p``."""
     model = factor if factor is not None else law
     problems = [] if model.mode is mode else [f"needs {mode.value} mode, got {model.mode.value}"]
     problems += [v for part in (factor, law) if part is not None for v in part.violations()]

@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import migfilter as mf
+from migfilter import panel_io as pio
+from migfilter.calibrate import _fine_segments
 from migfilter.continuous import (
     _MAX_EULER_MASS,
     _bayes_jump,
@@ -15,8 +17,6 @@ from migfilter.continuous import (
     _integrate_drift,
     _intensity_load,
 )
-from migfilter import panel_io as pio
-from migfilter.calibrate import _fine_segments
 from migfilter.errors import DataError, ImpossibleObservationError, ModelError
 from migfilter.model import _exposures_at, renormalize
 

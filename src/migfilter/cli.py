@@ -187,7 +187,7 @@ def forecast(model_path, traj_path, step_days, out_path):
     if factor.mode is Mode.CONTINUOUS:
         law = MigrationLaw(generator_to_transition(law.per_state, step_days))
     nu = predict_transition_probs(law, traj.probs_matrix())
-    rows = np.column_stack([traj.times(), nu.reshape(len(nu), -1)]).tolist()
+    rows = np.column_stack([traj.time_index, nu.reshape(len(nu), -1)]).tolist()
     pio._write_table(out_path, ["t", *pio._columns("nu", law.p, law.p)], rows)
     click.echo(f"wrote {len(rows)} forecast rows to {out_path}")
 

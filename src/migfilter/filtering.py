@@ -96,9 +96,6 @@ class FilterTrajectory:
         """Filtered probabilities as an array of shape (n_steps + 1, m)."""
         return self.probs
 
-    def times(self) -> np.ndarray:
-        return self.time_index
-
 
 def run_filter(
     panel: MigrationPanel,

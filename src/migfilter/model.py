@@ -317,8 +317,11 @@ class EventStream:
         missing = [name for name, part in zip(("times", "exposures"), track) if part is None]
         if len(missing) == 1:
             raise DataError(f"boundary times and exposures go together; {missing[0]} are missing")
-        times, exposures = (np.empty(0), np.empty((0, self.p))) if missing else track
+        times, exposures = ((), ()) if missing else track
         object.__setattr__(self, "boundary_times", _freeze(np.atleast_1d(times)))
+        exposures = np.asarray(exposures)
+        # an empty list holds no rows, so it reads as shape (0, p), not (1, 0)
+        exposures = exposures.reshape(0, self.p) if exposures.shape == (0,) else exposures
         exposures = _freeze_int(np.atleast_2d(exposures), "boundary_exposures")
         object.__setattr__(self, "boundary_exposures", exposures)
         want = (self.boundary_times.shape[0], self.p)

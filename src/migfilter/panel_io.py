@@ -10,7 +10,6 @@ until a real rating reappears.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import csv
 import datetime as dt
@@ -33,7 +32,6 @@ __all__ = [
     "RatingPaths",
     "EvaluationReport",
     "ingest_ratings",
-    "export_ratings",
     "build_panel",
     "r_squared",
     "realized_ratios",
@@ -77,17 +75,6 @@ class RatingPaths:
     @property
     def p(self) -> int:
         return len(self.alphabet)
-
-    def rating_index_at(self, entity: str, date: dt.date) -> int | None:
-        """Index of the entity's rating on ``date``; None if unobserved or
-        censored."""
-        path = self.events.get(entity)
-        if not path:
-            return None
-        pos = bisect.bisect_right(path, date, key=lambda event: event[0])
-        if pos == 0 or path[pos - 1][1] == self.censor_label:
-            return None
-        return self.alphabet.index(path[pos - 1][1])
 
     def date_range(self) -> tuple[dt.date, dt.date]:
         # paths are date-sorted, so their ends bound every posting
@@ -162,16 +149,6 @@ def ingest_ratings(
         censor_label=censor_label,
         duplicate_count=duplicates,
     )
-
-
-def export_ratings(paths: RatingPaths, target: str | io.TextIOBase) -> None:
-    """Write paths back to the ingestion CSV format (round-trip inverse)."""
-    with _opened(target, "w") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["entity_id", "date", "rating"])
-        for entity, path in paths.events.items():
-            for date, label in path:
-                writer.writerow([entity, date.isoformat(), label])
 
 
 def build_panel(
@@ -560,7 +537,7 @@ def trajectory_to_csv(trajectory: FilterTrajectory, target: str | io.TextIOBase)
     probs, predicted = trajectory.probs_matrix(), trajectory.predicted_ratios
     p = predicted.shape[1] if predicted.size else 0
     header = ["t", *_columns("I", probs.shape[1]), *_columns("nu", p, p)]
-    rows = np.column_stack([trajectory.times(), probs]).tolist()
+    rows = np.column_stack([trajectory.time_index, probs]).tolist()
     forecasts = predicted.reshape(predicted.shape[0], p * p).tolist()
     forecasts += [[""] * (p * p)] * (len(rows) - len(forecasts))
     _write_table(target, header, (row + nu for row, nu in zip(rows, forecasts)))

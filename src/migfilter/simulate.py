@@ -10,7 +10,10 @@ config, so identical configs give bit-identical output.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -95,38 +98,89 @@ def simulate_hidden_path(factor: HiddenFactorSpec, config: SimulationConfig):
     return _hidden_path(factor, config, rng)
 
 
+def _cdf(probs: np.ndarray) -> list[float]:
+    """The CDF ``Generator.choice`` builds from ``probs``, so that
+    ``bisect_right(cdf, rng.random())`` draws what
+    ``rng.choice(len(probs), p=probs)`` draws, from the same bits."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _jump_cdfs(factor: HiddenFactorSpec) -> list[list[float] | None]:
+    """Per state, the CDF of a continuous chain's jump target, proportional
+    to the off-diagonal intensities; ``None`` where they are all zero."""
+    out = []
+    for state, row in enumerate(factor.trans):
+        weights = np.where(np.arange(factor.m) == state, 0.0, row)
+        total = weights.sum()
+        out.append(_cdf(weights / total) if total > 0 else None)
+    return out
+
+
+def _hidden_jump(caller: str, cdfs: list, state: int, rng) -> int:
+    """The state a continuous hidden chain jumps to from ``state``."""
+    if cdfs[state] is None:
+        raise ModelError(
+            f"{caller}: factor state {state} has a positive exit rate "
+            "but no off-diagonal intensity"
+        )
+    return bisect_right(cdfs[state], rng.random())
+
+
 def _hidden_path(factor: HiddenFactorSpec, config: SimulationConfig, rng):
-    m = factor.m
-    state = int(rng.choice(m, p=factor.pi))
+    state = bisect_right(_cdf(factor.pi), rng.random())
     if factor.mode is Mode.DISCRETE:
-        steps = int(config.horizon)
-        path = np.empty(steps + 1, dtype=np.int64)
-        path[0] = state
-        for t in range(1, steps + 1):
-            state = int(rng.choice(m, p=factor.trans[state]))
-            path[t] = state
-        return path
+        cdfs = [_cdf(row) for row in factor.trans]
+        path = [state]
+        for _ in range(int(config.horizon)):
+            state = bisect_right(cdfs[state], rng.random())
+            path.append(state)
+        return np.array(path, dtype=np.int64)
+    exit_rates = (-np.diagonal(factor.trans)).tolist()
+    cdfs = _jump_cdfs(factor)
     times = [0.0]
     states = [state]
     t = 0.0
     while True:
-        rate = -factor.trans[state, state]
+        rate = exit_rates[state]
         if rate <= 0.0:
             break
         t += rng.exponential(1.0 / rate)
         if t >= config.horizon:
             break
-        state = _hidden_jump(factor, state, rng)
+        state = _hidden_jump("simulate_hidden_path", cdfs, state, rng)
         times.append(t)
         states.append(state)
     return PiecewisePath(np.array(times), np.array(states), float(config.horizon))
 
 
-def _hidden_jump(factor: HiddenFactorSpec, state: int, rng) -> int:
-    """Draw the state a continuous hidden chain jumps to from ``state``,
-    proportional to the off-diagonal intensities."""
-    weights = np.where(np.arange(factor.m) == state, 0.0, factor.trans[state])
-    return int(rng.choice(factor.m, p=weights / weights.sum()))
+def _pairwise_sum(values: list[float]) -> float:
+    """``np.sum`` of a contiguous float64 array holding ``values``, bit for
+    bit: numpy's pairwise sum.  Below 8 entries it adds left to right from
+    0.0; up to 128 it runs 8 interleaved accumulators, combines them in a
+    fixed tree and adds the tail; above that it halves (at a multiple of 8)
+    and recurses."""
+    n = len(values)
+    if n < 8:
+        res = 0.0
+        for x in values:
+            res += x
+        return res
+    if n <= 128:
+        whole = n - n % 8
+        r = values[:8]
+        for i in range(8, whole, 8):
+            r = list(map(operator.add, r, values[i:i + 8]))
+        r0, r1, r2, r3, r4, r5, r6, r7 = r
+        # the sum starts from numpy's 0.0 identity, which turns -0.0 into 0.0
+        res = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+        for x in values[whole:]:
+            res += x
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def simulate_panel_discrete(
@@ -140,21 +194,21 @@ def simulate_panel_discrete(
     drives the step's moves.  Exposures for ``t + 1`` are the column sums.
     """
     if config.mode is not Mode.DISCRETE:
-        raise ModelError("simulate_panel_discrete requires a discrete config")
+        raise ModelError(
+            f"simulate_panel_discrete: needs a discrete config, got {config.mode.value}"
+        )
     _check_model("simulate_panel_discrete", Mode.DISCRETE, factor, law, None, config.p)
     rng = np.random.default_rng(config.seed)
     path = _hidden_path(factor, config, rng)
     steps = int(config.horizon)
     p = law.p
-    exposures = np.zeros((steps, p), dtype=np.int64)
-    counts = np.zeros((steps, p, p), dtype=np.int64)
-    y = config.entities_per_rating.astype(np.int64).copy()
-    for t in range(steps):
+    exposures = np.empty((steps, p), dtype=np.int64)
+    counts = np.empty((steps, p, p), dtype=np.int64)
+    y = config.entities_per_rating
+    for t, theta in enumerate(path[:-1].tolist()):
         exposures[t] = y
-        mats = law.per_state[path[t]]
-        for j in range(p):
-            if y[j] > 0:
-                counts[t, j] = rng.multinomial(y[j], mats[j])
+        # a class holding no entity draws nothing, as a call per class would
+        counts[t] = rng.multinomial(y, law.per_state[theta])
         y = counts[t].sum(axis=0)
     panel = MigrationPanel(exposures, counts, step_length_days=config.step_length_days)
     return panel, path
@@ -171,18 +225,30 @@ def simulate_events_continuous(
     restarts them all, which is exact for the joint Markov dynamics.  Only
     migrations are emitted in the stream; the hidden path is returned
     alongside.
+
+    The loop runs on Python floats with numpy's arithmetic: the clock total
+    is :func:`_pairwise_sum`, and the migration is picked on the running
+    sum, as ``np.cumsum`` and ``searchsorted(side="right")`` would.
     """
     if config.mode is not Mode.CONTINUOUS:
-        raise ModelError("simulate_events_continuous requires a continuous config")
+        raise ModelError(
+            f"simulate_events_continuous: needs a continuous config, got {config.mode.value}"
+        )
     _check_model("simulate_events_continuous", Mode.CONTINUOUS, factor, law, None, config.p)
     p = law.p
     rng = np.random.default_rng(config.seed)
-    off_diag = ~np.eye(p, dtype=bool)
+    # per state, the rows of the law with the diagonal clocks off: y * 0.0 is 0.0
+    off_diag = np.where(np.eye(p, dtype=bool), 0.0, law.per_state).tolist()
+    exit_rates = (-np.diagonal(factor.trans)).tolist()
+    cdfs = _jump_cdfs(factor)
 
-    theta = int(rng.choice(factor.m, p=factor.pi))
+    theta = bisect_right(_cdf(factor.pi), rng.random())
     hidden_times = [0.0]
     hidden_states = [theta]
-    y = config.entities_per_rating.astype(np.int64).copy()
+    y = config.entities_per_rating.tolist()
+    rows = off_diag[theta]
+    hidden_rate = exit_rates[theta]
+    mig_rates = [y_j * x for y_j, row in zip(y, rows) for x in row]
     times: list[float] = []
     sources: list[int] = []
     targets: list[int] = []
@@ -190,29 +256,31 @@ def simulate_events_continuous(
     t = 0.0
     horizon = float(config.horizon)
     while True:
-        mig_rates = y[:, None] * law.per_state[theta]
-        mig_rates = np.where(off_diag, mig_rates, 0.0)
-        hidden_rate = -factor.trans[theta, theta]
-        total = hidden_rate + mig_rates.sum()
+        total = hidden_rate + _pairwise_sum(mig_rates)
         if total <= 0.0:
             break
         t += rng.exponential(1.0 / total)
         if t >= horizon:
             break
-        u = rng.uniform(0.0, total)
+        # uniform(0.0, total) is 0.0 + total * random(), the same double
+        u = total * rng.random()
         if u < hidden_rate:
-            theta = _hidden_jump(factor, theta, rng)
+            theta = _hidden_jump("simulate_events_continuous", cdfs, theta, rng)
             hidden_times.append(t)
             hidden_states.append(theta)
+            rows = off_diag[theta]
+            hidden_rate = exit_rates[theta]
+            mig_rates = [y_j * x for y_j, row in zip(y, rows) for x in row]
         else:
-            flat = np.cumsum(mig_rates.ravel())
-            idx = int(np.searchsorted(flat, u - hidden_rate, side="right"))
+            idx = bisect_right(list(accumulate(mig_rates)), u - hidden_rate)
             j, k = divmod(idx, p)
             times.append(t)
             sources.append(j)
             targets.append(k)
             y[j] -= 1
             y[k] += 1
+            mig_rates[j * p:(j + 1) * p] = [y[j] * x for x in rows[j]]
+            mig_rates[k * p:(k + 1) * p] = [y[k] * x for x in rows[k]]
     stream = EventStream(
         times=np.array(times, dtype=float),
         sources=np.array(sources, dtype=np.int64),

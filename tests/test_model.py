@@ -269,6 +269,20 @@ class TestPanelAndStream:
         assert stream.boundary_times.shape == (0,)
         assert stream.boundary_exposures.shape == (0, 2)
 
+    @pytest.mark.parametrize("empty", [[], (), np.empty(0), np.empty((0, 3))])
+    def test_stream_reads_an_empty_track_as_no_rows(self, empty):
+        stream = mf.EventStream([0.5], [0], [1], [2, 2, 0], 1.0, [], empty)
+        assert stream.boundary_times.shape == (0,)
+        assert stream.boundary_exposures.shape == (0, 3)
+        np.testing.assert_array_equal(
+            stream.exposure_snapshots(), mf.EventStream([0.5], [0], [1], [2, 2, 0], 1.0)
+            .exposure_snapshots()
+        )
+
+    def test_stream_refuses_an_empty_track_of_the_wrong_width(self):
+        with pytest.raises(DataError, match=r"must have shape \(0, 3\), got \(0, 2\)"):
+            mf.EventStream([0.5], [0], [1], [2, 2, 0], 1.0, [], np.empty((0, 2)))
+
     def test_snapshots_follow_events_and_boundaries(self):
         stream = mf.EventStream(
             times=np.array([0.5, 1.5]),

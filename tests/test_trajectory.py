@@ -160,7 +160,7 @@ class TestFilterTrajectory:
         )
         expected = np.array([mf.FilterState(row, 0.0).probs for row in probs])
         np.testing.assert_array_equal(traj.probs_matrix(), expected)
-        assert not traj.probs_matrix().flags.writeable and not traj.times().flags.writeable
+        assert not traj.probs_matrix().flags.writeable and not traj.time_index.flags.writeable
         assert traj.n_steps == 49
         assert [s.time_index for s in traj.states] == list(range(50))
         np.testing.assert_array_equal(traj.states[7].probs, expected[7])

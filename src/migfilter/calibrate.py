@@ -516,8 +516,10 @@ def m_step(
         raise DataError(f"m_step: posteriors of shapes {u.shape} and {v.shape} and previous "
                         f"law of shape {np.shape(prev)} do not fit a {steps}-step {p}-rating panel")
     pi, trans = _chain_m_step(u, v)
-    num = np.einsum("...ti,tkr->...ikr", u, panel.counts.astype(float))
-    den = np.einsum("...ti,tk->...ik", u, panel.exposures.astype(float))
+    weights = np.swapaxes(u, -1, -2)
+    num = weights @ panel.counts.reshape(steps, p * p).astype(float)
+    num = num.reshape(*num.shape[:-1], p, p)
+    den = weights @ panel.exposures.astype(float)
     blind = den < max(floor, 1e-300)
     per_state = np.where(
         blind[..., None], prev, num / np.where(blind, 1.0, den)[..., None]

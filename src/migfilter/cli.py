@@ -187,9 +187,10 @@ def forecast(model_path, traj_path, step_days, out_path):
     if factor.mode is Mode.CONTINUOUS:
         law = MigrationLaw(generator_to_transition(law.per_state, step_days))
     nu = predict_transition_probs(law, traj.probs_matrix())
-    rows = np.column_stack([traj.time_index, nu.reshape(len(nu), -1)]).tolist()
+    table = np.column_stack([traj.time_index, nu.reshape(len(nu), -1)])
+    rows = pio._float_texts(table, pio._repr_texts)
     pio._write_table(out_path, ["t", *pio._columns("nu", law.p, law.p)], rows)
-    click.echo(f"wrote {len(rows)} forecast rows to {out_path}")
+    click.echo(f"wrote {len(table)} forecast rows to {out_path}")
 
 
 @main.command()

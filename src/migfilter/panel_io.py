@@ -284,8 +284,10 @@ class EvaluationReport:
 
     def to_json(self) -> str:
         """The report as ``json.dumps(doc, indent=2)`` renders it, byte for
-        byte.  That indenting encoder is pure Python, so each series list,
-        most of the text, is rendered by the C encoder and spliced in."""
+        byte, with every series value a float.  That indenting encoder is
+        pure Python, so the series lists, most of the text, are built from
+        the values of all series rendered in one :func:`_float_texts` pass
+        and spliced in."""
         doc = {
             "step_length_days": self.step_length_days,
             "r2": {f"{j}->{k}": val for (j, k), val in self.r2.items()},
@@ -295,7 +297,10 @@ class EvaluationReport:
             },
         }
         parts = json.dumps(doc, indent=2).split(json.dumps(_SLOT))
-        lists = (_series_json(values.tolist()) for pair in self.series.values() for values in pair)
+        series = [np.ravel(values) for pair in self.series.values() for values in pair]
+        texts = _float_texts(np.concatenate([np.empty(0), *series]), _json_texts)
+        ends = np.cumsum([len(values) for values in series]).tolist()
+        lists = (_series_json(texts[end - len(values) : end]) for values, end in zip(series, ends))
         return parts[0] + "".join(text + part for text, part in zip(lists, parts[1:]))
 
 
@@ -304,13 +309,59 @@ class EvaluationReport:
 _SLOT = "\0"
 
 
-def _series_json(values: list) -> str:
-    """A series list as ``json.dumps(..., indent=2)`` renders it at the
-    depth of the report's series (items 8 spaces in, the bracket 6)."""
-    if not values:
+def _series_json(items: list[str]) -> str:
+    """A series list of item texts as ``json.dumps(..., indent=2)`` renders
+    it at the depth of the report's series (items 8 spaces in, the bracket
+    6)."""
+    if not items:
         return "[]"
-    items = json.dumps(values, separators=(",\n" + 8 * " ", ": "))[1:-1]
-    return "[\n" + 8 * " " + items + "\n" + 6 * " " + "]"
+    return "[\n" + 8 * " " + (",\n" + 8 * " ").join(items) + "\n" + 6 * " " + "]"
+
+
+def _float_texts(values: np.ndarray, render) -> list:
+    """The texts of the floats of ``values``, as nested lists shaped like
+    ``values`` (as :meth:`numpy.ndarray.tolist` gives its floats).
+
+    ``render`` (:func:`_repr_texts` or :func:`_json_texts`) turns a float
+    array into an object array of its entries' texts.  It is called once,
+    on an array that holds each distinct float64 bit pattern of ``values``
+    once, so ``-0.0`` and ``0.0`` keep their own texts and every NaN reads
+    as its renderer spells it.  Filtered forecasts and realized ratios
+    repeat most of their values, and ``repr`` of a double is the bulk of a
+    writer's time.  The patterns are rendered in order of first use, so
+    their texts lie in memory about in the order they are written; in
+    sorted order, the gather that puts them in place would miss the cache
+    on most cells of a table without repeats.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    bits = values.view(np.int64).reshape(-1)
+    order = np.argsort(bits)
+    ordered = bits[order]
+    new = np.ones(bits.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts)
+    used = np.zeros(bits.size, dtype=bool)
+    used[first] = True
+    # code[i]: the rank of cell i's pattern among the patterns by first use
+    code = np.empty_like(order)
+    code[order] = np.repeat(np.cumsum(used)[first] - 1, np.diff(starts, append=bits.size))
+    return render(bits[used].view(float))[code].reshape(values.shape).tolist()
+
+
+def _repr_texts(floats: np.ndarray) -> np.ndarray:
+    """Each float's ``repr``, the text a CSV cell holds (it reads back
+    exactly), in an object array."""
+    return np.fromiter(map(repr, floats.tolist()), dtype=object, count=floats.size)
+
+
+def _json_texts(floats: np.ndarray) -> np.ndarray:
+    """Each float as the json module writes it, in an object array: its
+    ``repr``, or ``NaN``, ``Infinity`` or ``-Infinity``."""
+    texts = _repr_texts(floats)
+    for i in np.flatnonzero(~np.isfinite(floats)).tolist():
+        texts[i] = json.dumps(floats[i].item())
+    return texts
 
 
 def realized_ratios(panel: MigrationPanel) -> np.ndarray:
@@ -535,12 +586,11 @@ def trajectory_to_csv(trajectory: FilterTrajectory, target: str | io.TextIOBase)
     """Header ``t,I_1..I_m,nu_1_1..nu_p_p``; forecast row ``t`` was issued
     before step/interval ``t`` (the final state row carries no forecast)."""
     probs, predicted = trajectory.probs_matrix(), trajectory.predicted_ratios
-    p = predicted.shape[1] if predicted.size else 0
-    header = ["t", *_columns("I", probs.shape[1]), *_columns("nu", p, p)]
-    rows = np.column_stack([trajectory.time_index, probs]).tolist()
-    forecasts = predicted.reshape(predicted.shape[0], p * p).tolist()
-    forecasts += [[""] * (p * p)] * (len(rows) - len(forecasts))
-    _write_table(target, header, (row + nu for row, nu in zip(rows, forecasts)))
+    (n, p, _), m = predicted.shape, probs.shape[1]
+    header = ["t", *_columns("I", m), *_columns("nu", p, p)]
+    states = _float_texts(np.column_stack([trajectory.time_index, probs]), _repr_texts)
+    forecasts = _float_texts(predicted.reshape(n, p * p), _repr_texts) + [[""] * (p * p)]
+    _write_table(target, header, (row + nu for row, nu in zip(states, forecasts)))
 
 
 def trajectory_from_csv(source: str | io.TextIOBase) -> FilterTrajectory:

@@ -11,8 +11,29 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import migfilter as mf
+
+# float64 values whose texts a writer could get wrong: both zeros, both
+# infinities, subnormals, the largest double, two plain values a table may
+# repeat, and NaNs with other sign and payload bits
+TRICKY_FLOATS = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, 2.225073858507201e-308, 1e308, 0.25, 0.1],
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001],
+             dtype=np.uint64).view(float),
+])
+
+# one float cell: a tricky value (so tables repeat them) or any double
+float_values = st.one_of(
+    st.integers(0, len(TRICKY_FLOATS) - 1).map(TRICKY_FLOATS.__getitem__), st.floats()
+)
+
+
+def float_array(cells, shape) -> np.ndarray:
+    """``cells`` (Python floats and numpy doubles) as a float64 array of
+    ``shape``, every NaN payload kept."""
+    return np.array(cells, dtype=float).reshape(shape)
 
 
 def step_weight(law_per_state, counts_t, state):

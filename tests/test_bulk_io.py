@@ -1,12 +1,14 @@
-"""The bulk CSV readers and the spliced report encoder against the
-references they sped up.
+"""The bulk CSV readers, the spliced report encoder and the render-once
+float writer against the references they sped up.
 
 Every numeric CSV is read in one ``np.loadtxt`` call, with the per-row rule
 (:meth:`panel_io._Table.by_rule`) as the reference that also reads what
 that call refuses.  Both paths must return equal arrays, bit for bit and
 dtype for dtype, and raise the same errors.  ``EvaluationReport.to_json``
 must equal the whole-document ``json.dumps(doc, indent=2)`` it replaced,
-kept here as :func:`reference_report_json`.
+kept here as :func:`reference_report_json`.  ``panel_io._float_texts``
+must give every cell the text ``repr`` or ``json.dumps`` gives it, while
+rendering each distinct bit pattern once.
 """
 
 import io
@@ -16,12 +18,16 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import migfilter as mf
 from migfilter import panel_io as pio
+from migfilter.cli import main
 from migfilter.errors import DataError, ModelError
+
+from conftest import TRICKY_FLOATS, float_array, float_values
 
 FIELDS = {
     pio.panel_from_csv: ("exposures", "counts", "step_length_days"),
@@ -210,7 +216,7 @@ def reference_report_json(report) -> str:
     return json.dumps(doc, indent=2)
 
 
-series_values = st.lists(st.floats(), max_size=5).map(np.array)
+series_values = st.lists(float_values, max_size=8).map(lambda cells: float_array(cells, -1))
 
 
 class TestReportJson:
@@ -229,6 +235,15 @@ class TestReportJson:
                     skipped=((0, 2),),
                 ),
                 id="nan-forecasts-and-empty-series",
+            ),
+            pytest.param(
+                pio.EvaluationReport(
+                    r2={(0, 1): 0.5, (2, 1): -0.0},
+                    series={(0, 1): (TRICKY_FLOATS, TRICKY_FLOATS[::-1]),
+                            (2, 1): (np.resize(TRICKY_FLOATS, 30), np.array([-0.0, 0.0] * 3))},
+                    step_length_days=1,
+                ),
+                id="signed-zeros-nan-payloads-and-repeats",
             ),
             pytest.param(pio.EvaluationReport({}, {}, 1.5), id="empty"),
             pytest.param(pio.EvaluationReport({}, {}, 1, ((0, 1), (1, 0))), id="skipped-only"),
@@ -258,3 +273,78 @@ class TestReportJson:
         report = pio.evaluate_predictions(panel, mf.run_filter(panel, factor, law))
         assert report.series
         assert report.to_json() == reference_report_json(report)
+
+
+def bit_patterns(values) -> set[int]:
+    return set(np.asarray(values, dtype=float).view(np.int64).ravel().tolist())
+
+
+class TestFloatTexts:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 6), width=st.integers(1, 5))
+    def test_every_cell_reads_as_its_reference_text(self, data, rows, width):
+        cells = data.draw(st.lists(float_values, min_size=rows * width, max_size=rows * width))
+        values = float_array(cells, (rows, width))
+        assert pio._float_texts(values, pio._repr_texts) == [
+            [repr(x) for x in row] for row in values.tolist()
+        ]
+        assert pio._float_texts(values.ravel(), pio._json_texts) == [
+            json.dumps(x) for x in values.ravel().tolist()
+        ]
+
+    def test_renderer_gets_each_bit_pattern_once(self):
+        values = np.concatenate([np.resize(TRICKY_FLOATS, (7, 5)), np.full((2, 5), 0.25)])
+        calls = []
+
+        def spy(floats):
+            calls.append(floats.copy())
+            return pio._repr_texts(floats)
+
+        texts = pio._float_texts(values, spy)
+        assert texts == [[repr(x) for x in row] for row in values.tolist()]
+        assert len(calls) == 1
+        seen = calls[0].view(np.int64).tolist()
+        assert len(seen) == len(set(seen)) and set(seen) == bit_patterns(values)
+
+    @pytest.mark.parametrize("writer", ["trajectory", "forecast", "report"])
+    def test_writers_render_each_bit_pattern_once(self, writer, monkeypatch, tmp_path):
+        """Every float a writer puts on disk goes through one render-once
+        pass per table, so repeats cost no render; the trajectory writes
+        two tables (its states and its forecasts)."""
+        factor, law = mf.demo_model(2, 3, spread=6.0)
+        panel, path = mf.simulate_panel_discrete(
+            factor, law, mf.SimulationConfig(np.array([40, 40, 40]), 60, seed=5)
+        )
+        # a filter sure of the hidden path: its laws and forecasts repeat
+        traj = mf.FilterTrajectory(np.eye(2)[path], np.arange(61.0), law.per_state[path[:-1]], 0.0)
+        rendered = []
+        name = "_json_texts" if writer == "report" else "_repr_texts"
+        original = getattr(pio, name)
+
+        def counted(floats):
+            rendered.append(floats.size)
+            return original(floats)
+
+        monkeypatch.setattr(pio, name, counted)
+        if writer == "trajectory":
+            pio.trajectory_to_csv(traj, str(tmp_path / "traj.csv"))
+            states = np.column_stack([traj.time_index, traj.probs_matrix()])
+            tables = [states, traj.predicted_ratios]
+        elif writer == "forecast":
+            model, traj_path = tmp_path / "model.json", tmp_path / "traj.csv"
+            out = tmp_path / "nu.csv"
+            model.write_text(mf.model_to_json(factor, law))
+            pio.trajectory_to_csv(traj, str(traj_path))
+            rendered.clear()
+            done = CliRunner().invoke(
+                main,
+                ["forecast", "--model", str(model), "--trajectory", str(traj_path),
+                 "--out", str(out)],
+            )
+            assert done.exit_code == 0, done.output
+            tables = [np.loadtxt(out, delimiter=",", skiprows=1)]
+        else:
+            doc = json.loads(pio.evaluate_predictions(panel, traj).to_json())
+            tables = [[x for pair in doc["series"].values() for key in pair for x in pair[key]]]
+        assert rendered == [len(bit_patterns(table)) for table in tables]
+        assert sum(rendered) < sum(np.size(table) for table in tables) / 2

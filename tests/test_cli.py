@@ -113,6 +113,31 @@ def test_pipeline_outputs_are_byte_deterministic(runner, model_file, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize(
+    "mode, args, expected",
+    [
+        ("continuous", ["--horizon", "30", "--out-events"],
+         b"time,state\r\n0.0,1\r\n14.116232435896322,2\r\n15.847804392951787,1\r\n"
+         b"24.629050514853922,2\r\n"),
+        ("discrete", ["--steps", "4", "--out-panel"],
+         b"t,state\r\n0,1\r\n1,1\r\n2,1\r\n3,1\r\n4,1\r\n"),
+    ],
+    ids=["continuous", "discrete"],
+)
+def test_hidden_path_bytes(runner, model_file, continuous_model_file, tmp_path, mode, args,
+                           expected):
+    """Times are written as their repr and states as ints, never as 1.0."""
+    model = continuous_model_file if mode == "continuous" else model_file
+    hidden = tmp_path / "hidden.csv"
+    out = runner.invoke(
+        main,
+        ["simulate", "--model", str(model), "--entities", "3,3,3", "--seed", "2",
+         *args, str(tmp_path / "data.csv"), "--out-hidden", str(hidden)],
+    )
+    assert out.exit_code == 0, out.output
+    assert hidden.read_bytes() == expected
+
+
 def test_continuous_pipeline(runner, continuous_model_file, tmp_path):
     events = tmp_path / "events.csv"
     hidden = tmp_path / "hidden.csv"

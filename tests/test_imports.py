@@ -1,7 +1,8 @@
 """Every submodule imports on its own in a fresh interpreter, so an import
 cycle between submodules fails whichever module a caller imports first, and
 importing the package loads no scipy module (scipy's import costs about
-half a second of every CLI process).  The public names and the option count
+half a second of every CLI process); no module imports scipy at all, since
+the package does not depend on it.  The public names and the option count
 are pinned."""
 
 import ast
@@ -52,6 +53,21 @@ def test_package_import_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy():
+    """scipy is a test dependency only: no module of the package imports
+    it, not even inside a function."""
+    for path in sorted(Path(migfilter.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            where = f"{path.name}:{node.lineno}"
+            assert all(name.split(".")[0] != "scipy" for name in names), where
 
 
 def test_public_api():

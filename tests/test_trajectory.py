@@ -2,8 +2,9 @@
 
 The writer and the forecast command are checked against the per-row loops
 they replaced, kept here as references: the trajectory CSV must match byte
-for byte, and the batched forecast mixtures the per-row ``tensordot`` to
-within two units in the last place of a probability.
+for byte, also on forecasts full of repeats, signed zeros, NaN payloads,
+infinities and subnormals, and the batched forecast mixtures the per-row
+``tensordot`` to within two units in the last place of a probability.
 """
 
 import csv
@@ -12,13 +13,15 @@ import io
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import migfilter as mf
 from migfilter import panel_io as pio
 from migfilter.cli import main
 from migfilter.errors import ModelError
 
-from conftest import random_instance
+from conftest import TRICKY_FLOATS, float_array, float_values, random_instance
 
 FORECAST_TOL = 2.3e-16
 
@@ -28,7 +31,7 @@ def reference_trajectory_csv(trajectory) -> str:
     handle = io.StringIO()
     writer = csv.writer(handle)
     m = trajectory.states[0].m
-    p = trajectory.predicted_ratios.shape[1] if trajectory.predicted_ratios.size else 0
+    p = trajectory.predicted_ratios.shape[1]
     writer.writerow(
         ["t"]
         + [f"I_{h + 1}" for h in range(m)]
@@ -166,12 +169,54 @@ class TestFilterTrajectory:
         np.testing.assert_array_equal(traj.states[7].probs, expected[7])
 
 
+def csv_text(trajectory) -> str:
+    buf = io.StringIO()
+    pio.trajectory_to_csv(trajectory, buf)
+    return buf.getvalue()
+
+
 class TestAgainstPerRowReferences:
     def test_trajectory_csv_is_byte_identical(self, rng):
         for _, traj in discrete_cases(rng) + continuous_cases(rng):
-            buf = io.StringIO()
-            pio.trajectory_to_csv(traj, buf)
-            assert buf.getvalue() == reference_trajectory_csv(traj)
+            assert csv_text(traj) == reference_trajectory_csv(traj)
+
+    def test_tricky_forecasts_are_byte_identical(self):
+        # -0.0 next to 0.0, NaNs of four bit patterns, both infinities
+        predicted = np.resize(TRICKY_FLOATS, (4, 2, 2))
+        time_index = np.array([0.0, -0.0, 5e-324, 1e308, 0.0])
+        traj = mf.FilterTrajectory(np.full((5, 2), 0.5), time_index, predicted, loglik=0.0)
+        text = csv_text(traj)
+        assert text == reference_trajectory_csv(traj)
+        assert text.splitlines()[1:] == [
+            "0.0,0.5,0.5,0.0,-0.0,inf,-inf",
+            "-0.0,0.5,0.5,5e-324,2.225073858507201e-308,1e+308,0.25",
+            "5e-324,0.5,0.5,0.1,nan,nan,nan",
+            "1e+308,0.5,0.5,nan,0.0,-0.0,inf",
+            "0.0,0.5,0.5,,,,",
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 5), m=st.integers(1, 3), p=st.integers(1, 3))
+    def test_random_trajectories_are_byte_identical(self, data, n, m, p):
+        def cells(size):
+            return data.draw(st.lists(float_values, min_size=size, max_size=size))
+
+        predicted = float_array(cells(n * p * p), (n, p, p))
+        time_index = float_array(cells(n + 1), (n + 1,))
+        rows = data.draw(st.lists(st.integers(0, m), min_size=n + 1, max_size=n + 1))
+        # one-hot or flat laws, so that the state columns repeat too
+        probs = np.array([np.eye(m)[r] if r < m else np.full(m, 1 / m) for r in rows])
+        traj = mf.FilterTrajectory(probs, time_index, predicted, loglik=0.0)
+        assert csv_text(traj) == reference_trajectory_csv(traj)
+
+    def test_zero_step_trajectory_keeps_its_rating_count(self):
+        panel = mf.MigrationPanel(np.empty((0, 3)), np.empty((0, 3, 3)))
+        traj = mf.run_filter(panel, *mf.demo_model(2, 3))
+        text = csv_text(traj)
+        assert text.splitlines()[0] == "t,I_1,I_2," + ",".join(pio._columns("nu", 3, 3))
+        back = pio.trajectory_from_csv(io.StringIO(text))
+        assert back.predicted_ratios.shape == (0, 3, 3)
+        np.testing.assert_array_equal(back.probs_matrix(), traj.probs_matrix())
 
     def test_forecast_command_matches_per_row_mixtures(self, rng, tmp_path):
         runner = CliRunner()

@@ -46,7 +46,6 @@ that mass per distinct no-jump exposure vector.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -62,6 +61,8 @@ from .model import (
     _check_model,
     _exposures_at,
     _grid_positions,
+    _positive,
+    _whole,
     model_to_json,
     sort_states_by_risk,
     transition_to_generator,
@@ -97,12 +98,9 @@ class EmConfig:
     floor: float = 1e-12
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise DataError(f"{name} must be a whole number of at least 1, got {value!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise DataError(f"tol must be positive and finite, got {self.tol!r}")
+        for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, least))
+        _positive(self.tol, "tol")
         if not 0 <= self.floor < 1:
             raise DataError("floor must lie in [0, 1)")
 
@@ -568,11 +566,10 @@ def _multi_start(data, p, m, cfg, e_and_m) -> CalibrationResult:
     """Run ``cfg.restarts`` EM restarts over ``p`` ratings from seeded
     random starts, ``data`` passed to ``e_and_m`` as it is, and return the
     best, states relabeled from least to most risky.  The starts run in
-    lockstep (``_em_lockstep``).  ``m < 1`` or a floor of ``1 / max(m, p)``
-    or more is a DataError.  A restart that hits an impossible observation
-    fails; all failing is a ModelError."""
-    if m < 1:
-        raise DataError("need at least one hidden state")
+    lockstep (``_em_lockstep``).  ``m`` not a whole number of at least 1
+    or a floor of ``1 / max(m, p)`` or more is a DataError.  A restart that
+    hits an impossible observation fails; all failing is a ModelError."""
+    m = _whole(m, "m", 1)
     if cfg.floor >= 1.0 / max(m, p):
         raise DataError(f"floor {cfg.floor} too large for {m} states / {p} ratings")
     master = np.random.default_rng(cfg.seed)
@@ -1094,6 +1091,7 @@ def em_fit_continuous(
         """One iteration of the restarts stacked on the leading axis: one
         batched E-step on segments, then one batched M-step solve for every
         (restart, state) pair over the distinct no-jump exposure rows."""
+        m = pi.shape[-1]
         logw = _picker_log_weights(seg.exposures, seg.src, seg.dst, per_state, n_bar)
         loglik, u, v = _segment_e_step(logw, pi, trans, seg)
         u_nj = np.zeros((len(per_state), len(y_nj), m))

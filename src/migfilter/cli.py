@@ -77,26 +77,23 @@ def simulate(model_path, entities, steps, horizon, seed, step_days, out_panel, o
         per_rating = np.array([int(x) for x in entities.split(",")])
     except ValueError as exc:
         raise DataError(f"bad --entities value {entities!r}") from exc
-    if factor.mode is Mode.DISCRETE:
-        if steps is None:
-            raise DataError("--steps is required for a discrete model")
-        config = SimulationConfig(per_rating, steps, seed, Mode.DISCRETE, step_days)
+    discrete = factor.mode is Mode.DISCRETE
+    span, out = (steps, out_panel) if discrete else (horizon, out_events)
+    options = ("--steps", "--out-panel") if discrete else ("--horizon", "--out-events")
+    for option, value in zip(options, (span, out)):
+        if value is None:
+            raise DataError(f"{option} is required for a {factor.mode.value} model")
+    config = SimulationConfig(per_rating, span, seed, factor.mode, step_days)
+    if discrete:
         panel, path = simulate_panel_discrete(factor, law, config)
-        if out_panel is None:
-            raise DataError("--out-panel is required for a discrete model")
-        pio.panel_to_csv(panel, out_panel)
-        click.echo(f"wrote {panel.steps}-step panel to {out_panel}")
+        pio.panel_to_csv(panel, out)
+        click.echo(f"wrote {panel.steps}-step panel to {out}")
         if out_hidden:
             pio._write_table(out_hidden, ["t", "state"], enumerate((path + 1).tolist()))
     else:
-        if horizon is None:
-            raise DataError("--horizon is required for a continuous model")
-        config = SimulationConfig(per_rating, horizon, seed, Mode.CONTINUOUS, step_days)
         stream, path = simulate_events_continuous(factor, law, config)
-        if out_events is None:
-            raise DataError("--out-events is required for a continuous model")
-        pio.events_to_csv(stream, out_events)
-        click.echo(f"wrote {stream.n_events} events to {out_events}")
+        pio.events_to_csv(stream, out)
+        click.echo(f"wrote {stream.n_events} events to {out}")
         if out_hidden:
             rows = zip(path.times.tolist(), (path.states + 1).tolist())
             pio._write_table(out_hidden, ["time", "state"], rows)
@@ -167,9 +164,7 @@ def filter_cmd(panel_path, events_path, model_path, step_days, subintervals, see
             raise DataError("a continuous model filters --events or a spread --panel")
         report = float(report_dt if report_dt is not None else step_days)
         grid = float(grid_dt) if grid_dt is not None else report / 10.0
-        traj = cont.run_continuous_filter(
-            stream, factor, law, grid_dt=grid, report_dt=report
-        )
+        traj = cont.run_continuous_filter(stream, factor, law, grid_dt=grid, report_dt=report)
     pio.trajectory_to_csv(traj, out_path)
     click.echo(f"wrote trajectory ({traj.n_steps} steps, loglik {traj.loglik:.6f}) to {out_path}")
 

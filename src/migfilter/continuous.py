@@ -45,8 +45,9 @@ from .model import (
     _RENORM_TRIGGER,
     _check_model,
     _exposures_at,
-    _freeze_int,
     _grid_positions,
+    _positive,
+    _whole,
     generator_to_transition,
     predict_transition_probs,
 )
@@ -67,19 +68,16 @@ _MAX_EULER_MASS = 0.2
 class SpreadConfig:
     """How to redistribute same-step jumps onto a finer grid.
 
-    ``subintervals_per_step`` must be a whole number (a whole-valued float
-    is taken as its int) exceeding the largest per-step jump total, so that
-    every jump can get its own slot.
+    ``subintervals_per_step`` must be a whole number exceeding the largest
+    per-step jump total, so that every jump can get its own slot.
     """
 
     subintervals_per_step: int
     seed: int = 0
 
     def __post_init__(self):
-        slots = int(_freeze_int(self.subintervals_per_step, "subintervals_per_step"))
-        if slots < 1:
-            raise DataError("subintervals_per_step must be at least 1")
-        object.__setattr__(self, "subintervals_per_step", slots)
+        for name, least in (("subintervals_per_step", 1), ("seed", 0)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, least))
 
 
 def spread_jumps(panel: MigrationPanel, cfg: SpreadConfig) -> EventStream:
@@ -253,11 +251,8 @@ def run_continuous_filter(
     ``report_dt``.  Per reporting interval, the chain-drift and
     observation-driven parts of the law's movement are recorded separately.
     """
-    if not all(math.isfinite(dt) and dt > 0 for dt in (grid_dt, report_dt)):
-        raise ModelError(
-            "run_continuous_filter: grid_dt and report_dt must be positive and finite, "
-            f"got {grid_dt}, {report_dt}"
-        )
+    _positive(grid_dt, "grid_dt")
+    _positive(report_dt, "report_dt")
     _check_model("run_continuous_filter", Mode.CONTINUOUS, factor, law, None, events.p)
     horizon = float(events.horizon)
     n_intervals = max(1, math.ceil(round(horizon / report_dt, 9)))

@@ -33,5 +33,3 @@ class ImpossibleObservationError(ModelError):
 
 class NumericalError(MigfilterError):
     """A numerical routine failed to produce a usable result."""
-
-    exit_code = 3

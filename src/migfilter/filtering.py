@@ -43,13 +43,13 @@ class FilterTrajectory:
     ``predicted_ratios[t]`` is the (p, p) forecast issued *before* observing
     step ``t``; ``loglik`` sums each observed step's log-probability under
     the one-step-ahead predictive law.  ``n_steps + 1`` rows of ``probs``
-    need ``n_steps + 1`` time indices and ``n_steps`` forecasts, or
+    need ``n_steps + 1`` time indices and ``n_steps`` (p, p) forecasts, or
     :class:`ModelError` is raised.
 
     Continuous runs additionally report, per reporting interval, how much of
     the filtered law's movement came from the hidden chain's own drift
-    (``prediction_parts``, ``n_steps`` rows); the rest of the movement came
-    from the observation updates (``correction_parts``, derived).
+    (``prediction_parts``, shape (n_steps, m)); the rest of the movement
+    came from the observation updates (``correction_parts``, derived).
     """
 
     probs: np.ndarray
@@ -64,7 +64,12 @@ class FilterTrajectory:
         object.__setattr__(self, "predicted_ratios", _freeze(self.predicted_ratios))
         if self.prediction_parts is not None:
             object.__setattr__(self, "prediction_parts", _freeze(self.prediction_parts))
-        n = self.n_steps
+        n, m = self.n_steps, self.probs.shape[1]
+        ratios, parts = self.predicted_ratios.shape, self.prediction_parts
+        if len(ratios) != 3 or ratios[1] != ratios[2]:
+            raise ModelError(f"predicted_ratios must have shape (steps, p, p), got {ratios}")
+        if parts is not None and parts.shape[1:] != (m,):
+            raise ModelError(f"prediction_parts must have shape (steps, {m}), got {parts.shape}")
         if self.time_index.shape != (n + 1,):
             raise ModelError(
                 f"{n + 1} filtered laws need {n + 1} time indices, "

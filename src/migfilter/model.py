@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,23 @@ def _freeze_int(a: np.ndarray, name: str) -> np.ndarray:
     out = np.array(a, dtype=np.int64, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _whole(value, name: str, least: int) -> int:
+    """``value``, an integer or a whole-valued float of at least ``least``,
+    as an ``int``; any other value is a :class:`DataError` naming ``name``."""
+    real = isinstance(value, numbers.Real)
+    whole = isinstance(value, numbers.Integral) or real and float(value).is_integer()
+    if not whole or value < least:
+        raise DataError(f"{name} must be a whole number of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _positive(value, name: str):
+    """``value`` unchanged if a finite real above 0, else a :class:`DataError` naming ``name``."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise DataError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 def renormalize(probs: np.ndarray) -> np.ndarray:
@@ -235,11 +253,7 @@ class MigrationPanel:
             )
         if self.counts.shape[1] != self.counts.shape[2]:
             raise DataError(f"counts must be square per step, got {self.counts.shape}")
-        step = float(self.step_length_days)
-        if not (math.isfinite(step) and step > 0):
-            raise DataError(
-                f"step_length_days must be positive and finite, got {self.step_length_days!r}"
-            )
+        step = float(_positive(self.step_length_days, "step_length_days"))
         # a whole number of days stays an int, as files and reports print it
         object.__setattr__(self, "step_length_days", int(step) if step.is_integer() else step)
         if np.any(self.exposures < 0) or np.any(self.counts < 0):
@@ -333,8 +347,7 @@ class EventStream:
             raise DataError("boundary_exposures must be nonnegative")
         if np.any(self.initial_exposures < 0):
             raise DataError("initial_exposures must be nonnegative")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise DataError(f"horizon must be finite and positive, got {self.horizon!r}")
+        _positive(self.horizon, "horizon")
         for name, when in (("event", self.times), ("boundary", self.boundary_times)):
             if not np.isfinite(when).all():
                 raise DataError(f"{name} times must be finite")
@@ -405,8 +418,7 @@ def _grid_positions(stream: EventStream, step: float) -> tuple[int, np.ndarray, 
     the first step start at or after it.  Times within ``1e-9 * step`` of a
     grid point count as on it.  The step must be positive and finite, and
     the horizon a positive whole number of steps."""
-    if not (math.isfinite(step) and step > 0):
-        raise DataError(f"grid step must be positive and finite, got {step!r}")
+    _positive(step, "grid step")
     n_steps = round(stream.horizon / step)
     if n_steps < 1 or abs(stream.horizon / step - n_steps) > _GRID_TOL:
         raise DataError(

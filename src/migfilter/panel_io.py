@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataError
 from .filtering import FilterTrajectory
-from .model import EventStream, MigrationPanel, _exposures_at
+from .model import EventStream, MigrationPanel, _exposures_at, _whole
 
 if TYPE_CHECKING:
     from .calibrate import EmConfig
@@ -172,17 +172,13 @@ def build_panel(
     and moves sit where one run hands over to the next.  The cost is
     O(postings + steps * p**2).
     """
-    if step_days < 1:
-        raise DataError("step_days must be at least 1")
-    if not float(step_days).is_integer():
-        raise DataError(f"step_days must be a whole number of days, got {step_days!r}")
-    step_days = int(step_days)
+    step_days = _whole(step_days, "step_days", 1)
     first, last = paths.date_range()
     if origin_date is None:
         origin_date = first
     if num_steps is None:
-        span = (last - origin_date).days
-        num_steps = max(1, -(-span // step_days))
+        num_steps = max(1, -(-(last - origin_date).days // step_days))
+    num_steps = _whole(num_steps, "num_steps", 0)
     counts = _interval_counts(paths, step_days, origin_date, num_steps)
     return MigrationPanel(counts.sum(axis=2), counts, step_length_days=step_days)
 
@@ -446,10 +442,10 @@ def rolling_backtest(
     from .calibrate import em_fit
     from .filtering import run_filter
 
-    if not 0 < initial_steps < panel.steps:
+    initial_steps = _whole(initial_steps, "initial_steps", 1)
+    refit_every = _whole(refit_every, "refit_every", 1)
+    if initial_steps >= panel.steps:
         raise DataError("initial_steps must split the panel")
-    if refit_every < 1:
-        raise DataError("refit_every must be positive")
 
     def part(s: slice) -> MigrationPanel:
         return MigrationPanel(panel.exposures[s], panel.counts[s], panel.step_length_days)
@@ -599,22 +595,23 @@ def trajectory_from_csv(source: str | io.TextIOBase) -> FilterTrajectory:
     naming its line."""
 
     def layout(_comment, header):
-        if header[:1] != ["t"]:
-            raise DataError("trajectory CSV must start with header t,I_1..")
         m = sum(1 for h in header if h.startswith("I_"))
         n_nu = len(header) - 1 - m
-        if math.isqrt(n_nu) ** 2 != n_nu:
+        if n_nu > 0 and math.isqrt(n_nu) ** 2 != n_nu:
             raise ValueError(f"{n_nu} nu_ columns do not form a p x p block")
-        return m, n_nu
+        p = math.isqrt(max(n_nu, 0))
+        if m == 0 or header != ["t", *_columns("I", m), *_columns("nu", p, p)]:
+            raise ValueError(f"header {','.join(header)!r} is not t,I_1..I_m,nu_1_1..nu_p_p")
+        return m, p
 
     def rule(cells):
         # a forecast is all blank, read as NaN, or every cell of it parses
         nu = cells[1 + m :]
         return [float(x) for x in cells[: 1 + m]] + (
-            [float(x) for x in nu] if any(nu) else [math.nan] * n_nu
+            [float(x) for x in nu] if any(nu) else [math.nan] * (p * p)
         )
 
-    table, (m, n_nu) = _read_table(source, "trajectory CSV", layout)
+    table, (m, p) = _read_table(source, "trajectory CSV", layout)
     n = len(table.lines) - 1
     if n < 0:
         raise DataError("trajectory CSV holds no states")
@@ -622,7 +619,7 @@ def trajectory_from_csv(source: str | io.TextIOBase) -> FilterTrajectory:
         [table.parse(float, rule, slice(n)), table.by_rule(float, rule, slice(n, None))]
     )
     # only a row whose forecast reads all NaN can have left it blank
-    blank = "," * n_nu
+    blank = "," * (p * p)
     for row in np.flatnonzero(np.isnan(values[:n, 1 + m :]).all(axis=1)):
         if table.lines[row].endswith(blank):
             raise DataError(
@@ -630,7 +627,6 @@ def trajectory_from_csv(source: str | io.TextIOBase) -> FilterTrajectory:
             )
     if not table.lines[n].endswith(blank):
         raise DataError(f"trajectory CSV line {table.line_nos[n]}: the last row carries a forecast")
-    p = math.isqrt(n_nu)
     return FilterTrajectory(
         probs=values[:, 1 : 1 + m],
         time_index=values[:, 0],

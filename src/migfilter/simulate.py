@@ -9,7 +9,6 @@ config, so identical configs give bit-identical output.
 
 from __future__ import annotations
 
-import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -27,6 +26,8 @@ from .model import (
     _check_model,
     _freeze,
     _freeze_int,
+    _positive,
+    _whole,
 )
 
 __all__ = [
@@ -43,8 +44,8 @@ __all__ = [
 class SimulationConfig:
     """What to simulate: cohort sizes, horizon and randomness.
 
-    ``horizon`` counts steps in discrete mode and is a real time span (days)
-    in continuous mode.
+    ``horizon`` counts steps in discrete mode (a whole number, kept as an
+    ``int``) and is a real time span (days) in continuous mode.
     """
 
     entities_per_rating: np.ndarray
@@ -59,12 +60,10 @@ class SimulationConfig:
         object.__setattr__(self, "mode", Mode(self.mode))
         if np.any(self.entities_per_rating < 0) or not np.any(self.entities_per_rating > 0):
             raise DataError("entities_per_rating must be nonnegative with at least one positive")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise DataError(f"horizon must be positive and finite, got {self.horizon!r}")
-        if self.mode is Mode.DISCRETE and not float(self.horizon).is_integer():
-            raise DataError(
-                f"a discrete horizon must be a whole number of steps, got {self.horizon!r}"
-            )
+        _positive(self.horizon, "horizon")
+        if self.mode is Mode.DISCRETE:
+            object.__setattr__(self, "horizon", _whole(self.horizon, "horizon", 1))
+        object.__setattr__(self, "seed", _whole(self.seed, "seed", 0))
 
     @property
     def p(self) -> int:
@@ -133,7 +132,7 @@ def _hidden_path(factor: HiddenFactorSpec, config: SimulationConfig, rng):
     if factor.mode is Mode.DISCRETE:
         cdfs = [_cdf(row) for row in factor.trans]
         path = [state]
-        for _ in range(int(config.horizon)):
+        for _ in range(config.horizon):
             state = bisect_right(cdfs[state], rng.random())
             path.append(state)
         return np.array(path, dtype=np.int64)
@@ -200,7 +199,7 @@ def simulate_panel_discrete(
     _check_model("simulate_panel_discrete", Mode.DISCRETE, factor, law, None, config.p)
     rng = np.random.default_rng(config.seed)
     path = _hidden_path(factor, config, rng)
-    steps = int(config.horizon)
+    steps = config.horizon
     p = law.p
     exposures = np.empty((steps, p), dtype=np.int64)
     counts = np.empty((steps, p, p), dtype=np.int64)

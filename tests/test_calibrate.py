@@ -73,6 +73,15 @@ class TestForwardPass:
 
 
 class TestBackwardPassAndPosteriors:
+    def test_zero_step_panel_gives_empty_passes(self, rng):
+        _, factor, law = random_instance(rng, m=3, p=2)
+        panel = mf.MigrationPanel(np.zeros((0, 2)), np.zeros((0, 2, 2)))
+        fwd, bwd = mf.forward_pass(panel, factor, law), mf.backward_pass(panel, factor, law)
+        assert (fwd.alpha.shape, fwd.log_scale.shape, fwd.loglik) == ((0, 3), (0,), 0.0)
+        assert (bwd.beta.shape, bwd.log_scale.shape) == ((0, 3), (0,))
+        u, v = mf.posteriors(fwd, bwd, panel, factor, law)
+        assert (u.shape, v.shape) == ((0, 3), (0, 3, 3))
+
     def test_terminal_column_is_flat(self, rng):
         panel, factor, law = random_instance(rng, steps=4)
         bwd = mf.backward_pass(panel, factor, law)
@@ -161,6 +170,15 @@ class TestMStep:
                 np.testing.assert_allclose(
                     per_state[0, k], totals[k] / exposure[k], atol=1e-9
                 )
+
+    def test_one_step_panel_gives_flat_chain_rows(self, rng):
+        panel, factor, law = random_instance(rng, m=3, p=2, entities=4, steps=1)
+        fwd, bwd = mf.forward_pass(panel, factor, law), mf.backward_pass(panel, factor, law)
+        u, v = mf.posteriors(fwd, bwd, panel, factor, law)
+        assert v.shape == (0, 3, 3)
+        pi, trans, _ = m_step(u, v, panel, prev_law=law, floor=1e-12)
+        np.testing.assert_allclose(pi, u[0], rtol=1e-15)
+        np.testing.assert_array_equal(trans, np.full((3, 3), 1 / 3))
 
     def test_concentrated_posterior_keeps_prior_rows_elsewhere(self):
         panel = mf.MigrationPanel(
@@ -503,7 +521,7 @@ class TestEmFitContinuous:
 
     @pytest.mark.parametrize(
         "m, floor, message",
-        [(0, 1e-12, "need at least one hidden state"), (2, 0.5, "floor 0.5 too large")],
+        [(0, 1e-12, "m must be a whole number of at least 1, got 0"), (2, 0.5, "floor 0.5 too large")],
     )
     def test_sample_checks_match_em_fit(self, m, floor, message):
         stream, fine_dt, *_ = self.make_fine_stream(seed=2, steps=10, entities=10)

@@ -1,11 +1,13 @@
 import datetime as dt
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import migfilter as mf
+from migfilter import cli
 from migfilter import panel_io as pio
 from migfilter.cli import main
 
@@ -397,6 +399,7 @@ def test_forecast_file_is_predict_transition_probs_of_the_rows(runner, tmp_path,
         ("--max-iters", "0", "max_iters must be a whole number of at least 1, got 0"),
         ("--max-iters", "-3", "max_iters must be a whole number of at least 1, got -3"),
         ("--tol", "nan", "tol must be positive and finite, got nan"),
+        ("--seed", "-1", "seed must be a whole number of at least 0, got -1"),
     ],
 )
 def test_calibrate_with_an_invalid_em_setting_exits_1(runner, tmp_path, option, value, message):
@@ -426,3 +429,77 @@ def test_filter_on_events_departing_from_an_empty_rating_exits_1(runner, tmp_pat
     assert out.exit_code == 1, out.output
     assert "error: event 0 at t=0.5: departure from rating 1 with no exposure" in out.output
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_simulate_with_a_negative_seed_exits_1(runner, model_file, tmp_path):
+    out = runner.invoke(
+        main,
+        ["simulate", "--model", str(model_file), "--entities", "5,5,5", "--steps", "3",
+         "--seed", "-1", "--out-panel", str(tmp_path / "panel.csv")],
+    )
+    assert out.exit_code == 1, out.output
+    assert isinstance(out.exception, SystemExit)
+    assert "error: seed must be a whole number of at least 0, got -1" in out.output
+    assert not (tmp_path / "panel.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "steps, name",
+    [(["--grid-dt", "0"], "grid_dt"), (["--grid-dt", "0.5", "--report-dt", "0"], "report_dt")],
+)
+def test_filter_with_a_zero_step_exits_1(runner, continuous_model_file, tmp_path, steps, name):
+    events = tmp_path / "events.csv"
+    events.write_text("# exposures0=2,2,2 horizon=1.0\ntime,from_rating,to_rating\n0.5,2,1\n")
+    out = runner.invoke(
+        main,
+        ["filter", "--events", str(events), "--model", str(continuous_model_file), *steps,
+         "--out", str(tmp_path / "t.csv")],
+    )
+    assert out.exit_code == 1, out.output
+    assert f"error: {name} must be positive and finite, got 0.0" in out.output
+
+
+@pytest.fixture
+def files(tmp_path, model_file, continuous_model_file):
+    """The paths a usage-error case refers to by name."""
+    panel = tmp_path / "panel.csv"
+    panel.write_text("t,Y_1,Y_2,Y_3,N_1_1,N_1_2,N_1_3,N_2_1,N_2_2,N_2_3,N_3_1,N_3_2,N_3_3\n"
+                     "1,1,1,1,1,0,0,0,1,0,0,0,1\n")
+    return {"MODEL": str(model_file), "CMODEL": str(continuous_model_file),
+            "PANEL": str(panel), "OUT": str(tmp_path / "out")}
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("simulate --model MODEL --entities 3,x --steps 3 --out-panel OUT",
+         "bad --entities value '3,x'"),
+        ("simulate --model MODEL --entities 3,3,3 --out-panel OUT",
+         "--steps is required for a discrete model"),
+        ("simulate --model MODEL --entities 3,3,3 --steps 3",
+         "--out-panel is required for a discrete model"),
+        ("simulate --model CMODEL --entities 3,3,3 --out-events OUT",
+         "--horizon is required for a continuous model"),
+        ("simulate --model CMODEL --entities 3,3,3 --horizon 2",
+         "--out-events is required for a continuous model"),
+        ("calibrate --states 2 --out OUT", "discrete calibration needs --panel"),
+        ("calibrate --mode continuous --states 2 --out OUT",
+         "continuous calibration needs --events or --panel"),
+        ("calibrate --mode continuous --panel PANEL --states 2 --out OUT",
+         "continuous calibration needs --subintervals"),
+        ("filter --model MODEL --out OUT", "a discrete model filters a --panel"),
+        ("filter --model CMODEL --panel PANEL --out OUT", "spreading a panel needs --subintervals"),
+        ("filter --model CMODEL --out OUT",
+         "a continuous model filters --events or a spread --panel"),
+    ],
+)
+def test_usage_error_exits_1_before_any_work(runner, files, monkeypatch, args, message):
+    def must_not_run(*_args):
+        raise AssertionError("simulated before checking the options")
+
+    monkeypatch.setattr(cli, "simulate_panel_discrete", must_not_run)
+    monkeypatch.setattr(cli, "simulate_events_continuous", must_not_run)
+    out = runner.invoke(main, [files.get(word, word) for word in args.split()])
+    assert out.exit_code == 1, out.output
+    assert f"error: {message}\n" in out.output
+    assert not Path(files["OUT"]).exists()

@@ -72,7 +72,8 @@ class TestSpreadJumps:
 
     @pytest.mark.parametrize("slots", [2.5, float("nan"), float("inf")])
     def test_fractional_slot_count_rejected(self, slots):
-        with pytest.raises(DataError, match="^subintervals_per_step must hold whole numbers"):
+        with pytest.raises(DataError, match=rf"^subintervals_per_step must be a whole number "
+                                            rf"of at least 1, got {slots!r}$"):
             mf.SpreadConfig(slots)
 
     def test_whole_valued_slot_count_accepted(self):
@@ -721,7 +722,8 @@ class TestStepSizes:
     )
     def test_run_continuous_filter_refuses_the_step(self, grid_dt, report_dt):
         factor, law = two_state_continuous_model()
-        with pytest.raises(ModelError, match="^run_continuous_filter: .* must be positive and finite"):
+        with pytest.raises(DataError, match=rf"^(grid_dt must be positive and finite, got {grid_dt!r}"
+                                            rf"|report_dt must be positive and finite, got {report_dt!r})$"):
             mf.run_continuous_filter(
                 self.stream(), factor, law, grid_dt=grid_dt, report_dt=report_dt
             )

@@ -2,8 +2,8 @@
 cycle between submodules fails whichever module a caller imports first, and
 importing the package loads no scipy module (scipy's import costs about
 half a second of every CLI process); no module imports scipy at all, since
-the package does not depend on it.  The public names and the option count
-are pinned."""
+the package does not depend on it.  The rules for scalar settings live in
+``model`` alone.  The public names and the option count are pinned."""
 
 import ast
 import pkgutil
@@ -68,6 +68,25 @@ def test_no_module_imports_scipy():
                 continue
             where = f"{path.name}:{node.lineno}"
             assert all(name.split(".")[0] != "scipy" for name in names), where
+
+
+def test_setting_rules_live_in_model():
+    """"A whole number" and "a finite number" are decided in ``model``
+    (``_whole``, ``_positive``): no other module calls ``math.isfinite`` or
+    ``.is_integer()``, or refers to ``numbers.Integral``."""
+    banned = {("math", "isfinite"), ("numbers", "Integral")}
+    for path in sorted(Path(migfilter.__file__).parent.glob("*.py")):
+        if path.stem == "model":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [(getattr(node.value, "id", None), node.attr)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            where = f"{path.name}:{node.lineno}"
+            assert not any(name in banned or name[1] == "is_integer" for name in names), where
 
 
 def test_public_api():

@@ -1,7 +1,9 @@
 """Every consumer refuses a (factor, law) pair that is not one valid model
-of its mode, data of the wrong size and an inconsistent event stream: each
-case raises the package's own error instead of returning or failing inside
-numpy."""
+of its mode, data of the wrong size, an inconsistent event stream and a
+scalar setting that breaks its rule: each case raises the package's own
+error instead of returning or failing inside numpy."""
+
+import datetime as dt
 
 import numpy as np
 import pytest
@@ -242,3 +244,85 @@ def test_whole_valued_float_counts_are_accepted():
     got = mf.run_filter(floats, DF, DL)
     np.testing.assert_array_equal(got.probs, want.probs)
     assert got.loglik == want.loglik
+
+
+# Scalar settings: a count or a seed is a whole number (whole-valued floats
+# included, seeds from 0), a step length positive and finite.
+BACKTEST_PANEL, _ = mf.simulate_panel_discrete(
+    DF, DL, mf.SimulationConfig(np.array([20, 20, 20]), 16, seed=2)
+)
+PATHS = mf.RatingPaths(
+    {"x": ((dt.date(2005, 1, 1), "A"), (dt.date(2005, 2, 20), "B"))}, ("A", "B"), "W"
+)
+ONE_RESTART = mf.EmConfig(restarts=1, max_iters=2)
+
+
+def fit_continuous(m):
+    return lambda: mf.em_fit_continuous(
+        mf.EventStream([0.5], [0], [1], [2, 2], 2.0), m, ONE_RESTART, fine_dt=1.0
+    )
+
+
+SETTING_CASES = {
+    **{
+        f"{name}-seed-{seed}": (make, f"seed must be a whole number of at least 0, got {seed!r}")
+        for seed in (1.5, -1)
+        for name, make in (
+            ("EmConfig", lambda seed=seed: mf.EmConfig(seed=seed)),
+            ("SimulationConfig", lambda seed=seed: mf.SimulationConfig(np.array([1]), 3, seed)),
+            ("SpreadConfig", lambda seed=seed: mf.SpreadConfig(4, seed=seed)),
+        )
+    },
+    "em_fit-m": (
+        lambda: mf.em_fit(PANEL, 2.5, ONE_RESTART), "m must be a whole number of at least 1, got 2.5"
+    ),
+    "em_fit_continuous-m": (fit_continuous(2.5), "m must be a whole number of at least 1, got 2.5"),
+    "rolling_backtest-initial_steps": (
+        lambda: mf.rolling_backtest(BACKTEST_PANEL, 2, ONE_RESTART, 10.5, 5),
+        "initial_steps must be a whole number of at least 1, got 10.5",
+    ),
+    "rolling_backtest-refit_every": (
+        lambda: mf.rolling_backtest(BACKTEST_PANEL, 2, ONE_RESTART, 10, 2.5),
+        "refit_every must be a whole number of at least 1, got 2.5",
+    ),
+    "build_panel-num_steps-fraction": (
+        lambda: mf.build_panel(PATHS, 7, num_steps=2.5),
+        "num_steps must be a whole number of at least 0, got 2.5",
+    ),
+    "build_panel-num_steps-negative": (
+        lambda: mf.build_panel(PATHS, 7, num_steps=-1),
+        "num_steps must be a whole number of at least 0, got -1",
+    ),
+    "build_panel-step_days-text": (
+        lambda: mf.build_panel(PATHS, "7"), "step_days must be a whole number of at least 1, got '7'"
+    ),
+    "run_continuous_filter-grid_dt": (
+        lambda: mf.run_continuous_filter(STREAM, CF, CL, 0.0, 1.0),
+        "grid_dt must be positive and finite, got 0.0",
+    ),
+    "MigrationPanel-step_length_days": (
+        lambda: mf.MigrationPanel(PANEL.exposures, PANEL.counts, step_length_days=np.nan),
+        "step_length_days must be positive and finite, got nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", list(SETTING_CASES.values()), ids=list(SETTING_CASES))
+def test_bad_setting_is_a_data_error_naming_it(call, message):
+    with pytest.raises(DataError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_whole_valued_float_settings_work_as_ints():
+    cfg = mf.EmConfig(restarts=2.0, max_iters=3.0, seed=np.float64(4.0))
+    assert (cfg.restarts, cfg.max_iters, cfg.seed) == (2, 3, 4)
+    assert all(type(x) is int for x in (cfg.restarts, cfg.max_iters, cfg.seed))
+    want, got = mf.em_fit(PANEL, 2, cfg), mf.em_fit(PANEL, 2.0, cfg)
+    assert got.to_json() == want.to_json()
+    assert fit_continuous(2.0)().to_json() == fit_continuous(2)().to_json()
+    want = mf.rolling_backtest(BACKTEST_PANEL, 2, ONE_RESTART, 10, 5)
+    got = mf.rolling_backtest(BACKTEST_PANEL, 2, ONE_RESTART, 10, np.float64(5.0))
+    assert got.to_json() == want.to_json()
+    assert mf.SimulationConfig(np.array([1]), 3, seed=1.0).seed == 1
+    assert mf.SpreadConfig(4.0, seed=2.0) == mf.SpreadConfig(4, seed=2)

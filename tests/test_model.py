@@ -232,7 +232,7 @@ class TestPanelAndStream:
         ids=["negative", "zero", "nan", "infinite"],
     )
     def test_stream_horizon_must_be_finite_and_positive(self, times, horizon):
-        with pytest.raises(DataError, match="horizon must be finite and positive"):
+        with pytest.raises(DataError, match=rf"^horizon must be positive and finite, got {horizon!r}$"):
             mf.EventStream(times, [0] * len(times), [1] * len(times), [2, 2], horizon=horizon)
 
     def test_stream_times_must_be_finite(self):

@@ -493,6 +493,15 @@ class TestCsvFormats:
              "line 3: the last row carries a forecast"),
             (TRAJECTORY_CSV + "0.0,0.5,0.5,,0.1,0.2,0.8\n1.0,0.5,0.5,,,,\n",
              "line 2: could not convert string to float: ''"),
+            # any header but the one the writer produces
+            ("t,I_1,I_2,x\n0.0,0.5,0.5,1.0\n1.0,0.5,0.5,\n",
+             "^trajectory CSV line 1: header 't,I_1,I_2,x' is not t,I_1..I_m,nu_1_1..nu_p_p$"),
+            ("t,I_2,I_1,nu_1_1\n0.0,0.5,0.5,1.0\n1.0,0.5,0.5,\n", "line 1: header 't,I_2,I_1,nu_1_1'"),
+            ("t,I_1,nu_1_1,nu_2_1,nu_1_2,nu_2_2\n0.0,1.0,0.9,0.1,0.2,0.8\n1.0,1.0,,,,\n",
+             "line 1: header 't,I_1,nu_1_1,nu_2_1,nu_1_2,nu_2_2'"),
+            ("time,I_1,nu_1_1\n0.0,1.0,1.0\n1.0,1.0,\n", "line 1: header 'time,I_1,nu_1_1'"),
+            ("t,nu_1_1\n0.0,1.0\n1.0,\n", "line 1: header 't,nu_1_1'"),
+            ("", "line 1: header '' is not"),
         ],
     )
     def test_malformed_trajectory_csv_names_its_line(self, text, message):

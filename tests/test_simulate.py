@@ -261,7 +261,7 @@ class TestConfigValidation:
             mf.SimulationConfig(np.array([1]), horizon, seed=0, mode=mode)
 
     def test_discrete_horizon_must_be_whole(self):
-        with pytest.raises(DataError, match="must be a whole number of steps, got 3.5"):
+        with pytest.raises(DataError, match="^horizon must be a whole number of at least 1, got 3.5$"):
             mf.SimulationConfig(np.array([1]), 3.5, seed=0)
         assert mf.SimulationConfig(np.array([1]), 3.0, seed=0).horizon == 3.0
         assert mf.SimulationConfig(np.array([1]), 3.5, seed=0, mode=mf.Mode.CONTINUOUS)

@@ -112,6 +112,14 @@ class TestFilterTrajectory:
             ("time_index", np.arange(5.0), r"need 3 time indices, got shape \(5,\)"),
             ("time_index", np.zeros((3, 1)), r"need 3 time indices, got shape \(3, 1\)"),
             ("prediction_parts", np.zeros((3, 2)), r"need 2 rows of prediction_parts, got 3"),
+            ("predicted_ratios", np.full((2, 2, 3), 0.5),
+             r"^predicted_ratios must have shape \(steps, p, p\), got \(2, 2, 3\)$"),
+            ("predicted_ratios", np.full((2, 4), 0.5),
+             r"^predicted_ratios must have shape \(steps, p, p\), got \(2, 4\)$"),
+            ("prediction_parts", np.zeros((2, 5)),
+             r"^prediction_parts must have shape \(steps, 2\), got \(2, 5\)$"),
+            ("prediction_parts", np.zeros(2),
+             r"^prediction_parts must have shape \(steps, 2\), got \(2,\)$"),
         ],
     )
     def test_row_counts_must_agree(self, field, value, message):
@@ -124,6 +132,10 @@ class TestFilterTrajectory:
         }
         with pytest.raises(ModelError, match=message):
             mf.FilterTrajectory(**fields)
+
+    def test_no_correction_parts_without_prediction_parts(self):
+        traj = mf.FilterTrajectory(np.full((3, 2), 0.5), np.arange(3.0), np.full((2, 2, 2), 0.5), 0.0)
+        assert traj.prediction_parts is None and traj.correction_parts is None
 
     def test_nan_law_cell_in_a_file_is_refused(self, tmp_path):
         text = "t,I_1,I_2,nu_1_1\n0.0,0.5,0.5,1.0\n1.0,nan,0.5,\n"

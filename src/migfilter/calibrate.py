@@ -1,26 +1,33 @@
 """EM calibration of the hidden factor and migration laws.
 
-The E-step evaluates the forward/backward recursions over the panel's
-aggregated per-step likelihood weights without a loop over time.  Each
-recursion is a product of per-step matrices (``diag(g_t) K^T`` forward,
-``K diag(g_t)`` backward), so all its steps at once are the inclusive
-prefix products of that sequence.  They come from a work-efficient
-parallel-prefix scan (Sarkka & Garcia-Fernandez, 2021): pair neighbours,
-scan the pairs, fill in the rest, one batched matrix product per level.
-Every column of every product carries its own log-scale, so columns
-hundreds of orders of magnitude apart never underflow against each other.
-One exact recursion step in log space from every scanned row then gives
-the normalized rows and their per-step log-scales (so samples thousands
-of steps long cannot underflow), decides impossible observations, and
-checks the scan.  The smoothing posteriors follow in one broadcast.  The
-discrete M-step is closed form.
+The forward/backward recursions over the panel's aggregated per-step
+likelihood weights run without a loop over time.  Each recursion is a
+product of per-step matrices (``diag(g_t) K^T`` forward, ``K diag(g_t)``
+backward), so all its steps at once are the inclusive prefix products of
+that sequence.  They come from a work-efficient parallel-prefix scan
+(Sarkka & Garcia-Fernandez, 2021): pair neighbours, scan the pairs, fill
+in the rest, one batched matrix product per level.  Every column of every
+product carries its own log-scale, so columns hundreds of orders of
+magnitude apart never underflow against each other.  One exact recursion
+step in log space from every scanned row then gives the normalized rows
+and their per-step log-scales (so samples thousands of steps long cannot
+underflow), decides impossible observations, and checks the scan.
+
+The discrete E-step scans only forward, then smooths from the forward
+rows alone (Rauch, Tung & Striebel, 1965): the law of each step's state
+given the next one's is a column-stochastic matrix, so the smoothed
+marginals are prefix products of those, scanned the same way with plain
+products and checked the same way; the pairwise posteriors follow in one
+broadcast.  The backward recursion serves ``backward_pass``,
+``posteriors`` and the continuous segment E-step.  The discrete M-step
+is closed form.
 
 The restarts of a multi-start fit run in lockstep: their parameters are
 stacked on a leading axis, and every E-step and M-step function takes
 such leading axes (through ``...`` indexing, so an unbatched call keeps
-its shapes and bits).  One iteration is then one scan per direction for
-all restarts, which on short panels saves the per-call overhead that
-would otherwise be paid once per restart.  A restart leaves the stack
+its shapes and bits).  One iteration is then one E-step for all
+restarts, which on short panels saves the per-call overhead that would
+otherwise be paid once per restart.  A restart leaves the stack
 when it converges or hits an impossible observation.
 
 The continuous adaptation calibrates on a fine grid with at most one jump
@@ -474,15 +481,64 @@ def _posteriors_from(
     return u, v
 
 
+def _stochastic_prefix_products(mats: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products ``mats[k] @ ... @ mats[0]`` along the
+    leading axis, computed in place, by the scan of ``_prefix_products``
+    with plain products: for column-stochastic matrices every product is
+    column-stochastic too, so nothing needs scaling."""
+    n = mats.shape[0]
+    if n > 1:
+        odd = _stochastic_prefix_products(mats[1::2] @ mats[:-1:2])
+        mats[1::2] = odd
+        fill = (n - 1) // 2
+        mats[2::2] = mats[2::2] @ odd[:fill]
+    return mats
+
+
+def _smoothed(alpha: np.ndarray, lead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smoothing posteriors ``u`` and ``v`` (see :func:`posteriors`)
+    from the forward rows ``alpha`` and their transitions ``lead`` (see
+    :func:`_leading`) alone (Rauch, Tung & Striebel, 1965).
+
+    Given step ``t + 1``'s state ``j``, step ``t``'s state has the law
+    ``B_t[:, j] = alpha_t * K[:, j] / pred[j]``, with ``pred = alpha_t K``
+    the one-step prediction; where ``pred[j]`` is 0 the column stays zero.
+    Then ``u_(T-1) = alpha_(T-1)``, ``u_t = B_t u_(t+1)`` and ``v_t = B_t
+    * u_(t+1)``.  The ``B_t`` are column-stochastic, so ``u`` comes from a
+    scan of plain products, reversed, with ``alpha_(T-1)`` folded into its
+    first matrix; one exact step from every scanned row checks the scan."""
+    *batch, steps, m = alpha.shape
+    kernels = alpha[..., :-1, :, None] * lead
+    pred = np.einsum("...ij->...j", kernels)[..., None, :]
+    np.divide(kernels, pred, out=kernels, where=pred > 0.0)
+    mats = np.empty((steps, *batch, m, m))
+    # reversed: element k drives u[steps - 1 - k]
+    reversed_mats = _time_major(mats)
+    reversed_mats[..., 0, :, :] = alpha[..., -1, :, None]
+    reversed_mats[..., 1:, :, :] = kernels[..., ::-1, :, :]
+    scanned = _time_major(_stochastic_prefix_products(mats))[..., ::-1, :, 0]
+    v = kernels * scanned[..., 1:, None, :]
+    with np.errstate(invalid="ignore"):  # a corrupt scan's 0 / 0 fails the check
+        v /= np.einsum("...tij->...t", v)[..., None, None]
+    u = np.concatenate([np.einsum("...ij->...i", v), alpha[..., -1:, :]], axis=-2)
+    diff = _max_over(np.abs(u - scanned), -1)
+    lost = _first_flagged(~(diff <= 1e-9), last=True)
+    if lost is not None:
+        raise NumericalError(f"the smoothing scan lost precision at step {lost[1]}")
+    return u, v
+
+
 def _e_step(
     logg: np.ndarray, pi: np.ndarray, trans: np.ndarray
 ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """The E-step on per-step log-weights ``logg``: the log-likelihood and
     the smoothing posteriors ``u`` and ``v`` (see :func:`posteriors`).
-    Leading axes of ``logg``, ``pi`` and ``trans`` are restart axes."""
+    Leading axes of ``logg``, ``pi`` and ``trans`` are restart axes.
+
+    Only the forward recursion is scanned in log space; the posteriors
+    follow from its rows (:func:`_smoothed`), with no backward pass."""
     fwd = _forward(logg, pi, trans)
-    u, v = _posteriors_from(logg, fwd, _backward(logg, trans), trans)
-    return fwd.loglik, u, v
+    return fwd.loglik, *_smoothed(fwd.alpha, _leading(trans, logg))
 
 
 def _floored(x: np.ndarray, floor: float) -> np.ndarray:
@@ -552,10 +608,11 @@ def em_fit(panel: MigrationPanel, m: int, cfg: EmConfig) -> CalibrationResult:
     Each restart starts from independent uniform draws on the parameter
     simplices and iterates expectation and maximization until the relative
     log-likelihood improvement drops below ``cfg.tol`` (or ``max_iters``).
-    The restarts run in lockstep, stacked on a leading axis, so one E-step
-    and one M-step serve all of them per iteration.  The best restart by
-    final log-likelihood wins; its states are relabeled from least to most
-    risky before being returned.
+    Each E-step scans the forward recursion and smooths from its rows, with
+    no backward pass.  The restarts run in lockstep, stacked on a leading
+    axis, so one E-step and one M-step serve all of them per iteration.
+    The best restart by final log-likelihood wins; its states are
+    relabeled from least to most risky before being returned.
     """
     if panel.steps == 0:
         raise DataError("cannot calibrate on an empty panel")

@@ -20,7 +20,14 @@ from . import continuous as cont
 from . import panel_io as pio
 from .errors import DataError, MigfilterError
 from .filtering import run_filter
-from .model import MigrationLaw, Mode, generator_to_transition, model_from_json, predict_transition_probs
+from .model import (
+    MigrationLaw,
+    Mode,
+    _positive,
+    generator_to_transition,
+    model_from_json,
+    predict_transition_probs,
+)
 from .simulate import SimulationConfig, simulate_events_continuous, simulate_panel_discrete
 
 
@@ -178,9 +185,9 @@ def filter_cmd(panel_path, events_path, model_path, step_days, subintervals, see
 def forecast(model_path, traj_path, step_days, out_path):
     """Recompute transition-probability forecasts from filtered states."""
     factor, law = model_from_json(Path(model_path).read_text())
-    traj = pio.trajectory_from_csv(traj_path)
     if factor.mode is Mode.CONTINUOUS:
-        law = MigrationLaw(generator_to_transition(law.per_state, step_days))
+        law = MigrationLaw(generator_to_transition(law.per_state, _positive(step_days, "step_days")))
+    traj = pio.trajectory_from_csv(traj_path)
     nu = predict_transition_probs(law, traj.probs_matrix())
     table = np.column_stack([traj.time_index, nu.reshape(len(nu), -1)])
     rows = pio._float_texts(table, pio._repr_texts)

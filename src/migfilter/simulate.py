@@ -64,6 +64,7 @@ class SimulationConfig:
         if self.mode is Mode.DISCRETE:
             object.__setattr__(self, "horizon", _whole(self.horizon, "horizon", 1))
         object.__setattr__(self, "seed", _whole(self.seed, "seed", 0))
+        _positive(self.step_length_days, "step_length_days")
 
     @property
     def p(self) -> int:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import migfilter as mf
+from migfilter import calibrate
 from migfilter.calibrate import (
     _em_single,
     _forward,
@@ -305,6 +306,26 @@ class TestEmFit:
         panel = mf.MigrationPanel(np.empty((0, 2), dtype=int), np.empty((0, 2, 2), dtype=int))
         with pytest.raises(DataError):
             mf.em_fit(panel, 2, mf.EmConfig(restarts=1))
+
+    def test_e_step_runs_no_backward_pass(self, rng, monkeypatch):
+        # the E-step smooths from the forward rows; a backward scan per
+        # iteration would double its cost without changing the fit
+        calls = {"_forward": 0, "_backward": 0}
+
+        def spy(name):
+            real = getattr(calibrate, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(calibrate, name, spy(name))
+        panel, _, _ = random_instance(rng, m=2, steps=30)
+        mf.em_fit(panel, 2, mf.EmConfig(restarts=2, max_iters=5, seed=0))
+        assert calls["_forward"] > 0 and calls["_backward"] == 0
 
     def test_result_serializes_with_diagnostics(self, rng):
         panel, _, _ = random_instance(rng, m=2, steps=4)

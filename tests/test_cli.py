@@ -393,6 +393,22 @@ def test_forecast_file_is_predict_transition_probs_of_the_rows(runner, tmp_path,
     np.testing.assert_array_equal(rows[:, 0], np.arange(6.0))
 
 
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_forecast_with_a_nonpositive_step_exits_1(runner, continuous_model_file, tmp_path, step):
+    # a zero or negative step turned every generator into an identity forecast
+    traj = mf.FilterTrajectory(np.full((3, 2), 0.5), np.arange(3.0), np.zeros((2, 3, 3)), 0.0)
+    traj_path = tmp_path / "traj.csv"
+    pio.trajectory_to_csv(traj, str(traj_path))
+    out = runner.invoke(
+        main,
+        ["forecast", "--model", str(continuous_model_file), "--trajectory", str(traj_path),
+         "--step-days", step, "--out", str(tmp_path / "nu.csv")],
+    )
+    assert out.exit_code == 1, out.output
+    assert f"error: step_days must be positive and finite, got {step}" in out.output
+    assert not (tmp_path / "nu.csv").exists()
+
+
 @pytest.mark.parametrize(
     "option, value, message",
     [

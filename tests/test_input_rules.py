@@ -300,6 +300,16 @@ SETTING_CASES = {
         lambda: mf.run_continuous_filter(STREAM, CF, CL, 0.0, 1.0),
         "grid_dt must be positive and finite, got 0.0",
     ),
+    **{
+        f"SimulationConfig-{mode.value}-step_length_days-{step}": (
+            lambda mode=mode, step=step: mf.SimulationConfig(
+                np.array([3, 3]), 3, 0, mode, step_length_days=step
+            ),
+            f"step_length_days must be positive and finite, got {step!r}",
+        )
+        for mode in mf.Mode
+        for step in (0, -2)
+    },
     "MigrationPanel-step_length_days": (
         lambda: mf.MigrationPanel(PANEL.exposures, PANEL.counts, step_length_days=np.nan),
         "step_length_days must be positive and finite, got nan",

@@ -1,11 +1,11 @@
 """The time-vectorised E-step against the sequential recursions it replaced.
 
 The reference loops below are the step-by-step scaled forward/backward
-recursions and the per-step pairwise posteriors.  The scans must agree
-with them to 1e-12, raise the same errors at the same time index, and
-survive samples long enough to underflow an unscaled recursion.  Where
-the scaled loops themselves underflow, a log-space recursion is the
-reference.
+recursions and the per-step pairwise posteriors.  The scans, and the
+E-step's posteriors smoothed from the forward rows alone, must agree with
+them to 1e-12, raise the same errors at the same time index, and survive
+samples long enough to underflow an unscaled recursion.  Where the scaled
+loops themselves underflow, a log-space recursion is the reference.
 """
 
 import math
@@ -15,7 +15,7 @@ import pytest
 from scipy.special import logsumexp
 
 from migfilter import calibrate, filtering
-from migfilter.calibrate import _backward, _forward, _posteriors_from
+from migfilter.calibrate import _backward, _e_step, _forward, _posteriors_from
 from migfilter.errors import ImpossibleObservationError, NumericalError
 from migfilter.model import HiddenFactorSpec, MigrationLaw, MigrationPanel
 
@@ -106,6 +106,12 @@ def assert_matches_loops(logg, pi, trans):
     assert u.shape == u_ref.shape and v.shape == v_ref.shape
     np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-12)
+    # the E-step smooths from the forward rows alone, to the same posteriors
+    e_loglik, e_u, e_v = _e_step(logg, pi, trans)
+    assert e_loglik == fwd.loglik
+    assert e_u.shape == u.shape and e_v.shape == v.shape
+    np.testing.assert_allclose(e_u, u, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(e_v, v, rtol=0, atol=1e-12)
     return fwd, bwd
 
 
@@ -136,26 +142,47 @@ def test_long_sample_underflows_unscaled_recursion():
     assert np.isfinite(fwd.loglik)
 
 
-def log_space_forward(logg, pi, trans):
+def log_space_alpha(logg, pi, trans):
     """Sequential forward recursion on log-probabilities: no underflow."""
     with np.errstate(divide="ignore"):
         log_trans = np.log(trans)
         log_alpha = [np.log(pi) + logg[0]]
     for t in range(1, logg.shape[0]):
         log_alpha.append(logsumexp(log_alpha[-1][:, None] + log_trans, axis=0) + logg[t])
-    log_alpha = np.array(log_alpha)
-    total = logsumexp(log_alpha, axis=1)
-    return np.exp(log_alpha - total[:, None]), total[-1]
+    return np.array(log_alpha)
 
 
-def log_space_backward(logg, trans):
+def log_space_beta(logg, trans):
     with np.errstate(divide="ignore"):
         log_trans = np.log(trans)
     log_beta = [np.zeros(logg.shape[1])]
     for t in range(logg.shape[0] - 1, 0, -1):
         log_beta.append(logsumexp(log_trans + logg[t] + log_beta[-1], axis=1))
-    log_beta = np.array(log_beta[::-1])
+    return np.array(log_beta[::-1])
+
+
+def log_space_forward(logg, pi, trans):
+    log_alpha = log_space_alpha(logg, pi, trans)
+    total = logsumexp(log_alpha, axis=1)
+    return np.exp(log_alpha - total[:, None]), total[-1]
+
+
+def log_space_backward(logg, trans):
+    log_beta = log_space_beta(logg, trans)
     return np.exp(log_beta - logsumexp(log_beta, axis=1)[:, None])
+
+
+def log_space_smoother(logg, pi, trans):
+    """``u`` and ``v`` from the log-space forward and backward rows."""
+    log_alpha, log_beta = log_space_alpha(logg, pi, trans), log_space_beta(logg, trans)
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(trans)
+    log_u = log_alpha + log_beta
+    log_v = log_alpha[:-1, :, None] + log_trans + (logg[1:] + log_beta[1:])[:, None, :]
+    return (
+        np.exp(log_u - logsumexp(log_u, axis=1, keepdims=True)),
+        np.exp(log_v - logsumexp(log_v, axis=(1, 2), keepdims=True)),
+    )
 
 
 def test_near_reducible_chains_match_log_space_recursion(monkeypatch):
@@ -177,7 +204,16 @@ def test_near_reducible_chains_match_log_space_recursion(monkeypatch):
         np.testing.assert_allclose(fwd.alpha, alpha, rtol=0, atol=1e-10)
         assert fwd.loglik == pytest.approx(loglik, rel=1e-12)
         beta = log_space_backward(logg, trans)
-        np.testing.assert_allclose(_backward(logg, trans).beta, beta, rtol=0, atol=1e-10)
+        bwd = _backward(logg, trans)
+        np.testing.assert_allclose(bwd.beta, beta, rtol=0, atol=1e-10)
+        u_ref, v_ref = log_space_smoother(logg, pi, trans)
+        _, u, v = _e_step(logg, pi, trans)
+        np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-10)
+        # smoothing from the forward rows keeps the alpha-beta posteriors
+        u_ab, v_ab = _posteriors_from(logg, fwd, bwd, trans)
+        np.testing.assert_allclose(u, u_ab, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v, v_ab, rtol=0, atol=1e-12)
         # the filter reads the same weights through a one-rating panel
         monkeypatch.setattr(filtering, "_panel_log_weights", lambda panel, law: logg)
         traj = filtering.run_filter(
@@ -185,6 +221,31 @@ def test_near_reducible_chains_match_log_space_recursion(monkeypatch):
         )
         assert traj.loglik == pytest.approx(loglik, rel=1e-12)
         np.testing.assert_allclose(traj.probs_matrix()[1:], alpha @ trans, rtol=0, atol=1e-10)
+
+
+def test_subnormal_prediction_smooths_to_finite_posteriors():
+    # state 1 holds no filtered mass at steps 0 and 1, so its one-step
+    # prediction into step 2 is the subnormal switch probability; step 2
+    # then favours it by 1000 nats, so nearly all smoothed mass lands on it
+    trans = np.array([[1.0, 1e-310], [0.5, 0.5]])
+    pi = np.array([1.0, 0.0])
+    logg = np.array([[0.0, -1000.0], [0.0, -1000.0], [-1000.0, 0.0], [-1000.0, 0.0]])
+    pred = _forward(logg, pi, trans).alpha[:-1] @ trans
+    assert np.any((pred > 0.0) & (pred < np.finfo(float).tiny))
+    u_ref, v_ref = log_space_smoother(logg, pi, trans)
+    _, u, v = _e_step(logg, pi, trans)
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+    np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-10)
+
+
+def with_nan_row(prods):
+    def scan(mats):
+        out = prods(mats)
+        out[len(out) // 2] = np.nan
+        return out
+
+    return scan
 
 
 def test_scan_disagreeing_with_exact_step_raises(monkeypatch):
@@ -195,6 +256,14 @@ def test_scan_disagreeing_with_exact_step_raises(monkeypatch):
         _forward(logg, pi, trans)
     with pytest.raises(NumericalError, match="lost precision"):
         _backward(logg, trans)
+    # the E-step's smoothing scan is checked the same way; a NaN, or rows
+    # of zeros (0 / 0 in the pairwise posteriors), fail it too
+    monkeypatch.setattr(calibrate, "_scan_directions", scan)
+    prods = calibrate._stochastic_prefix_products
+    for corrupt in (lambda mats: prods(mats)[::-1], with_nan_row(prods), lambda mats: 0 * prods(mats)):
+        monkeypatch.setattr(calibrate, "_stochastic_prefix_products", corrupt)
+        with pytest.raises(NumericalError, match="smoothing scan lost precision"):
+            _e_step(logg, pi, trans)
 
 
 def unreachable_problem(steps):
@@ -230,6 +299,8 @@ def test_errors_match_loops(kind, where):
     logg, pi, trans = unreachable_problem(steps)
     logg[t] = -np.inf if kind == "every" else [-np.inf, -np.inf, 0.0]
     assert assert_same_outcome(_forward, loop_forward, logg, pi, trans) == t
+    # the E-step raises the forward pass's error before it smooths
+    assert assert_same_outcome(_e_step, loop_forward, logg, pi, trans) == t
     # the backward pass never reads step 0
     expected = None if t == 0 else t
     assert assert_same_outcome(_backward, loop_backward, logg, trans) == expected
@@ -242,4 +313,5 @@ def test_forward_reports_first_and_backward_last_bad_step(kinds):
     for t, kind in zip((2, 6), kinds):
         logg[t] = -np.inf if kind == "every" else [-np.inf, -np.inf, 0.0]
     assert assert_same_outcome(_forward, loop_forward, logg, pi, trans) == 2
+    assert assert_same_outcome(_e_step, loop_forward, logg, pi, trans) == 2
     assert assert_same_outcome(_backward, loop_backward, logg, trans) == 6

@@ -13,14 +13,14 @@ step in log space from every scanned row then gives the normalized rows
 and their per-step log-scales (so samples thousands of steps long cannot
 underflow), decides impossible observations, and checks the scan.
 
-The discrete E-step scans only forward, then smooths from the forward
-rows alone (Rauch, Tung & Striebel, 1965): the law of each step's state
-given the next one's is a column-stochastic matrix, so the smoothed
-marginals are prefix products of those, scanned the same way with plain
-products and checked the same way; the pairwise posteriors follow in one
-broadcast.  The backward recursion serves ``backward_pass``,
-``posteriors`` and the continuous segment E-step.  The discrete M-step
-is closed form.
+Both E-steps, discrete and continuous, scan only forward, then smooth
+from the forward rows alone (Rauch, Tung & Striebel, 1965): the law of
+each step's state given the next one's is a column-stochastic matrix, so
+the smoothed marginals are prefix products of those, scanned the same way
+with plain products and checked the same way; the pairwise posteriors
+follow in one broadcast.  The backward recursion serves only
+``backward_pass`` and ``posteriors``.  The discrete M-step is closed
+form.
 
 The restarts of a multi-start fit run in lockstep: their parameters are
 stacked on a leading axis, and every E-step and M-step function takes
@@ -346,7 +346,8 @@ def _settled(
     if lost is not None:
         raise NumericalError(
             f"the prefix scan lost precision at step {lost[1]}: the per-step "
-            "likelihoods span more orders of magnitude than double precision holds"
+            "likelihoods span more orders of magnitude than double precision holds",
+            time_index=lost[1],
         )
     dead = _first_flagged(~alive, last)
     if dead is not None:
@@ -524,7 +525,9 @@ def _smoothed(alpha: np.ndarray, lead: np.ndarray) -> tuple[np.ndarray, np.ndarr
     diff = _max_over(np.abs(u - scanned), -1)
     lost = _first_flagged(~(diff <= 1e-9), last=True)
     if lost is not None:
-        raise NumericalError(f"the smoothing scan lost precision at step {lost[1]}")
+        raise NumericalError(
+            f"the smoothing scan lost precision at step {lost[1]}", time_index=lost[1]
+        )
     return u, v
 
 
@@ -864,13 +867,20 @@ def _segment_e_step(
     The segments form a hidden-Markov chain over the state in force at
     their last interval: a run of ``r`` intervals with weights ``g`` and
     ``A = K diag(g)`` steps by ``A^(r-1) K`` and weighs by ``g``.  Its
-    column scales move into its log-weights, and the chain is scanned with
-    per-step transitions.  With ``a`` the forward row of the previous
-    segment and ``b`` the backward row of the run, the run's summed
-    posteriors come from ``C``, the top-right block of ``[[A, b a], [0,
-    A]]^r`` (Van Loan, 1978): ``u`` is ``diag(C A)`` and ``v`` is ``K *
-    C^T diag(g)``, both over ``sum(diag(C A)) / r``.  An impossible
-    observation is reported at the first interval of its segment.
+    column scales move into its log-weights, and the chain is scanned
+    forward and smoothed from its rows (:func:`_smoothed`), with per-step
+    transitions.  With ``a`` the forward row of the previous segment and
+    ``b`` the backward row of the run, the run's summed posteriors come from
+    ``C``, the top-right block of ``[[A, b a], [0, A]]^r`` (Van Loan, 1978):
+    ``u`` is ``diag(C A)`` and ``v`` is ``K * C^T diag(g)``, both over
+    ``sum(diag(C A)) / r``.  No backward scan is needed: the run's smoothed
+    row is proportional to its forward row times ``b``, so ``b`` is the
+    smoothed row over the forward row, up to a scale that cancels, and 0
+    where the forward row is 0 (every term of ``C`` that such an entry
+    multiplies is 0, since those terms sum to the run's forward mass in
+    that state).  An impossible
+    observation, or a scan that lost precision, is reported at the first
+    interval of its segment.
     """
     runs = np.flatnonzero(seg.lengths > 1)
     runs = runs[np.argsort(-seg.lengths[runs], kind="stable")]
@@ -889,15 +899,18 @@ def _segment_e_step(
     logg[..., runs, :] += np.moveaxis(np.where(np.isfinite(into_scale), into_scale, 0.0), 0, -2)
     try:
         fwd = _forward(logg, pi, per_step)
-        bwd = _backward(logg, per_step)
-    except ImpossibleObservationError as exc:
-        raise ImpossibleObservationError(
-            str(exc), time_index=int(seg.starts[exc.time_index])
-        ) from None
-    u, v = _posteriors_from(logg, fwd, bwd, per_step)
-    # the runs' summed posteriors replace their end-of-run ones
-    a = np.moveaxis(fwd.alpha[..., runs - 1, :], -2, 0)
-    b = np.moveaxis(bwd.beta[..., runs, :], -2, 0)
+        u, v = _smoothed(fwd.alpha, _leading(per_step, logg))
+    except (ImpossibleObservationError, NumericalError) as exc:
+        # the scans count segments; the user counts fine-grid intervals
+        t = int(seg.starts[exc.time_index])
+        message = str(exc).replace(f"at step {exc.time_index}", f"at fine-grid step {t}")
+        raise type(exc)(message, time_index=t) from None
+    # the runs' summed posteriors replace their end-of-run ones; a run's
+    # backward row is its end-of-run posterior over its forward row
+    a, alpha = (np.moveaxis(fwd.alpha[..., at, :], -2, 0) for at in (runs - 1, runs))
+    b = np.divide(
+        np.moveaxis(u[..., runs, :], -2, 0), alpha, out=np.zeros_like(alpha), where=alpha > 0.0
+    )
     block = np.zeros((*step.shape[:-2], 2 * m, 2 * m))
     block[..., :m, :m] = block[..., m:, m:] = step
     block[..., :m, m:] = b[..., :, None] * a[..., None, :]
@@ -1127,10 +1140,11 @@ def em_fit_continuous(
     fine-grid probabilities are returned as intensity matrices when
     ``to_generator`` is set.
 
-    The E-step takes one scan step per segment (see :func:`_fine_segments`),
-    with each run's posteriors summed in closed form (see
-    :func:`_segment_e_step`), and the migration-row objective one term per
-    distinct no-jump exposure vector.  The result is the per-interval EM's
+    The E-step takes one forward scan step per segment (see
+    :func:`_fine_segments`) and smooths from the forward rows, with no
+    backward pass; each run's posteriors are summed in closed form (see
+    :func:`_segment_e_step`), and the migration-row objective takes one term
+    per distinct no-jump exposure vector.  The result is the per-interval EM's
     up to rounding, at a cost that follows the number of segments rather
     than of intervals.
 

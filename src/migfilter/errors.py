@@ -6,9 +6,16 @@ data problems exit 1, model problems exit 2, numerical failures exit 3.
 
 
 class MigfilterError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``time_index`` is the step at which a recursion failed (None when the
+    error is not tied to one step)."""
 
     exit_code = 3
+
+    def __init__(self, message, time_index=None):
+        super().__init__(message)
+        self.time_index = time_index
 
 
 class DataError(MigfilterError):
@@ -25,10 +32,6 @@ class ModelError(MigfilterError):
 
 class ImpossibleObservationError(ModelError):
     """An observed outcome has zero probability under every hidden state."""
-
-    def __init__(self, message, time_index=None):
-        super().__init__(message)
-        self.time_index = time_index
 
 
 class NumericalError(MigfilterError):

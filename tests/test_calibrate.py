@@ -15,6 +15,25 @@ from migfilter.errors import DataError, ImpossibleObservationError, ModelError
 from conftest import enumerate_reference, random_instance, random_model
 
 
+def count_calls(monkeypatch, *names):
+    """Count the calls of the ``calibrate`` functions ``names``, which still
+    run; the counts fill in the returned dict."""
+    calls = dict.fromkeys(names, 0)
+
+    def spy(name):
+        real = getattr(calibrate, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(calibrate, name, spy(name))
+    return calls
+
+
 def unscaled_alpha_beta_product(fwd, bwd):
     """log of sum_j alpha_t(j) beta_t(j) with the scale factors restored."""
     inner = (fwd.alpha * bwd.beta).sum(axis=1)
@@ -310,19 +329,7 @@ class TestEmFit:
     def test_e_step_runs_no_backward_pass(self, rng, monkeypatch):
         # the E-step smooths from the forward rows; a backward scan per
         # iteration would double its cost without changing the fit
-        calls = {"_forward": 0, "_backward": 0}
-
-        def spy(name):
-            real = getattr(calibrate, name)
-
-            def counted(*args):
-                calls[name] += 1
-                return real(*args)
-
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(calibrate, name, spy(name))
+        calls = count_calls(monkeypatch, "_forward", "_backward")
         panel, _, _ = random_instance(rng, m=2, steps=30)
         mf.em_fit(panel, 2, mf.EmConfig(restarts=2, max_iters=5, seed=0))
         assert calls["_forward"] > 0 and calls["_backward"] == 0
@@ -503,6 +510,15 @@ class TestEmFitContinuous:
             y = golden_section(lambda v: q_total(x, v), 1e-9, 1 - 1e-9)
         assert abs(fitted[0, 1] - x) < 1e-6
         assert abs(fitted[1, 0] - y) < 1e-6
+
+    def test_e_step_runs_no_backward_pass(self, monkeypatch):
+        # the segment E-step smooths from the forward rows and reads each
+        # run's backward row off the smoothed one
+        calls = count_calls(monkeypatch, "_forward", "_smoothed", "_backward", "_posteriors_from")
+        stream, fine_dt, *_ = self.make_fine_stream(seed=1, steps=20, entities=10, m=2)
+        mf.em_fit_continuous(stream, 2, mf.EmConfig(restarts=2, max_iters=5, seed=0), fine_dt)
+        assert calls["_forward"] > 0 and calls["_smoothed"] == calls["_forward"]
+        assert calls["_backward"] == calls["_posteriors_from"] == 0
 
     def test_traces_monotone(self):
         for seed in range(4):

@@ -3,7 +3,8 @@ cycle between submodules fails whichever module a caller imports first, and
 importing the package loads no scipy module (scipy's import costs about
 half a second of every CLI process); no module imports scipy at all, since
 the package does not depend on it.  The rules for scalar settings live in
-``model`` alone.  The public names and the option count are pinned."""
+``model`` alone, and the backward scan serves only ``backward_pass``.  The
+public names and the option count are pinned."""
 
 import ast
 import pkgutil
@@ -87,6 +88,27 @@ def test_setting_rules_live_in_model():
                 continue
             where = f"{path.name}:{node.lineno}"
             assert not any(name in banned or name[1] == "is_integer" for name in names), where
+
+
+def test_two_scan_route_serves_only_its_public_names():
+    """The fitters smooth from the forward rows alone: within the package,
+    the backward scan is reached only through ``backward_pass``, and the
+    alpha-beta posteriors only through ``posteriors``."""
+    owners = {"_backward": "backward_pass", "_posteriors_from": "posteriors"}
+    users = {name: set() for name in owners}
+    for path in sorted(Path(migfilter.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = getattr(top, "name", f"{path.name}:{top.lineno}")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name in users:
+                    users[name].add(where)
+    assert users == {name: {owner} for name, owner in owners.items()}
 
 
 def test_public_api():

@@ -16,9 +16,10 @@ underflow), decides impossible observations, and checks the scan.
 Both E-steps, discrete and continuous, scan only forward, then smooth
 from the forward rows alone (Rauch, Tung & Striebel, 1965): the law of
 each step's state given the next one's is a column-stochastic matrix, so
-the smoothed marginals are prefix products of those, scanned the same way
-with plain products and checked the same way; the pairwise posteriors
-follow in one broadcast.  The backward recursion serves only
+the smoothed marginals are prefix products of those, computed by the same
+scan with plain products in place of column-scaled ones and checked
+against one exact step by the same check; the pairwise posteriors follow
+in one broadcast.  The backward recursion serves only
 ``backward_pass`` and ``posteriors``.  The discrete M-step is closed
 form.
 
@@ -252,29 +253,29 @@ def _scaled_matmul(
     return _column_normalized(a @ w, top + b_scale)
 
 
-def _prefix_products(
-    mats: np.ndarray, log_scale: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusive prefix products ``mats[k] @ ... @ mats[0]`` along the
-    leading axis of column-scaled nonnegative matrices (see
-    ``_scaled_matmul``), computed in place; axes between the leading axis
-    and the matrix axes are batch axes.
+def _prefix_products(parts: tuple[np.ndarray, ...], product) -> tuple[np.ndarray, ...]:
+    """Inclusive prefix products ``x[k] @ ... @ x[0]`` along the leading
+    axis of a sequence of matrices ``x`` held as ``parts``, arrays that
+    share that axis, computed in place; axes between the leading axis and
+    the matrix axes are batch axes.  ``product(*a, *b)`` returns the parts
+    of ``a @ b``: ``_scaled_matmul`` on (matrices, column log-scales), or
+    plain ``@`` on the matrices alone, which suits column-stochastic ones
+    (every product of those is column-stochastic too, so nothing needs
+    scaling).
 
     Work-efficient scan: multiply neighbouring pairs, scan the half-length
     sequence of pairs, then extend each odd prefix by the next even matrix.
     O(n) matrix products in O(log n) batched calls.
     """
-    n = mats.shape[0]
+    n = parts[0].shape[0]
     if n > 1:
-        odd, odd_scale = _prefix_products(
-            *_scaled_matmul(mats[1::2], log_scale[1::2], mats[:-1:2], log_scale[:-1:2])
-        )
-        mats[1::2], log_scale[1::2] = odd, odd_scale
+        pairs = product(*(x[1::2] for x in parts), *(x[:-1:2] for x in parts))
+        odd = _prefix_products(pairs, product)
         fill = (n - 1) // 2
-        mats[2::2], log_scale[2::2] = _scaled_matmul(
-            mats[2::2], log_scale[2::2], odd[:fill], odd_scale[:fill]
-        )
-    return mats, log_scale
+        even = product(*(x[2::2] for x in parts), *(x[:fill] for x in odd))
+        for x, x_odd, x_even in zip(parts, odd, even):
+            x[1::2], x[2::2] = x_odd, x_even
+    return parts
 
 
 def _time_major(mats: np.ndarray) -> np.ndarray:
@@ -292,23 +293,13 @@ def _scan_directions(log_mats: np.ndarray) -> np.ndarray:
     (zero rows once the recursion dies).  Overwrites ``log_mats``."""
     # the scan runs along the leading axis (swapping is its own inverse)
     with np.errstate(divide="ignore"):
-        prods, scale = _prefix_products(*_exp_normalized(log_mats.swapaxes(0, -3), -2))
+        prods, scale = _prefix_products(
+            _exp_normalized(log_mats.swapaxes(0, -3), -2), _scaled_matmul
+        )
     col_weight, _ = _exp_normalized(scale, -1)
     rows = np.einsum("...ij,...j->...i", prods, col_weight).swapaxes(0, -2)
     total = rows.sum(axis=-1, keepdims=True)
     return rows / np.where(total > 0.0, total, 1.0)
-
-
-def _raise_impossible(t: int, every_state: bool):
-    if every_state:
-        raise ImpossibleObservationError(
-            "observations at one step are impossible under every hidden state",
-            time_index=t,
-        )
-    raise ImpossibleObservationError(
-        "observations are impossible under every reachable hidden state",
-        time_index=t,
-    )
 
 
 def _first_flagged(flags: np.ndarray, last: bool) -> tuple[int, int] | None:
@@ -322,6 +313,17 @@ def _first_flagged(flags: np.ndarray, last: bool) -> tuple[int, int] | None:
     return r, int(steps[-1] if last else steps[0])
 
 
+def _check_scan(scanned: np.ndarray, exact: np.ndarray, checked, last: bool, message: str):
+    """Raise a NumericalError, ``message`` formatted with the step, at the
+    first (``last``: the last) step, of those ``checked``, whose scanned row
+    differs from its exact one by more than 1e-9, or where either holds a
+    NaN: the scan lost precision."""
+    diff = _max_over(np.abs(scanned - exact), -1)
+    lost = _first_flagged(checked & ~(diff <= 1e-9), last)
+    if lost is not None:
+        raise NumericalError(message.format(lost[1]), time_index=lost[1])
+
+
 def _settled(
     scanned: np.ndarray, row: np.ndarray, impossible: np.ndarray, last: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -331,28 +333,30 @@ def _settled(
     A forward recursion dies at its first row of zero norm, a backward one
     (``last``) at its last; the rows it computed before dying must agree
     with the scan, or the scan lost precision and a NumericalError names
-    the first (forward) or last (backward) disagreeing step.  A restart
-    whose recursion dies then raises ImpossibleObservationError at the step
-    that killed it; with several restarts, the first that fails decides
-    both errors.
+    the first (forward) or last (backward) disagreeing step.  A NaN norm
+    is no death: its row fails the check.  A restart whose recursion dies
+    then raises ImpossibleObservationError at the step that killed it; with
+    several restarts, the first that fails decides both errors.
     """
     norm = row.sum(axis=-1)
     flip = (lambda x: x[..., ::-1]) if last else (lambda x: x)
-    alive = flip(np.logical_and.accumulate(flip(norm > 0.0), axis=-1))
+    alive = flip(np.logical_and.accumulate(flip(~(norm <= 0.0)), axis=-1))
     with np.errstate(divide="ignore", invalid="ignore"):
         exact = row / norm[..., None]
-        off = alive & (np.abs(scanned - exact).max(axis=-1, initial=0.0) > 1e-9)
-    lost = _first_flagged(off, last)
-    if lost is not None:
-        raise NumericalError(
-            f"the prefix scan lost precision at step {lost[1]}: the per-step "
-            "likelihoods span more orders of magnitude than double precision holds",
-            time_index=lost[1],
+        _check_scan(
+            scanned, exact, alive, last,
+            "the prefix scan lost precision at step {}: the per-step likelihoods "
+            "span more orders of magnitude than double precision holds",
         )
     dead = _first_flagged(~alive, last)
     if dead is not None:
         r, t = dead[0], dead[1] + last  # beta[t] reads step t + 1
-        _raise_impossible(t, bool(impossible.reshape(-1, impossible.shape[-1])[r, t]))
+        every = impossible.reshape(-1, impossible.shape[-1])[r, t]
+        raise ImpossibleObservationError(
+            "observations at one step are impossible under every hidden state" if every
+            else "observations are impossible under every reachable hidden state",
+            time_index=t,
+        )
     return exact, norm
 
 
@@ -482,20 +486,6 @@ def _posteriors_from(
     return u, v
 
 
-def _stochastic_prefix_products(mats: np.ndarray) -> np.ndarray:
-    """Inclusive prefix products ``mats[k] @ ... @ mats[0]`` along the
-    leading axis, computed in place, by the scan of ``_prefix_products``
-    with plain products: for column-stochastic matrices every product is
-    column-stochastic too, so nothing needs scaling."""
-    n = mats.shape[0]
-    if n > 1:
-        odd = _stochastic_prefix_products(mats[1::2] @ mats[:-1:2])
-        mats[1::2] = odd
-        fill = (n - 1) // 2
-        mats[2::2] = mats[2::2] @ odd[:fill]
-    return mats
-
-
 def _smoothed(alpha: np.ndarray, lead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The smoothing posteriors ``u`` and ``v`` (see :func:`posteriors`)
     from the forward rows ``alpha`` and their transitions ``lead`` (see
@@ -505,9 +495,11 @@ def _smoothed(alpha: np.ndarray, lead: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ``B_t[:, j] = alpha_t * K[:, j] / pred[j]``, with ``pred = alpha_t K``
     the one-step prediction; where ``pred[j]`` is 0 the column stays zero.
     Then ``u_(T-1) = alpha_(T-1)``, ``u_t = B_t u_(t+1)`` and ``v_t = B_t
-    * u_(t+1)``.  The ``B_t`` are column-stochastic, so ``u`` comes from a
-    scan of plain products, reversed, with ``alpha_(T-1)`` folded into its
-    first matrix; one exact step from every scanned row checks the scan."""
+    * u_(t+1)``.  The ``B_t`` are column-stochastic, so ``u`` comes from
+    the forward recursion's scan (:func:`_prefix_products`) with plain
+    products in place of column-scaled ones, reversed, with ``alpha_(T-1)``
+    folded into its first matrix; one exact step from every scanned row
+    checks the scan, by the forward recursion's check (:func:`_check_scan`)."""
     *batch, steps, m = alpha.shape
     kernels = alpha[..., :-1, :, None] * lead
     pred = np.einsum("...ij->...j", kernels)[..., None, :]
@@ -517,17 +509,15 @@ def _smoothed(alpha: np.ndarray, lead: np.ndarray) -> tuple[np.ndarray, np.ndarr
     reversed_mats = _time_major(mats)
     reversed_mats[..., 0, :, :] = alpha[..., -1, :, None]
     reversed_mats[..., 1:, :, :] = kernels[..., ::-1, :, :]
-    scanned = _time_major(_stochastic_prefix_products(mats))[..., ::-1, :, 0]
+    (prods,) = _prefix_products((mats,), lambda a, b: (a @ b,))
+    scanned = _time_major(prods)[..., ::-1, :, 0]
     v = kernels * scanned[..., 1:, None, :]
     with np.errstate(invalid="ignore"):  # a corrupt scan's 0 / 0 fails the check
         v /= np.einsum("...tij->...t", v)[..., None, None]
     u = np.concatenate([np.einsum("...ij->...i", v), alpha[..., -1:, :]], axis=-2)
-    diff = _max_over(np.abs(u - scanned), -1)
-    lost = _first_flagged(~(diff <= 1e-9), last=True)
-    if lost is not None:
-        raise NumericalError(
-            f"the smoothing scan lost precision at step {lost[1]}", time_index=lost[1]
-        )
+    _check_scan(
+        scanned, u, checked=True, last=True, message="the smoothing scan lost precision at step {}"
+    )
     return u, v
 
 
@@ -879,8 +869,8 @@ def _segment_e_step(
     where the forward row is 0 (every term of ``C`` that such an entry
     multiplies is 0, since those terms sum to the run's forward mass in
     that state).  An impossible
-    observation, or a scan that lost precision, is reported at the first
-    interval of its segment.
+    observation, a scan that lost precision, or run sums that are not
+    finite, is reported at the first interval of its segment.
     """
     runs = np.flatnonzero(seg.lengths > 1)
     runs = runs[np.argsort(-seg.lengths[runs], kind="stable")]
@@ -925,6 +915,13 @@ def _segment_e_step(
         log_v += np.log(trans) + log_g[..., None, :]
     u[..., runs, :] = np.moveaxis(r * w / total, 0, -2)
     v[..., runs - 1, :, :] = np.moveaxis(np.exp(log_v), 0, -3)
+    # v[s - 1] leads into segment s
+    bad = ~np.isfinite(u).all(axis=-1)
+    bad[..., 1:] |= ~np.isfinite(v).all(axis=(-2, -1))
+    lost = _first_flagged(bad, last=False)
+    if lost is not None:
+        t = int(seg.starts[lost[1]])
+        raise NumericalError(f"the run sums at fine-grid step {t} are not finite", time_index=t)
     return fwd.loglik, u, v
 
 

@@ -8,6 +8,7 @@ samples long enough to underflow an unscaled recursion.  Where the scaled
 loops themselves underflow, a log-space recursion is the reference.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -239,13 +240,27 @@ def test_subnormal_prediction_smooths_to_finite_posteriors():
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-10)
 
 
-def with_nan_row(prods):
-    def scan(mats):
-        out = prods(mats)
-        out[len(out) // 2] = np.nan
-        return out
+def on_smoothing_scan(scan, corrupt):
+    """``_prefix_products`` (``scan``) with ``corrupt`` applied to the
+    products of every whole plain-product scan, the smoothing scan: not to
+    its halves, and not to the column-scaled scans of the recursions."""
+    depth = 0
 
-    return scan
+    def corrupted(parts, product):
+        nonlocal depth
+        depth += 1
+        try:
+            out = scan(parts, product)
+        finally:
+            depth -= 1
+        return (corrupt(out[0]),) if depth == 0 and len(out) == 1 else out
+
+    return corrupted
+
+
+def with_nan_row(prods):
+    prods[len(prods) // 2] = np.nan
+    return prods
 
 
 def test_scan_disagreeing_with_exact_step_raises(monkeypatch):
@@ -259,11 +274,92 @@ def test_scan_disagreeing_with_exact_step_raises(monkeypatch):
     # the E-step's smoothing scan is checked the same way; a NaN, or rows
     # of zeros (0 / 0 in the pairwise posteriors), fail it too
     monkeypatch.setattr(calibrate, "_scan_directions", scan)
-    prods = calibrate._stochastic_prefix_products
-    for corrupt in (lambda mats: prods(mats)[::-1], with_nan_row(prods), lambda mats: 0 * prods(mats)):
-        monkeypatch.setattr(calibrate, "_stochastic_prefix_products", corrupt)
+    prods = calibrate._prefix_products
+    for corrupt in (lambda x: x[::-1], with_nan_row, lambda x: 0 * x):
+        monkeypatch.setattr(calibrate, "_prefix_products", on_smoothing_scan(prods, corrupt))
         with pytest.raises(NumericalError, match="smoothing scan lost precision"):
             _e_step(logg, pi, trans)
+
+
+def test_nan_scan_row_is_lost_precision_not_a_dead_recursion(monkeypatch):
+    """A NaN row of the prefix scan makes the exact step's norm NaN, which
+    must fail the scan check, not count as an impossible observation."""
+    logg, pi, trans = random_problem(np.random.default_rng(0), 20, 3)
+    scan = calibrate._scan_directions
+
+    def corrupt(log_mats):
+        rows = scan(log_mats)
+        rows[..., 7, :] = np.nan
+        return rows
+
+    monkeypatch.setattr(calibrate, "_scan_directions", corrupt)
+    # the backward scan runs reversed: its row 7 is beta[12]
+    for run, args, t in [(_forward, (logg, pi, trans), 7), (_backward, (logg, trans), 12)]:
+        with pytest.raises(NumericalError, match="^the prefix scan lost precision") as info:
+            run(*args)
+        assert info.value.time_index == t
+
+
+@pytest.mark.parametrize("shift, raises", [(2e-9, True), (5e-10, False)])
+def test_scan_check_bound_is_1e9(shift, raises, monkeypatch):
+    """Both scans are checked against their exact steps to 1e-9.  The
+    shifted row feeds no exact step (the last forward row, the first
+    smoothed one), so the shift is the whole difference."""
+    logg, pi, trans = random_problem(np.random.default_rng(0), 20, 3)
+
+    def outcome(scan_name):
+        if not raises:
+            return contextlib.nullcontext()
+        return pytest.raises(NumericalError, match=f"^the {scan_name} scan lost precision")
+
+    scan = calibrate._scan_directions
+
+    def shifted_rows(log_mats):
+        rows = scan(log_mats)
+        rows[..., -1, 0] += shift
+        return rows
+
+    monkeypatch.setattr(calibrate, "_scan_directions", shifted_rows)
+    with outcome("prefix"):
+        _forward(logg, pi, trans)
+    monkeypatch.setattr(calibrate, "_scan_directions", scan)
+
+    def shifted_products(prods):
+        # the last product drives the smoothed row of step 0, its column 0
+        prods[-1, ..., 0, 0] += shift
+        return prods
+
+    prods = calibrate._prefix_products
+    monkeypatch.setattr(calibrate, "_prefix_products", on_smoothing_scan(prods, shifted_products))
+    with outcome("smoothing"):
+        _e_step(logg, pi, trans)
+
+
+def sequential_products(mats):
+    out = mats.copy()
+    for k in range(1, len(out)):
+        out[k] = mats[k] @ out[k - 1]
+    return out
+
+
+@pytest.mark.parametrize("steps", range(1, 34))
+def test_prefix_products_match_sequential_products(steps):
+    """The one scan, with plain products on column-stochastic stacks and
+    with column-scaled products on column-scaled ones, against a loop of
+    plain products; one batch axis."""
+    rng = np.random.default_rng(steps)
+    batch, m = 2, 3
+    mats = np.swapaxes(rng.dirichlet(np.ones(m), size=(steps, batch, m)), -1, -2)
+    want = sequential_products(mats)
+    (got,) = calibrate._prefix_products((mats.copy(),), lambda a, b: (a @ b,))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    mats = rng.random((steps, batch, m, m))
+    scale = rng.normal(scale=3.0, size=(steps, batch, m))
+    want = sequential_products(mats * np.exp(scale)[..., None, :])
+    got, got_scale = calibrate._prefix_products(
+        (mats.copy(), scale.copy()), calibrate._scaled_matmul
+    )
+    np.testing.assert_allclose(got * np.exp(got_scale)[..., None, :], want, rtol=1e-12, atol=0)
 
 
 def unreachable_problem(steps):

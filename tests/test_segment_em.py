@@ -27,6 +27,7 @@ import test_picker_solver
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_picker_solver import lbfgs_picker_rows
+from test_scan_oracle import on_smoothing_scan
 
 import migfilter as mf
 from migfilter import calibrate
@@ -479,20 +480,15 @@ def reversed_row(scan, s):
     return corrupt
 
 
-def nan_row(prods, s):
-    """``_stochastic_prefix_products`` with the product that drives the
-    smoothed row ``s`` set to NaN (the full scan only, not its halves)."""
+def nan_row(scan, s):
+    """``_prefix_products`` (``scan``) with the smoothing scan's product
+    that drives the smoothed row ``s`` set to NaN."""
 
-    def corrupt(mats):
-        corrupt.depth += 1
-        out = prods(mats)
-        corrupt.depth -= 1
-        if not corrupt.depth:
-            out[len(out) - 1 - s] = np.nan
-        return out
+    def corrupt(prods):
+        prods[len(prods) - 1 - s] = np.nan
+        return prods
 
-    corrupt.depth = 0
-    return corrupt
+    return on_smoothing_scan(scan, corrupt)
 
 
 @pytest.mark.parametrize(
@@ -500,7 +496,7 @@ def nan_row(prods, s):
     [
         ("_scan_directions", reversed_row, "the prefix scan lost precision at fine-grid step {}: "),
         (
-            "_stochastic_prefix_products",
+            "_prefix_products",
             nan_row,
             "the smoothing scan lost precision at fine-grid step {}$",
         ),
@@ -524,6 +520,61 @@ def test_lost_precision_is_reported_at_the_first_interval_of_its_segment(
     with pytest.raises(NumericalError, match="^" + message.format(t)) as info:
         _segment_e_step(logw, pi, trans, seg)
     assert info.value.time_index == t
+
+
+def nan_in_call(powers, call, where):
+    """``_matrix_powers`` (``powers``) with entry ``where`` of the matrices
+    of its ``call``-th call (counting from 0) set to NaN."""
+    calls = 0
+
+    def corrupt(base, exps):
+        nonlocal calls
+        out, scale = powers(base, exps)
+        if calls == call:
+            out[where] = np.nan
+        calls += 1
+        return out, scale
+
+    return corrupt
+
+
+def longest_run_start(seg):
+    """The first interval of the first longest run: the run that the
+    E-step's matrix powers hold first."""
+    runs = np.flatnonzero(seg.lengths > 1)
+    return int(seg.starts[runs[np.argmax(seg.lengths[runs])]])
+
+
+@pytest.mark.parametrize(
+    "call, where, message",
+    [
+        (0, (0, 0, 0, 0), "the prefix scan lost precision at fine-grid step {}: "),
+        # with m = 2, column 2 of the 2m x 2m block power starts its used block
+        (1, (0, 0, 0, 2), "the run sums at fine-grid step {} are not finite$"),
+    ],
+    ids=["run_power", "van_loan_block"],
+)
+def test_nan_in_a_run_is_a_numerical_error_at_its_first_interval(
+    call, where, message, monkeypatch
+):
+    """A NaN in a run's matrix power (the first call), or in the used
+    top-right block of its Van Loan power (the second), is a numerical
+    fault at the run's first interval: not an impossible observation, and
+    never NaN posteriors passed on to the M-step.  A fit raises it rather
+    than fail the restart."""
+    stream, fine_dt = CASES["spread"]()
+    seg, n_bar = _fine_segments(stream, fine_dt)
+    t = longest_run_start(seg)
+    pi, trans, per_state = random_params(5, 2, 2, stream.p)
+    logw = _picker_log_weights(seg.exposures, seg.src, seg.dst, per_state, n_bar)
+    powers = calibrate._matrix_powers
+    monkeypatch.setattr(calibrate, "_matrix_powers", nan_in_call(powers, call, where))
+    with pytest.raises(NumericalError, match="^" + message.format(t)) as info:
+        _segment_e_step(logw, pi, trans, seg)
+    assert info.value.time_index == t
+    monkeypatch.setattr(calibrate, "_matrix_powers", nan_in_call(powers, call, where))
+    with pytest.raises(NumericalError, match="^" + message.format(t)):
+        mf.em_fit_continuous(stream, 2, mf.EmConfig(restarts=1, seed=5), fine_dt=fine_dt)
 
 
 def test_segment_count_does_not_grow_with_the_slots():

@@ -868,7 +868,8 @@ def _segment_e_step(
     smoothed row over the forward row, up to a scale that cancels, and 0
     where the forward row is 0 (every term of ``C`` that such an entry
     multiplies is 0, since those terms sum to the run's forward mass in
-    that state).  An impossible
+    that state).  It is divided in log space and scaled to a largest entry
+    of 1, so a subnormal forward entry cannot overflow it.  An impossible
     observation, a scan that lost precision, or run sums that are not
     finite, is reported at the first interval of its segment.
     """
@@ -898,9 +899,9 @@ def _segment_e_step(
     # the runs' summed posteriors replace their end-of-run ones; a run's
     # backward row is its end-of-run posterior over its forward row
     a, alpha = (np.moveaxis(fwd.alpha[..., at, :], -2, 0) for at in (runs - 1, runs))
-    b = np.divide(
-        np.moveaxis(u[..., runs, :], -2, 0), alpha, out=np.zeros_like(alpha), where=alpha > 0.0
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_b = np.log(np.moveaxis(u[..., runs, :], -2, 0)) - np.log(alpha)
+    b, _ = _exp_normalized(np.where(alpha > 0.0, log_b, -np.inf), -1)
     block = np.zeros((*step.shape[:-2], 2 * m, 2 * m))
     block[..., :m, :m] = block[..., m:, m:] = step
     block[..., :m, m:] = b[..., :, None] * a[..., None, :]

@@ -189,10 +189,9 @@ def forecast(model_path, traj_path, step_days, out_path):
         law = MigrationLaw(generator_to_transition(law.per_state, _positive(step_days, "step_days")))
     traj = pio.trajectory_from_csv(traj_path)
     nu = predict_transition_probs(law, traj.probs_matrix())
-    table = np.column_stack([traj.time_index, nu.reshape(len(nu), -1)])
-    rows = pio._float_texts(table, pio._repr_texts)
-    pio._write_table(out_path, ["t", *pio._columns("nu", law.p, law.p)], rows)
-    click.echo(f"wrote {len(table)} forecast rows to {out_path}")
+    lines = pio._keyed_lines(traj.time_index[:, None], nu.reshape(len(nu), -1))
+    pio._write_lines(out_path, ["t", *pio._columns("nu", law.p, law.p)], lines, None)
+    click.echo(f"wrote {len(nu)} forecast rows to {out_path}")
 
 
 @main.command()

@@ -324,10 +324,12 @@ def _float_texts(values: np.ndarray, render) -> list:
     once, so ``-0.0`` and ``0.0`` keep their own texts and every NaN reads
     as its renderer spells it.  Filtered forecasts and realized ratios
     repeat most of their values, and ``repr`` of a double is the bulk of a
-    writer's time.  The patterns are rendered in order of first use, so
-    their texts lie in memory about in the order they are written; in
-    sorted order, the gather that puts them in place would miss the cache
-    on most cells of a table without repeats.
+    writer's time.  Forecasts repeat whole rows too, so the trajectory and
+    forecast writers pass their leading cells and only their distinct
+    forecast rows (:func:`_keyed_lines`).  The patterns are rendered in
+    order of first use, so their texts lie in memory about in the order
+    they are written; in sorted order, the gather that puts them in place
+    would miss the cache on most cells of a table without repeats.
     """
     values = np.ascontiguousarray(values, dtype=float)
     bits = values.view(np.int64).reshape(-1)
@@ -472,11 +474,40 @@ def rolling_backtest(
 def _write_table(target, header, rows, comment: str | None = None) -> None:
     """Write rows of ints, floats and blank ``""`` cells; the comment line
     ends in ``\n``, as event files always have."""
+    _write_lines(target, header, (",".join(map(str, row)) for row in rows), comment)
+
+
+def _write_lines(target, header, lines, comment: str | None) -> None:
+    """:func:`_write_table` of rows already joined into lines."""
     with _opened(target, "w") as handle:
         if comment is not None:
             handle.write(f"# {comment}\n")
         handle.write(",".join(header) + "\r\n")
-        handle.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+        handle.writelines(line + "\r\n" for line in lines)
+
+
+def _keyed_lines(lead: np.ndarray, block: np.ndarray) -> list[str]:
+    """The lines of a float table whose row ``i`` is row ``i`` of ``lead``
+    followed by row ``i`` of ``block``, or by blank cells past the last row
+    of ``block``.
+
+    Filtered forecasts repeat whole rows, so the rows of ``block`` are
+    keyed by their bytes, and each distinct row is joined once; each line
+    is then its leading cells' text plus its row's text.  ``lead`` and the
+    distinct rows go through one :func:`_float_texts` pass, so no float is
+    rendered twice.
+    """
+    lead = np.ascontiguousarray(lead, dtype=float)
+    block = np.ascontiguousarray(block, dtype=float)
+    index: dict[bytes, int] = {}
+    code = [index.setdefault(row.tobytes(), len(index)) for row in block]
+    distinct = np.frombuffer(b"".join(index))
+    texts = _float_texts(np.concatenate([lead.ravel(), distinct]), _repr_texts)
+    (_, width), rest, cells = lead.shape, block.shape[1], texts[lead.size :]
+    heads = [",".join(texts[i : i + width]) for i in range(0, lead.size, width)]
+    rows = [",".join(["", *cells[k * rest : k * rest + rest]]) for k in range(len(index))]
+    tails = [rows[i] for i in code] + ["," * rest]
+    return [head + tail for head, tail in zip(heads, tails)]
 
 
 def _columns(prefix: str, *shape: int) -> list[str]:
@@ -498,14 +529,26 @@ class _Table:
 
     def parse(self, dtype, rule, rows: slice = slice(None)) -> np.ndarray:
         """The rows ``rows`` as an array of ``dtype``, one table row per
-        line (a record dtype gives one column of records).
+        line (a record dtype gives one column of records), read in one
+        ``np.loadtxt`` call: :meth:`parse_keyed` with every cell leading."""
+        return self.parse_keyed(dtype, rule, rows, len(self.header))
 
-        The block is read in one ``np.loadtxt`` call.  :meth:`by_rule` reads
-        it instead when that call refuses it or is not shown it: an empty
-        block (on which it warns), a line not as wide as the header, or a
-        line it might read where the row rule refuses it, which holds
-        non-ASCII text (its integer parser takes some letters for digits)
-        or ``\\x1f`` (which it takes for a blank).
+    def parse_keyed(self, dtype, rule, rows: slice, lead: int) -> np.ndarray:
+        """:meth:`parse`, with the text after the first ``lead`` cells of
+        each line read once per distinct text when ``lead`` is short of the
+        header and a sample of the lines repeats enough of those texts
+        (:func:`_keying_pays`): one ``np.loadtxt`` call for the leading
+        cells of every line and one for the distinct texts, gathered back
+        into rows.  Identical texts parse identically, so every cell is
+        still checked.  Keying needs ``lead >= 2``, so that each line's
+        leading text holds a comma (``loadtxt`` skips an empty line).
+
+        :meth:`by_rule` reads the block instead when a call refuses it or
+        is not shown it: an empty block (on which it warns), a line not as
+        wide as the header, an empty text after the leading cells (which it
+        skips), or a line it might read where the row rule refuses it,
+        which holds non-ASCII text (its integer parser takes some letters
+        for digits) or ``\\x1f`` (which it takes for a blank).
         """
         lines = self.lines[rows]
         commas = len(self.header) - 1
@@ -513,7 +556,9 @@ class _Table:
             line.count(",") == commas and line.isascii() and "\x1f" not in line for line in lines
         ):
             try:
-                return np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, ndmin=2)
+                if lead <= commas and _keying_pays(lines, lead):
+                    return _keyed_loadtxt(lines, lead, dtype)
+                return _loadtxt(lines, dtype)
             except ValueError:
                 pass
         return self.by_rule(dtype, rule, rows)
@@ -534,6 +579,33 @@ class _Table:
                 raise DataError(f"{self.what} line {line_no}: {exc}") from exc
         dtype = np.dtype(dtype)
         return np.array(values, dtype).reshape(len(values), 1 if dtype.names else width)
+
+
+def _loadtxt(lines: list[str], dtype) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, ndmin=2)
+
+
+def _keying_pays(lines: list[str], lead: int) -> bool:
+    """Whether at most three quarters of the texts after the first ``lead``
+    cells are distinct in a strided sample of about 64 lines.  Keying costs
+    a Python split of every line and a second ``loadtxt`` call, about a
+    sixth of one call on the whole lines, so on a table with fewer repeats
+    one call on the whole lines is faster."""
+    sample = lines[:: max(1, len(lines) // 64)]
+    return 4 * len({line.split(",", lead)[-1] for line in sample}) <= 3 * len(sample)
+
+
+def _keyed_loadtxt(lines: list[str], lead: int, dtype) -> np.ndarray:
+    """The rows of ``lines``, each parsed as ``dtype``, with the text after
+    the first ``lead`` cells of each line parsed once per distinct text;
+    ``ValueError`` if a call refuses the texts or a text is empty."""
+    tails = [line.split(",", lead)[-1] for line in lines]
+    heads = [line[: len(line) - len(tail) - 1] for line, tail in zip(lines, tails)]
+    index: dict[str, int] = {}
+    code = [index.setdefault(tail, len(index)) for tail in tails]
+    if "" in index:
+        raise ValueError("loadtxt skips an empty line")
+    return np.hstack([_loadtxt(heads, dtype), _loadtxt(list(index), dtype)[code]])
 
 
 def _read_table(source, what: str, layout):
@@ -580,19 +652,24 @@ def panel_from_csv(source: str | io.TextIOBase, step_length_days: float = 1) -> 
 
 def trajectory_to_csv(trajectory: FilterTrajectory, target: str | io.TextIOBase) -> None:
     """Header ``t,I_1..I_m,nu_1_1..nu_p_p``; forecast row ``t`` was issued
-    before step/interval ``t`` (the final state row carries no forecast)."""
+    before step/interval ``t`` (the final state row carries no forecast).
+    Each distinct forecast row is rendered once (:func:`_keyed_lines`)."""
     probs, predicted = trajectory.probs_matrix(), trajectory.predicted_ratios
     (n, p, _), m = predicted.shape, probs.shape[1]
     header = ["t", *_columns("I", m), *_columns("nu", p, p)]
-    states = _float_texts(np.column_stack([trajectory.time_index, probs]), _repr_texts)
-    forecasts = _float_texts(predicted.reshape(n, p * p), _repr_texts) + [[""] * (p * p)]
-    _write_table(target, header, (row + nu for row, nu in zip(states, forecasts)))
+    states = np.column_stack([trajectory.time_index, probs])
+    _write_lines(target, header, _keyed_lines(states, predicted.reshape(n, p * p)), None)
 
 
 def trajectory_from_csv(source: str | io.TextIOBase) -> FilterTrajectory:
     """Inverse of :func:`trajectory_to_csv`: every row but the last carries
     a forecast, the last none; malformed input raises :class:`DataError`
-    naming its line."""
+    naming its line.
+
+    The rows before the last are read by :meth:`_Table.parse_keyed`: when
+    their forecasts repeat, their ``t`` and ``I_`` cells in one call and
+    each distinct forecast text once in another.  The last row, with its
+    blank forecast, is the row rule's."""
 
     def layout(_comment, header):
         m = sum(1 for h in header if h.startswith("I_"))
@@ -616,7 +693,7 @@ def trajectory_from_csv(source: str | io.TextIOBase) -> FilterTrajectory:
     if n < 0:
         raise DataError("trajectory CSV holds no states")
     values = np.concatenate(
-        [table.parse(float, rule, slice(n)), table.by_rule(float, rule, slice(n, None))]
+        [table.parse_keyed(float, rule, slice(n), 1 + m), table.by_rule(float, rule, slice(n, None))]
     )
     # only a row whose forecast reads all NaN can have left it blank
     blank = "," * (p * p)

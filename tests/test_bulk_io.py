@@ -1,9 +1,11 @@
 """The bulk CSV readers, the spliced report encoder and the render-once
 float writer against the references they sped up.
 
-Every numeric CSV is read in one ``np.loadtxt`` call, with the per-row rule
-(:meth:`panel_io._Table.by_rule`) as the reference that also reads what
-that call refuses.  Both paths must return equal arrays, bit for bit and
+Every numeric CSV is read by ``np.loadtxt``: panel and event files in one
+call, trajectory files whose forecasts repeat in two, one for the state
+cells of every line and one for each distinct forecast text.  The per-row
+rule (:meth:`panel_io._Table.by_rule`) is the reference that also reads
+what those calls refuse.  Both paths must return equal arrays, bit for bit and
 dtype for dtype, and raise the same errors.  ``EvaluationReport.to_json``
 must equal the whole-document ``json.dumps(doc, indent=2)`` it replaced,
 kept here as :func:`reference_report_json`.  ``panel_io._float_texts``
@@ -60,9 +62,13 @@ def read_both(reader, text):
         rule_rows.append(len(self.lines[rows]))
         return by_rule(self, dtype, rule, rows)
 
+    def rule_only(self, dtype, rule, rows, lead):
+        return by_rule(self, dtype, rule, rows)
+
     with patch.object(pio._Table, "by_rule", counting):
         bulk = _outcome(reader, text)
-    with patch.object(pio._Table, "parse", by_rule):
+    # every bulk read goes through parse_keyed, parse included
+    with patch.object(pio._Table, "parse_keyed", rule_only):
         reference = _outcome(reader, text)
     return bulk, reference, sum(rule_rows)
 
@@ -100,11 +106,29 @@ def panel_files(draw):
     return header + "\n" + draw(body(rows))
 
 
+def forecast_cells():
+    """A forecast cell: mostly a float, sometimes padded, blank or bad."""
+    return st.one_of(
+        float_cells(),
+        float_cells().map(lambda cell: f" {cell}"),
+        float_cells().map(lambda cell: f"{cell}\t"),
+        st.sampled_from(["", " ", "x", "1_0", "0x1p-2"]),
+    )
+
+
 @st.composite
-def trajectory_files(draw):
+def trajectory_files(draw, pooled=False):
+    """A trajectory file; ``pooled`` draws its forecast rows from a pool
+    of at most three, as a filter sure of its regime repeats them, with
+    forecast cells that are at times padded, blank or malformed."""
     m, p = draw(st.integers(1, 3)), draw(st.integers(0, 2))
-    n = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 8 if pooled else 5))
     header = ",".join(["t", *pio._columns("I", m), *pio._columns("nu", p, p)])
+    if pooled:
+        row = st.lists(forecast_cells(), min_size=p * p, max_size=p * p)
+        forecasts = st.sampled_from(draw(st.lists(row, min_size=1, max_size=3)))
+    else:
+        forecasts = st.lists(float_cells(), min_size=p * p, max_size=p * p)
     rows = []
     for i in range(n + 1):
         weights = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
@@ -112,7 +136,7 @@ def trajectory_files(draw):
             law = [repr(w / sum(weights)) for w in weights]
         else:
             law = ["1.0"] + [draw(st.sampled_from(["0.0", "-0.0", "0", "0e0"])) for _ in weights[1:]]
-        nu = [draw(float_cells()) for _ in range(p * p)] if i < n else [""] * (p * p)
+        nu = draw(forecasts) if i < n else [""] * (p * p)
         rows.append(",".join([draw(float_cells()), *law, *nu]))
     return header + "\n" + draw(body(rows))
 
@@ -150,11 +174,76 @@ class TestBulkReadersMatchTheRowRule:
         # the last row, with its blank forecast, is the row rule's
         assert bulk == reference and rule_rows == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(text=trajectory_files(pooled=True))
+    def test_trajectory_with_repeated_forecasts(self, text):
+        bulk, reference, rule_rows = read_both(pio.trajectory_from_csv, text)
+        assert bulk == reference
+        # unless it raised, the row rule read the last row, or every row of
+        # a refused block
+        rows = sum(1 for line in text.splitlines()[1:] if line.strip())
+        assert isinstance(bulk, tuple) or rule_rows in (1, rows)
+
     @settings(max_examples=150, deadline=None)
     @given(text=event_files())
     def test_events(self, text):
         bulk, reference, rule_rows = read_both(pio.events_from_csv, text)
         assert bulk == reference and rule_rows == 0
+
+    def test_loadtxt_reads_each_distinct_forecast_text_once(self, monkeypatch):
+        _, law = mf.demo_model(2, 3, spread=6.0)
+        path = np.resize([0, 0, 1, 1, 1, 0], 40)
+        # a filter sure of the hidden path gives one forecast per state
+        traj = mf.FilterTrajectory(np.eye(2)[path], np.arange(40.0), law.per_state[path[:-1]], 0.0)
+        buf = io.StringIO()
+        pio.trajectory_to_csv(traj, buf)
+        body = buf.getvalue().splitlines()[1:-1]
+        tails = [line.split(",", 3)[3] for line in body]
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(lines, *args, **kwargs):
+            calls.append(list(lines))
+            return loadtxt(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        back = pio.trajectory_from_csv(io.StringIO(buf.getvalue()))
+        heads = [line[: -len(tail) - 1] for line, tail in zip(body, tails)]
+        assert calls == [heads, list(dict.fromkeys(tails))] and len(calls[1]) == 2
+        assert back.predicted_ratios.tobytes() == traj.predicted_ratios.tobytes()
+        assert back.probs_matrix().tobytes() == traj.probs_matrix().tobytes()
+
+    def test_loadtxt_reads_whole_lines_when_forecasts_do_not_repeat(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        traj = mf.FilterTrajectory(
+            rng.dirichlet(np.ones(2), size=41), np.arange(41.0), rng.random((40, 3, 3)), 0.0
+        )
+        buf = io.StringIO()
+        pio.trajectory_to_csv(traj, buf)
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(lines, *args, **kwargs):
+            calls.append(list(lines))
+            return loadtxt(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        back = pio.trajectory_from_csv(io.StringIO(buf.getvalue()))
+        # keying 40 distinct texts would cost a split per line and win nothing
+        assert calls == [buf.getvalue().splitlines()[1:-1]]
+        assert back.predicted_ratios.tobytes() == traj.predicted_ratios.tobytes()
+
+    @pytest.mark.parametrize(
+        "line", ["5", "0,1", "0,1,0.5,0.5"], ids=["no-comma", "one-short", "one-over"]
+    )
+    def test_a_line_of_the_wrong_width_never_reaches_loadtxt(self, line, monkeypatch):
+        """Sized first, as the row rule sizes it: a comma-less line would
+        cut to an empty head, which ``loadtxt`` skips with a warning."""
+        text = f"t,I_1,nu_1_1\n{line}\n0,1,\n"
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: pytest.fail("loadtxt called"))
+        bulk, reference, _ = read_both(pio.trajectory_from_csv, text)
+        assert bulk == reference
+        assert bulk == ("DataError", f"trajectory CSV line 2: {line.count(',') + 1} fields, not 3")
 
     def test_empty_blocks_read_without_warnings(self):
         # n_steps == 0 and an event file with no events never reach loadtxt
@@ -309,8 +398,7 @@ class TestFloatTexts:
     @pytest.mark.parametrize("writer", ["trajectory", "forecast", "report"])
     def test_writers_render_each_bit_pattern_once(self, writer, monkeypatch, tmp_path):
         """Every float a writer puts on disk goes through one render-once
-        pass per table, so repeats cost no render; the trajectory writes
-        two tables (its states and its forecasts)."""
+        pass per file, so repeats cost no render."""
         factor, law = mf.demo_model(2, 3, spread=6.0)
         panel, path = mf.simulate_panel_discrete(
             factor, law, mf.SimulationConfig(np.array([40, 40, 40]), 60, seed=5)
@@ -329,7 +417,7 @@ class TestFloatTexts:
         if writer == "trajectory":
             pio.trajectory_to_csv(traj, str(tmp_path / "traj.csv"))
             states = np.column_stack([traj.time_index, traj.probs_matrix()])
-            tables = [states, traj.predicted_ratios]
+            tables = [np.concatenate([states.ravel(), traj.predicted_ratios.ravel()])]
         elif writer == "forecast":
             model, traj_path = tmp_path / "model.json", tmp_path / "traj.csv"
             out = tmp_path / "nu.csv"

@@ -409,6 +409,53 @@ def test_forecast_with_a_nonpositive_step_exits_1(runner, continuous_model_file,
     assert not (tmp_path / "nu.csv").exists()
 
 
+def corrupted_repeats(lines):
+    """Lines 6 and 9 (0-based body rows 4 and 7) carry row 0's repeated
+    forecast with one cell malformed, so the bad text repeats too."""
+    cut = lines[1].split(",", 3)
+    assert all(line.endswith(cut[3]) for line in (lines[1], lines[5], lines[8]))
+    bad = cut[3].replace(cut[3].split(",")[4], "0.1x", 1)
+    for i in (5, 8):
+        lines[i] = lines[i][: len(lines[i]) - len(cut[3])] + bad
+    return 6, "could not convert string to float: '0.1x'"
+
+
+def corrupted_before_last(lines):
+    lines[-2] = lines[-2][: lines[-2].rindex(",") + 1] + "nan_"
+    return len(lines) - 1, "could not convert string to float: 'nan_'"
+
+
+def blank_before_last(lines):
+    lines[-2] = ",".join(lines[-2].split(",")[:3]) + "," * 9
+    return len(lines) - 1, "no forecast before the last row"
+
+
+@pytest.mark.parametrize(
+    "corrupt", [corrupted_repeats, corrupted_before_last, blank_before_last],
+    ids=["repeated-row", "row-before-last", "blank-before-last"],
+)
+def test_forecast_on_a_malformed_forecast_block_exits_1(runner, model_file, tmp_path, corrupt):
+    """``forecast`` checks every cell of the trajectory's forecast block,
+    though it recomputes the forecasts, and names the first bad line as
+    the row rule does."""
+    _, law = mf.demo_model(2, 3, spread=6.0)
+    path = np.array([0, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0])
+    traj = mf.FilterTrajectory(np.eye(2)[path], np.arange(12.0), law.per_state[path[:-1]], 0.0)
+    traj_path = tmp_path / "traj.csv"
+    pio.trajectory_to_csv(traj, str(traj_path))
+    lines = traj_path.read_text().splitlines()
+    line_no, message = corrupt(lines)
+    traj_path.write_text("\n".join(lines) + "\n")
+    out = runner.invoke(
+        main,
+        ["forecast", "--model", str(model_file), "--trajectory", str(traj_path),
+         "--out", str(tmp_path / "nu.csv")],
+    )
+    assert out.exit_code == 1, out.output
+    assert f"error: trajectory CSV line {line_no}: {message}\n" in out.output
+    assert not (tmp_path / "nu.csv").exists()
+
+
 @pytest.mark.parametrize(
     "option, value, message",
     [

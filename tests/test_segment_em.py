@@ -577,6 +577,34 @@ def test_nan_in_a_run_is_a_numerical_error_at_its_first_interval(
         mf.em_fit_continuous(stream, 2, mf.EmConfig(restarts=1, seed=5), fine_dt=fine_dt)
 
 
+def test_subnormal_forward_entry_at_a_run_end_keeps_its_backward_row_finite():
+    """A chain that all but never switches enters a run sure of state 0;
+    the run leaves state 1 a forward probability of 1e-310, and the
+    intervals after it favour state 1 by as much, so the smoothed law is
+    about even.  The run's backward row ``u / alpha`` then has a ratio of
+    about 1e310 between its entries, past the largest double; formed over
+    its largest entry it stays finite, and the run sums match the
+    per-interval E-step."""
+    c = 310 * np.log(10) / 6
+    lengths = np.array([1, 6, 1, 1, 1, 1, 1, 1])
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    none = np.full(len(lengths), -1)
+    seg = _Segments(starts, lengths, np.zeros((len(lengths), 2)), none, none)
+    logw = np.array([[0.0, 0.0], [0.0, -c]] + [[-c, 0.0]] * 6)
+    pi, trans = np.array([0.5, 0.5]), np.array([[1.0, 1e-320], [1e-320, 1.0]])
+    per_interval = np.repeat(logw, lengths, axis=0)
+    want_ll, want_u, want_v = _e_step(per_interval, pi, trans)
+    # interval 6 ends the run
+    assert 0.0 < calibrate._forward(per_interval, pi, trans).alpha[6, 1] < 1e-309
+    assert want_u[6, 1] > 0.49
+    got_ll, got_u, got_v = _segment_e_step(logw, pi, trans, seg)
+    np.testing.assert_allclose(got_ll, want_ll, rtol=1e-12, atol=0)
+    mass = lengths[:, None].astype(float)
+    assert np.all(np.abs(got_u - run_sums(want_u, starts, 0)) <= 1e-12 * mass)
+    want_v = run_sums(want_v, starts[1:] - 1, 0)
+    assert np.all(np.abs(got_v - want_v) <= 1e-12 * mass[1:, None])
+
+
 def test_segment_count_does_not_grow_with_the_slots():
     for seed in range(3):
         intervals, bounds = [], []

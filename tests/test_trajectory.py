@@ -1,14 +1,17 @@
 """The array-backed filter trajectory, its CSV writer and the CLI forecast.
 
 The writer and the forecast command are checked against the per-row loops
-they replaced, kept here as references: the trajectory CSV must match byte
-for byte, also on forecasts full of repeats, signed zeros, NaN payloads,
-infinities and subnormals, and the batched forecast mixtures the per-row
-``tensordot`` to within two units in the last place of a probability.
+they replaced, kept here as references: the trajectory and forecast CSVs
+must match byte for byte, also on forecasts full of repeats (cells and
+whole rows), signed zeros, NaN payloads, infinities and subnormals, and the
+batched forecast mixtures the per-row ``tensordot`` to within two units in
+the last place of a probability.
 """
 
 import csv
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from migfilter import panel_io as pio
 from migfilter.cli import main
 from migfilter.errors import ModelError
 
-from conftest import TRICKY_FLOATS, float_array, float_values, random_instance
+from conftest import TRICKY_FLOATS, float_array, float_values, random_instance, random_model
 
 FORECAST_TOL = 2.3e-16
 
@@ -45,6 +48,16 @@ def reference_trajectory_csv(trajectory) -> str:
         else:
             row += [""] * (p * p)
         writer.writerow(row)
+    return handle.getvalue()
+
+
+def reference_forecast_csv(rows, p) -> str:
+    """The forecast command's file for ``p`` ratings, written row by row
+    from its (t, nu_1_1, ...) float rows."""
+    handle = io.StringIO()
+    writer = csv.writer(handle)
+    writer.writerow(["t"] + [f"nu_{j + 1}_{k + 1}" for j in range(p) for k in range(p)])
+    writer.writerows([repr(float(x)) for x in row] for row in rows)
     return handle.getvalue()
 
 
@@ -220,6 +233,46 @@ class TestAgainstPerRowReferences:
         probs = np.array([np.eye(m)[r] if r < m else np.full(m, 1 / m) for r in rows])
         traj = mf.FilterTrajectory(probs, time_index, predicted, loglik=0.0)
         assert csv_text(traj) == reference_trajectory_csv(traj)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 8), m=st.integers(1, 3), p=st.integers(0, 3))
+    def test_repeated_forecast_rows_are_byte_identical(self, data, n, m, p):
+        """Forecast rows drawn from a pool of at most three, as a filter
+        sure of its regime repeats them."""
+        pool = data.draw(
+            st.lists(st.lists(float_values, min_size=p * p, max_size=p * p), min_size=1, max_size=3)
+        )
+        rows = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        predicted = float_array([x for row in rows for x in row], (n, p, p))
+        time_index = float_array(data.draw(st.lists(float_values, min_size=n + 1, max_size=n + 1)), -1)
+        probs = np.full((n + 1, m), 1 / m)
+        traj = mf.FilterTrajectory(probs, time_index, predicted, loglik=0.0)
+        assert csv_text(traj) == reference_trajectory_csv(traj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+    def test_forecast_file_with_repeated_rows_is_byte_identical(self, data, n, seed):
+        """The forecast command's file on filtered laws drawn from a pool
+        (so its forecast rows repeat) and times with signed zeros, NaNs,
+        infinities and subnormals."""
+        p = 3
+        factor, law = random_model(np.random.default_rng(seed), 2, p)
+        pool = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.25, 0.75]]
+        probs = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n + 1, max_size=n + 1)))
+        time_index = float_array(data.draw(st.lists(float_values, min_size=n + 1, max_size=n + 1)), -1)
+        traj = mf.FilterTrajectory(probs, time_index, np.full((n, p, p), 1 / p), loglik=0.0)
+        with tempfile.TemporaryDirectory() as tmp:
+            model, traj_path, out = (Path(tmp) / name for name in ("m.json", "t.csv", "nu.csv"))
+            model.write_text(mf.model_to_json(factor, law))
+            pio.trajectory_to_csv(traj, str(traj_path))
+            done = CliRunner().invoke(
+                main, ["forecast", "--model", str(model), "--trajectory", str(traj_path),
+                       "--out", str(out)],
+            )
+            assert done.exit_code == 0, done.output
+            text = out.read_bytes().decode()
+        nu = mf.predict_transition_probs(law, traj.probs_matrix()).reshape(n + 1, p * p)
+        assert text == reference_forecast_csv(np.column_stack([time_index, nu]), p)
 
     def test_zero_step_trajectory_keeps_its_rating_count(self):
         panel = mf.MigrationPanel(np.empty((0, 3)), np.empty((0, 3, 3)))

@@ -93,9 +93,14 @@ def ingest_ratings(
 
     ``source`` is a path or an open text stream with header
     ``entity_id,date,rating`` and ISO-8601 dates.  Labels outside the
-    alphabet (censor label aside) are rejected; malformed rows are reported
-    with their line numbers; several postings of one entity on the same date
-    keep the last one and count as duplicates.
+    alphabet (censor label aside) are rejected, and so is a blank entity id;
+    malformed rows are reported with their line numbers; several postings of
+    one entity on the same date keep the last one and count as duplicates.
+
+    Each distinct raw text of a column is stripped, parsed and checked once:
+    a raw date maps to its date, a raw label to its checked label and a raw
+    entity id to that entity's postings, in dicts that live for this call
+    only.  A text that fails is never kept, so every bad line is reported.
     """
     alphabet = tuple(alphabet)
     if censor_label in alphabet:
@@ -104,6 +109,9 @@ def ingest_ratings(
         raise DataError("alphabet labels must be distinct")
     problems: list[str] = []
     rows: dict[str, dict[dt.date, str]] = {}
+    postings_of: dict[str, dict[dt.date, str]] = {}
+    dates: dict[str, dt.date] = {}
+    labels: dict[str, str] = {}
     duplicates = 0
     with _opened(source, "r") as handle:
         reader = csv.reader(handle)
@@ -115,21 +123,33 @@ def ingest_ratings(
                 f"expected header entity_id,date,rating, got {','.join(header)}"
             )
         for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
             if len(row) < 3:
-                problems.append(f"line {line_no}: expected 3 fields, got {len(row)}")
+                if row and (len(row) > 1 or row[0].strip()):
+                    problems.append(f"line {line_no}: expected 3 fields, got {len(row)}")
                 continue
-            entity, date_text, label = row[0].strip(), row[1].strip(), row[2].strip()
-            try:
-                date = dt.date.fromisoformat(date_text)
-            except ValueError:
-                problems.append(f"line {line_no}: bad date {date_text!r}")
-                continue
-            if label != censor_label and label not in alphabet:
-                problems.append(f"line {line_no}: unknown rating {label!r}")
-                continue
-            per_entity = rows.setdefault(entity, {})
+            raw_entity, raw_date, raw_label = row[0], row[1], row[2]
+            per_entity = postings_of.get(raw_entity)
+            if per_entity is None:
+                entity = raw_entity.strip()
+                if not entity:
+                    problems.append(f"line {line_no}: blank entity_id")
+                    continue
+                per_entity = postings_of[raw_entity] = rows.setdefault(entity, {})
+            date = dates.get(raw_date)
+            if date is None:
+                date_text = raw_date.strip()
+                try:
+                    date = dates[raw_date] = dt.date.fromisoformat(date_text)
+                except ValueError:
+                    problems.append(f"line {line_no}: bad date {date_text!r}")
+                    continue
+            label = labels.get(raw_label)
+            if label is None:
+                label = raw_label.strip()
+                if label != censor_label and label not in alphabet:
+                    problems.append(f"line {line_no}: unknown rating {label!r}")
+                    continue
+                labels[raw_label] = label
             if date in per_entity:
                 duplicates += 1
             per_entity[date] = label

@@ -1,7 +1,9 @@
 import bisect
+import collections
 import csv
 import datetime as dt
 import io
+import types
 
 import numpy as np
 import pytest
@@ -38,6 +40,51 @@ def export_ratings(paths, target):
     for entity, path in paths.events.items():
         for date, label in path:
             writer.writerow([entity, date.isoformat(), label])
+
+
+def ingest_reference(source, alphabet, censor_label="W"):
+    """Reference for ``ingest_ratings``: strip, parse and check every cell of
+    every row.  The blank entity id check is the one rule added to the
+    per-row loop that ``ingest_ratings`` replaced."""
+    alphabet = tuple(alphabet)
+    problems, rows, duplicates = [], {}, 0
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header is None:
+        raise DataError("empty ratings file")
+    if [h.strip() for h in header[:3]] != ["entity_id", "date", "rating"]:
+        raise DataError(f"expected header entity_id,date,rating, got {','.join(header)}")
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < 3:
+            problems.append(f"line {line_no}: expected 3 fields, got {len(row)}")
+            continue
+        entity, date_text, label = row[0].strip(), row[1].strip(), row[2].strip()
+        if not entity:
+            problems.append(f"line {line_no}: blank entity_id")
+            continue
+        try:
+            date = dt.date.fromisoformat(date_text)
+        except ValueError:
+            problems.append(f"line {line_no}: bad date {date_text!r}")
+            continue
+        if label != censor_label and label not in alphabet:
+            problems.append(f"line {line_no}: unknown rating {label!r}")
+            continue
+        per_entity = rows.setdefault(entity, {})
+        if date in per_entity:
+            duplicates += 1
+        per_entity[date] = label
+    if problems:
+        raise DataError(f"{len(problems)} malformed row(s): " + "; ".join(problems[:10]))
+    if not rows:
+        raise DataError("ratings file holds no events")
+    events = {
+        entity: tuple(sorted(per_entity.items()))
+        for entity, per_entity in sorted(rows.items())
+    }
+    return pio.RatingPaths(events, alphabet, censor_label, duplicates)
 
 
 def snapshot_panel(paths, step_days, origin_date=None, num_steps=None):
@@ -82,6 +129,30 @@ def hand_built_paths(draw):
     }
     assume(any(events.values()))
     return pio.RatingPaths(events, ALPHABET[:3], "W")
+
+
+@st.composite
+def messy_ratings_file(draw):
+    """A ratings CSV whose cells come from small pools, so raw texts repeat:
+    spellings of one entity id, date and label that strip to the same text
+    (so same-day duplicates hide under different id spellings), over-long
+    rows, blank lines and, in a messy file, blank ids, bad dates, unknown
+    labels and short rows, each on several lines."""
+    messy = draw(st.booleans())
+    entities = ["x", " x", "x ", "\tx", "y", "y  "] + (["", "  "] if messy else [])
+    dates = ["2005-01-01", " 2005-01-01", "2005-01-01 ", "2005-03-01", "20050301"]
+    dates += ["2005-13-01", "not-a-date", ""] if messy else []
+    labels = ["A", " A", "A ", "Baa", "W", " W"] + (["Z9", "a", ""] if messy else [])
+    line = st.builds(
+        lambda entity, date, label, extra: ",".join((entity, date, label, *extra)),
+        st.sampled_from(entities),
+        st.sampled_from(dates),
+        st.sampled_from(labels),
+        st.sampled_from([(), ("extra",), ("", "")]),
+    )
+    odd = ["", "   "] + (["x", "x,2005-01-01", " , "] if messy else [])
+    lines = draw(st.lists(st.one_of(line, st.sampled_from(odd)), max_size=40))
+    return "entity_id,date,rating\n" + "\n".join(lines) + "\n"
 
 
 def ratings_csv(rows):
@@ -148,6 +219,59 @@ class TestIngest:
             pio.ingest_ratings(bad, ALPHABET)
         assert "line 3" in str(err.value)
         assert "line 4" in str(err.value)
+
+    def test_blank_entity_id_is_a_malformed_row(self):
+        text = "entity_id,date,rating\n,2005-01-01,A\n  ,2005-02-01,B\nx,2005-01-01,A\n"
+        with pytest.raises(DataError) as err:
+            pio.ingest_ratings(io.StringIO(text), ALPHABET)
+        assert str(err.value) == (
+            "2 malformed row(s): line 2: blank entity_id; line 3: blank entity_id"
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(messy_ratings_file())
+    def test_matches_per_row_reference(self, text):
+        try:
+            expected = ingest_reference(io.StringIO(text), ALPHABET)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                pio.ingest_ratings(io.StringIO(text), ALPHABET)
+            assert str(err.value) == str(exc)
+        else:
+            assert pio.ingest_ratings(io.StringIO(text), ALPHABET) == expected
+
+    def test_more_than_ten_problems_report_the_first_ten(self):
+        bad = ["x,not-a-date,A", "x,2005-01-01,Z9", ",2005-01-01,A", "x,2005-01-01"]
+        text = "entity_id,date,rating\nx,2005-01-01,A\n" + "\n".join(bad * 4) + "\n"
+        with pytest.raises(DataError) as err:
+            pio.ingest_ratings(io.StringIO(text), ALPHABET)
+        with pytest.raises(DataError) as ref:
+            ingest_reference(io.StringIO(text), ALPHABET)
+        assert str(err.value) == str(ref.value)
+        assert str(err.value).startswith("16 malformed row(s): line 3: bad date ")
+        assert str(err.value).endswith("; line 12: unknown rating 'Z9'")
+
+    def test_each_distinct_raw_date_text_is_parsed_once(self, monkeypatch):
+        calls = collections.Counter()
+
+        def fromisoformat(text):
+            calls[text] += 1
+            return dt.date.fromisoformat(text)
+
+        spy = types.SimpleNamespace(date=types.SimpleNamespace(fromisoformat=fromisoformat))
+        monkeypatch.setattr(pio, "dt", spy)
+        raw = ["2005-01-01", " 2005-01-01", "2005-03-01"] * 5
+        rows = [(entity, date, "A") for entity in ("x", "y") for date in raw]
+        paths = pio.ingest_ratings(ratings_csv(rows), ALPHABET)
+        # " 2005-01-01" is its own raw text, so its stripped text is parsed twice
+        assert calls == {"2005-01-01": 2, "2005-03-01": 1}
+        assert paths.duplicate_count == len(rows) - 4
+        # a text that fails is not kept, so each bad line is parsed again
+        calls.clear()
+        rows = [("x", "2005-01-01", "A"), ("x", "2005-13-01", "A"), ("y", "2005-13-01", "A")]
+        with pytest.raises(DataError, match="line 3: bad date .*; line 4: bad date"):
+            pio.ingest_ratings(ratings_csv(rows), ALPHABET)
+        assert calls == {"2005-01-01": 1, "2005-13-01": 2}
 
     def test_empty_file_rejected(self):
         with pytest.raises(DataError):

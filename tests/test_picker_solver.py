@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from migfilter import calibrate
 from migfilter.calibrate import _floored
 from migfilter.calibrate import minimize as newton_picker_rows
 
@@ -240,3 +241,24 @@ def test_each_pair_is_solved_as_if_alone(p, rows, pairs, seed):
         one = slice(k, k + 1)
         alone = newton_picker_rows(jump_mass[one], u_nj[one], y_nj, n_bar, start[one], 1e-12)
         np.testing.assert_array_equal(batch[k], alone[0])
+
+
+@pytest.mark.parametrize("below, keeps_start", [(1e-9, True), (1e-13, False)])
+def test_keep_start_slack_is_1e12(below, keeps_start, monkeypatch):
+    """A pair keeps its start only when the optimized matrix scores more
+    than 1e-12 (relative) below it.  The objective is patched so that the
+    optimized matrix scores ``below`` (relative) under the start."""
+    jump_mass, u_nj, y_nj, n_bar, start = random_problems(np.random.default_rng(0), 3, 4, 2)
+    optimized = newton_picker_rows(jump_mass, u_nj, y_nj, n_bar, start, 1e-12)
+    assert not np.isclose(optimized, start).all(axis=(1, 2)).any()
+    picker_q = calibrate._picker_q
+
+    def scored_below_start(mat, *args):
+        q_start = picker_q(start, *args)
+        if np.array_equal(mat, start):
+            return q_start
+        return q_start - below * (1.0 + np.abs(q_start))
+
+    monkeypatch.setattr(calibrate, "_picker_q", scored_below_start)
+    got = newton_picker_rows(jump_mass, u_nj, y_nj, n_bar, start, 1e-12)
+    np.testing.assert_array_equal(got, start if keeps_start else optimized)

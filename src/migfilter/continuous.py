@@ -4,7 +4,12 @@ Between events the filtered law follows a drift ODE: the hidden chain's own
 Kolmogorov drift plus a no-news term that bleeds probability away from
 states whose predicted aggregate jump intensity exceeds the average.  Each
 observed migration applies a closed-form Bayes reweighting by the per-state
-intensity of that transition.  Both steps work on vectors of ``m`` hidden
+intensity of that transition.  The drift is an explicit Euler walk whose
+substeps between two stops share one length ``h``: each is
+``p <- M p + h (ℓ·p) p`` with ``M = I + h (Kᵀ - diag ℓ)`` built once per
+stop (generator ``K``, per-state aggregate jump intensity ``ℓ``), and the
+drift part and intensity integral are ``h Kᵀ Σp`` and ``h ℓ·Σp`` over the
+laws the substeps start from.  Both steps work on vectors of ``m`` hidden
 states, a handful of entries, where each numpy call would cost far more in
 per-call overhead than in arithmetic; so their kernels,
 :func:`_integrate_drift` and :func:`_bayes_jump`, run on Python floats, and
@@ -62,6 +67,8 @@ __all__ = [
 # Largest (rate * dt) an explicit Euler substep is allowed to take; keeps the
 # update on the simplex with a wide margin.
 _MAX_EULER_MASS = 0.2
+# Substep laws an Euler walk keeps before folding them into its running sum.
+_FOLD_EVERY = 1024
 
 
 @dataclass(frozen=True)
@@ -178,8 +185,11 @@ def _drift_inputs(
 def _renormalized(probs: list[float]) -> list[float]:
     """:func:`~migfilter.model.renormalize` on a list of floats: entries
     below 0 are clipped to 0, and the list is rescaled only when its sum
-    drifts further than 1e-13 from 1."""
-    probs = [0.0 if x < 0.0 else x for x in probs]
+    drifts further than 1e-13 from 1.  The clipping pass runs only when
+    ``min`` is not at least 0: ``min`` of a list with a negative entry is
+    that entry or a NaN, so the test is safe with NaNs."""
+    if not min(probs) >= 0.0:
+        probs = [0.0 if x < 0.0 else x for x in probs]
     total = sum(probs)
     if abs(total - 1.0) > _RENORM_TRIGGER:
         if total <= 0.0:
@@ -201,7 +211,13 @@ def _integrate_drift(
 
     ``trans_t``, ``load`` and ``rate_scale`` come from :func:`_drift_inputs`.
     Substeps never exceed ``max_h`` (the caller's grid cap) nor the
-    stability bound tied to ``rate_scale``, the fastest rate in play.  The
+    stability bound tied to ``rate_scale``, the fastest rate in play.  All
+    substeps share their length ``h``, so each is ``p <- M p + h (ℓ·p) p``,
+    renormalized, with ``M = I + h (Kᵀ - diag ℓ)`` built once per call.
+    The drift part ``h Kᵀ Σp`` and the intensity integral ``h ℓ·Σp`` are
+    linear in the laws the substeps start from, so they are formed once
+    from ``Σp``; the laws are kept and folded into one running sum every
+    ``_FOLD_EVERY`` substeps, so a long stop holds bounded memory.  The
     walk runs on Python floats: on vectors of ``m`` entries each numpy call
     costs more in per-call overhead than in arithmetic.
     """
@@ -209,17 +225,23 @@ def _integrate_drift(
     if max_h < dt:
         n_sub = max(n_sub, math.ceil(round(dt / max_h, 9)))
     h = dt / n_sub
-    chain_part = [0.0] * len(probs)
-    intensity_integral = 0.0
-    for _ in range(n_sub):
-        chain = [sum(map(mul, row, probs)) for row in trans_t]
-        mean_load = sum(map(mul, probs, load))
-        chain_part = [acc + c * h for acc, c in zip(chain_part, chain)]
-        intensity_integral += mean_load * h
-        probs = _renormalized(
-            [x + (c + x * (mean_load - q)) * h for x, c, q in zip(probs, chain, load)]
-        )
-    return probs, chain_part, intensity_integral
+    h_load = [h * q for q in load]
+    step = [[h * k for k in row] for row in trans_t]
+    for i, row in enumerate(step):
+        row[i] += 1.0 - h_load[i]
+    kept = []
+    for done in range(0, n_sub, _FOLD_EVERY):
+        for _ in range(min(_FOLD_EVERY, n_sub - done)):
+            kept.append(probs)
+            no_news = sum(map(mul, h_load, probs))
+            probs = _renormalized(
+                [sum(map(mul, row, probs)) + no_news * x for row, x in zip(step, probs)]
+            )
+        # fold the kept laws into one entry, their sum
+        kept = [list(map(sum, zip(*kept)))]
+    (law_sum,) = kept
+    chain_part = [sum(map(mul, row, law_sum)) * h for row in trans_t]
+    return probs, chain_part, sum(map(mul, h_load, law_sum))
 
 
 def _bayes_jump(probs: list[float], column: list[float]) -> tuple[list[float] | None, float]:

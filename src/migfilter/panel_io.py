@@ -84,6 +84,17 @@ class RatingPaths:
         return min(path[0][0] for path in rated), max(path[-1][0] for path in rated)
 
 
+def _record_line(reader, row: list[str]) -> int:
+    """The physical line on which ``row``, the record ``reader`` read last,
+    starts: the reader's line count less the line breaks inside the
+    record's fields, where ``\\r\\n``, a lone ``\\r`` and ``\\n`` each end a
+    line, as in a file opened with ``newline=""``.  A quoted cell still
+    open at the end of a file that ends in a line break counts that break
+    as one more line, so its record is numbered one line early."""
+    text = ",".join(row)
+    return reader.line_num - text.count("\n") - text.count("\r") + text.count("\r\n")
+
+
 def ingest_ratings(
     source: str | io.TextIOBase,
     alphabet: list[str] | tuple[str, ...],
@@ -93,14 +104,17 @@ def ingest_ratings(
 
     ``source`` is a path or an open text stream with header
     ``entity_id,date,rating`` and ISO-8601 dates.  Labels outside the
-    alphabet (censor label aside) are rejected, and so is a blank entity id;
-    malformed rows are reported with their line numbers; several postings of
-    one entity on the same date keep the last one and count as duplicates.
+    alphabet (censor label aside) are rejected, and so is an entity id that
+    is blank or holds a line break; malformed rows are reported with the
+    physical line each starts on (see :func:`_record_line`); several
+    postings of one entity on the same date keep the last one and count as
+    duplicates.
 
     Each distinct raw text of a column is stripped, parsed and checked once:
     a raw date maps to its date, a raw label to its checked label and a raw
     entity id to that entity's postings, in dicts that live for this call
-    only.  A text that fails is never kept, so every bad line is reported.
+    only.  A text that fails is never kept, so every bad line is reported;
+    line numbers are worked out only for the lines reported.
     """
     alphabet = tuple(alphabet)
     if censor_label in alphabet:
@@ -122,17 +136,24 @@ def ingest_ratings(
             raise DataError(
                 f"expected header entity_id,date,rating, got {','.join(header)}"
             )
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if len(row) < 3:
                 if row and (len(row) > 1 or row[0].strip()):
-                    problems.append(f"line {line_no}: expected 3 fields, got {len(row)}")
+                    problems.append(
+                        f"line {_record_line(reader, row)}: expected 3 fields, got {len(row)}"
+                    )
                 continue
             raw_entity, raw_date, raw_label = row[0], row[1], row[2]
             per_entity = postings_of.get(raw_entity)
             if per_entity is None:
                 entity = raw_entity.strip()
                 if not entity:
-                    problems.append(f"line {line_no}: blank entity_id")
+                    problems.append(f"line {_record_line(reader, row)}: blank entity_id")
+                    continue
+                if "\n" in entity or "\r" in entity:
+                    problems.append(
+                        f"line {_record_line(reader, row)}: line break in entity_id {entity!r}"
+                    )
                     continue
                 per_entity = postings_of[raw_entity] = rows.setdefault(entity, {})
             date = dates.get(raw_date)
@@ -141,13 +162,15 @@ def ingest_ratings(
                 try:
                     date = dates[raw_date] = dt.date.fromisoformat(date_text)
                 except ValueError:
-                    problems.append(f"line {line_no}: bad date {date_text!r}")
+                    problems.append(f"line {_record_line(reader, row)}: bad date {date_text!r}")
                     continue
             label = labels.get(raw_label)
             if label is None:
                 label = raw_label.strip()
                 if label != censor_label and label not in alphabet:
-                    problems.append(f"line {line_no}: unknown rating {label!r}")
+                    problems.append(
+                        f"line {_record_line(reader, row)}: unknown rating {label!r}"
+                    )
                     continue
                 labels[raw_label] = label
             if date in per_entity:

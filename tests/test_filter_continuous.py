@@ -1,13 +1,15 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import migfilter as mf
+from migfilter import continuous
 from migfilter import panel_io as pio
 from migfilter.calibrate import _fine_segments
 from migfilter.continuous import (
@@ -16,6 +18,7 @@ from migfilter.continuous import (
     _drift_inputs,
     _integrate_drift,
     _intensity_load,
+    _renormalized,
 )
 from migfilter.errors import DataError, ImpossibleObservationError, ModelError
 from migfilter.model import _exposures_at, renormalize
@@ -573,15 +576,25 @@ def numpy_bayes_jump(probs, column):
     return renormalize(probs * column / intensity), intensity
 
 
-class CountingRows(list):
-    """Rows of ``trans.T`` counting the kernel's passes over them, one per
-    Euler substep."""
+def clip_every_entry(probs):
+    """Reference for ``_renormalized``: the rule that clips every entry
+    below 0 before it sums, with no test on ``min`` first."""
+    probs = [0.0 if x < 0.0 else x for x in probs]
+    total = sum(probs)
+    if abs(total - 1.0) > 1e-13:
+        if total <= 0.0:
+            raise ModelError("probability vector has collapsed to zero mass")
+        probs = [x / total for x in probs]
+    return probs
 
-    passes = 0
 
-    def __iter__(self):
-        self.passes += 1
-        return super().__iter__()
+def same_floats(a, b):
+    """Lists equal entry by entry, sign of zero included, NaN matching NaN."""
+    return len(a) == len(b) and all(
+        (math.isnan(x) and math.isnan(y))
+        or (x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
+        for x, y in zip(a, b)
+    )
 
 
 @st.composite
@@ -621,11 +634,19 @@ class TestFloatKernels:
             probs, dt, trans, load, max_h
         )
         trans_t, (load_row,), (scale,) = _drift_inputs(trans, load[None])
-        rows = CountingRows(trans_t)
-        out_probs, out_chain, out_integral = _integrate_drift(
-            probs.tolist(), dt, rows, load_row, scale, max_h
-        )
-        assert rows.passes == n_sub
+        calls = []
+
+        def counted(probs):
+            calls.append(1)
+            return _renormalized(probs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(continuous, "_renormalized", counted)
+            out_probs, out_chain, out_integral = _integrate_drift(
+                probs.tolist(), dt, trans_t, load_row, scale, max_h
+            )
+        # one renormalized law per Euler substep
+        assert len(calls) == n_sub
         np.testing.assert_allclose(out_probs, ref_probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out_chain, ref_chain, rtol=1e-12, atol=1e-12)
         assert math.isclose(out_integral, ref_integral, rel_tol=1e-12, abs_tol=1e-12)
@@ -651,6 +672,46 @@ class TestFloatKernels:
         trans_t, (load_row,), (scale,) = _drift_inputs(trans, load[None])
         with pytest.raises(ModelError, match="collapsed to zero mass"):
             _integrate_drift([0.0, 0.0], 0.1, trans_t, load_row, scale, 0.1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([math.nan, -0.0, 0.0, -1e-17, 1e-17, -1.0, 0.25, 0.5, 1.0]),
+            min_size=1, max_size=6,
+        ),
+        st.sampled_from([1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-14]),
+    )
+    # min is NaN here, which a ``min(p) < 0.0`` test would let through
+    @example([math.nan, -1.0], 1.0)
+    def test_renormalized_matches_clip_every_entry(self, cells, scale):
+        probs = [x * scale for x in cells]
+        try:
+            expected = clip_every_entry(probs)
+        except ModelError as exc:
+            with pytest.raises(ModelError, match=str(exc)):
+                _renormalized(probs)
+            return
+        assert same_floats(_renormalized(probs), expected)
+
+    def test_long_stop_folds_its_kept_laws(self):
+        trans = np.array(
+            [[-0.3, 0.1, 0.1, 0.1], [0.2, -0.4, 0.1, 0.1],
+             [0.0, 0.5, -0.5, 0.0], [0.1, 0.1, 0.1, -0.3]]
+        )
+        trans_t, (load_row,), (scale,) = _drift_inputs(trans, np.array([[1.0, 2.0, 0.5, 3.0]]))
+        n_sub = 200_000
+        tracemalloc.start()
+        try:
+            probs, chain, integral = _integrate_drift(
+                [0.25] * 4, n_sub * 1e-5, trans_t, load_row, scale, 1e-5
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 200,000 kept laws of 4 floats would take about 36 MB
+        assert peak < 2_000_000
+        assert math.isclose(sum(probs), 1.0, rel_tol=1e-12)
+        assert math.isfinite(integral) and all(map(math.isfinite, chain))
 
 
 class TestJumpUpdate:

@@ -44,8 +44,11 @@ def export_ratings(paths, target):
 
 def ingest_reference(source, alphabet, censor_label="W"):
     """Reference for ``ingest_ratings``: strip, parse and check every cell of
-    every row.  The blank entity id check is the one rule added to the
-    per-row loop that ``ingest_ratings`` replaced."""
+    every row.  Two rules are added to the per-row loop that
+    ``ingest_ratings`` replaced: a blank entity id or one holding a line
+    break is a malformed row, and each problem names the physical line its
+    record starts on, tracked from the reader's line count before each
+    record."""
     alphabet = tuple(alphabet)
     problems, rows, duplicates = [], {}, 0
     reader = csv.reader(source)
@@ -54,7 +57,9 @@ def ingest_reference(source, alphabet, censor_label="W"):
         raise DataError("empty ratings file")
     if [h.strip() for h in header[:3]] != ["entity_id", "date", "rating"]:
         raise DataError(f"expected header entity_id,date,rating, got {','.join(header)}")
-    for line_no, row in enumerate(reader, start=2):
+    next_start = reader.line_num + 1
+    for row in reader:
+        line_no, next_start = next_start, reader.line_num + 1
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) < 3:
@@ -63,6 +68,9 @@ def ingest_reference(source, alphabet, censor_label="W"):
         entity, date_text, label = row[0].strip(), row[1].strip(), row[2].strip()
         if not entity:
             problems.append(f"line {line_no}: blank entity_id")
+            continue
+        if "\n" in entity or "\r" in entity:
+            problems.append(f"line {line_no}: line break in entity_id {entity!r}")
             continue
         try:
             date = dt.date.fromisoformat(date_text)
@@ -135,22 +143,27 @@ def hand_built_paths(draw):
 def messy_ratings_file(draw):
     """A ratings CSV whose cells come from small pools, so raw texts repeat:
     spellings of one entity id, date and label that strip to the same text
-    (so same-day duplicates hide under different id spellings), over-long
-    rows, blank lines and, in a messy file, blank ids, bad dates, unknown
-    labels and short rows, each on several lines."""
+    (so same-day duplicates hide under different id spellings), quoted
+    cells whose line breaks (``\\n``, ``\\r\\n`` or a lone ``\\r``) strip
+    away or sit in an extra field, so that valid records span lines,
+    over-long rows, blank lines and, in a messy file, blank ids, ids holding
+    a line break, bad dates, unknown labels and short rows, each on several
+    lines.  Read it with ``newline=""``, as a file named by path is read."""
     messy = draw(st.booleans())
-    entities = ["x", " x", "x ", "\tx", "y", "y  "] + (["", "  "] if messy else [])
+    entities = ["x", " x", "x ", "\tx", "y", "y  ", '"y\r\n"', '"x\r"']
+    entities += ["", "  ", '"x\ny"', '"x\rz"'] if messy else []
     dates = ["2005-01-01", " 2005-01-01", "2005-01-01 ", "2005-03-01", "20050301"]
-    dates += ["2005-13-01", "not-a-date", ""] if messy else []
-    labels = ["A", " A", "A ", "Baa", "W", " W"] + (["Z9", "a", ""] if messy else [])
+    dates += ['"2005-03-01\r\n"', '"\n2005-01-01"']
+    dates += ["2005-13-01", "not-a-date", "", '"2005-\n01-01"'] if messy else []
+    labels = ["A", " A", "A ", "Baa", "W", " W", '"A\n"'] + (["Z9", "a", ""] if messy else [])
     line = st.builds(
         lambda entity, date, label, extra: ",".join((entity, date, label, *extra)),
         st.sampled_from(entities),
         st.sampled_from(dates),
         st.sampled_from(labels),
-        st.sampled_from([(), ("extra",), ("", "")]),
+        st.sampled_from([(), ("extra",), ("", ""), ('"e\rf"',)]),
     )
-    odd = ["", "   "] + (["x", "x,2005-01-01", " , "] if messy else [])
+    odd = ["", "   "] + (["x", "x,2005-01-01", " , ", '"x\n,y"'] if messy else [])
     lines = draw(st.lists(st.one_of(line, st.sampled_from(odd)), max_size=40))
     return "entity_id,date,rating\n" + "\n".join(lines) + "\n"
 
@@ -232,13 +245,41 @@ class TestIngest:
     @given(messy_ratings_file())
     def test_matches_per_row_reference(self, text):
         try:
-            expected = ingest_reference(io.StringIO(text), ALPHABET)
+            expected = ingest_reference(io.StringIO(text, newline=""), ALPHABET)
         except DataError as exc:
             with pytest.raises(DataError) as err:
-                pio.ingest_ratings(io.StringIO(text), ALPHABET)
+                pio.ingest_ratings(io.StringIO(text, newline=""), ALPHABET)
             assert str(err.value) == str(exc)
         else:
-            assert pio.ingest_ratings(io.StringIO(text), ALPHABET) == expected
+            assert pio.ingest_ratings(io.StringIO(text, newline=""), ALPHABET) == expected
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_problems_name_the_physical_line_their_record_starts_on(self, newline, tmp_path):
+        lines = ["entity_id,date,rating", '"x\ny",2005-01-01,A', "z,bad,A",
+                 'w,"2005-\r\n01-02",A', 'v,2005-01-01,A,"e\rf"', "u,2005-01-01,Z9",
+                 '"t\r","\n2005-01-01",Z9', "s,2005-01-01,Z9"]
+        path = tmp_path / "ratings.csv"
+        path.write_bytes(newline.join(lines).encode() + newline.encode())
+        with pytest.raises(DataError) as err:
+            pio.ingest_ratings(str(path), ALPHABET)
+        assert str(err.value) == (
+            "6 malformed row(s): line 2: line break in entity_id 'x\\ny'; "
+            "line 4: bad date 'bad'; line 5: bad date '2005-\\r\\n01-02'; "
+            "line 9: unknown rating 'Z9'; line 10: unknown rating 'Z9'; "
+            "line 13: unknown rating 'Z9'"
+        )
+        with open(path, newline="") as handle:
+            with pytest.raises(DataError) as ref:
+                ingest_reference(handle, ALPHABET)
+        assert str(ref.value) == str(err.value)
+
+    def test_entity_id_holding_a_line_break_is_a_malformed_row(self):
+        text = 'entity_id,date,rating\n"x\ny",2005-01-01,A\nz,bad,A\n'
+        with pytest.raises(DataError) as err:
+            pio.ingest_ratings(io.StringIO(text), ALPHABET)
+        assert str(err.value) == (
+            "2 malformed row(s): line 2: line break in entity_id 'x\\ny'; line 4: bad date 'bad'"
+        )
 
     def test_more_than_ten_problems_report_the_first_ten(self):
         bad = ["x,not-a-date,A", "x,2005-01-01,Z9", ",2005-01-01,A", "x,2005-01-01"]

@@ -212,6 +212,23 @@ def test_coordinate_pushed_past_its_bound_does_not_stall():
     check_kkt(case)
 
 
+@pytest.mark.parametrize("seed, pair", [(46, 0), (2534, 5)])
+def test_clamped_coordinate_short_of_its_bound_is_not_a_last_step(seed, pair):
+    """Draws on which, in some iteration, the free coordinates' Newton step
+    is small enough to be the last while a coordinate clamped within
+    ``_ACTIVE_EPS`` of ``x = 1`` has not reached it: that step is not the
+    last, and the solve goes on to the reference's objective and the KKT
+    conditions.  Taken as the last, it leaves entries 2e-8 to 9e-8 off and
+    the objective 1e-6 to 7e-6 lower."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 6))
+    rows = int(rng.integers(0, 40))
+    jump_mass, u_nj, y_nj, n_bar, start = random_problems(rng, p, rows, 8)
+    case = (jump_mass[pair], u_nj[pair], y_nj, n_bar, start[pair], 0.0)
+    check_not_below_reference(case)
+    check_kkt(case)
+
+
 @pytest.mark.parametrize("name", EDGES)
 def test_edge_cases(name):
     case = edge_case(name)

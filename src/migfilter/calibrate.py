@@ -19,8 +19,9 @@ each step's state given the next one's is a column-stochastic matrix, so
 the smoothed marginals are prefix products of those, computed by the same
 scan with plain products in place of column-scaled ones and checked
 against one exact step by the same check; the pairwise posteriors follow
-in one broadcast.  The backward recursion serves only
-``backward_pass`` and ``posteriors``.  The discrete M-step is closed
+in one broadcast.  The public ``posteriors`` returns the same
+smoothing; the backward recursion serves only ``backward_pass``, whose
+rows ``posteriors`` checks it against.  The discrete M-step is closed
 form.
 
 The restarts of a multi-start fit run in lockstep: their parameters are
@@ -317,7 +318,8 @@ def _check_scan(scanned: np.ndarray, exact: np.ndarray, checked, last: bool, mes
     """Raise a NumericalError, ``message`` formatted with the step, at the
     first (``last``: the last) step, of those ``checked``, whose scanned row
     differs from its exact one by more than 1e-9, or where either holds a
-    NaN: the scan lost precision."""
+    NaN: the scan lost precision (or, in :func:`posteriors`, the rows it
+    is checked against do not belong to it)."""
     diff = _max_over(np.abs(scanned - exact), -1)
     lost = _first_flagged(checked & ~(diff <= 1e-9), last)
     if lost is not None:
@@ -458,6 +460,13 @@ def posteriors(
     of consecutive hidden states; ``v[t]`` has row marginal ``u[t]`` and
     column marginal ``u[t + 1]``.  ``fwd`` and ``bwd`` must cover the
     panel's steps.
+
+    ``u`` and ``v`` are smoothed from the forward rows alone, as in the
+    fitters' E-step (:func:`_smoothed`).  The backward rows check them:
+    at every step, ``u`` must match the normalized product ``fwd.alpha *
+    bwd.beta`` within 1e-9, or a NumericalError names the first step where
+    the forward and backward rows disagree (passes over two different
+    panels, say, or a product row of zero sum).
     """
     _check_model("posteriors", Mode.DISCRETE, factor, law, None, panel.p)
     want = (panel.steps, factor.m)
@@ -470,19 +479,14 @@ def posteriors(
     if panel.steps == 0:
         m = factor.m
         return np.empty((0, m)), np.empty((0, m, m))
-    return _posteriors_from(_panel_log_weights(panel, law.per_state), fwd, bwd, factor.trans)
-
-
-def _posteriors_from(
-    logg: np.ndarray, fwd: ForwardResult, bwd: BackwardResult, trans: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    u = fwd.alpha * bwd.beta
-    u /= u.sum(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore"):
-        w, _ = _exp_normalized(logg[..., 1:, :] + np.log(bwd.beta[..., 1:, :]), -1)
-    v = fwd.alpha[..., :-1, :, None] * _leading(trans, logg)
-    v *= w[..., None, :]
-    v /= np.einsum("...tij->...t", v)[..., None, None]
+    u, v = _smoothed(fwd.alpha, _leading(factor.trans, fwd.alpha))
+    with np.errstate(invalid="ignore"):  # a product row of zero sum fails the check
+        product = fwd.alpha * bwd.beta
+        product /= product.sum(axis=-1, keepdims=True)
+    _check_scan(
+        u, product, checked=True, last=False,
+        message="posteriors: the forward and backward rows disagree at step {}",
+    )
     return u, v
 
 
@@ -577,14 +581,10 @@ def m_step(
 def _chain_m_step(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form update of the hidden chain's initial law and transition
     matrix; a state never visited before the last step gets a flat row."""
-    *batch, steps, m = u.shape
     pi = u[..., 0, :] / u[..., 0, :].sum(axis=-1, keepdims=True)
-    if steps > 1:
-        k_num = v.sum(axis=-3)
-        k_den = u[..., :-1, :].sum(axis=-2)[..., None]
-        trans = np.where(k_den > 0, k_num / np.where(k_den > 0, k_den, 1.0), 1.0 / m)
-    else:
-        trans = np.full((*batch, m, m), 1.0 / m)
+    k_num = v.sum(axis=-3)
+    k_den = u[..., :-1, :].sum(axis=-2)[..., None]
+    trans = np.where(k_den > 0, k_num / np.where(k_den > 0, k_den, 1.0), 1.0)
     return pi, trans / trans.sum(axis=-1, keepdims=True)
 
 

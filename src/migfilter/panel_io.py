@@ -129,53 +129,56 @@ def ingest_ratings(
     duplicates = 0
     with _opened(source, "r") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DataError("empty ratings file")
-        if [h.strip() for h in header[:3]] != ["entity_id", "date", "rating"]:
-            raise DataError(
-                f"expected header entity_id,date,rating, got {','.join(header)}"
-            )
-        for row in reader:
-            if len(row) < 3:
-                if row and (len(row) > 1 or row[0].strip()):
-                    problems.append(
-                        f"line {_record_line(reader, row)}: expected 3 fields, got {len(row)}"
-                    )
-                continue
-            raw_entity, raw_date, raw_label = row[0], row[1], row[2]
-            per_entity = postings_of.get(raw_entity)
-            if per_entity is None:
-                entity = raw_entity.strip()
-                if not entity:
-                    problems.append(f"line {_record_line(reader, row)}: blank entity_id")
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError("empty ratings file")
+            if [h.strip() for h in header[:3]] != ["entity_id", "date", "rating"]:
+                raise DataError(
+                    f"expected header entity_id,date,rating, got {','.join(header)}"
+                )
+            for row in reader:
+                if len(row) < 3:
+                    if row and (len(row) > 1 or row[0].strip()):
+                        problems.append(
+                            f"line {_record_line(reader, row)}: expected 3 fields, got {len(row)}"
+                        )
                     continue
-                if "\n" in entity or "\r" in entity:
-                    problems.append(
-                        f"line {_record_line(reader, row)}: line break in entity_id {entity!r}"
-                    )
-                    continue
-                per_entity = postings_of[raw_entity] = rows.setdefault(entity, {})
-            date = dates.get(raw_date)
-            if date is None:
-                date_text = raw_date.strip()
-                try:
-                    date = dates[raw_date] = dt.date.fromisoformat(date_text)
-                except ValueError:
-                    problems.append(f"line {_record_line(reader, row)}: bad date {date_text!r}")
-                    continue
-            label = labels.get(raw_label)
-            if label is None:
-                label = raw_label.strip()
-                if label != censor_label and label not in alphabet:
-                    problems.append(
-                        f"line {_record_line(reader, row)}: unknown rating {label!r}"
-                    )
-                    continue
-                labels[raw_label] = label
-            if date in per_entity:
-                duplicates += 1
-            per_entity[date] = label
+                raw_entity, raw_date, raw_label = row[0], row[1], row[2]
+                per_entity = postings_of.get(raw_entity)
+                if per_entity is None:
+                    entity = raw_entity.strip()
+                    if not entity:
+                        problems.append(f"line {_record_line(reader, row)}: blank entity_id")
+                        continue
+                    if "\n" in entity or "\r" in entity:
+                        problems.append(
+                            f"line {_record_line(reader, row)}: line break in entity_id {entity!r}"
+                        )
+                        continue
+                    per_entity = postings_of[raw_entity] = rows.setdefault(entity, {})
+                date = dates.get(raw_date)
+                if date is None:
+                    date_text = raw_date.strip()
+                    try:
+                        date = dates[raw_date] = dt.date.fromisoformat(date_text)
+                    except ValueError:
+                        problems.append(f"line {_record_line(reader, row)}: bad date {date_text!r}")
+                        continue
+                label = labels.get(raw_label)
+                if label is None:
+                    label = raw_label.strip()
+                    if label != censor_label and label not in alphabet:
+                        problems.append(
+                            f"line {_record_line(reader, row)}: unknown rating {label!r}"
+                        )
+                        continue
+                    labels[raw_label] = label
+                if date in per_entity:
+                    duplicates += 1
+                per_entity[date] = label
+        except csv.Error as exc:  # the reader gives up on the rest of the file
+            problems.append(f"line {reader.line_num}: {exc}")
     if problems:
         raise DataError(
             f"{len(problems)} malformed row(s): " + "; ".join(problems[:10])
@@ -369,25 +372,11 @@ def _float_texts(values: np.ndarray, render) -> list:
     repeat most of their values, and ``repr`` of a double is the bulk of a
     writer's time.  Forecasts repeat whole rows too, so the trajectory and
     forecast writers pass their leading cells and only their distinct
-    forecast rows (:func:`_keyed_lines`).  The patterns are rendered in
-    order of first use, so their texts lie in memory about in the order
-    they are written; in sorted order, the gather that puts them in place
-    would miss the cache on most cells of a table without repeats.
+    forecast rows (:func:`_keyed_lines`).
     """
     values = np.ascontiguousarray(values, dtype=float)
-    bits = values.view(np.int64).reshape(-1)
-    order = np.argsort(bits)
-    ordered = bits[order]
-    new = np.ones(bits.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    first = np.minimum.reduceat(order, starts)
-    used = np.zeros(bits.size, dtype=bool)
-    used[first] = True
-    # code[i]: the rank of cell i's pattern among the patterns by first use
-    code = np.empty_like(order)
-    code[order] = np.repeat(np.cumsum(used)[first] - 1, np.diff(starts, append=bits.size))
-    return render(bits[used].view(float))[code].reshape(values.shape).tolist()
+    bits, code = np.unique(values.view(np.int64).reshape(-1), return_inverse=True)
+    return render(bits.view(float))[code].reshape(values.shape).tolist()
 
 
 def _repr_texts(floats: np.ndarray) -> np.ndarray:
@@ -570,11 +559,11 @@ class _Table:
     lines: list[str]
     line_nos: list[int]
 
-    def parse(self, dtype, rule, rows: slice = slice(None)) -> np.ndarray:
-        """The rows ``rows`` as an array of ``dtype``, one table row per
-        line (a record dtype gives one column of records), read in one
+    def parse(self, dtype, rule) -> np.ndarray:
+        """The body rows as an array of ``dtype``, one table row per line
+        (a record dtype gives one column of records), read in one
         ``np.loadtxt`` call: :meth:`parse_keyed` with every cell leading."""
-        return self.parse_keyed(dtype, rule, rows, len(self.header))
+        return self.parse_keyed(dtype, rule, slice(None), len(self.header))
 
     def parse_keyed(self, dtype, rule, rows: slice, lead: int) -> np.ndarray:
         """:meth:`parse`, with the text after the first ``lead`` cells of
@@ -606,7 +595,7 @@ class _Table:
                 pass
         return self.by_rule(dtype, rule, rows)
 
-    def by_rule(self, dtype, rule, rows: slice = slice(None)) -> np.ndarray:
+    def by_rule(self, dtype, rule, rows: slice) -> np.ndarray:
         """The reference reader of :meth:`parse`: ``rule(cells)`` reads one
         row, and a row not as wide as the header or refused by the rule
         raises :class:`DataError` naming its line."""

@@ -10,7 +10,7 @@ from migfilter.calibrate import (
     _random_init,
     m_step,
 )
-from migfilter.errors import DataError, ImpossibleObservationError, ModelError
+from migfilter.errors import DataError, ImpossibleObservationError, ModelError, NumericalError
 
 from conftest import enumerate_reference, random_instance, random_model
 
@@ -166,6 +166,33 @@ class TestBackwardPassAndPosteriors:
             with pytest.raises(ImpossibleObservationError) as info:
                 run(panel, factor, law)
             assert info.value.time_index == 1
+
+    def test_rows_of_two_panels_are_refused(self):
+        # forward rows of one panel and backward rows of another: the
+        # smoothed u disagrees with their product
+        factor, law = mf.demo_model(2, 3, spread=6.0)
+        panel, other = (
+            mf.simulate_panel_discrete(
+                factor, law, mf.SimulationConfig(np.full(3, 50), 40, seed=seed)
+            )[0]
+            for seed in (1, 2)
+        )
+        fwd, bwd = mf.forward_pass(panel, factor, law), mf.backward_pass(other, factor, law)
+        with pytest.raises(NumericalError, match="forward and backward rows disagree") as info:
+            mf.posteriors(fwd, bwd, panel, factor, law)
+        assert info.value.time_index == 3
+
+    def test_product_row_of_zero_sum_is_refused(self):
+        # the chain never leaves state 0, but step 1's backward row puts all
+        # its mass on state 1
+        law = mf.MigrationLaw(np.full((2, 1, 1), 1.0))
+        factor = mf.HiddenFactorSpec(np.array([1.0, 0.0]), np.eye(2))
+        panel = mf.MigrationPanel(np.ones((3, 1)), np.ones((3, 1, 1)))
+        fwd = mf.forward_pass(panel, factor, law)
+        bwd = mf.BackwardResult(np.array([[0.5, 0.5], [0.0, 1.0], [0.5, 0.5]]), np.zeros(3))
+        with pytest.raises(NumericalError, match="forward and backward rows disagree") as info:
+            mf.posteriors(fwd, bwd, panel, factor, law)
+        assert info.value.time_index == 1
 
     def test_pairwise_marginalization(self, rng):
         for _ in range(6):
@@ -514,11 +541,11 @@ class TestEmFitContinuous:
     def test_e_step_runs_no_backward_pass(self, monkeypatch):
         # the segment E-step smooths from the forward rows and reads each
         # run's backward row off the smoothed one
-        calls = count_calls(monkeypatch, "_forward", "_smoothed", "_backward", "_posteriors_from")
+        calls = count_calls(monkeypatch, "_forward", "_smoothed", "_backward")
         stream, fine_dt, *_ = self.make_fine_stream(seed=1, steps=20, entities=10, m=2)
         mf.em_fit_continuous(stream, 2, mf.EmConfig(restarts=2, max_iters=5, seed=0), fine_dt)
         assert calls["_forward"] > 0 and calls["_smoothed"] == calls["_forward"]
-        assert calls["_backward"] == calls["_posteriors_from"] == 0
+        assert calls["_backward"] == 0
 
     def test_traces_monotone(self):
         for seed in range(4):

@@ -273,6 +273,25 @@ class TestIngest:
                 ingest_reference(handle, ALPHABET)
         assert str(ref.value) == str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("entity_id,date,rating\nx\ry,2005-01-01,A\nz,bad,A\n",
+             "line 2: new-line character seen in unquoted field"),
+            ("entity_id,date,rating\nx,2005-01-01,A\n" + "y" * 131_073 + ",2005-01-01,A\nz,bad,A\n",
+             "line 3: field larger than field limit (131072)"),
+            ("entity_id,da\rte,rating\nx,2005-01-01,A\n",
+             "line 1: new-line character seen in unquoted field"),
+        ],
+        ids=["lone-cr", "long-cell", "header"],
+    )
+    def test_csv_reader_error_is_a_malformed_row_ending_the_read(self, text, message):
+        # the reader cannot go on past the record it refused, so the rows
+        # after it are not read
+        with pytest.raises(DataError) as err:
+            pio.ingest_ratings(io.StringIO(text), ALPHABET)
+        assert str(err.value).startswith(f"1 malformed row(s): {message}")
+
     def test_entity_id_holding_a_line_break_is_a_malformed_row(self):
         text = 'entity_id,date,rating\n"x\ny",2005-01-01,A\nz,bad,A\n'
         with pytest.raises(DataError) as err:

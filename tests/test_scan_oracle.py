@@ -16,7 +16,7 @@ import pytest
 from scipy.special import logsumexp
 
 from migfilter import calibrate, filtering
-from migfilter.calibrate import _backward, _e_step, _forward, _posteriors_from
+from migfilter.calibrate import _backward, _e_step, _exp_normalized, _forward, _leading
 from migfilter.errors import ImpossibleObservationError, NumericalError
 from migfilter.model import HiddenFactorSpec, MigrationLaw, MigrationPanel
 
@@ -79,6 +79,20 @@ def loop_posteriors(logg, alpha, beta, trans):
     return u, v
 
 
+def _posteriors_from(logg, fwd, bwd, trans):
+    """The alpha-beta posteriors, vectorised over steps: ``u`` the
+    normalized product of the forward and backward rows, ``v`` each step's
+    forward row times its transition, weights and backward row."""
+    u = fwd.alpha * bwd.beta
+    u /= u.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        w, _ = _exp_normalized(logg[..., 1:, :] + np.log(bwd.beta[..., 1:, :]), -1)
+    v = fwd.alpha[..., :-1, :, None] * _leading(trans, logg)
+    v *= w[..., None, :]
+    v /= np.einsum("...tij->...t", v)[..., None, None]
+    return u, v
+
+
 def random_problem(rng, steps, m, spread=20.0, holes=0.1):
     """Log-weights with a wide spread between states and some states
     impossible at some steps (never all at once), a random chain."""
@@ -113,6 +127,15 @@ def assert_matches_loops(logg, pi, trans):
     assert e_u.shape == u.shape and e_v.shape == v.shape
     np.testing.assert_allclose(e_u, u, rtol=0, atol=1e-12)
     np.testing.assert_allclose(e_v, v, rtol=0, atol=1e-12)
+    # the public posteriors are that smoothing, passing their alpha-beta
+    # check; they read the panel and law only for their sizes
+    steps, m = logg.shape
+    panel = MigrationPanel(np.zeros((steps, 1)), np.zeros((steps, 1, 1)))
+    p_u, p_v = calibrate.posteriors(
+        fwd, bwd, panel, HiddenFactorSpec(pi, trans), MigrationLaw(np.ones((m, 1, 1)))
+    )
+    np.testing.assert_array_equal(p_u, e_u)
+    np.testing.assert_array_equal(p_v, e_v)
     return fwd, bwd
 
 

@@ -1,28 +1,31 @@
 """EM calibration of the hidden factor and migration laws.
 
 The forward/backward recursions over the panel's aggregated per-step
-likelihood weights run without a loop over time.  Each recursion is a
-product of per-step matrices (``diag(g_t) K^T`` forward, ``K diag(g_t)``
-backward), so all its steps at once are the inclusive prefix products of
-that sequence.  They come from a work-efficient parallel-prefix scan
-(Sarkka & Garcia-Fernandez, 2021): pair neighbours, scan the pairs, fill
-in the rest, one batched matrix product per level.  Every column of every
-product carries its own log-scale, so columns hundreds of orders of
-magnitude apart never underflow against each other.  One exact recursion
-step in log space from every scanned row then gives the normalized rows
-and their per-step log-scales (so samples thousands of steps long cannot
-underflow), decides impossible observations, and checks the scan.
+likelihood weights run without a loop over time.  Each recursion applies
+per-step matrices (``diag(g_t) K^T`` forward, ``K diag(g_t)`` backward) to
+its start, one after another, so all its rows at once come from a
+work-efficient parallel-prefix scan (Sarkka & Garcia-Fernandez, 2021;
+Blelloch, 1990): on the way up, neighbouring matrices are multiplied in
+pairs, the first pair carrying the start along; on the way down, every
+row the pairs skipped is one matrix-vector product from the row before
+it.  Each level is one batched call of each kind, and nothing but the
+pairs and the rows is formed.  Every column of every matrix carries its
+own log-scale, so columns hundreds of orders of magnitude apart never
+underflow against each other.  One exact recursion step in log space from
+every scanned row then gives the normalized rows and their per-step
+log-scales (so samples thousands of steps long cannot underflow), decides
+impossible observations, and checks the scan.
 
 Both E-steps, discrete and continuous, scan only forward, then smooth
 from the forward rows alone (Rauch, Tung & Striebel, 1965): the law of
 each step's state given the next one's is a column-stochastic matrix, so
-the smoothed marginals are prefix products of those, computed by the same
-scan with plain products in place of column-scaled ones and checked
-against one exact step by the same check; the pairwise posteriors follow
-in one broadcast.  The public ``posteriors`` returns the same
-smoothing; the backward recursion serves only ``backward_pass``, whose
-rows ``posteriors`` checks it against.  The discrete M-step is closed
-form.
+the smoothed marginals are the rows of a recursion through those, from
+the last forward row backwards, computed by the same scan with plain
+products in place of column-scaled ones and checked against one exact
+step by the same check; the pairwise posteriors follow in one broadcast.
+The public ``posteriors`` returns the same smoothing; the backward
+recursion serves only ``backward_pass``, whose rows ``posteriors`` checks
+it against.  The discrete M-step is closed form.
 
 The restarts of a multi-start fit run in lockstep: their parameters are
 stacked on a leading axis, and every E-step and M-step function takes
@@ -254,29 +257,37 @@ def _scaled_matmul(
     return _column_normalized(a @ w, top + b_scale)
 
 
-def _prefix_products(parts: tuple[np.ndarray, ...], product) -> tuple[np.ndarray, ...]:
-    """Inclusive prefix products ``x[k] @ ... @ x[0]`` along the leading
-    axis of a sequence of matrices ``x`` held as ``parts``, arrays that
-    share that axis, computed in place; axes between the leading axis and
-    the matrix axes are batch axes.  ``product(*a, *b)`` returns the parts
-    of ``a @ b``: ``_scaled_matmul`` on (matrices, column log-scales), or
-    plain ``@`` on the matrices alone, which suits column-stochastic ones
-    (every product of those is column-stochastic too, so nothing needs
-    scaling).
+def _prefix_rows(
+    mats: tuple[np.ndarray, ...], rows: tuple[np.ndarray, ...], product
+) -> tuple[np.ndarray, ...]:
+    """Every row of the recursion ``x_k = M[k] @ x_(k-1)``, filled in place
+    into ``rows``, from the start ``x_0`` held as the first column of
+    ``M[0]``.  The matrices ``M`` are held as ``mats`` and the rows as
+    ``rows``, each a tuple of parts, arrays that share the leading (time)
+    axis; axes between it and the matrix axes are batch axes, and a row is
+    a column vector, shape (..., m, 1).  ``product(*a, *b)`` returns the
+    parts of ``a @ b``: ``_scaled_matmul`` on (matrices, column
+    log-scales), or plain ``@`` on the matrices alone, which suits
+    column-stochastic ones (every product of those is column-stochastic
+    too, so nothing needs scaling).
 
-    Work-efficient scan: multiply neighbouring pairs, scan the half-length
-    sequence of pairs, then extend each odd prefix by the next even matrix.
-    O(n) matrix products in O(log n) batched calls.
+    Work-efficient scan (Blelloch, 1990): multiply neighbouring matrices
+    (the first pair carries the start on to ``x_1``), fill the odd rows by
+    the half-length recursion of those pairs, then each even row by one
+    matrix-vector product from the row before it.  O(n) products in
+    O(log n) batched calls, and only the pairs are matrix-matrix products.
     """
-    n = parts[0].shape[0]
+    n = rows[0].shape[0]
+    for x, x_mats in zip(rows, mats):
+        x[0] = x_mats[0, ..., :1]
     if n > 1:
-        pairs = product(*(x[1::2] for x in parts), *(x[:-1:2] for x in parts))
-        odd = _prefix_products(pairs, product)
-        fill = (n - 1) // 2
-        even = product(*(x[2::2] for x in parts), *(x[:fill] for x in odd))
-        for x, x_odd, x_even in zip(parts, odd, even):
-            x[1::2], x[2::2] = x_odd, x_even
-    return parts
+        pairs = product(*(x[1::2] for x in mats), *(x[:-1:2] for x in mats))
+        _prefix_rows(pairs, tuple(x[1::2] for x in rows), product)
+    if n > 2:
+        even = product(*(x[2::2] for x in mats), *(x[1:-1:2] for x in rows))
+        for x, x_even in zip(rows, even):
+            x[2::2] = x_even
+    return rows
 
 
 def _time_major(mats: np.ndarray) -> np.ndarray:
@@ -289,18 +300,21 @@ def _time_major(mats: np.ndarray) -> np.ndarray:
 
 def _scan_directions(log_mats: np.ndarray) -> np.ndarray:
     """Every step of the recursion ``x_k = M[..., k, :, :] @ x_(k-1)``, its
-    start folded into the first matrix, where ``M = exp(log_mats)`` has
-    shape (..., steps, m, m), as rows (..., steps, m) normalized to sum 1
-    (zero rows once the recursion dies).  Overwrites ``log_mats``."""
+    start ``x_0`` in every column of the first matrix, where ``M =
+    exp(log_mats)`` has shape (..., steps, m, m), as rows (..., steps, m)
+    normalized to sum 1 (zero rows once the recursion dies).  The matrices
+    are paired on the way up and the rows filled by matrix-vector products
+    on the way down (:func:`_prefix_rows`); no prefix product of matrices
+    is formed.  Overwrites ``log_mats``."""
     # the scan runs along the leading axis (swapping is its own inverse)
     with np.errstate(divide="ignore"):
-        prods, scale = _prefix_products(
-            _exp_normalized(log_mats.swapaxes(0, -3), -2), _scaled_matmul
+        mats = _exp_normalized(log_mats.swapaxes(0, -3), -2)
+        rows, _ = _prefix_rows(
+            mats, tuple(np.empty((*x.shape[:-1], 1)) for x in mats), _scaled_matmul
         )
-    col_weight, _ = _exp_normalized(scale, -1)
-    rows = np.einsum("...ij,...j->...i", prods, col_weight).swapaxes(0, -2)
-    total = rows.sum(axis=-1, keepdims=True)
-    return rows / np.where(total > 0.0, total, 1.0)
+    directions = rows[..., 0].swapaxes(0, -2)
+    total = directions.sum(axis=-1, keepdims=True)
+    return directions / np.where(total > 0.0, total, 1.0)
 
 
 def _first_flagged(flags: np.ndarray, last: bool) -> tuple[int, int] | None:
@@ -384,8 +398,9 @@ def _forward(logg: np.ndarray, pi: np.ndarray, trans: np.ndarray) -> ForwardResu
     impossible = ~np.isfinite(logg.max(axis=-1))
     lead = _leading(trans, logg)
     with np.errstate(divide="ignore"):
-        log_mats = _time_major(np.full((steps, *batch, m, m), -np.inf))
-        log_mats[..., 0, range(m), range(m)] = np.log(pi) + logg[..., 0, :]
+        # the start, pi weighted by step 0, in every column of element 0
+        log_mats = _time_major(np.empty((steps, *batch, m, m)))
+        log_mats[..., 0, :, :] = (np.log(pi) + logg[..., 0, :])[..., None]
         log_mats[..., 1:, :, :] = logg[..., 1:, :, None] + np.log(np.swapaxes(lead, -1, -2))
         scanned = _scan_directions(log_mats)
         # one exact recursion step, in log space, from each scanned row
@@ -401,8 +416,8 @@ def _backward(logg: np.ndarray, trans: np.ndarray) -> BackwardResult:
     *batch, steps, m = logg.shape
     impossible = ~np.isfinite(logg.max(axis=-1))
     lead = _leading(trans, logg)
-    # reversed: element k drives beta[steps - 1 - k]; the flat terminal
-    # column is folded into element 0
+    # reversed: row k is beta[steps - 1 - k], from the flat terminal row
+    # in every column of element 0
     with np.errstate(divide="ignore"):
         log_mats = _time_major(np.zeros((steps, *batch, m, m)))
         log_mats[..., 1:, :, :] = np.log(lead)[..., ::-1, :, :] + logg[..., :0:-1, None, :]
@@ -500,21 +515,24 @@ def _smoothed(alpha: np.ndarray, lead: np.ndarray) -> tuple[np.ndarray, np.ndarr
     the one-step prediction; where ``pred[j]`` is 0 the column stays zero.
     Then ``u_(T-1) = alpha_(T-1)``, ``u_t = B_t u_(t+1)`` and ``v_t = B_t
     * u_(t+1)``.  The ``B_t`` are column-stochastic, so ``u`` comes from
-    the forward recursion's scan (:func:`_prefix_products`) with plain
-    products in place of column-scaled ones, reversed, with ``alpha_(T-1)``
-    folded into its first matrix; one exact step from every scanned row
-    checks the scan, by the forward recursion's check (:func:`_check_scan`)."""
+    the forward recursion's row scan (:func:`_prefix_rows`) with plain
+    products in place of column-scaled ones, reversed, starting from
+    ``alpha_(T-1)``: the ``B_t`` are paired on the way up and the rows
+    filled by matrix-vector products on the way down.  One exact step from
+    every scanned row checks the scan, by the forward recursion's check
+    (:func:`_check_scan`)."""
     *batch, steps, m = alpha.shape
     kernels = alpha[..., :-1, :, None] * lead
     pred = np.einsum("...ij->...j", kernels)[..., None, :]
     np.divide(kernels, pred, out=kernels, where=pred > 0.0)
     mats = np.empty((steps, *batch, m, m))
-    # reversed: element k drives u[steps - 1 - k]
+    # reversed: row k is u[steps - 1 - k], from alpha_(T-1) in every column
+    # of element 0
     reversed_mats = _time_major(mats)
     reversed_mats[..., 0, :, :] = alpha[..., -1, :, None]
     reversed_mats[..., 1:, :, :] = kernels[..., ::-1, :, :]
-    (prods,) = _prefix_products((mats,), lambda a, b: (a @ b,))
-    scanned = _time_major(prods)[..., ::-1, :, 0]
+    (rows,) = _prefix_rows((mats,), (np.empty_like(mats[..., :1]),), lambda a, b: (a @ b,))
+    scanned = np.moveaxis(rows[..., 0], 0, -2)[..., ::-1, :]
     v = kernels * scanned[..., 1:, None, :]
     with np.errstate(invalid="ignore"):  # a corrupt scan's 0 / 0 fails the check
         v /= np.einsum("...tij->...t", v)[..., None, None]

@@ -34,15 +34,15 @@ DISCRETE_PINS = {
 
 CONTINUOUS_PINS = {
     "events.csv": "9956b659a28fc71b71f699c572d4ac01150fa369c6b39916a2adfba6dcd9deca",
-    "fit.json": "2d09cf34223b9fb5cbf2ceba35aa71438e5a0da3a5812d7dbe5243999cce4dce",
+    "fit.json": "ea1f1317e9369d0e573035471fb2bf899af67f16d73e67a16c94e1abae1c6426",
     "hidden.csv": "01a60903a6019a5facba80ab22c6aaff1b57952987fb2f470d535c6860900960",
     "model.json": "c0bb46fc4bb306f926f2d2247247c3d3dd6feaec3e322f0f13c51cd48842a4d3",
-    "traj.csv": "adc4fce4970d447e732a32acd3d1f13a96294de5e7efa578acd92d108eb4853f",
+    "traj.csv": "4ab362eac2c59914d339a5a531a203362071d4f7e312716487c27f2be4d63248",
 }
 
 BACKTEST_PINS = {
     "ratings.csv": "4822e1c16ff349454e342893461b47970f3cf2e785b4be6722e070b8ace70aab",
-    "report.json": "acd9b1fb6ac036eb96d515ec74db5ad0d5ce60009d6d79fe9a1eb7976e1fcf68",
+    "report.json": "f06319a2d61329b1ca0f998c0c9401b04f3b98f51e7f91d60ee3c8a1f3fdef30",
 }
 
 

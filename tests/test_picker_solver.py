@@ -279,3 +279,19 @@ def test_keep_start_slack_is_1e12(below, keeps_start, monkeypatch):
     monkeypatch.setattr(calibrate, "_picker_q", scored_below_start)
     got = newton_picker_rows(jump_mass, u_nj, y_nj, n_bar, start, 1e-12)
     np.testing.assert_array_equal(got, start if keeps_start else optimized)
+
+
+def test_curvature_floor_sits_at_rounding_level():
+    """Rating 0 departs so rarely against its no-jump exposure that its
+    leave probability settles near 1e-6, where its curvature exceeds rating
+    1's by about 5e7 (1e9 against 20).  The Newton step divides by no
+    curvature below ``_MIN_CURVATURE`` of the largest.  At 1e-13, rounding
+    level, the solve reaches the reference's objective and the KKT
+    conditions; at 1e-7 or above, rating 1's step shrinks with its raised
+    curvature and the solve stops short (at 1e-6, leave probability 0.635
+    against 0.502, and the objective 0.15 nats lower)."""
+    jump_mass = np.array([[0.0, 1e-3], [5.0, 0.0]])
+    start = _floored(np.full((2, 2), 0.5), 1e-12)
+    case = (jump_mass, np.array([1000.0]), np.array([[1000.0, 10.0]]), 1010.0, start, 0.0)
+    check_not_below_reference(case)
+    check_kkt(case)

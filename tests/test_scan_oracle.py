@@ -264,16 +264,16 @@ def test_subnormal_prediction_smooths_to_finite_posteriors():
 
 
 def on_smoothing_scan(scan, corrupt):
-    """``_prefix_products`` (``scan``) with ``corrupt`` applied to the
-    products of every whole plain-product scan, the smoothing scan: not to
-    its halves, and not to the column-scaled scans of the recursions."""
+    """``_prefix_rows`` (``scan``) with ``corrupt`` applied to the rows of
+    every whole plain-product scan, the smoothing scan: not to its halves,
+    and not to the column-scaled scans of the recursions."""
     depth = 0
 
-    def corrupted(parts, product):
+    def corrupted(mats, rows, product):
         nonlocal depth
         depth += 1
         try:
-            out = scan(parts, product)
+            out = scan(mats, rows, product)
         finally:
             depth -= 1
         return (corrupt(out[0]),) if depth == 0 and len(out) == 1 else out
@@ -281,9 +281,9 @@ def on_smoothing_scan(scan, corrupt):
     return corrupted
 
 
-def with_nan_row(prods):
-    prods[len(prods) // 2] = np.nan
-    return prods
+def with_nan_row(rows):
+    rows[len(rows) // 2] = np.nan
+    return rows
 
 
 def test_scan_disagreeing_with_exact_step_raises(monkeypatch):
@@ -297,9 +297,9 @@ def test_scan_disagreeing_with_exact_step_raises(monkeypatch):
     # the E-step's smoothing scan is checked the same way; a NaN, or rows
     # of zeros (0 / 0 in the pairwise posteriors), fail it too
     monkeypatch.setattr(calibrate, "_scan_directions", scan)
-    prods = calibrate._prefix_products
+    rows = calibrate._prefix_rows
     for corrupt in (lambda x: x[::-1], with_nan_row, lambda x: 0 * x):
-        monkeypatch.setattr(calibrate, "_prefix_products", on_smoothing_scan(prods, corrupt))
+        monkeypatch.setattr(calibrate, "_prefix_rows", on_smoothing_scan(rows, corrupt))
         with pytest.raises(NumericalError, match="smoothing scan lost precision"):
             _e_step(logg, pi, trans)
 
@@ -347,42 +347,67 @@ def test_scan_check_bound_is_1e9(shift, raises, monkeypatch):
         _forward(logg, pi, trans)
     monkeypatch.setattr(calibrate, "_scan_directions", scan)
 
-    def shifted_products(prods):
-        # the last product drives the smoothed row of step 0, its column 0
-        prods[-1, ..., 0, 0] += shift
-        return prods
+    def shifted_smoothed_row(rows):
+        # the last scanned row is the smoothed row of step 0
+        rows[-1, ..., 0, 0] += shift
+        return rows
 
-    prods = calibrate._prefix_products
-    monkeypatch.setattr(calibrate, "_prefix_products", on_smoothing_scan(prods, shifted_products))
+    rows = calibrate._prefix_rows
+    monkeypatch.setattr(calibrate, "_prefix_rows", on_smoothing_scan(rows, shifted_smoothed_row))
     with outcome("smoothing"):
         _e_step(logg, pi, trans)
 
 
-def sequential_products(mats):
-    out = mats.copy()
-    for k in range(1, len(out)):
-        out[k] = mats[k] @ out[k - 1]
-    return out
+def sequential_rows(mats):
+    """The rows ``x_k = mats[k] @ x_(k-1)`` from ``x_0``, the first column
+    of ``mats[0]``, one matrix-vector product per step."""
+    rows = [mats[0][..., :1]]
+    for mat in mats[1:]:
+        rows.append(mat @ rows[-1])
+    return np.stack(rows)
+
+
+def prefix_rows(mats, *scale):
+    """``_prefix_rows`` on ``mats`` with plain products, or with
+    column-scaled ones when given column log-scales: the rows as column
+    vectors (and their log-scales)."""
+    steps, batch, m, _ = mats.shape
+    rows = (np.empty((steps, batch, m, 1)), np.empty((steps, batch, 1)))[: 1 + len(scale)]
+    product = calibrate._scaled_matmul if scale else lambda a, b: (a @ b,)
+    return calibrate._prefix_rows((mats.copy(), *(x.copy() for x in scale)), rows, product)
 
 
 @pytest.mark.parametrize("steps", range(1, 34))
-def test_prefix_products_match_sequential_products(steps):
-    """The one scan, with plain products on column-stochastic stacks and
-    with column-scaled products on column-scaled ones, against a loop of
-    plain products; one batch axis."""
+def test_prefix_rows_match_matrix_vector_loop(steps):
+    """The one scan against a loop of matrix-vector products, one batch
+    axis: plain products on column-stochastic stacks, and column-scaled
+    products on column-scaled ones, with scales drawn N(0, 3) and, where an
+    unscaled loop underflows, of +-700 (compared in log space).  The start
+    is the first column of the first matrix."""
     rng = np.random.default_rng(steps)
     batch, m = 2, 3
     mats = np.swapaxes(rng.dirichlet(np.ones(m), size=(steps, batch, m)), -1, -2)
-    want = sequential_products(mats)
-    (got,) = calibrate._prefix_products((mats.copy(),), lambda a, b: (a @ b,))
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    (got,) = prefix_rows(mats)
+    np.testing.assert_allclose(got, sequential_rows(mats), rtol=0, atol=1e-12)
+
     mats = rng.random((steps, batch, m, m))
     scale = rng.normal(scale=3.0, size=(steps, batch, m))
-    want = sequential_products(mats * np.exp(scale)[..., None, :])
-    got, got_scale = calibrate._prefix_products(
-        (mats.copy(), scale.copy()), calibrate._scaled_matmul
-    )
-    np.testing.assert_allclose(got * np.exp(got_scale)[..., None, :], want, rtol=1e-12, atol=0)
+    got, got_scale = prefix_rows(mats, scale)
+    want = sequential_rows(mats * np.exp(scale)[..., None, :])
+    np.testing.assert_allclose(got * np.exp(got_scale)[..., None], want, rtol=1e-12, atol=0)
+
+    scale = rng.choice([-700.0, 700.0], size=(steps, batch, m))
+    got, got_scale = prefix_rows(mats, scale)
+    log_mats = np.log(mats) + scale[..., None, :]
+    log_want = [log_mats[0, ..., 0]]
+    for log_mat in log_mats[1:]:
+        log_want.append(logsumexp(log_mat + log_want[-1][..., None, :], axis=-1))
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        unscaled = sequential_rows(mats * np.exp(scale)[..., None, :])
+        if steps > 3:
+            assert not np.all(np.isfinite(np.log(unscaled)))
+        log_got = np.log(got[..., 0]) + got_scale
+    np.testing.assert_allclose(log_got, np.stack(log_want), rtol=1e-13, atol=1e-12)
 
 
 def unreachable_problem(steps):

@@ -481,12 +481,12 @@ def reversed_row(scan, s):
 
 
 def nan_row(scan, s):
-    """``_prefix_products`` (``scan``) with the smoothing scan's product
-    that drives the smoothed row ``s`` set to NaN."""
+    """``_prefix_rows`` (``scan``) with the smoothing scan's row that is
+    the smoothed row ``s`` set to NaN."""
 
-    def corrupt(prods):
-        prods[len(prods) - 1 - s] = np.nan
-        return prods
+    def corrupt(rows):
+        rows[len(rows) - 1 - s] = np.nan
+        return rows
 
     return on_smoothing_scan(scan, corrupt)
 
@@ -496,7 +496,7 @@ def nan_row(scan, s):
     [
         ("_scan_directions", reversed_row, "the prefix scan lost precision at fine-grid step {}: "),
         (
-            "_prefix_products",
+            "_prefix_rows",
             nan_row,
             "the smoothing scan lost precision at fine-grid step {}$",
         ),

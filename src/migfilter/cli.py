@@ -134,9 +134,14 @@ def calibrate(panel_path, events_path, states, mode, step_days, subintervals, cf
         stream = cont.spread_jumps(panel, cont.SpreadConfig(subintervals, seed=cfg.seed))
         result = cal.em_fit_continuous(stream, states, cfg, fine_dt=step_days / subintervals)
     Path(out_path).write_text(result.to_json())
+    outcomes = list(zip(result.restart_converged, result.restart_failures))
+    capped = sum(not converged and failure is None for converged, failure in outcomes)
+    failed = sum(failure is not None for _, failure in outcomes)
     click.echo(
         f"restart {result.best_restart} won with loglik {result.loglik:.6f} "
-        f"({'converged' if result.converged else 'iteration cap hit'}); wrote {out_path}"
+        f"({'converged' if result.converged else 'iteration cap hit'}); "
+        f"{capped} of {len(outcomes)} restarts hit the iteration cap, "
+        f"{failed} failed; wrote {out_path}"
     )
 
 

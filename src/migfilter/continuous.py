@@ -13,7 +13,11 @@ laws the substeps start from.  Both steps work on vectors of ``m`` hidden
 states, a handful of entries, where each numpy call would cost far more in
 per-call overhead than in arithmetic; so their kernels,
 :func:`_integrate_drift` and :func:`_bayes_jump`, run on Python floats, and
-the filter converts its inputs to lists once per run.
+the filter converts its inputs to lists once per run.  The substeps run in
+a kernel generated once per ``m`` (:func:`_euler_walk`) that keeps the law,
+``M``, ``h ℓ`` and the running sums ``Σp`` in local floats, writes each dot
+product out in the order ``sum`` adds, and renormalizes only a law that
+has left the simplex.
 
 Daily panels violate the no-simultaneous-jumps assumption this filter needs,
 so :func:`spread_jumps` redistributes each step's jumps onto distinct random
@@ -33,6 +37,7 @@ start at or after it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import add, mul
@@ -67,8 +72,6 @@ __all__ = [
 # Largest (rate * dt) an explicit Euler substep is allowed to take; keeps the
 # update on the simplex with a wide margin.
 _MAX_EULER_MASS = 0.2
-# Substep laws an Euler walk keeps before folding them into its running sum.
-_FOLD_EVERY = 1024
 
 
 @dataclass(frozen=True)
@@ -198,6 +201,57 @@ def _renormalized(probs: list[float]) -> list[float]:
     return probs
 
 
+def _dot(coefficients: list[str], names: list[str]) -> str:
+    """Source of a dot product summed left to right from ``0.0``, the order
+    in which ``sum`` adds Python floats on CPython 3.11."""
+    return " + ".join(["0.0"] + [f"{a} * {x}" for a, x in zip(coefficients, names)])
+
+
+@functools.cache
+def _euler_walk(m: int):
+    """The substep loop of :func:`_integrate_drift` for laws of ``m``
+    states: its source is written out entry by entry from ``m`` and
+    compiled once per ``m``, the way :mod:`dataclasses` builds ``__init__``.
+
+    ``walk(probs, step, h_load, n_sub)`` holds the law, the rows of ``M``,
+    the ``h ℓ`` row and the running sums of the laws the substeps start
+    from in local floats, and returns the final law and those sums.  Each
+    dot product is written out in the order ``sum`` adds, and each running
+    sum adds its laws left to right from 0.0, so the walk gives the bits of
+    a list loop that takes ``sum(map(mul, ...))`` per entry, keeps every
+    law and sums them column by column.  A substep calls
+    :func:`_renormalized` only when its law has an entry that is not at
+    least 0 (a NaN included) or a sum further than ``_RENORM_TRIGGER`` from
+    1; otherwise ``_renormalized`` would return the law unchanged.
+    """
+    xs, ys, ss, loads = ([f"{c}{i}" for i in range(m)] for c in "xysl")
+    rows = [[f"a{i}_{j}" for j in range(m)] for i in range(m)]
+    x_list, y_list, s_list = (", ".join(names) for names in (xs, ys, ss))
+    row_list = ", ".join("(" + ", ".join(row) + ",)" for row in rows)
+    on_simplex = " and ".join(f"{y} >= 0.0" for y in ys)
+    lines = [
+        "def walk(probs, step, h_load, n_sub):",
+        "    renormalized, trigger = _renormalized, _RENORM_TRIGGER",
+        f"    {x_list}, = probs",
+        f"    {row_list}, = step",
+        f"    {', '.join(loads)}, = h_load",
+        f"    {' = '.join(ss)} = 0.0",
+        "    for _ in range(n_sub):",
+        *(f"        s{i} += x{i}" for i in range(m)),
+        f"        nn = {_dot(loads, xs)}",
+        *(f"        y{i} = {_dot(row, xs)} + nn * x{i}" for i, row in enumerate(rows)),
+        f"        if {on_simplex} and abs({' + '.join(['0.0', *ys])} - 1.0) <= trigger:",
+        *(f"            x{i} = y{i}" for i in range(m)),
+        "        else:",
+        f"            {x_list}, = renormalized([{y_list}])",
+        f"    return [{x_list}], [{s_list}]",
+    ]
+    namespace: dict = {}
+    source = "\n".join(lines) + "\n"
+    exec(compile(source, f"<euler walk, m={m}>", "exec"), globals(), namespace)
+    return namespace["walk"]
+
+
 def _integrate_drift(
     probs: list[float],
     dt: float,
@@ -216,10 +270,11 @@ def _integrate_drift(
     renormalized, with ``M = I + h (Kᵀ - diag ℓ)`` built once per call.
     The drift part ``h Kᵀ Σp`` and the intensity integral ``h ℓ·Σp`` are
     linear in the laws the substeps start from, so they are formed once
-    from ``Σp``; the laws are kept and folded into one running sum every
-    ``_FOLD_EVERY`` substeps, so a long stop holds bounded memory.  The
-    walk runs on Python floats: on vectors of ``m`` entries each numpy call
-    costs more in per-call overhead than in arithmetic.
+    from ``Σp``.  The substeps run in the generated kernel of
+    :func:`_euler_walk`, which keeps the law, ``M``, ``h ℓ`` and the
+    running sums ``Σp`` in local floats: O(1) memory however long the
+    stop, and no list or call per substep unless the law needs
+    renormalizing.
     """
     n_sub = max(1, math.ceil(dt * rate_scale / _MAX_EULER_MASS))
     if max_h < dt:
@@ -229,17 +284,7 @@ def _integrate_drift(
     step = [[h * k for k in row] for row in trans_t]
     for i, row in enumerate(step):
         row[i] += 1.0 - h_load[i]
-    kept = []
-    for done in range(0, n_sub, _FOLD_EVERY):
-        for _ in range(min(_FOLD_EVERY, n_sub - done)):
-            kept.append(probs)
-            no_news = sum(map(mul, h_load, probs))
-            probs = _renormalized(
-                [sum(map(mul, row, probs)) + no_news * x for row, x in zip(step, probs)]
-            )
-        # fold the kept laws into one entry, their sum
-        kept = [list(map(sum, zip(*kept)))]
-    (law_sum,) = kept
+    probs, law_sum = _euler_walk(len(probs))(probs, step, h_load, n_sub)
     chain_part = [sum(map(mul, row, law_sum)) * h for row in trans_t]
     return probs, chain_part, sum(map(mul, h_load, law_sum))
 

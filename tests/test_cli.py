@@ -115,6 +115,25 @@ def test_pipeline_outputs_are_byte_deterministic(runner, model_file, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_calibrate_counts_the_restarts_that_hit_the_cap(runner, model_file, tmp_path):
+    """The summary line counts every restart stopped by ``--max-iters`` and
+    every failed one, not the best restart's flag alone."""
+    panel = tmp_path / "panel.csv"
+    assert runner.invoke(
+        main,
+        ["simulate", "--model", str(model_file), "--entities", "100,100,100",
+         "--steps", "30", "--seed", "4", "--out-panel", str(panel)],
+    ).exit_code == 0
+    fit = tmp_path / "fit.json"
+    out = runner.invoke(
+        main,
+        ["calibrate", "--panel", str(panel), "--states", "2", "--restarts", "3",
+         "--max-iters", "1", "--out", str(fit)],
+    )
+    assert out.exit_code == 0, out.output
+    assert "(iteration cap hit); 3 of 3 restarts hit the iteration cap, 0 failed;" in out.output
+
+
 @pytest.mark.parametrize(
     "mode, args, expected",
     [

@@ -588,6 +588,44 @@ def clip_every_entry(probs):
     return probs
 
 
+def left_sum(values):
+    """``sum`` of floats as CPython 3.11 adds them: left to right from 0.0
+    (later versions compensate the sum, so the reference spells it out)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def left_dot(a, b):
+    return left_sum(x * y for x, y in zip(a, b))
+
+
+def list_integrate_drift(probs, dt, trans_t, load, rate_scale, max_h):
+    """Reference for ``_integrate_drift``: the list kernel the generated walk
+    replaced.  Each substep builds the next law as a list and passes it to
+    ``continuous._renormalized``, the laws the substeps start from are kept,
+    and the drift sums are formed from their column sums."""
+    n_sub = max(1, math.ceil(dt * rate_scale / _MAX_EULER_MASS))
+    if max_h < dt:
+        n_sub = max(n_sub, math.ceil(round(dt / max_h, 9)))
+    h = dt / n_sub
+    h_load = [h * q for q in load]
+    step = [[h * k for k in row] for row in trans_t]
+    for i, row in enumerate(step):
+        row[i] += 1.0 - h_load[i]
+    kept = []
+    for _ in range(n_sub):
+        kept.append(probs)
+        no_news = left_dot(h_load, probs)
+        probs = continuous._renormalized(
+            [left_dot(row, probs) + no_news * x for row, x in zip(step, probs)]
+        )
+    law_sum = [left_sum(column) for column in zip(*kept)]
+    chain_part = [left_dot(row, law_sum) * h for row in trans_t]
+    return probs, chain_part, left_dot(h_load, law_sum)
+
+
 def same_floats(a, b):
     """Lists equal entry by entry, sign of zero included, NaN matching NaN."""
     return len(a) == len(b) and all(
@@ -599,10 +637,10 @@ def same_floats(a, b):
 
 @st.composite
 def kernel_inputs(draw):
-    """A filtered law of 1-6 states, a generator and a load row.  Some laws
+    """A filtered law of 1-8 states, a generator and a load row.  Some laws
     sum 1e-12 to 1e-9 away from 1 (so the 1e-13 rescale trips), hold zeros
     or a tiny negative entry."""
-    m = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     trans = rng.exponential(1.0, (m, m)) * draw(st.sampled_from([0.0, 0.1, 1.0, 5.0]))
     np.fill_diagonal(trans, 0.0)
@@ -618,6 +656,15 @@ def kernel_inputs(draw):
     return probs, trans, load
 
 
+def drift_args(trans, load, dt_share, max_h_share):
+    """The arguments of ``_integrate_drift`` after the law, with ``dt`` and
+    ``max_h`` as multiples of the stability bound, either side of it."""
+    rate_scale = max(np.max(-np.diag(trans)), 0.0) + max(load.max(), 0.0)
+    bound = _MAX_EULER_MASS / rate_scale if rate_scale > 0 else 1.0
+    trans_t, (load_row,), (scale,) = _drift_inputs(trans, load[None])
+    return dt_share * bound, trans_t, load_row, scale, max_h_share * bound
+
+
 class TestFloatKernels:
     """The Euler and jump kernels on Python floats agree with the numpy
     kernels they replaced."""
@@ -626,14 +673,11 @@ class TestFloatKernels:
     @given(kernel_inputs(), st.floats(0.05, 20.0), st.floats(0.05, 20.0))
     def test_drift_matches_numpy_reference(self, drawn, dt_share, max_h_share):
         probs, trans, load = drawn
-        # dt and max_h as multiples of the stability bound, either side of it
-        rate_scale = max(np.max(-np.diag(trans)), 0.0) + max(load.max(), 0.0)
-        bound = _MAX_EULER_MASS / rate_scale if rate_scale > 0 else 1.0
-        dt, max_h = dt_share * bound, max_h_share * bound
+        args = drift_args(trans, load, dt_share, max_h_share)
+        dt, *_, max_h = args
         ref_probs, ref_chain, ref_integral, n_sub = numpy_integrate_drift(
             probs, dt, trans, load, max_h
         )
-        trans_t, (load_row,), (scale,) = _drift_inputs(trans, load[None])
         calls = []
 
         def counted(probs):
@@ -642,17 +686,74 @@ class TestFloatKernels:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(continuous, "_renormalized", counted)
-            out_probs, out_chain, out_integral = _integrate_drift(
-                probs.tolist(), dt, trans_t, load_row, scale, max_h
-            )
-        # one renormalized law per Euler substep
+            list_integrate_drift(probs.tolist(), *args)
+        # the list kernel renormalizes one law per Euler substep; the walk
+        # gives its bits (test_drift_matches_list_kernel_bit_for_bit)
         assert len(calls) == n_sub
+        out_probs, out_chain, out_integral = _integrate_drift(probs.tolist(), *args)
         np.testing.assert_allclose(out_probs, ref_probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out_chain, ref_chain, rtol=1e-12, atol=1e-12)
         assert math.isclose(out_integral, ref_integral, rel_tol=1e-12, abs_tol=1e-12)
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        kernel_inputs(),
+        st.floats(0.05, 20.0),
+        st.floats(0.05, 20.0),
+        st.sampled_from([None, math.nan, -0.0, 0.0, -1e-17]),
+    )
+    def test_drift_matches_list_kernel_bit_for_bit(self, drawn, dt_share, max_h_share, cell):
+        """The generated walk gives the list kernel's bits: final law, chain
+        part and intensity integral, sign of zero and NaN included, also
+        when the first entry of the law is set to a NaN, a signed zero or a
+        tiny negative number."""
+        probs, trans, load = drawn
+        if cell is not None:
+            probs[0] = cell
+        args = drift_args(trans, load, dt_share, max_h_share)
+        try:
+            want = list_integrate_drift(probs.tolist(), *args)
+        except ModelError as exc:
+            with pytest.raises(ModelError, match=str(exc)):
+                _integrate_drift(probs.tolist(), *args)
+            return
+        got = _integrate_drift(probs.tolist(), *args)
+        assert same_floats(got[0], want[0])
+        assert same_floats(got[1], want[1])
+        assert same_floats([got[2]], [want[2]])
+
     @settings(max_examples=300, deadline=None)
-    @given(kernel_inputs(), st.lists(st.booleans(), min_size=6, max_size=6))
+    @given(kernel_inputs(), st.floats(0.05, 20.0), st.floats(0.05, 20.0))
+    def test_drift_renormalizes_only_where_that_changes_the_law(
+        self, drawn, dt_share, max_h_share
+    ):
+        """The walk calls ``_renormalized`` on exactly the substeps of the
+        list kernel where ``_renormalized`` changes the law: an entry below
+        0, or a sum further than 1e-13 from 1.  A law with an exact zero
+        (an unreachable state) or on the simplex within 1e-13 never calls
+        it."""
+        probs, trans, load = drawn
+        args = drift_args(trans, load, dt_share, max_h_share)
+        changed, calls = [], []
+
+        def changes(law):
+            out = _renormalized(law)
+            changed.append(not same_floats(out, law))
+            return out
+
+        def counted(law):
+            calls.append(1)
+            return _renormalized(law)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(continuous, "_renormalized", changes)
+            list_integrate_drift(probs.tolist(), *args)
+            patch.setattr(continuous, "_renormalized", counted)
+            _integrate_drift(probs.tolist(), *args)
+        assert len(calls) == sum(changed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_inputs(), st.lists(st.booleans(), min_size=8, max_size=8))
     def test_jump_matches_numpy_reference(self, drawn, zeroed):
         probs, _, load = drawn
         column = np.where(zeroed[: len(probs)], 0.0, load)
@@ -694,6 +795,8 @@ class TestFloatKernels:
         assert same_floats(_renormalized(probs), expected)
 
     def test_long_stop_folds_its_kept_laws(self):
+        """A stop of 200,000 substeps holds O(1) memory: the walk keeps the
+        running sums of its laws, not the laws."""
         trans = np.array(
             [[-0.3, 0.1, 0.1, 0.1], [0.2, -0.4, 0.1, 0.1],
              [0.0, 0.5, -0.5, 0.0], [0.1, 0.1, 0.1, -0.3]]
@@ -712,6 +815,42 @@ class TestFloatKernels:
         assert peak < 2_000_000
         assert math.isclose(sum(probs), 1.0, rel_tol=1e-12)
         assert math.isfinite(integral) and all(map(math.isfinite, chain))
+
+    @staticmethod
+    def entrant_streams(seed):
+        """A simulated 40-day stream of the 4-state demo model with entrants
+        who join and leave at day ends (boundary overrides), raw and spread
+        onto 32 slots a day."""
+        factor, law = mf.demo_model(4, 3, mode=mf.Mode.CONTINUOUS, spread=8.0)
+        config = mf.SimulationConfig(np.full(3, 300), 40.0, seed, mode=mf.Mode.CONTINUOUS)
+        closed, _ = mf.simulate_events_continuous(factor, law, config)
+        daily = mf.stream_to_panel(closed, 1.0)
+        entrants = np.random.default_rng(seed).integers(0, 20, size=daily.exposures.shape)
+        counts = daily.counts.copy()
+        counts[:, np.arange(3), np.arange(3)] += entrants
+        panel = mf.MigrationPanel(daily.exposures + entrants, counts, step_length_days=1)
+        raw = mf.EventStream(
+            closed.times, closed.sources, closed.targets, panel.exposures[0], closed.horizon,
+            boundary_times=np.arange(1, panel.steps, dtype=float),
+            boundary_exposures=panel.exposures[1:],
+        )
+        spread = mf.spread_jumps(panel, mf.SpreadConfig(32, seed=seed))
+        return factor, law, (raw, spread)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_filter_gives_the_list_kernels_trajectory_bytes(self, seed, monkeypatch):
+        """Both filters of the benchmark's shape (grid_dt 0.05, report_dt 5)
+        write the same trajectory bytes with the list kernel patched in."""
+        factor, law, streams = self.entrant_streams(seed)
+
+        def trajectory_bytes(stream):
+            traj = mf.run_continuous_filter(stream, factor, law, grid_dt=0.05, report_dt=5.0)
+            fields = (traj.probs, traj.time_index, traj.predicted_ratios, traj.prediction_parts)
+            return [a.tobytes() for a in fields] + [np.float64(traj.loglik).tobytes()]
+
+        got = [trajectory_bytes(s) for s in streams]
+        monkeypatch.setattr(continuous, "_integrate_drift", list_integrate_drift)
+        assert [trajectory_bytes(s) for s in streams] == got
 
 
 class TestJumpUpdate:

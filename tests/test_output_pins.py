@@ -7,10 +7,14 @@ ratings file written here.  Each test pins the sha256 of every file its run
 writes, so any change to the written bytes fails here, including drift that
 a round trip or a writer-against-reference check would not see.
 
-The digests were taken with numpy 2.4.6 on scipy-openblas 0.3.31; another
-BLAS or numpy build may round a fit differently.  A change that moves
-outputs on purpose updates these pins and records the old and new digests,
-and the reason, in CHANGES.md.
+The digests were taken with Python 3.11.7 and numpy 2.4.6 on scipy-openblas
+0.3.31; another BLAS or numpy build may round a fit differently, and so may
+Python 3.12 or later, whose ``sum`` of floats is compensated: the
+continuous pipeline still adds by ``sum`` in its chain parts, in
+``_bayes_jump`` and in ``_renormalized`` (its Euler walk spells its sums out
+left to right, as ``sum`` adds on 3.11).  A change that moves outputs on
+purpose updates these pins and records the old and new digests, and the
+reason, in CHANGES.md.
 """
 
 import datetime as dt

@@ -295,3 +295,33 @@ def test_curvature_floor_sits_at_rounding_level():
     case = (jump_mass, np.array([1000.0]), np.array([[1000.0, 10.0]]), 1010.0, start, 0.0)
     check_not_below_reference(case)
     check_kkt(case)
+
+
+def test_line_search_starts_next_to_the_barrier():
+    """Rating 0 departs with a jump mass of 1e-150 against its no-jump
+    exposure, so its leave probability's optimum is about 1e-153.  From the
+    start's 0.5 every full Newton step crosses the ``x = 0`` barrier, and
+    each line search starts ``_TO_BARRIER`` of the way to it, keeping
+    ``1 - _TO_BARRIER`` of the leave probability: at 0.99 the solve reaches
+    the optimum in about 76 of its 100 iterations and meets the KKT
+    conditions; at 0.97 or below it runs out of iterations short of it (at
+    0.5, near 4e-31)."""
+    jump_mass = np.array([[0.0, 1e-150], [5.0, 0.0]])
+    start = _floored(np.full((2, 2), 0.5), 1e-12)
+    case = (jump_mass, np.array([1000.0]), np.array([[1000.0, 0.0]]), 1010.0, start, 0.0)
+    check_not_below_reference(case)
+    check_kkt(case)
+
+
+def test_start_next_to_the_barrier_moves_to_the_midpoint():
+    """Rating 0's start leaves with probability 1e-300, and its optimum is
+    about 1/3.  The midpoint 0.5 scores only about 7e-4 above that start
+    (the jump mass is 1e-6), and the solve starts from it whenever it
+    scores higher at all; from 1e-300 the Newton step overflows and the
+    solve never leaves the start.  A rule that asked the midpoint to score
+    1e-3 higher (or 1 nat) fails here."""
+    jump_mass = np.array([[0.0, 1e-6], [5.0, 0.0]])
+    start = np.array([[1.0, 1e-300], [0.5, 0.5]])
+    case = (jump_mass, np.array([2.02e-6]), np.array([[1000.0, 0.0]]), 1010.0, start, 0.0)
+    check_not_below_reference(case)
+    check_kkt(case)

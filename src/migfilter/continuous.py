@@ -11,13 +11,13 @@ stop (generator ``K``, per-state aggregate jump intensity ``ℓ``), and the
 drift part and intensity integral are ``h Kᵀ Σp`` and ``h ℓ·Σp`` over the
 laws the substeps start from.  Both steps work on vectors of ``m`` hidden
 states, a handful of entries, where each numpy call would cost far more in
-per-call overhead than in arithmetic; so their kernels,
-:func:`_integrate_drift` and :func:`_bayes_jump`, run on Python floats, and
-the filter converts its inputs to lists once per run.  The substeps run in
-a kernel generated once per ``m`` (:func:`_euler_walk`) that keeps the law,
-``M``, ``h ℓ`` and the running sums ``Σp`` in local floats, writes each dot
-product out in the order ``sum`` adds, and renormalizes only a law that
-has left the simplex.
+per-call overhead than in arithmetic.  So the filter lays out its stop
+schedule with numpy, converts it and its inputs to lists once per run, and
+hands them to one loop over the stops generated once per ``m``
+(:func:`_stop_walk`): the per-stop setup, the substeps, the per-interval
+sums and the jumps all run in local floats, each dot product is written
+out in the order ``sum`` adds, and a law is renormalized only when it has
+left the simplex.
 
 Daily panels violate the no-simultaneous-jumps assumption this filter needs,
 so :func:`spread_jumps` redistributes each step's jumps onto distinct random
@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import add, mul
 
 import numpy as np
 
@@ -177,7 +176,7 @@ def _intensity_load(law: MigrationLaw, exposures: np.ndarray) -> np.ndarray:
 def _drift_inputs(
     trans: np.ndarray, loads: np.ndarray
 ) -> tuple[list[list[float]], list[list[float]], list[float]]:
-    """The float inputs of :func:`_integrate_drift` for each row of
+    """The float drift inputs of :func:`_stop_walk` for each row of
     ``loads``: the rows of ``trans.T``, the load rows and each row's rate
     scale, the fastest exit rate of the chain plus the largest load."""
     exit_rate = np.max(-np.diag(trans), initial=0.0)
@@ -207,97 +206,126 @@ def _dot(coefficients: list[str], names: list[str]) -> str:
     return " + ".join(["0.0"] + [f"{a} * {x}" for a, x in zip(coefficients, names)])
 
 
+def _kept_or_renormalized(ys: list[str], xs: list[str], indent: str) -> list[str]:
+    """Source that moves the law ``ys`` into ``xs``, through
+    :func:`_renormalized` only when an entry is not at least 0 (a NaN
+    included) or the sum is further than ``_RENORM_TRIGGER`` from 1;
+    otherwise ``_renormalized`` would return the law unchanged."""
+    on_simplex = " and ".join(f"{y} >= 0.0" for y in ys)
+    return [
+        f"{indent}if {on_simplex} and abs({' + '.join(['0.0', *ys])} - 1.0) <= trigger:",
+        *(f"{indent}    {x} = {y}" for x, y in zip(xs, ys)),
+        f"{indent}else:",
+        f"{indent}    {', '.join(xs)}, = renormalized([{', '.join(ys)}])",
+    ]
+
+
 @functools.cache
-def _euler_walk(m: int):
-    """The substep loop of :func:`_integrate_drift` for laws of ``m``
+def _stop_walk(m: int):
+    """The stop loop of :func:`run_continuous_filter` for laws of ``m``
     states: its source is written out entry by entry from ``m`` and
     compiled once per ``m``, the way :mod:`dataclasses` builds ``__init__``.
 
-    ``walk(probs, step, h_load, n_sub)`` holds the law, the rows of ``M``,
-    the ``h ℓ`` row and the running sums of the laws the substeps start
-    from in local floats, and returns the final law and those sums.  Each
-    dot product is written out in the order ``sum`` adds, and each running
-    sum adds its laws left to right from 0.0, so the walk gives the bits of
-    a list loop that takes ``sum(map(mul, ...))`` per entry, keeps every
-    law and sums them column by column.  A substep calls
-    :func:`_renormalized` only when its law has an entry that is not at
-    least 0 (a NaN included) or a sum further than ``_RENORM_TRIGGER`` from
-    1; otherwise ``_renormalized`` would return the law unchanged.
+    ``walk(probs, stops, rows, event_at, interval_of, reports, times,
+    sources, targets, trans_t, loads, scales, max_h, columns,
+    exposure_rows)`` takes plain lists: the start law, the filter's stop
+    schedule (per stop its exposure row, event index and reporting
+    interval), the report and event times, the events' source and target
+    ratings, the drift inputs of :func:`_drift_inputs`, the substep cap,
+    each transition's per-state intensities (``columns[j][k]``) and the
+    exposure rows.  It returns the laws (the start law, then the law at
+    each report stop), the chain-drift part of each reporting interval and
+    the log-likelihood.
+
+    At each stop, in local floats: the substep count (the stability bound
+    ``h · rate_scale <= _MAX_EULER_MASS`` and the cap ``max_h``), ``h``,
+    ``h ℓ`` and ``M = I + h (Kᵀ - diag ℓ)``, each diagonal entry formed as
+    ``h k_ii + (1 - h ℓ_i)``; the substeps ``p <- M p + h (ℓ·p) p`` with
+    the running sums ``Σp`` of the laws they start from; the chain part
+    ``h Kᵀ Σp``, added to its interval's sum (written out when the interval
+    changes), and the intensity integral ``h ℓ·Σp``, taken off the
+    log-likelihood.  At an event stop the law is reweighted by the
+    transition's intensities ``c``: the posterior is ``p_i c_i / (p·c)``,
+    the log of the exposure times ``p·c`` is added to the log-likelihood,
+    and a zero ``p·c`` raises :class:`ImpossibleObservationError`.  Each
+    dot product is written out in the order ``sum`` adds Python floats,
+    and a law (after a substep or a jump) goes through
+    :func:`_renormalized` only when it has left the simplex, so the walk
+    gives the bits of a list loop that calls ``sum`` and ``_renormalized``
+    throughout; ``_renormalized`` is read from the module at each call of
+    the walk.
     """
-    xs, ys, ss, loads = ([f"{c}{i}" for i in range(m)] for c in "xysl")
-    rows = [[f"a{i}_{j}" for j in range(m)] for i in range(m)]
-    x_list, y_list, s_list = (", ".join(names) for names in (xs, ys, ss))
-    row_list = ", ".join("(" + ", ".join(row) + ",)" for row in rows)
-    on_simplex = " and ".join(f"{y} >= 0.0" for y in ys)
+    xs, ys, ss, ps, ls, hls, cs = (
+        [f"{c}{i}" for i in range(m)] for c in ("x", "y", "s", "p", "l", "hl", "c")
+    )
+    ks = [[f"k{i}_{j}" for j in range(m)] for i in range(m)]
+    m_rows = [[f"a{i}_{j}" for j in range(m)] for i in range(m)]
+    x_list, p_list = ", ".join(xs), ", ".join(ps)
+    steps = [
+        f"        a{i}_{j} = h * k{i}_{j}" + (f" + (1.0 - hl{i})" if i == j else "")
+        for i in range(m) for j in range(m)
+    ]
     lines = [
-        "def walk(probs, step, h_load, n_sub):",
-        "    renormalized, trigger = _renormalized, _RENORM_TRIGGER",
+        "def walk(probs, stops, rows, event_at, interval_of, reports, times, sources,",
+        "         targets, trans_t, loads, scales, max_h, columns, exposure_rows):",
+        "    renormalized, trigger, mass = _renormalized, _RENORM_TRIGGER, _MAX_EULER_MASS",
+        "    ceil, log = math.ceil, math.log",
         f"    {x_list}, = probs",
-        f"    {row_list}, = step",
-        f"    {', '.join(loads)}, = h_load",
-        f"    {' = '.join(ss)} = 0.0",
-        "    for _ in range(n_sub):",
-        *(f"        s{i} += x{i}" for i in range(m)),
-        f"        nn = {_dot(loads, xs)}",
-        *(f"        y{i} = {_dot(row, xs)} + nn * x{i}" for i, row in enumerate(rows)),
-        f"        if {on_simplex} and abs({' + '.join(['0.0', *ys])} - 1.0) <= trigger:",
-        *(f"            x{i} = y{i}" for i in range(m)),
-        "        else:",
-        f"            {x_list}, = renormalized([{y_list}])",
-        f"    return [{x_list}], [{s_list}]",
+        f"    {', '.join('(' + ', '.join(row) + ',)' for row in ks)}, = trans_t",
+        "    laws = [probs]",
+        f"    pred_parts = [[0.0] * {m} for _ in reports]",
+        f"    {' = '.join(ps)} = 0.0",
+        "    loglik = t = 0.0",
+        "    current, n_events = 0, len(times)",
+        "    for stop, row, e, interval in zip(stops, rows, event_at, interval_of):",
+        "        if interval != current:",
+        f"            pred_parts[current] = [{p_list}]",
+        f"            {' = '.join(ps)} = 0.0",
+        "            current = interval",
+        "        dt = stop - t",
+        "        n_sub = ceil(dt * scales[row] / mass)",
+        "        if n_sub < 1:",
+        "            n_sub = 1",
+        "        if max_h < dt:",
+        "            n_cap = ceil(round(dt / max_h, 9))",
+        "            if n_cap > n_sub:",
+        "                n_sub = n_cap",
+        "        h = dt / n_sub",
+        f"        {', '.join(ls)}, = loads[row]",
+        *(f"        hl{i} = h * l{i}" for i in range(m)),
+        *steps,
+        f"        {' = '.join(ss)} = 0.0",
+        "        for _ in range(n_sub):",
+        *(f"            s{i} += x{i}" for i in range(m)),
+        f"            nn = {_dot(hls, xs)}",
+        *(f"            y{i} = {_dot(row, xs)} + nn * x{i}" for i, row in enumerate(m_rows)),
+        *_kept_or_renormalized(ys, xs, "            "),
+        *(f"        p{i} += ({_dot(ks[i], ss)}) * h" for i in range(m)),
+        f"        loglik -= {_dot(hls, ss)}",
+        "        t = stop",
+        "        if e < n_events and times[e] == stop:",
+        "            source, target = sources[e], targets[e]",
+        f"            {', '.join(cs)}, = columns[source][target]",
+        f"            intensity = {_dot(xs, cs)}",
+        "            if intensity <= 0.0:",
+        "                raise ImpossibleObservationError(",
+        '                    f"event {e} ({source}->{target} at t={stop}) "',
+        '                    "has zero predicted intensity",',
+        "                    time_index=stop,",
+        "                )",
+        *(f"            y{i} = x{i} * c{i} / intensity" for i in range(m)),
+        *_kept_or_renormalized(ys, xs, "            "),
+        "            # a consistent stream holds exposure in the source just before the event",
+        "            loglik += log(exposure_rows[row][source] * intensity)",
+        "        if reports[interval] == stop:",
+        f"            laws.append([{x_list}])",
+        f"    pred_parts[current] = [{p_list}]",
+        "    return laws, pred_parts, loglik",
     ]
     namespace: dict = {}
     source = "\n".join(lines) + "\n"
-    exec(compile(source, f"<euler walk, m={m}>", "exec"), globals(), namespace)
+    exec(compile(source, f"<stop walk, m={m}>", "exec"), globals(), namespace)
     return namespace["walk"]
-
-
-def _integrate_drift(
-    probs: list[float],
-    dt: float,
-    trans_t: list[list[float]],
-    load: list[float],
-    rate_scale: float,
-    max_h: float,
-) -> tuple[list[float], list[float], float]:
-    """Euler-integrate the drift ODE; also accumulate the chain-drift part
-    and the predicted aggregate intensity integral (for the log-likelihood).
-
-    ``trans_t``, ``load`` and ``rate_scale`` come from :func:`_drift_inputs`.
-    Substeps never exceed ``max_h`` (the caller's grid cap) nor the
-    stability bound tied to ``rate_scale``, the fastest rate in play.  All
-    substeps share their length ``h``, so each is ``p <- M p + h (ℓ·p) p``,
-    renormalized, with ``M = I + h (Kᵀ - diag ℓ)`` built once per call.
-    The drift part ``h Kᵀ Σp`` and the intensity integral ``h ℓ·Σp`` are
-    linear in the laws the substeps start from, so they are formed once
-    from ``Σp``.  The substeps run in the generated kernel of
-    :func:`_euler_walk`, which keeps the law, ``M``, ``h ℓ`` and the
-    running sums ``Σp`` in local floats: O(1) memory however long the
-    stop, and no list or call per substep unless the law needs
-    renormalizing.
-    """
-    n_sub = max(1, math.ceil(dt * rate_scale / _MAX_EULER_MASS))
-    if max_h < dt:
-        n_sub = max(n_sub, math.ceil(round(dt / max_h, 9)))
-    h = dt / n_sub
-    h_load = [h * q for q in load]
-    step = [[h * k for k in row] for row in trans_t]
-    for i, row in enumerate(step):
-        row[i] += 1.0 - h_load[i]
-    probs, law_sum = _euler_walk(len(probs))(probs, step, h_load, n_sub)
-    chain_part = [sum(map(mul, row, law_sum)) * h for row in trans_t]
-    return probs, chain_part, sum(map(mul, h_load, law_sum))
-
-
-def _bayes_jump(probs: list[float], column: list[float]) -> tuple[list[float] | None, float]:
-    """Reweight ``probs`` by the per-state intensity ``column`` of an observed
-    transition.  Returns the posterior and the mixture intensity
-    ``probs @ column``; the posterior is ``None`` when that intensity is not
-    positive.  Works on Python floats, as :func:`_integrate_drift` does."""
-    intensity = sum(map(mul, probs, column))
-    if intensity <= 0.0:
-        return None, intensity
-    return _renormalized([x * c / intensity for x, c in zip(probs, column)]), intensity
 
 
 def run_continuous_filter(
@@ -338,41 +366,17 @@ def run_continuous_filter(
     event_at = np.searchsorted(events.times, stops)
     interval_of = np.searchsorted(report_times, stops)
 
-    # the walk below runs on Python floats (see _integrate_drift)
+    # the stop loop runs on Python floats (see _stop_walk)
     trans_t, loads, scales = _drift_inputs(factor.trans, _intensity_load(law, exposures))
-    exposure_rows = exposures.tolist()
     columns = law.per_state.transpose(1, 2, 0).tolist()  # [j][k]: each state's j->k
-    times, sources, targets = (a.tolist() for a in (events.times, events.sources, events.targets))
-    reports = report_times.tolist()
+    laws, pred_parts, loglik = _stop_walk(factor.m)(
+        factor.pi.tolist(), stops.tolist(), rows.tolist(), event_at.tolist(),
+        interval_of.tolist(), report_times.tolist(), events.times.tolist(),
+        events.sources.tolist(), events.targets.tolist(), trans_t, loads, scales, grid_dt,
+        columns, exposures.tolist(),
+    )
     # row i + 1 holds the law at the end of reporting interval i
-    laws = np.empty((n_intervals + 1, factor.m))
-    laws[0] = factor.pi
-    probs = factor.pi.tolist()
-    pred_parts = [[0.0] * factor.m for _ in range(n_intervals)]
-    loglik = 0.0
-    t = 0.0
-    for stop, row, e, interval in zip(
-        stops.tolist(), rows.tolist(), event_at.tolist(), interval_of.tolist()
-    ):
-        probs, chain_part, intensity_int = _integrate_drift(
-            probs, stop - t, trans_t, loads[row], scales[row], grid_dt
-        )
-        pred_parts[interval] = list(map(add, pred_parts[interval], chain_part))
-        loglik -= intensity_int
-        t = stop
-        if e < len(times) and times[e] == stop:
-            j, k = sources[e], targets[e]
-            # a consistent stream holds exposure in ``j`` just before the event
-            posterior, intensity = _bayes_jump(probs, columns[j][k])
-            if posterior is None:
-                raise ImpossibleObservationError(
-                    f"event {e} ({j}->{k} at t={t}) has zero predicted intensity",
-                    time_index=t,
-                )
-            loglik += math.log(exposure_rows[row][j] * intensity)
-            probs = posterior
-        if reports[interval] == stop:
-            laws[interval + 1] = probs
+    laws = np.array(laws)
     return FilterTrajectory(
         probs=laws,
         time_index=np.concatenate(([0.0], report_times)),

@@ -14,11 +14,10 @@ from migfilter import panel_io as pio
 from migfilter.calibrate import _fine_segments
 from migfilter.continuous import (
     _MAX_EULER_MASS,
-    _bayes_jump,
     _drift_inputs,
-    _integrate_drift,
     _intensity_load,
     _renormalized,
+    _stop_walk,
 )
 from migfilter.errors import DataError, ImpossibleObservationError, ModelError
 from migfilter.model import _exposures_at, renormalize
@@ -272,7 +271,9 @@ def panel_or_error(stream, step_days, aggregate):
 def loop_continuous_filter(events, factor, law, grid_dt, report_dt):
     """Reference for ``run_continuous_filter``: the time-stepping walk it
     replaced, which merged stops within an absolute 1e-12 of each other and
-    ended its reports at the last multiple of ``report_dt`` (within 1e-9)."""
+    ended its reports at the last multiple of ``report_dt`` (within 1e-9).
+    It runs the list kernels defined here (``list_integrate_drift``,
+    ``list_bayes_jump``), not the package's generated walk."""
     probs = factor.pi.tolist()
     horizon = float(events.horizon)
     n_intervals = max(1, math.ceil(round(horizon / report_dt, 9)))
@@ -302,7 +303,7 @@ def loop_continuous_filter(events, factor, law, grid_dt, report_dt):
             stops.append(float(knots[passed]))
         stop = min(stops)
         if stop > t + eps:
-            probs, chain_part, intensity_int = _integrate_drift(
+            probs, chain_part, intensity_int = list_integrate_drift(
                 probs, stop - t, trans_t, loads[passed], scales[passed], grid_dt
             )
             pred_parts[interval] += chain_part
@@ -310,7 +311,7 @@ def loop_continuous_filter(events, factor, law, grid_dt, report_dt):
         t = stop
         if e < events.n_events and events.times[e] <= t + eps:
             j, k = int(events.sources[e]), int(events.targets[e])
-            posterior, intensity = _bayes_jump(probs, law.per_state[:, j, k].tolist())
+            posterior, intensity = list_bayes_jump(probs, law.per_state[:, j, k].tolist())
             event_intensity = pre_jump[e, j] * intensity
             if posterior is None or event_intensity <= 0.0:
                 raise ImpossibleObservationError(
@@ -343,7 +344,7 @@ def filter_or_error(run, stream, factor, law, report_dt):
     try:
         traj = run(stream, factor, law, grid_dt=report_dt / 8, report_dt=report_dt)
     except ImpossibleObservationError as exc:
-        return str(exc)
+        return str(exc), exc.time_index
     fields = (traj.probs, traj.time_index, traj.predicted_ratios, traj.prediction_parts)
     return [a.tobytes() for a in fields] + [np.float64(traj.loglik).tobytes()]
 
@@ -549,8 +550,9 @@ class TestChainDrift:
 
 
 def numpy_integrate_drift(probs, dt, trans, load, max_h):
-    """Reference for ``_integrate_drift``: the Euler walk on numpy vectors
-    that the float kernel replaced.  Also returns its substep count."""
+    """Reference for the drift of the generated walk: the Euler walk on
+    numpy vectors that the float kernels replaced.  Also returns its
+    substep count."""
     rate_scale = float(np.max(-np.diag(trans), initial=0.0) + np.max(load, initial=0.0))
     n_sub = max(1, math.ceil(dt * rate_scale / _MAX_EULER_MASS))
     if max_h < dt:
@@ -569,7 +571,7 @@ def numpy_integrate_drift(probs, dt, trans, load, max_h):
 
 
 def numpy_bayes_jump(probs, column):
-    """Reference for ``_bayes_jump`` on numpy vectors."""
+    """Reference for the jump of the generated walk, on numpy vectors."""
     intensity = float(probs @ column)
     if intensity <= 0.0:
         return None, intensity
@@ -602,10 +604,12 @@ def left_dot(a, b):
 
 
 def list_integrate_drift(probs, dt, trans_t, load, rate_scale, max_h):
-    """Reference for ``_integrate_drift``: the list kernel the generated walk
-    replaced.  Each substep builds the next law as a list and passes it to
-    ``continuous._renormalized``, the laws the substeps start from are kept,
-    and the drift sums are formed from their column sums."""
+    """Reference for the drift of the generated walk: the list kernel it
+    replaced.  It takes the stop's length, the rows of ``trans.T``, the
+    stop's load row, its rate scale and the substep cap.  Each substep
+    builds the next law as a list and passes it to
+    ``continuous._renormalized``, the laws the substeps start from are
+    kept, and the drift sums are formed from their column sums."""
     n_sub = max(1, math.ceil(dt * rate_scale / _MAX_EULER_MASS))
     if max_h < dt:
         n_sub = max(n_sub, math.ceil(round(dt / max_h, 9)))
@@ -624,6 +628,17 @@ def list_integrate_drift(probs, dt, trans_t, load, rate_scale, max_h):
     law_sum = [left_sum(column) for column in zip(*kept)]
     chain_part = [left_dot(row, law_sum) * h for row in trans_t]
     return probs, chain_part, left_dot(h_load, law_sum)
+
+
+def list_bayes_jump(probs, column):
+    """Reference for the jump of the generated walk: the list kernel it
+    replaced, which summed the mixture intensity ``probs @ column`` by
+    ``sum`` and passed every posterior to ``continuous._renormalized``.
+    The posterior is ``None`` when that intensity is not positive."""
+    intensity = left_dot(probs, column)
+    if intensity <= 0.0:
+        return None, intensity
+    return continuous._renormalized([x * c / intensity for x, c in zip(probs, column)]), intensity
 
 
 def same_floats(a, b):
@@ -657,17 +672,104 @@ def kernel_inputs(draw):
 
 
 def drift_args(trans, load, dt_share, max_h_share):
-    """The arguments of ``_integrate_drift`` after the law, with ``dt`` and
-    ``max_h`` as multiples of the stability bound, either side of it."""
+    """The drift of one stop as ``(dt, trans_t, load_row, rate_scale,
+    max_h)``, the arguments of ``list_integrate_drift`` after the law, with
+    ``dt`` and ``max_h`` as multiples of the stability bound, either side
+    of it."""
     rate_scale = max(np.max(-np.diag(trans)), 0.0) + max(load.max(), 0.0)
     bound = _MAX_EULER_MASS / rate_scale if rate_scale > 0 else 1.0
     trans_t, (load_row,), (scale,) = _drift_inputs(trans, load[None])
     return dt_share * bound, trans_t, load_row, scale, max_h_share * bound
 
 
+def frozen_args(m):
+    """``drift_args`` of a frozen chain with no load over a unit stop: one
+    Euler substep with ``M = I``, which leaves a law on the simplex as it
+    is."""
+    return drift_args(np.zeros((m, m)), np.zeros(m), 1.0, 1.0)
+
+
+def walk_stop(probs, args, column=None):
+    """The generated walk on a one-stop schedule: the drift of ``args``
+    (see ``drift_args``) and, given a ``column``, one event at the stop
+    whose transition has those per-state intensities, with an exposure of
+    1.  Returns the law at the stop, the stop's chain part and the
+    log-likelihood."""
+    dt, trans_t, load, rate_scale, max_h = args
+    events = [] if column is None else [dt]
+    laws, (part,), loglik = _stop_walk(len(probs))(
+        probs, [dt], [0], [0], [0], [dt], events, [0] * len(events), [0] * len(events),
+        trans_t, [load], [rate_scale], max_h, [[column]], [[1.0]],
+    )
+    return laws[-1], part, loglik
+
+
+def list_stop(probs, args, column=None):
+    """What ``walk_stop`` gives, by the list kernels.  The walk adds each
+    chain part to its interval's sum from 0.0 and takes the intensity
+    integral off a log-likelihood of 0.0, so a -0.0 reads 0.0 there."""
+    dt = args[0]
+    probs, chain, integral = list_integrate_drift(probs, *args)
+    loglik = 0.0 - integral
+    if column is not None:
+        posterior, intensity = list_bayes_jump(probs, column)
+        if posterior is None:
+            raise ImpossibleObservationError(
+                f"event 0 (0->0 at t={dt}) has zero predicted intensity", time_index=dt
+            )
+        probs = posterior
+        loglik += math.log(1.0 * intensity)
+    return probs, [0.0 + c for c in chain], loglik
+
+
+def stop_outcome(stop, probs, args, column=None):
+    """``stop(probs, args, column)``: the law, chain part and
+    log-likelihood, or the type, message and time of the error raised."""
+    try:
+        return stop(probs, args, column)
+    except ModelError as exc:
+        return type(exc), str(exc), exc.time_index
+
+
+def same_outcome(a, b):
+    """Two ``stop_outcome`` results agree: the same error, or the same
+    floats in the law, the chain part and the log-likelihood."""
+    if isinstance(a[0], type) or isinstance(b[0], type):
+        return a == b
+    return same_floats(a[0], b[0]) and same_floats(a[1], b[1]) and same_floats([a[2]], [b[2]])
+
+
+def jump_column(load, zeroed, last):
+    """A transition's per-state intensities from a drawn load row: the
+    entries flagged in ``zeroed`` set to 0 and, given ``last``, the last
+    entry set to it."""
+    column = np.where(zeroed[: len(load)], 0.0, load)
+    if last is not None:
+        column[-1] = last
+    return column.tolist()
+
+
+def renormalize_calls(stop, probs, args, column=None):
+    """How often ``stop`` calls ``continuous._renormalized``, and how many
+    of the calls changed the law they were given (NaNs matching)."""
+    calls, changed = [], []
+
+    def counted(law):
+        out = _renormalized(law)
+        calls.append(1)
+        changed.append(not same_floats(out, law))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(continuous, "_renormalized", counted)
+        stop_outcome(stop, probs, args, column)
+    return len(calls), sum(changed)
+
+
 class TestFloatKernels:
-    """The Euler and jump kernels on Python floats agree with the numpy
-    kernels they replaced."""
+    """The generated stop walk on Python floats agrees with the numpy
+    kernels it replaced and gives the bits of the list kernels, on
+    one-stop schedules fed straight to ``_stop_walk``."""
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_inputs(), st.floats(0.05, 20.0), st.floats(0.05, 20.0))
@@ -678,22 +780,13 @@ class TestFloatKernels:
         ref_probs, ref_chain, ref_integral, n_sub = numpy_integrate_drift(
             probs, dt, trans, load, max_h
         )
-        calls = []
-
-        def counted(probs):
-            calls.append(1)
-            return _renormalized(probs)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(continuous, "_renormalized", counted)
-            list_integrate_drift(probs.tolist(), *args)
         # the list kernel renormalizes one law per Euler substep; the walk
         # gives its bits (test_drift_matches_list_kernel_bit_for_bit)
-        assert len(calls) == n_sub
-        out_probs, out_chain, out_integral = _integrate_drift(probs.tolist(), *args)
+        assert renormalize_calls(list_stop, probs.tolist(), args)[0] == n_sub
+        out_probs, out_chain, out_loglik = walk_stop(probs.tolist(), args)
         np.testing.assert_allclose(out_probs, ref_probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out_chain, ref_chain, rtol=1e-12, atol=1e-12)
-        assert math.isclose(out_integral, ref_integral, rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(-out_loglik, ref_integral, rel_tol=1e-12, abs_tol=1e-12)
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -706,21 +799,15 @@ class TestFloatKernels:
         """The generated walk gives the list kernel's bits: final law, chain
         part and intensity integral, sign of zero and NaN included, also
         when the first entry of the law is set to a NaN, a signed zero or a
-        tiny negative number."""
+        tiny negative number, and the same zero-mass error."""
         probs, trans, load = drawn
         if cell is not None:
             probs[0] = cell
         args = drift_args(trans, load, dt_share, max_h_share)
-        try:
-            want = list_integrate_drift(probs.tolist(), *args)
-        except ModelError as exc:
-            with pytest.raises(ModelError, match=str(exc)):
-                _integrate_drift(probs.tolist(), *args)
-            return
-        got = _integrate_drift(probs.tolist(), *args)
-        assert same_floats(got[0], want[0])
-        assert same_floats(got[1], want[1])
-        assert same_floats([got[2]], [want[2]])
+        assert same_outcome(
+            stop_outcome(walk_stop, probs.tolist(), args),
+            stop_outcome(list_stop, probs.tolist(), args),
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_inputs(), st.floats(0.05, 20.0), st.floats(0.05, 20.0))
@@ -734,36 +821,75 @@ class TestFloatKernels:
         it."""
         probs, trans, load = drawn
         args = drift_args(trans, load, dt_share, max_h_share)
-        changed, calls = [], []
-
-        def changes(law):
-            out = _renormalized(law)
-            changed.append(not same_floats(out, law))
-            return out
-
-        def counted(law):
-            calls.append(1)
-            return _renormalized(law)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(continuous, "_renormalized", changes)
-            list_integrate_drift(probs.tolist(), *args)
-            patch.setattr(continuous, "_renormalized", counted)
-            _integrate_drift(probs.tolist(), *args)
-        assert len(calls) == sum(changed)
+        calls, _ = renormalize_calls(walk_stop, probs.tolist(), args)
+        assert calls == renormalize_calls(list_stop, probs.tolist(), args)[1]
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_inputs(), st.lists(st.booleans(), min_size=8, max_size=8))
     def test_jump_matches_numpy_reference(self, drawn, zeroed):
+        """An event on a frozen chain with no load: the posterior and the
+        intensity (the exponential of the log-likelihood) agree with the
+        numpy kernel on the renormalized law, and an event of zero
+        intensity is refused."""
         probs, _, load = drawn
-        column = np.where(zeroed[: len(probs)], 0.0, load)
-        ref_posterior, ref_intensity = numpy_bayes_jump(probs, column)
-        posterior, intensity = _bayes_jump(probs.tolist(), column.tolist())
-        assert math.isclose(intensity, ref_intensity, rel_tol=1e-12, abs_tol=1e-12)
+        column = jump_column(load, zeroed, None)
+        ref_posterior, ref_intensity = numpy_bayes_jump(renormalize(probs), np.array(column))
         if ref_posterior is None:
-            assert posterior is None
-        else:
-            np.testing.assert_allclose(posterior, ref_posterior, rtol=0, atol=1e-12)
+            with pytest.raises(ImpossibleObservationError, match="zero predicted intensity"):
+                walk_stop(probs.tolist(), frozen_args(len(probs)), column)
+            return
+        posterior, _, loglik = walk_stop(probs.tolist(), frozen_args(len(probs)), column)
+        assert math.isclose(math.exp(loglik), ref_intensity, rel_tol=1e-12, abs_tol=1e-12)
+        np.testing.assert_allclose(posterior, ref_posterior, rtol=0, atol=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        kernel_inputs(),
+        st.floats(0.05, 20.0),
+        st.floats(0.05, 20.0),
+        st.sampled_from([None, math.nan, -0.0, 0.0, -1e-17]),
+        st.lists(st.booleans(), min_size=8, max_size=8),
+        st.sampled_from([None, -1.0, -1e-3, math.nan]),
+    )
+    def test_jump_matches_list_kernel_bit_for_bit(
+        self, drawn, dt_share, max_h_share, cell, zeroed, last
+    ):
+        """A drift and then an event give the list kernels' bits: law,
+        chain part and log-likelihood, or the same refusal of a zero
+        intensity (message and time) or zero-mass error.  The law's first
+        entry may be a NaN, a signed zero or a tiny negative number, and
+        the transition's intensities may hold zeros and a negative or NaN
+        last entry, so that some posteriors leave the simplex."""
+        probs, trans, load = drawn
+        if cell is not None:
+            probs[0] = cell
+        args = drift_args(trans, load, dt_share, max_h_share)
+        column = jump_column(load, zeroed, last)
+        assert same_outcome(
+            stop_outcome(walk_stop, probs.tolist(), args, column),
+            stop_outcome(list_stop, probs.tolist(), args, column),
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kernel_inputs(),
+        st.floats(0.05, 20.0),
+        st.floats(0.05, 20.0),
+        st.lists(st.booleans(), min_size=8, max_size=8),
+        st.sampled_from([None, -1.0, -1e-3]),
+    )
+    def test_jump_renormalizes_only_where_that_changes_the_law(
+        self, drawn, dt_share, max_h_share, zeroed, last
+    ):
+        """Over a drift and an event, the walk calls ``_renormalized``
+        exactly where the list kernels' calls change the law: a posterior
+        with a zero entry (a zero intensity or an unreachable state) stays
+        on the fast path, and one with a negative entry is renormalized."""
+        probs, trans, load = drawn
+        args = drift_args(trans, load, dt_share, max_h_share)
+        column = jump_column(load, zeroed, last)
+        calls, _ = renormalize_calls(walk_stop, probs.tolist(), args, column)
+        assert calls == renormalize_calls(list_stop, probs.tolist(), args, column)[1]
 
     def test_collapse_to_zero_mass_raises_like_the_reference(self):
         trans = np.array([[-0.5, 0.5], [0.2, -0.2]])
@@ -772,7 +898,7 @@ class TestFloatKernels:
             numpy_integrate_drift(np.zeros(2), 0.1, trans, load, 0.1)
         trans_t, (load_row,), (scale,) = _drift_inputs(trans, load[None])
         with pytest.raises(ModelError, match="collapsed to zero mass"):
-            _integrate_drift([0.0, 0.0], 0.1, trans_t, load_row, scale, 0.1)
+            walk_stop([0.0, 0.0], (0.1, trans_t, load_row, scale, 0.1))
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -803,10 +929,13 @@ class TestFloatKernels:
         )
         trans_t, (load_row,), (scale,) = _drift_inputs(trans, np.array([[1.0, 2.0, 0.5, 3.0]]))
         n_sub = 200_000
+        # build and run the m = 4 walk once first: traced from a cold
+        # start, the long stop also ran 10-20 times slower
+        walk_stop([0.25] * 4, (1e-5, trans_t, load_row, scale, 1e-5))
         tracemalloc.start()
         try:
-            probs, chain, integral = _integrate_drift(
-                [0.25] * 4, n_sub * 1e-5, trans_t, load_row, scale, 1e-5
+            probs, chain, loglik = walk_stop(
+                [0.25] * 4, (n_sub * 1e-5, trans_t, load_row, scale, 1e-5)
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -814,7 +943,7 @@ class TestFloatKernels:
         # 200,000 kept laws of 4 floats would take about 36 MB
         assert peak < 2_000_000
         assert math.isclose(sum(probs), 1.0, rel_tol=1e-12)
-        assert math.isfinite(integral) and all(map(math.isfinite, chain))
+        assert math.isfinite(loglik) and all(map(math.isfinite, chain))
 
     @staticmethod
     def entrant_streams(seed):
@@ -838,46 +967,61 @@ class TestFloatKernels:
         return factor, law, (raw, spread)
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_filter_gives_the_list_kernels_trajectory_bytes(self, seed, monkeypatch):
+    def test_filter_gives_the_list_kernels_trajectory_bytes(self, seed):
         """Both filters of the benchmark's shape (grid_dt 0.05, report_dt 5)
-        write the same trajectory bytes with the list kernel patched in."""
+        write the trajectory bytes of the loop reference, which runs the
+        list kernels."""
         factor, law, streams = self.entrant_streams(seed)
 
-        def trajectory_bytes(stream):
-            traj = mf.run_continuous_filter(stream, factor, law, grid_dt=0.05, report_dt=5.0)
+        def trajectory_bytes(run, stream):
+            traj = run(stream, factor, law, grid_dt=0.05, report_dt=5.0)
             fields = (traj.probs, traj.time_index, traj.predicted_ratios, traj.prediction_parts)
             return [a.tobytes() for a in fields] + [np.float64(traj.loglik).tobytes()]
 
-        got = [trajectory_bytes(s) for s in streams]
-        monkeypatch.setattr(continuous, "_integrate_drift", list_integrate_drift)
-        assert [trajectory_bytes(s) for s in streams] == got
+        for stream in streams:
+            assert trajectory_bytes(mf.run_continuous_filter, stream) == trajectory_bytes(
+                loop_continuous_filter, stream
+            )
 
 
 class TestJumpUpdate:
-    """Hand examples of the jump kernel, :func:`_bayes_jump`."""
+    """Hand examples of the jump of the generated walk, on a frozen chain
+    with no load, whose drift before the event leaves the law as it is."""
+
+    @staticmethod
+    def jump(probs, column):
+        """The law after one event, and the event's log intensity."""
+        posterior, _, loglik = walk_stop(probs, frozen_args(len(probs)), column)
+        return posterior, loglik
 
     def test_equal_intensities_change_nothing(self):
         probs = [0.3, 0.7]
-        posterior, _ = _bayes_jump(probs, [0.05, 0.05])
+        posterior, _ = self.jump(probs, [0.05, 0.05])
         np.testing.assert_allclose(posterior, probs, atol=1e-15)
 
     def test_hand_bayes_ratio(self):
-        posterior, intensity = _bayes_jump([0.5, 0.5], [0.01, 0.03])
+        posterior, log_intensity = self.jump([0.5, 0.5], [0.01, 0.03])
         np.testing.assert_allclose(posterior, [0.25, 0.75], atol=1e-14)
-        assert intensity == pytest.approx(0.02, rel=1e-15)
+        assert math.exp(log_intensity) == pytest.approx(0.02, rel=1e-15)
 
     def test_degenerate_prior_is_fixed_point(self):
         _, law = two_state_continuous_model()
-        posterior, _ = _bayes_jump([1.0, 0.0], law.per_state[:, 0, 1].tolist())
+        posterior, _ = self.jump([1.0, 0.0], law.per_state[:, 0, 1].tolist())
         assert posterior == [1.0, 0.0]
 
     def test_column_scale_invariance(self, rng):
         _, law = two_state_continuous_model()
         column = law.per_state[:, 0, 1]
         probs = rng.dirichlet(np.ones(2)).tolist()
-        a, _ = _bayes_jump(probs, column.tolist())
-        b, _ = _bayes_jump(probs, (column * 7.5).tolist())
+        a, _ = self.jump(probs, column.tolist())
+        b, _ = self.jump(probs, (column * 7.5).tolist())
         np.testing.assert_allclose(a, b, atol=1e-14)
+
+    def test_zero_intensity_names_the_event_and_its_time(self):
+        with pytest.raises(ImpossibleObservationError) as err:
+            self.jump([1.0, 0.0], [0.0, 0.3])
+        assert str(err.value) == "event 0 (0->0 at t=1.0) has zero predicted intensity"
+        assert err.value.time_index == 1.0
 
     def test_zero_intensity_transition_rejected(self):
         factor = mf.HiddenFactorSpec([1.0], [[0.0]], mode=mf.Mode.CONTINUOUS)
@@ -959,15 +1103,19 @@ class TestRunContinuousFilter:
         grid_dt = 1e-3
         traj = mf.run_continuous_filter(stream, factor, law, grid_dt=grid_dt, report_dt=1.0)
 
-        # the kernels, composed by hand with the same capped substeps
+        # the list kernels, composed by hand with the same capped substeps
         exposures = np.array([[20, 10], [19, 11]])
         trans_t, loads, scales = _drift_inputs(factor.trans, _intensity_load(law, exposures))
         probs = factor.pi.tolist()
         for _ in range(600):
-            probs, _, _ = _integrate_drift(probs, grid_dt, trans_t, loads[0], scales[0], grid_dt)
-        probs, _ = _bayes_jump(probs, law.per_state[:, 0, 1].tolist())
+            probs, _, _ = list_integrate_drift(
+                probs, grid_dt, trans_t, loads[0], scales[0], grid_dt
+            )
+        probs, _ = list_bayes_jump(probs, law.per_state[:, 0, 1].tolist())
         for _ in range(400):
-            probs, _, _ = _integrate_drift(probs, grid_dt, trans_t, loads[1], scales[1], grid_dt)
+            probs, _, _ = list_integrate_drift(
+                probs, grid_dt, trans_t, loads[1], scales[1], grid_dt
+            )
         np.testing.assert_allclose(traj.states[-1].probs, probs, atol=1e-9)
 
     def test_reported_states_on_simplex_and_parts_decompose(self):
@@ -1100,11 +1248,15 @@ class TestStopArray:
     compares them exactly and reports up to the horizon."""
 
     @settings(max_examples=200, deadline=None)
-    @given(open_cohort_streams(), st.sampled_from([1.0, 0.5, 0.7]), st.booleans())
-    def test_matches_loop_reference(self, drawn, report_fraction, impossible):
+    @given(
+        open_cohort_streams(), st.sampled_from([1.0, 0.5, 0.7]), st.booleans(), st.integers(1, 6)
+    )
+    def test_matches_loop_reference(self, drawn, report_fraction, impossible, m):
+        """Trajectory bytes, or the refusal's message and time, equal the
+        loop reference's for hidden chains of 1-6 states."""
         stream, step = drawn
         report_dt = report_fraction * step
-        factor, law = mf.demo_model(2, stream.p, mode=mf.Mode.CONTINUOUS, spread=8.0)
+        factor, law = mf.demo_model(m, stream.p, mode=mf.Mode.CONTINUOUS, spread=8.0)
         if impossible:
             # no state can move an entity 0 -> 1: such an event is refused
             per_state = law.per_state.copy()

@@ -10,11 +10,11 @@ a round trip or a writer-against-reference check would not see.
 The digests were taken with Python 3.11.7 and numpy 2.4.6 on scipy-openblas
 0.3.31; another BLAS or numpy build may round a fit differently, and so may
 Python 3.12 or later, whose ``sum`` of floats is compensated: the
-continuous pipeline still adds by ``sum`` in its chain parts, in
-``_bayes_jump`` and in ``_renormalized`` (its Euler walk spells its sums out
-left to right, as ``sum`` adds on 3.11).  A change that moves outputs on
-purpose updates these pins and records the old and new digests, and the
-reason, in CHANGES.md.
+continuous filter's generated stop walk spells its sums out left to right,
+as ``sum`` adds on 3.11 (the substeps, chain parts, intensity integrals and
+jump intensities), and only ``_renormalized`` still adds by ``sum``.  A
+change that moves outputs on purpose updates these pins and records the old
+and new digests, and the reason, in CHANGES.md.
 """
 
 import datetime as dt
